@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,54 +31,12 @@ NUMERICAL_ORACLE = "numerical_oracle"
 ORACLE_DIRECTIONS = 100_000
 ORACLE_SEED = 7151
 
-_SPECTRAL_TOL = 1e-12
-_MAX_SWEEPS = 200
-
-
-# ---------------------------------------------------------------------------
-# Small symmetric eigenproblem (cyclic Jacobi), dim <= 8
-# ---------------------------------------------------------------------------
-
-def jacobi_symmetric_eigenvalues(S: np.ndarray, tol: float = _SPECTRAL_TOL,
-                                 max_sweeps: int = _MAX_SWEEPS) -> np.ndarray:
-    """Eigenvalues of a small symmetric matrix by cyclic Jacobi rotations."""
-    A = np.array(S, dtype=float, copy=True)
-    n = A.shape[0]
-    if A.shape != (n, n) or n > 8:
-        raise RejectedInputError("jacobi routine handles square matrices of dim <= 8")
-    if n == 1:
-        return A.diagonal().copy()
-    scale = max(float(np.max(np.abs(A))), 1e-300)
-    for _sweep in range(max_sweeps):
-        off = math.sqrt(2.0 * float(np.sum(np.tril(A, -1) ** 2)))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-    return np.sort(np.diag(A).copy())
-
 
 def singular_values(M: np.ndarray) -> np.ndarray:
-    """Singular values (ascending) via Jacobi on the Gram matrix."""
+    """Singular values (ascending) from the eigenvalues of the Gram matrix."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    eigs = jacobi_symmetric_eigenvalues(M.T @ M)
+    gram = M.T @ M
+    eigs = gram[0] if gram.shape == (1, 1) else np.linalg.eigvalsh(gram)
     return np.sqrt(np.clip(eigs, 0.0, None))
 
 
@@ -162,7 +121,10 @@ def matrix_automorphism(M) -> Automorphism:
 
 def matrix_power(base, exponent: int) -> Automorphism:
     b = np.atleast_2d(np.asarray(base, dtype=float))
-    m = np.linalg.matrix_power(b, int(exponent))
+    try:
+        m = np.linalg.matrix_power(b, int(exponent))
+    except np.linalg.LinAlgError as exc:
+        raise RejectedInputError("matrix power base is singular or not square") from exc
     return Automorphism(MATRIX_POWER, m,
                         {"base": b, "exponent": int(exponent)})
 
@@ -180,10 +142,6 @@ def gabor_shift(p: float) -> Automorphism:
     """Dual Gabor action (xi, k) -> (xi - k*p, k)."""
     m = np.array([[1.0, -float(p)], [0.0, 1.0]])
     return Automorphism(GABOR_SHIFT, m, {"p": float(p)})
-
-
-def jacobian(auto: Automorphism) -> float:
-    return auto.jacobian()
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +311,26 @@ class ParameterList:
 
 
 @dataclass(frozen=True)
+class FamilyMember:
+    """One parameter of a family with everything consumers read from it."""
+
+    param: object
+    auto: Automorphism
+    lower: float
+    upper: float
+    method: str
+    jacobian: float
+    weight: float
+
+
+@dataclass(frozen=True)
 class AutomorphismFamily:
     """Indexed family of dual automorphisms with weights and a metric.
 
     `weight` is a density on the parameter axis when the index set carries
-    cell edges, and an atom mass otherwise.
+    cell edges, and an atom mass otherwise.  `members` materialises every
+    parameter once, on first use; `automorphism` and `weight_of` serve
+    parameters outside that table (level-set bisection, quadrature nodes).
     """
 
     index_set: IntegerRange | RealGrid | ParameterList
@@ -384,26 +357,23 @@ class AutomorphismFamily:
             raise RejectedInputError("weights must be nonnegative")
         return float(w)
 
-    def jacobian_of(self, param) -> float:
-        return self.automorphism(param).jacobian()
-
-    def constants_of(self, param) -> LipschitzConstants:
-        return lipschitz_constants(self.automorphism(param), self.metric)
-
-    def lipschitz_table(self) -> list[tuple]:
-        """(parameter, lower, upper) for every probed parameter."""
-        out = []
+    @cached_property
+    def members(self) -> tuple[FamilyMember, ...]:
+        """Automorphism, distortion constants, jacobian and checked weight of
+        every parameter, in `parameters()` order."""
+        rows = []
         for param in self.parameters():
-            c = self.constants_of(param)
-            out.append((param, c.lower, c.upper))
-        return out
+            auto = self.automorphism(param)
+            c = lipschitz_constants(auto, self.metric)
+            rows.append(FamilyMember(param, auto, c.lower, c.upper, c.method,
+                                     auto.jacobian(), self.weight_of(param)))
+        return tuple(rows)
 
-    def lipschitz_profile(self) -> "LipschitzProfile":
-        method = self.constants_of(self.parameters()[0]).method
-        return LipschitzProfile(
-            lower=lambda param: self.constants_of(param).lower,
-            upper=lambda param: self.constants_of(param).upper,
-            method=method)
+    def member(self, param) -> FamilyMember:
+        for m in self.members:
+            if m.param == param:
+                return m
+        raise RejectedInputError(f"parameter {param!r} is not in the family")
 
     def continuous_domain(self) -> tuple[float, float]:
         if not self.is_continuous:
@@ -417,14 +387,13 @@ class AutomorphismFamily:
         if self.is_continuous:
             raise RejectedInputError("restrict applies to atomic families; "
                                      "continuous families split by level sets")
-        kept = [p for p, lo, hi in self.lipschitz_table() if keep(p, lo, hi)]
+        kept = tuple(m for m in self.members if keep(m.param, m.lower, m.upper))
         if not kept:
             raise RejectedInputError("restriction removed every parameter")
-        return AutomorphismFamily(ParameterList(tuple(kept)), self.generator,
-                                  self.weight, self.metric, self.name)
-
-    def upper_constant_fn(self) -> Callable[[float], float]:
-        return lambda a: self.constants_of(float(a)).upper
+        sub = AutomorphismFamily(ParameterList(tuple(m.param for m in kept)),
+                                 self.generator, self.weight, self.metric, self.name)
+        sub.__dict__["members"] = kept  # the subfamily shares the built rows
+        return sub
 
     def level_set_intervals(self, lower: float, upper: float,
                             bisect_tol: float = 1e-12) -> list[tuple[float, float]]:
@@ -436,11 +405,12 @@ class AutomorphismFamily:
         """
         if not self.is_continuous:
             raise RejectedInputError("level sets need a continuous index set")
-        L = self.upper_constant_fn()
+
+        def L(a: float) -> float:
+            return lipschitz_constants(self.automorphism(a), self.metric).upper
 
         def inside(a: float) -> bool:
-            la = L(a)
-            return lower <= la <= upper
+            return lower <= L(a) <= upper
 
         edges = self.index_set.edges
         edge_vals = np.array([L(float(e)) for e in edges])
@@ -496,13 +466,6 @@ def _merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, 
         else:
             merged.append((lo, hi))
     return [(lo, hi) for lo, hi in merged if hi > lo]
-
-
-@dataclass(frozen=True)
-class LipschitzProfile:
-    lower: Callable
-    upper: Callable
-    method: str
 
 
 def matrix_power_family(base, j_min: int, j_max: int, metric: MetricSpace,
@@ -600,7 +563,7 @@ def classify_expansiveness(family: AutomorphismFamily, probe_m: float | None = N
     the lower constant carrying an upper-constant spread above `explosion`
     demote the verdict from uniformly_expanding to expanding.
     """
-    table = family.lipschitz_table()
+    table = [(m.param, m.lower, m.upper) for m in family.members]
     if not table:
         raise RejectedInputError("empty truncation")
     for _param, lo, hi in table:
@@ -807,9 +770,8 @@ def band_mass_profile(family: AutomorphismFamily, envelope: Callable[[float], fl
                     a0, a1, cells=4)
             values[i] = total
     else:
-        table = family.lipschitz_table()
-        uppers = np.array([hi for _p, _lo, hi in table])
-        masses = np.array([family.weight_of(p) for p, _lo, _hi in table])
+        uppers = np.array([m.upper for m in family.members])
+        masses = np.array([m.weight for m in family.members])
         for i, t in enumerate(ts):
             hi = float(envelope(float(c * t)))
             mask = (uppers >= t) & (uppers <= hi)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import quadrature
 from .automorphisms import (GABOR_SHIFT, MATRIX_POWER, AutomorphismFamily,
-                            IntegerRange, lipschitz_constants)
+                            IntegerRange, lipschitz_constants, matrix_power)
 from .errors import RejectedInputError, SingularPointError
 from .profiles import FrequencyProfile, support_radii
 
@@ -44,7 +44,16 @@ class IntegrabilityReport:
 
 
 def _family_is_gabor(family: AutomorphismFamily) -> bool:
-    return family.automorphism(family.parameters()[0]).kind == GABOR_SHIFT
+    return family.members[0].auto.kind == GABOR_SHIFT
+
+
+def _frequencies(psihat: FrequencyProfile, points) -> np.ndarray:
+    """Frequencies as rows of an (n, dim) array: a scalar or a single point
+    gives one row, a flat 1-d array gives one row per entry."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[1] != psihat.dim:
+        pts = pts.reshape(-1, psihat.dim)
+    return pts
 
 
 def _mapped_points(auto, pts: np.ndarray, kappa: int) -> np.ndarray:
@@ -57,10 +66,10 @@ def _mapped_points(auto, pts: np.ndarray, kappa: int) -> np.ndarray:
     raise RejectedInputError("profile dimension does not match the automorphism")
 
 
-def _check_not_identity(family: AutomorphismFamily, xi: np.ndarray) -> None:
+def _check_not_identity(family: AutomorphismFamily, pts: np.ndarray) -> None:
     if _family_is_gabor(family):
         return
-    if float(family.metric.norm(np.atleast_2d(xi))[0]) == 0.0:
+    if np.any(family.metric.norm(pts) == 0.0):
         raise SingularPointError("orbit sum requested at the identity frequency")
 
 
@@ -74,20 +83,15 @@ def calderon_values(psihat: FrequencyProfile, family: AutomorphismFamily, points
     """
     if family.is_continuous:
         raise RejectedInputError("use calderon_sum for continuous families")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != psihat.dim:
-        pts = pts.reshape(-1, psihat.dim)
+    pts = _frequencies(psihat, points)
     out = np.zeros(pts.shape[0])
-    for param, _lo, hi in family.lipschitz_table():
-        if lower_cutoff is not None and hi <= lower_cutoff:
+    for m in family.members:
+        if lower_cutoff is not None and m.upper <= lower_cutoff:
             continue
-        if upper_cutoff is not None and hi > upper_cutoff:
+        if upper_cutoff is not None and m.upper > upper_cutoff:
             continue
-        auto = family.automorphism(param)
-        term = psihat.evaluate(_mapped_points(auto, pts, kappa)) ** 2
-        w = family.weight_of(param)
-        if weighted:
-            w *= auto.jacobian()
+        term = psihat.evaluate(_mapped_points(m.auto, pts, kappa)) ** 2
+        w = m.weight * m.jacobian if weighted else m.weight
         out += w * term
     return out
 
@@ -96,46 +100,35 @@ def calderon_values(psihat: FrequencyProfile, family: AutomorphismFamily, points
 # Truncation certificates
 # ---------------------------------------------------------------------------
 
-def _integer_family_certificate(psihat, family, xi: np.ndarray, kappa: int) -> bool:
-    """True when terms beyond both declared ends provably vanish.
+def _integer_family_certificate(psihat, family, pts: np.ndarray, kappa: int) -> np.ndarray:
+    """Per frequency: True when terms beyond both declared ends provably vanish.
 
     For matrix-power families the one-step distortion constants bound how the
     orbit distance evolves past each end: once the orbit provably stays
     outside the support circumradius (or inside its inradius) forever, the
     remaining terms are zero.
     """
-    params = family.parameters()
-    j_lo, j_hi = params[0], params[-1]
-    first = family.automorphism(j_lo)
-    if first.kind == GABOR_SHIFT:
-        return _gabor_window_covered(psihat, family, xi, kappa)
-    if first.kind != MATRIX_POWER:
-        return False
-    cb = lipschitz_constants(_power_base_auto(family), family.metric)
+    first, last = family.members[0], family.members[-1]
+    if first.auto.kind == GABOR_SHIFT:
+        return _gabor_window_covered(psihat, family, pts, kappa)
+    if first.auto.kind != MATRIX_POWER:
+        return np.zeros(pts.shape[0], dtype=bool)
+    cb = lipschitz_constants(matrix_power(first.auto.params["base"], 1), family.metric)
     rho_min, rho_max = support_radii(psihat, family.metric)
-    d = float(family.metric.norm(np.atleast_2d(xi))[0])
-    end_hi = family.constants_of(j_hi)
-    end_lo = family.constants_of(j_lo)
-    up_ok = ((cb.lower > 1.0 and end_hi.lower * d > rho_max)
-             or (cb.upper < 1.0 and end_hi.upper * d < rho_min))
-    down_ok = ((cb.upper < 1.0 and end_lo.lower * d > rho_max)
-               or (cb.lower > 1.0 and end_lo.upper * d < rho_min))
-    return bool(up_ok and down_ok)
+    d = family.metric.norm(pts)
+    up_ok = (((cb.lower > 1.0) & (last.lower * d > rho_max))
+             | ((cb.upper < 1.0) & (last.upper * d < rho_min)))
+    down_ok = (((cb.upper < 1.0) & (first.lower * d > rho_max))
+               | ((cb.lower > 1.0) & (first.upper * d < rho_min)))
+    return up_ok & down_ok
 
 
-def _power_base_auto(family: AutomorphismFamily):
-    from .automorphisms import matrix_power
-    some = family.automorphism(family.parameters()[0])
-    return matrix_power(some.params["base"], 1)
-
-
-def _gabor_window_covered(psihat, family, xi: np.ndarray, kappa: int) -> bool:
+def _gabor_window_covered(psihat, family, pts: np.ndarray, kappa: int) -> np.ndarray:
     slo = float(psihat.support_lo[0])
     shi = float(psihat.support_hi[0])
-    x = float(np.asarray(xi, dtype=float).ravel()[0])
-    w0, w1 = sorted(((x - shi) / kappa, (x - slo) / kappa))
+    a, b = (pts[:, 0] - shi) / kappa, (pts[:, 0] - slo) / kappa
     ps = [p if not isinstance(p, tuple) else p[0] for p in family.parameters()]
-    return min(ps) <= w0 and max(ps) >= w1
+    return (min(ps) <= np.minimum(a, b)) & (max(ps) >= np.maximum(a, b))
 
 
 def _divergence_monitor(contributions: np.ndarray, cap: float,
@@ -151,27 +144,35 @@ def _divergence_monitor(contributions: np.ndarray, cap: float,
 
 
 # ---------------------------------------------------------------------------
-# Single-frequency evaluations
+# Evaluations with truncation certificates
 # ---------------------------------------------------------------------------
 
-def calderon_sum(psihat: FrequencyProfile, family: AutomorphismFamily, xi,
-                 rtol: float = 1e-6, kappa: int = 1) -> CalderonEvaluation:
-    """The orbit sum of squared profile values with the family weights."""
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    _check_not_identity(family, xi_arr)
+def calderon_sum(psihat: FrequencyProfile, family: AutomorphismFamily, points,
+                 kappa: int = 1) -> list[CalderonEvaluation]:
+    """The orbit sum of squared profile values with the family weights, one
+    evaluation per frequency (a scalar, one point, or an (n, dim) array).
+
+    Atomic families take every value from one `calderon_values` call and
+    their certificates and edge tails as arrays; continuous families
+    integrate per frequency, since their parameter windows depend on it.
+    """
+    pts = _frequencies(psihat, points)
+    _check_not_identity(family, pts)
     if family.is_continuous:
-        return _continuous_orbit_integral(psihat, family, xi_arr, weighted=False,
-                                          lower_cutoff=None, rtol=rtol)
-    value = float(calderon_values(psihat, family, xi_arr[None, :], kappa=kappa)[0])
-    certified, truncation = _atomic_certificate(psihat, family, xi_arr, kappa)
-    tail = 0.0 if certified else _edge_tail_estimate(psihat, family, xi_arr, kappa)
-    return CalderonEvaluation(xi, value, truncation, tail, certified)
+        return [_continuous_orbit_integral(psihat, family, x, weighted=False,
+                                           lower_cutoff=None) for x in pts]
+    values = calderon_values(psihat, family, pts, kappa=kappa)
+    certified, truncation = _atomic_certificate(psihat, family, pts, kappa)
+    tails = np.where(certified, 0.0, _edge_tail_estimate(psihat, family, pts, kappa))
+    return [CalderonEvaluation(x, v, truncation, t, c) for x, v, t, c in
+            zip(pts, values.tolist(), tails.tolist(), certified.tolist())]
 
 
 def calderon_tail(psihat: FrequencyProfile, family: AutomorphismFamily, xi, M: float,
                   cap: float = DIVERGENCE_CAP, growth: float = DIVERGENCE_GROWTH,
-                  rtol: float = 1e-6, kappa: int = 1) -> CalderonEvaluation:
-    """Jacobian-weighted orbit sum restricted to parameters with L(h) > M.
+                  kappa: int = 1) -> CalderonEvaluation:
+    """Jacobian-weighted orbit sum at one frequency, restricted to parameters
+    with L(h) > M.
 
     Unlike the plain orbit sum, each term carries the jacobian factor.  A
     partial-sum monitor reports divergence evidence when the distortion-
@@ -179,57 +180,55 @@ def calderon_tail(psihat: FrequencyProfile, family: AutomorphismFamily, xi, M: f
     """
     if M <= 0:
         raise RejectedInputError("distortion cutoff must be positive")
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    _check_not_identity(family, xi_arr)
+    pts = _frequencies(psihat, xi)
+    if pts.shape[0] != 1:
+        raise RejectedInputError("calderon_tail evaluates one frequency")
+    _check_not_identity(family, pts)
     if family.is_continuous:
-        return _continuous_orbit_integral(psihat, family, xi_arr, weighted=True,
-                                          lower_cutoff=M, rtol=rtol)
-    rows = [(param, hi) for param, _lo, hi in family.lipschitz_table() if hi > M]
+        return _continuous_orbit_integral(psihat, family, pts[0], weighted=True,
+                                          lower_cutoff=M)
+    rows = sorted((m for m in family.members if m.upper > M),
+                  key=lambda m: (m.upper, str(m.param)))
     if not rows:
         return CalderonEvaluation(xi, 0.0, {"kind": "atoms", "terms": 0},
                                   certified_exact=True)
-    rows.sort(key=lambda t: (t[1], str(t[0])))
     contributions = np.empty(len(rows))
-    pts = xi_arr[None, :]
-    for i, (param, _hi) in enumerate(rows):
-        auto = family.automorphism(param)
-        term = float(psihat.evaluate(_mapped_points(auto, pts, kappa))[0]) ** 2
-        contributions[i] = family.weight_of(param) * auto.jacobian() * term
+    for i, m in enumerate(rows):
+        term = float(psihat.evaluate(_mapped_points(m.auto, pts, kappa))[0]) ** 2
+        contributions[i] = m.weight * m.jacobian * term
     diverging, partial, sizes = _divergence_monitor(contributions, cap, growth)
-    certified, truncation = _atomic_certificate(psihat, family, xi_arr, kappa)
+    certified, truncation = _atomic_certificate(psihat, family, pts, kappa)
+    certified = bool(certified[0])
     truncation = dict(truncation)
     truncation.update({"partial_sums": partial, "truncation_sizes": sizes,
                        "distortion_cutoff": M})
-    tail = 0.0 if certified else _edge_tail_estimate(psihat, family, xi_arr, kappa,
-                                                     weighted=True)
+    tail = 0.0 if certified else float(
+        _edge_tail_estimate(psihat, family, pts, kappa, weighted=True)[0])
     return CalderonEvaluation(xi, float(np.sum(contributions)), truncation, tail,
                               certified and not diverging, diverging)
 
 
-def _atomic_certificate(psihat, family, xi: np.ndarray, kappa: int) -> tuple[bool, dict]:
+def _atomic_certificate(psihat, family, pts: np.ndarray,
+                        kappa: int) -> tuple[np.ndarray, dict]:
     if isinstance(family.index_set, IntegerRange):
-        ok = _integer_family_certificate(psihat, family, xi, kappa)
+        ok = _integer_family_certificate(psihat, family, pts, kappa)
         return ok, {"kind": "integer_range", "j_min": family.index_set.j_min,
                     "j_max": family.index_set.j_max}
+    terms = len(family.members)
     if _family_is_gabor(family):
-        ok = _gabor_window_covered(psihat, family, xi, kappa)
-        return ok, {"kind": "shift_atoms", "terms": len(family.parameters())}
+        return (_gabor_window_covered(psihat, family, pts, kappa),
+                {"kind": "shift_atoms", "terms": terms})
     # an explicit atom list is its own complete truncation
-    return True, {"kind": "atoms", "terms": len(family.parameters())}
+    return np.ones(pts.shape[0], dtype=bool), {"kind": "atoms", "terms": terms}
 
 
-def _edge_tail_estimate(psihat, family, xi: np.ndarray, kappa: int,
-                        weighted: bool = False) -> float:
-    params = family.parameters()
-    pts = xi[None, :]
-    est = 0.0
-    for param in (params[0], params[-1]):
-        auto = family.automorphism(param)
-        term = float(psihat.evaluate(_mapped_points(auto, pts, kappa))[0]) ** 2
-        w = family.weight_of(param)
-        if weighted:
-            w *= auto.jacobian()
-        est += w * term
+def _edge_tail_estimate(psihat, family, pts: np.ndarray, kappa: int,
+                        weighted: bool = False) -> np.ndarray:
+    """Per frequency: the terms of the two end parameters of the truncation."""
+    est = np.zeros(pts.shape[0])
+    for m in (family.members[0], family.members[-1]):
+        w = m.weight * m.jacobian if weighted else m.weight
+        est += w * psihat.evaluate(_mapped_points(m.auto, pts, kappa)) ** 2
     return est
 
 
@@ -238,8 +237,7 @@ def _edge_tail_estimate(psihat, family, xi: np.ndarray, kappa: int,
 # ---------------------------------------------------------------------------
 
 def _scalar_dilation_or_reject(family: AutomorphismFamily) -> None:
-    probe = family.automorphism(family.parameters()[0])
-    if probe.dim != 1:
+    if family.members[0].auto.dim != 1:
         raise RejectedInputError(
             "continuous orbit integrals support one-dimensional dilation families")
 
@@ -267,7 +265,7 @@ def _active_windows(psihat, xi: float, domain: tuple[float, float]) -> list[tupl
 
 
 def _continuous_orbit_integral(psihat, family, xi_arr: np.ndarray, weighted: bool,
-                               lower_cutoff: float | None, rtol: float) -> CalderonEvaluation:
+                               lower_cutoff: float | None) -> CalderonEvaluation:
     _scalar_dilation_or_reject(family)
     if psihat.dim != 1:
         raise RejectedInputError("continuous families pair with 1-d profiles")
@@ -282,7 +280,7 @@ def _continuous_orbit_integral(psihat, family, xi_arr: np.ndarray, weighted: boo
         vals = psihat.evaluate((a * xi)[:, None]) ** 2
         w = np.array([family.weight_of(float(v)) for v in a])
         if weighted:
-            w = w * np.array([family.jacobian_of(float(v)) for v in a])
+            w = w * np.array([family.automorphism(float(v)).jacobian() for v in a])
         return w * vals
 
     total = 0.0
@@ -336,10 +334,10 @@ def local_integrability_check(psihat: FrequencyProfile, family: AutomorphismFami
     if family.is_continuous:
         raise RejectedInputError("local integrability check runs on atomic families")
 
-    rows = [(param, hi_c) for param, _lo_c, hi_c in family.lipschitz_table() if hi_c > M]
+    rows = sorted((m for m in family.members if m.upper > M),
+                  key=lambda m: (m.upper, str(m.param)))
     if not rows:
         return IntegrabilityReport("finite", 0.0, (0.0,), (0,), M)
-    rows.sort(key=lambda t: (t[1], str(t[0])))
 
     if psihat.dim == 1:
         nodes, weights = quadrature.gl_nodes_weights(float(lo[0]), float(hi[0]),
@@ -356,11 +354,9 @@ def local_integrability_check(psihat: FrequencyProfile, family: AutomorphismFami
             weights = weights * w.ravel()
 
     contributions = np.empty(len(rows))
-    for i, (param, _hi_c) in enumerate(rows):
-        auto = family.automorphism(param)
-        vals = psihat.evaluate(_mapped_points(auto, pts, kappa)) ** 2
-        contributions[i] = (family.weight_of(param) * auto.jacobian()
-                            * float(np.dot(weights, vals)))
+    for i, m in enumerate(rows):
+        vals = psihat.evaluate(_mapped_points(m.auto, pts, kappa)) ** 2
+        contributions[i] = m.weight * m.jacobian * float(np.dot(weights, vals))
     diverging, partial, sizes = _divergence_monitor(contributions, cap, growth)
     verdict = "divergent" if diverging else "finite"
     return IntegrabilityReport(verdict, float(np.sum(contributions)), partial, sizes, M)

@@ -28,8 +28,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE",
                        help="override a scenario knob by dotted path, repeatable")
-    run_p.add_argument("--workers", type=int, default=1,
-                       help="cap on worker threads; never changes results")
 
     sub.add_parser("list", help="list the bundled scenarios")
 
@@ -53,7 +51,7 @@ def main(argv=None) -> int:
         scenario = runner.resolve_scenario_argument(args.scenario)
         if args.overrides:
             scenario = cfg.apply_overrides(scenario, args.overrides)
-        code, report = runner.run_scenario(scenario, args.out, workers=args.workers)
+        code, report = runner.run_scenario(scenario, args.out)
         for entry in report["analyses"]:
             print(f"[{'PASS' if entry['passed'] else 'FAIL'}] {entry['kind']}")
         print(f"report written to {args.out}/report.json")

@@ -103,14 +103,41 @@ def resolve_defaults(raw: dict, base_dir: Path | None = None) -> dict:
     return out
 
 
+# numeric fields per family kind: (integer scalars, real scalars, real arrays)
+_FAMILY_NUMBERS = {
+    "matrix_power": (("j_min", "j_max"), (), ("base",)),
+    "shearlet_grid": ((), (), ("a_values", "s_values")),
+    "gabor_shifts": ((), ("p_min", "p_max", "p_step"), ("p_values",)),
+    "matrix_atoms": ((), (), ("matrices",)),
+    "continuous_dilation": (("cells",), ("lo", "hi"), ()),
+}
+_WEIGHT_NUMBERS = {"constant": (), "power": ("exponent",), "geometric": ("base",)}
+
+
+def _require_numbers(section: dict, where: str, integers=(), reals=(), arrays=()) -> None:
+    for key in (k for k in (*integers, *reals) if k in section):
+        v = section[key]
+        ok = isinstance(v, (int, float)) and not isinstance(v, bool)
+        _require(ok and (key not in integers or float(v).is_integer()),
+                 f"{where}.{key} must be {'an integer' if key in integers else 'a number'}")
+    for key in (k for k in arrays if k in section):
+        try:
+            np.asarray(section[key], dtype=float)
+        except (TypeError, ValueError):
+            raise ScenarioParseError(f"{where}.{key} must be an array of numbers") from None
+
+
 def _resolve_family(fam: dict) -> dict:
     kind = fam.get("kind")
-    _require(kind in ("matrix_power", "shearlet_grid", "gabor_shifts", "matrix_atoms",
-                      "continuous_dilation"), f"unknown family kind {kind!r}")
+    _require(kind in _FAMILY_NUMBERS, f"unknown family kind {kind!r}")
     fam.setdefault("weight", {"kind": "constant", "value": 1.0})
     w = fam["weight"]
-    _require(w.get("kind") in ("constant", "power", "geometric"),
-             f"unknown weight kind {w.get('kind')!r}")
+    _require(isinstance(w, dict) and w.get("kind") in _WEIGHT_NUMBERS,
+             f"unknown weight {w!r}")
+    for key in _WEIGHT_NUMBERS[w["kind"]]:
+        _require(key in w, f"{w['kind']} weight needs {key!r}")
+    _require_numbers(w, "family.weight", reals=("value", *_WEIGHT_NUMBERS[w["kind"]]))
+    _require_numbers(fam, "family", *_FAMILY_NUMBERS[kind])
     if kind == "matrix_power":
         for key in ("base", "j_min", "j_max"):
             _require(key in fam, f"matrix_power family needs {key!r}")
@@ -185,6 +212,8 @@ _ANALYSIS_DEFAULTS = {
 def _resolve_analysis(analysis: dict, scenario: dict) -> dict:
     kind = analysis.get("kind")
     _require(kind in ANALYSIS_KINDS, f"unknown analysis kind {kind!r}")
+    unknown = sorted(set(analysis) - set(_ANALYSIS_DEFAULTS[kind]) - {"kind"})
+    _require(not unknown, f"unknown {kind} knob(s) {unknown}")
     merged = dict(_ANALYSIS_DEFAULTS[kind])
     merged.update(analysis)
     merged["kind"] = kind
@@ -215,10 +244,15 @@ def apply_overrides(scenario: dict, overrides: list[str]) -> dict:
                     idx = int(part)
                 except ValueError as exc:
                     raise ScenarioParseError(f"list index expected in override {key!r}") from exc
+                if not -len(node) <= idx < len(node):
+                    raise ScenarioParseError(
+                        f"index {idx} out of range in override {key!r} (length {len(node)})")
                 if last:
                     node[idx] = parsed
                 else:
                     node = node[idx]
+            elif not isinstance(node, dict):
+                raise ScenarioParseError(f"override {key!r} descends into a scalar")
             else:
                 if last:
                     node[part] = parsed

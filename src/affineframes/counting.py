@@ -1,9 +1,9 @@
 """Exact lattice-point counts in deformed balls and the two-sided bounds.
 
 Counts use open balls with strict membership; inputs within a 1e-12 band of
-the boundary are excluded deterministically and logged.  The scanner checks
-whether counts stay dominated by 1 + C * jacobian across the strongly
-distorting part of a family.
+the boundary are excluded deterministically and counted in `boundary_hits`.
+The scanner checks whether counts stay dominated by 1 + C * jacobian across
+the strongly distorting part of a family.
 """
 
 from __future__ import annotations
@@ -90,8 +90,7 @@ def shifted_count(lattice: Lattice, auto: Automorphism, r: float,
 
 def counting_bounds(lattice: Lattice, auto: Automorphism, r: float,
                     metric: MetricSpace, n_samples: int = DEFAULT_MC_SAMPLES,
-                    seed: int = DEFAULT_MC_SEED,
-                    include_half_radius: bool = True) -> CountResult:
+                    seed: int = DEFAULT_MC_SEED) -> CountResult:
     """Count plus the deformed-ball measure bounds.
 
     upper_bound dominates the count at radius r; lower_bound_at_2r is
@@ -117,10 +116,6 @@ def counting_bounds(lattice: Lattice, auto: Automorphism, r: float,
         "deformed_ball_2r": vol_2r,
         "omega_overlap_r": (omega_r.value, omega_r.stderr),
     }
-    if include_half_radius:
-        omega_half = overlap_measure(lattice, metric, auto, 0.5 * r,
-                                     n_samples=n_samples, seed=seed + 1)
-        inputs["omega_overlap_half_r"] = (omega_half.value, omega_half.stderr)
     return CountResult(base.count, base.points, base.overflow, base.boundary_hits,
                        r, upper, upper_err, lower, lower_err, inputs)
 
@@ -175,13 +170,12 @@ def property_x_scan(family: AutomorphismFamily, lattice: Lattice,
     if r <= 0 or M <= 0:
         raise RejectedInputError("radius and distortion cutoff must be positive")
     rows: list[ScanRow] = []
-    for param, _lo, hi in family.lipschitz_table():
-        if hi <= M:
+    for m in family.members:
+        if m.upper <= M:
             continue
-        auto = family.automorphism(param)
-        delta = auto.jacobian()
-        count = enumerate_points(lattice, auto, r, metric).count
-        rows.append(ScanRow(param, hi, delta, count, (count - 1) / delta))
+        count = enumerate_points(lattice, m.auto, r, metric).count
+        rows.append(ScanRow(m.param, m.upper, m.jacobian, count,
+                            (count - 1) / m.jacobian))
     if not rows:
         raise RejectedInputError("no family parameters exceed the distortion cutoff")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quadrature
-from .automorphisms import AutomorphismFamily
+from .automorphisms import AutomorphismFamily, FamilyMember
 from .calderon import calderon_sum, calderon_values
 from .counting import property_x_scan
 from .errors import RejectedInputError
@@ -125,24 +125,22 @@ def frame_functional(psihat: FrequencyProfile, family: AutomorphismFamily,
     f_lo, f_hi, f_breaks = _line_profile(fhat)
 
     total = 0.0
-    for param in family.parameters():
-        auto = family.automorphism(param)
-        scale, offset = auto.line_action(kappa)
-        w = family.weight_of(param)
-        if w == 0.0:
+    for m in family.members:
+        scale, offset = m.auto.line_action(kappa)
+        if m.weight == 0.0:
             continue
         if method == "reduced":
-            reduced = _reduced_term(psihat, family, lattice, fhat, param, kappa)
+            reduced = _reduced_term(psihat, m, lattice, fhat, kappa)
             if reduced is not None:
-                total += w * reduced
+                total += m.weight * reduced
                 continue
-        total += w * _general_term(psihat, fhat, auto, scale, offset,
-                                   omega_lo, omega_hi, psi_lo, psi_hi,
-                                   psi_breaks, f_lo, f_hi, f_breaks, lattice)
+        total += m.weight * _general_term(psihat, fhat, m.jacobian, scale, offset,
+                                          omega_lo, omega_hi, psi_lo, psi_hi,
+                                          psi_breaks, f_lo, f_hi, f_breaks, lattice)
     return total
 
 
-def _general_term(psihat, fhat, auto, scale, offset, omega_lo, omega_hi,
+def _general_term(psihat, fhat, jacobian, scale, offset, omega_lo, omega_hi,
                   psi_lo, psi_hi, psi_breaks, f_lo, f_hi, f_breaks,
                   lattice: Lattice) -> float:
     img = sorted((scale * f_lo + offset, scale * f_hi + offset))
@@ -167,30 +165,31 @@ def _general_term(psihat, fhat, auto, scale, offset, omega_lo, omega_hi,
         return acc ** 2
 
     integral = quadrature.integrate_with_breakpoints(integrand, omega_lo, omega_hi, cuts)
-    return integral / auto.jacobian()
+    return integral / jacobian
 
 
 def single_term_threshold(family: AutomorphismFamily, lattice: Lattice, param,
                           xi0: float, kappa: int = 1) -> float:
     """Largest test-function radius for which only one shift can contribute:
     boundary distance of the orbit point over its upper distortion constant."""
-    auto = family.automorphism(param)
-    scale, offset = auto.line_action(kappa)
-    upper = family.constants_of(param).upper
-    return lattice.boundary_distance_1d(scale * xi0 + offset) / upper
+    return _member_threshold(family.member(param), lattice, xi0, kappa)
 
 
-def _reduced_term(psihat, family, lattice, fhat, param, kappa) -> float | None:
+def _member_threshold(m: FamilyMember, lattice: Lattice, xi0: float, kappa: int) -> float:
+    scale, offset = m.auto.line_action(kappa)
+    return lattice.boundary_distance_1d(scale * xi0 + offset) / m.upper
+
+
+def _reduced_term(psihat, m: FamilyMember, lattice, fhat, kappa) -> float | None:
     if not (isinstance(fhat, PiecewiseConstantProfile) and fhat.values.shape[0] == 1):
         return None
     lo = float(fhat.boxes_lo[0, 0])
     hi = float(fhat.boxes_hi[0, 0])
     xi0 = 0.5 * (lo + hi)
     eps = 0.5 * (hi - lo)
-    if eps >= single_term_threshold(family, lattice, param, xi0, kappa):
+    if eps >= _member_threshold(m, lattice, xi0, kappa):
         return None
-    auto = family.automorphism(param)
-    scale, offset = auto.line_action(kappa)
+    scale, offset = m.auto.line_action(kappa)
     value = float(fhat.values[0])
 
     def integrand(u: np.ndarray) -> np.ndarray:
@@ -208,11 +207,12 @@ def _reduced_term(psihat, family, lattice, fhat, param, kappa) -> float | None:
 def _orbit_breakpoints(psihat, family, lo: float, hi: float, kappa: int,
                        lower_cutoff: float | None = None) -> list[float]:
     cuts: list[float] = []
-    for param, _l, up in family.lipschitz_table():
-        if lower_cutoff is not None and up <= lower_cutoff:
+    breaks = psihat.breakpoints_1d()
+    for m in family.members:
+        if lower_cutoff is not None and m.upper <= lower_cutoff:
             continue
-        scale, offset = family.automorphism(param).line_action(kappa)
-        for b in psihat.breakpoints_1d():
+        scale, offset = m.auto.line_action(kappa)
+        for b in breaks:
             x = (float(b) - offset) / scale
             if lo < x < hi:
                 cuts.append(x)
@@ -290,7 +290,7 @@ def calderon_inequality_report(psihat: FrequencyProfile, family: AutomorphismFam
             f"grid touches the exclusion radius {exclusion_radius} around the identity")
 
     if family.is_continuous:
-        values = np.array([calderon_sum(psihat, family, x).value for x in grid])
+        values = np.array([ev.value for ev in calderon_sum(psihat, family, grid)])
     else:
         values = calderon_values(psihat, family, grid[:, None], kappa=kappa)
     passes = (values >= lower - tolerance) & (values <= upper + tolerance)

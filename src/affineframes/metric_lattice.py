@@ -194,13 +194,6 @@ class Lattice:
                         axis=-1).reshape(-1, self.dim)
         return grid @ self.basis.T
 
-    def fundamental_diameter(self, metric: MetricSpace) -> float:
-        corners = self.fundamental_corners()
-        dmax = 0.0
-        for c in corners:
-            dmax = max(dmax, float(np.max(metric.distance_many(corners, c))))
-        return dmax
-
     def sample_fundamental(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.random((n, self.dim)) @ self.basis.T
 
@@ -520,30 +513,3 @@ def _affine_preimage_box(auto, center: np.ndarray, half: np.ndarray):
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     return 0.5 * (lo + hi), 0.5 * (hi - lo)
-
-
-def overlap_measure_grid_oracle(lattice: Lattice, metric: MetricSpace, auto=None,
-                                r: float = 0.5, resolution: int = 2000) -> float:
-    """Deterministic midpoint-grid evaluation of the same overlap measure.
-
-    Independent cross-check for the Monte Carlo estimator (dim <= 2).
-    """
-    if auto is None:
-        auto = _IdentityMap()
-    if lattice.dim > 2:
-        raise RejectedInputError("grid oracle implemented for dim <= 2")
-    steps = (np.arange(resolution) + 0.5) / resolution
-    if lattice.dim == 1:
-        u = steps[:, None]
-    else:
-        gx, gy = np.meshgrid(steps, steps, indexing="ij")
-        u = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-    xi = u @ lattice.basis.T
-    ball_lo, ball_hi = metric.ball_box(r)
-    img_lo, img_hi = auto.box_image(ball_lo, ball_hi)
-    omega_lo, omega_hi = lattice.fundamental_box()
-    shifts = lattice.points_in_box(omega_lo - img_hi, omega_hi - img_lo, cap=2_000_000)
-    covered = np.zeros(xi.shape[0], dtype=bool)
-    for shift in shifts:
-        covered |= metric.norm(auto.inverse_apply(xi - shift)) < r
-    return lattice.covolume * float(covered.mean())

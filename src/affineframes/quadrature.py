@@ -1,9 +1,8 @@
 """Composite Gauss-Legendre quadrature on intervals and boxes.
 
-Order-16 nodes per cell throughout; refinement is dyadic.  Integrands the
-toolkit produces are polynomial between known breakpoints, so splitting at
-breakpoints makes the rules exact; the adaptive path is the fallback when
-breakpoints are unknown.
+Order-16 nodes per cell throughout, on a fixed number of equal cells.
+Integrands the toolkit produces are polynomial between known breakpoints, so
+splitting at breakpoints makes the rules exact.
 """
 
 from __future__ import annotations
@@ -14,9 +13,6 @@ import numpy as np
 
 GL_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)
-
-DEFAULT_RTOL = 1e-6
-MAX_REFINEMENT = 22
 
 
 def gl_nodes_weights(lo: float, hi: float, cells: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -54,20 +50,6 @@ def integrate_with_breakpoints(f: Callable[[np.ndarray], np.ndarray], lo: float,
     return total
 
 
-def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                       rtol: float = DEFAULT_RTOL, atol: float = 0.0) -> float:
-    """Dyadically refined composite rule; stops when successive levels agree."""
-    if hi <= lo:
-        return 0.0
-    prev = integrate_interval(f, lo, hi, cells=1)
-    for level in range(1, MAX_REFINEMENT):
-        cur = integrate_interval(f, lo, hi, cells=2 ** level)
-        if abs(cur - prev) <= rtol * abs(cur) + atol:
-            return cur
-        prev = cur
-    return prev
-
-
 def integrate_box(f: Callable[[np.ndarray], np.ndarray], lo: Sequence[float],
                   hi: Sequence[float], cells_per_axis: int = 1) -> float:
     """Tensor-product composite rule on an axis-aligned box (any dim).
@@ -86,15 +68,3 @@ def integrate_box(f: Callable[[np.ndarray], np.ndarray], lo: Sequence[float],
     for wg in wgrids:
         weights = weights * wg.ravel()
     return float(np.dot(weights, f(points)))
-
-
-def integrate_box_adaptive(f: Callable[[np.ndarray], np.ndarray], lo: Sequence[float],
-                           hi: Sequence[float], rtol: float = DEFAULT_RTOL,
-                           atol: float = 0.0, max_level: int = 8) -> float:
-    prev = integrate_box(f, lo, hi, cells_per_axis=1)
-    for level in range(1, max_level + 1):
-        cur = integrate_box(f, lo, hi, cells_per_axis=2 ** level)
-        if abs(cur - prev) <= rtol * abs(cur) + atol:
-            return cur
-        prev = cur
-    return prev

@@ -1,8 +1,7 @@
 """Scenario execution: dispatch analyses, write CSV tables and report.json.
 
 Runs are deterministic for a fixed scenario text and build: all randomness
-is seeded from the scenario, analyses execute in declaration order, and the
-worker flag only chunks independent items without changing merge order.
+is seeded from the scenario and analyses execute in declaration order.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ import csv
 import importlib.resources
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -24,15 +22,6 @@ from . import counting as ct
 from . import frame_functional as ff
 from . import metric_lattice as ml
 from .errors import RejectedInputError
-
-
-def ordered_parallel_map(fn, items, workers: int) -> list:
-    """Map preserving order; worker count never changes the result."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _jsonable(value):
@@ -72,17 +61,12 @@ def _param_columns(param) -> list:
 # Analysis dispatchers
 # ---------------------------------------------------------------------------
 
-def _run_calderon_scan(analysis, ctx, out_dir, tag, workers):
+def _run_calderon_scan(analysis, ctx, out_dir, tag):
+    if ctx["profile"].dim != 1:
+        raise RejectedInputError("calderon_scan scans a one-dimensional frequency line")
     grid = cfg.scan_grid(analysis["segments"], analysis["points_per_segment"])
-    profile, family = ctx["profile"], ctx["family"]
-
-    def one(x: float):
-        ev = cd.calderon_sum(profile, family, float(x))
-        return (float(x), ev.value, ev.tail_estimate, ev.certified_exact,
-                _truncation_label(ev.truncation))
-
-    rows = ordered_parallel_map(one, grid, workers)
-    values = np.array([r[1] for r in rows])
+    evals = cd.calderon_sum(ctx["profile"], ctx["family"], grid)
+    values = np.array([ev.value for ev in evals])
     result = {"n_points": int(grid.size), "min": float(values.min()),
               "max": float(values.max())}
     passed = True
@@ -96,7 +80,8 @@ def _run_calderon_scan(analysis, ctx, out_dir, tag, workers):
     csv_path = out_dir / f"{tag}_calderon_scan.csv"
     _write_csv(csv_path, ["xi", "value", "tail_estimate", "certified_exact",
                           "truncation"],
-               [[r[0], r[1], r[2], int(r[3]), r[4]] for r in rows])
+               [[float(x), ev.value, ev.tail_estimate, int(ev.certified_exact),
+                 _truncation_label(ev.truncation)] for x, ev in zip(grid, evals)])
     result["csv"] = csv_path.name
     return result, passed
 
@@ -113,7 +98,7 @@ def _truncation_label(truncation: dict) -> str:
     return kind
 
 
-def _run_property_x(analysis, ctx, out_dir, tag, workers):
+def _run_property_x(analysis, ctx, out_dir, tag):
     family = ctx["family"]
     cap = float(analysis["distortion_cap"])
     scan_family = family.restrict(lambda _p, _lo, hi: hi <= cap)
@@ -137,7 +122,7 @@ def _run_property_x(analysis, ctx, out_dir, tag, workers):
     return result, passed
 
 
-def _run_counting(analysis, ctx, out_dir, tag, workers):
+def _run_counting(analysis, ctx, out_dir, tag):
     family, lattice, metric = ctx["family"], ctx["lattice"], ctx["metric"]
     seed = int(ctx["scenario"]["seed"])
     params = analysis["params"]
@@ -149,32 +134,26 @@ def _run_counting(analysis, ctx, out_dir, tag, workers):
             key = tuple(p) if isinstance(p, list) else p
             autos.append((key, family.automorphism(key)))
     slack = float(analysis["sigma_slack"])
-    items = [(key, auto, float(r)) for key, auto in autos for r in analysis["radii"]]
-
-    def one(item):
-        key, auto, r = item
-        bounds = ct.counting_bounds(lattice, auto, r, metric,
-                                    n_samples=int(analysis["mc_samples"]),
-                                    seed=seed, include_half_radius=False)
-        count_2r = ct.enumerate_points(lattice, auto, 2.0 * r, metric).count
-        upper_ok = bounds.count <= bounds.upper_bound + slack * bounds.upper_bound_stderr
-        lower_ok = count_2r >= bounds.lower_bound_at_2r - slack * bounds.lower_bound_stderr
-        return (key, r, bounds, count_2r, bool(upper_ok and lower_ok))
-
-    rows = ordered_parallel_map(one, items, workers)
-    csv_rows = []
-    for key, r, bounds, count_2r, ok in rows:
-        csv_rows.append([*_param_columns(key), r, bounds.count, bounds.upper_bound,
-                         bounds.upper_bound_stderr, count_2r, bounds.lower_bound_at_2r,
-                         bounds.lower_bound_stderr, int(ok)])
-    n_param_cols = len(_param_columns(rows[0][0])) if rows else 0
+    csv_rows, passed = [], True
+    for key, auto in autos:
+        for r in map(float, analysis["radii"]):
+            bounds = ct.counting_bounds(lattice, auto, r, metric,
+                                        n_samples=int(analysis["mc_samples"]), seed=seed)
+            count_2r = ct.enumerate_points(lattice, auto, 2.0 * r, metric).count
+            upper_ok = bounds.count <= bounds.upper_bound + slack * bounds.upper_bound_stderr
+            lower_ok = count_2r >= bounds.lower_bound_at_2r - slack * bounds.lower_bound_stderr
+            ok = bool(upper_ok and lower_ok)
+            passed = passed and ok
+            csv_rows.append([*_param_columns(key), r, bounds.count, bounds.upper_bound,
+                             bounds.upper_bound_stderr, count_2r, bounds.lower_bound_at_2r,
+                             bounds.lower_bound_stderr, int(ok)])
+    n_param_cols = len(_param_columns(autos[0][0])) if csv_rows else 0
     header = [f"param_{i}" for i in range(n_param_cols)] + [
         "r", "count", "upper_bound", "upper_stderr", "count_2r",
         "lower_bound_at_2r", "lower_stderr", "sandwich_ok"]
     csv_path = out_dir / f"{tag}_counting.csv"
     _write_csv(csv_path, header, csv_rows)
-    passed = all(ok for *_rest, ok in rows)
-    result = {"n_cases": len(rows), "all_sandwich_ok": passed, "csv": csv_path.name}
+    result = {"n_cases": len(csv_rows), "all_sandwich_ok": passed, "csv": csv_path.name}
     return result, passed
 
 
@@ -184,41 +163,35 @@ def _identity_auto(metric: ml.MetricSpace) -> am.Automorphism:
     return am.matrix_automorphism(np.eye(metric.dim))
 
 
-def _run_lipschitz(analysis, ctx, out_dir, tag, workers):
+def _run_lipschitz(analysis, ctx, out_dir, tag):
     family = ctx["family"]
     use_oracle = bool(analysis["oracle"])
     rel_gap = float(analysis["relative_gap"])
 
-    def one(param):
-        constants = family.constants_of(param)
-        row = [*_param_columns(param), constants.lower, constants.upper,
-               constants.method]
-        ok = True
+    rows, passed = [], True
+    for m in family.members:
+        row = [*_param_columns(m.param), m.lower, m.upper, m.method]
         if use_oracle:
-            o_lo, o_hi = am.lipschitz_oracle(family.automorphism(param), family.metric,
+            o_lo, o_hi = am.lipschitz_oracle(m.auto, family.metric,
                                              n_directions=int(analysis["oracle_directions"]))
-            sandwich = (constants.lower <= o_lo * (1 + 1e-12)
-                        and constants.upper >= o_hi * (1 - 1e-12))
-            tight = (o_lo - constants.lower <= rel_gap * constants.lower
-                     and constants.upper - o_hi <= rel_gap * constants.upper)
-            ok = bool(sandwich and (tight or constants.method != am.CLOSED_FORM))
+            sandwich = m.lower <= o_lo * (1 + 1e-12) and m.upper >= o_hi * (1 - 1e-12)
+            tight = (o_lo - m.lower <= rel_gap * m.lower
+                     and m.upper - o_hi <= rel_gap * m.upper)
+            ok = bool(sandwich and (tight or m.method != am.CLOSED_FORM))
             row.extend([o_lo, o_hi, int(ok)])
-        return row, ok
-
-    out = ordered_parallel_map(one, family.parameters(), workers)
-    rows = [r for r, _ok in out]
+            passed = passed and ok
+        rows.append(row)
     n_param_cols = len(rows[0]) - (6 if use_oracle else 3)
     header = [f"param_{i}" for i in range(n_param_cols)] + ["lower", "upper", "method"]
     if use_oracle:
         header += ["oracle_lower", "oracle_upper", "consistent"]
     csv_path = out_dir / f"{tag}_lipschitz.csv"
     _write_csv(csv_path, header, rows)
-    passed = all(ok for _r, ok in out)
     return {"n_params": len(rows), "csv": csv_path.name,
             "oracle_checked": use_oracle}, passed
 
 
-def _run_classify(analysis, ctx, out_dir, tag, workers):
+def _run_classify(analysis, ctx, out_dir, tag):
     verdict = am.classify_expansiveness(ctx["family"], probe_m=analysis["probe_m"],
                                         explosion=float(analysis["explosion"]))
     result = {"verdict": verdict.verdict, "probe_m": verdict.probe_m,
@@ -235,7 +208,7 @@ def _run_classify(analysis, ctx, out_dir, tag, workers):
     return result, passed
 
 
-def _run_u_c(analysis, ctx, out_dir, tag, workers):
+def _run_u_c(analysis, ctx, out_dir, tag):
     envelope = cfg.build_envelope(analysis["envelope"])
     t_grid = np.geomspace(float(analysis["t_lo"]), float(analysis["t_hi"]),
                           int(analysis["t_points"]))
@@ -251,7 +224,7 @@ def _run_u_c(analysis, ctx, out_dir, tag, workers):
     return result, passed
 
 
-def _run_frame_report(analysis, ctx, out_dir, tag, workers):
+def _run_frame_report(analysis, ctx, out_dir, tag):
     scenario = ctx["scenario"]
     profile, family, lattice = ctx["profile"], ctx["family"], ctx["lattice"]
     gabor = family.metric.kind == ml.GABOR_PRODUCT
@@ -314,7 +287,7 @@ def _run_frame_report(analysis, ctx, out_dir, tag, workers):
     return result, passed
 
 
-def _run_weil_check(analysis, ctx, out_dir, tag, workers):
+def _run_weil_check(analysis, ctx, out_dir, tag):
     residual = ml.weil_residual(ctx["profile"], ctx["lattice"],
                                 level=int(analysis["level"]),
                                 method=analysis["method"])
@@ -322,7 +295,7 @@ def _run_weil_check(analysis, ctx, out_dir, tag, workers):
     return {"residual": residual, "threshold": threshold}, residual <= threshold
 
 
-def _run_local_integrability(analysis, ctx, out_dir, tag, workers):
+def _run_local_integrability(analysis, ctx, out_dir, tag):
     box = analysis["box"]
     lo = [float(b[0]) for b in box]
     hi = [float(b[1]) for b in box]
@@ -352,7 +325,7 @@ _DISPATCH = {
 # Entry points
 # ---------------------------------------------------------------------------
 
-def run_scenario(scenario: dict, out_dir, workers: int = 1) -> tuple[int, dict]:
+def run_scenario(scenario: dict, out_dir) -> tuple[int, dict]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ctx = {
@@ -368,7 +341,7 @@ def run_scenario(scenario: dict, out_dir, workers: int = 1) -> tuple[int, dict]:
     for index, analysis in enumerate(scenario["analyses"]):
         tag = f"{index:02d}"
         start = time.perf_counter()
-        result, passed = _DISPATCH[analysis["kind"]](analysis, ctx, out_dir, tag, workers)
+        result, passed = _DISPATCH[analysis["kind"]](analysis, ctx, out_dir, tag)
         timings[f"{tag}_{analysis['kind']}"] = time.perf_counter() - start
         entry = {"kind": analysis["kind"], "passed": bool(passed)}
         entry.update(_jsonable(result))

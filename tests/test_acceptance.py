@@ -96,7 +96,7 @@ def test_criterion_3_counting_sandwich_randomized():
         auto = am.matrix_automorphism(_random_unimodular(rng, dim))
         r = float(rng.uniform(0.05, 2.0))
         bounds = ct.counting_bounds(lattice, auto, r, metric, n_samples=100_000,
-                                    seed=ACCEPT_SEED + case, include_half_radius=False)
+                                    seed=ACCEPT_SEED + case)
         count_2r = ct.enumerate_points(lattice, auto, 2.0 * r, metric).count
         upper_ok = bounds.count <= bounds.upper_bound + 3.0 * bounds.upper_bound_stderr
         lower_ok = count_2r >= bounds.lower_bound_at_2r - 3.0 * bounds.lower_bound_stderr

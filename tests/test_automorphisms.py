@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affineframes import automorphisms as am
+from affineframes import config as cfg
 from affineframes import metric_lattice as ml
+from affineframes import runner
 from affineframes.errors import RejectedInputError
 
 SEED = 24680
@@ -23,6 +27,8 @@ def test_jacobian_closed_forms():
 def test_singular_matrix_rejected_at_construction():
     with pytest.raises(RejectedInputError):
         am.matrix_automorphism([[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(RejectedInputError):  # negative powers invert the base
+        am.matrix_power([[0.0]], -1)
 
 
 def test_apply_inverse_roundtrip():
@@ -173,8 +179,60 @@ def test_measure_scaling_of_deformed_balls():
 
 def test_family_constants_positive_and_ordered():
     fam = am.shearlet_grid_family([1, 2, 4], range(-3, 4), L2_2)
-    for _p, lo, hi in fam.lipschitz_table():
-        assert 0 < lo <= hi
+    for m in fam.members:
+        assert 0 < m.lower <= m.upper
+
+
+def _assert_table_matches_recomputation(fam):
+    assert [m.param for m in fam.members] == fam.parameters()
+    for m in fam.members:
+        auto = fam.generator(*m.param) if isinstance(m.param, tuple) else fam.generator(m.param)
+        c = am.lipschitz_constants(auto, fam.metric)
+        assert np.array_equal(m.auto.matrix, auto.matrix)
+        assert (m.lower, m.upper, m.method) == (c.lower, c.upper, c.method)
+        assert m.jacobian == auto.jacobian()
+        assert m.weight == fam.weight_of(m.param)
+
+
+def test_family_table_matches_per_parameter_recomputation_on_bundled_families():
+    checked = 0
+    for name in runner.bundled_scenario_names():
+        fam = cfg.build_family(runner.load_bundled_scenario(name))
+        if fam.is_continuous:
+            continue
+        _assert_table_matches_recomputation(fam)
+        checked += 1
+    assert checked >= 5
+
+
+def test_family_table_built_once_and_shared_by_restrictions():
+    fam = am.matrix_power_family([[2.0]], -10, 10, L2_1)
+    assert fam.members is fam.members
+    sub = fam.restrict(lambda _p, _lo, hi: hi > 4.0)
+    assert sub.parameters() == list(range(3, 11))
+    assert all(a is b for a, b in zip(sub.members, fam.members[13:]))
+    assert fam.member(3) is fam.members[13]
+    with pytest.raises(RejectedInputError):
+        fam.member(11)
+
+
+def test_family_table_rejects_negative_weights():
+    fam = am.matrix_power_family([[2.0]], -3, 3, L2_1, weight=lambda j: float(j))
+    with pytest.raises(RejectedInputError):
+        fam.members
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 2), j_min=st.integers(-12, 6), span=st.integers(0, 12),
+       entries=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+       metric_kind=st.sampled_from([ml.EUCLIDEAN_L2, ml.EUCLIDEAN_LINF]))
+def test_matrix_power_table_property(dim, j_min, span, entries, metric_kind):
+    base = np.array(entries[:dim * dim]).reshape(dim, dim) + 1.5 * np.eye(dim)
+    if abs(np.linalg.det(base)) < 0.25:
+        return
+    fam = am.matrix_power_family(base, j_min, j_min + span, ml.MetricSpace(metric_kind, dim),
+                                 weight=lambda j: 1.0 + 0.5 * j * j)
+    _assert_table_matches_recomputation(fam)
 
 
 def test_classify_dyadic_dilations_uniform_identity_envelope():

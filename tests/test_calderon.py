@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affineframes import automorphisms as am
 from affineframes import calderon as cd
+from affineframes import config as cfg
 from affineframes import metric_lattice as ml
+from affineframes import runner
 from affineframes.errors import RejectedInputError, SingularPointError
 from affineframes.profiles import PiecewiseConstantProfile, indicator_interval
 
@@ -37,11 +41,69 @@ def shannon_bruteforce(xi: float) -> float:
 def test_shannon_orbit_sum_is_one_certified():
     fam = dyadic_family()
     for xi in (0.3, -0.7, 1.9, 0.011):
-        ev = cd.calderon_sum(SHANNON, fam, xi)
+        ev = cd.calderon_sum(SHANNON, fam, xi)[0]
         assert ev.value == pytest.approx(shannon_bruteforce(xi), abs=1e-15)
         assert ev.value == pytest.approx(1.0, abs=1e-12)
         assert ev.certified_exact
         assert ev.tail_estimate == 0.0
+
+
+def _assert_batch_matches_per_point(profile, fam, grid):
+    batch = cd.calderon_sum(profile, fam, grid)
+    assert len(batch) == len(grid)
+    for x, ev in zip(grid, batch):
+        single = cd.calderon_sum(profile, fam, x)[0]
+        assert ev.value == single.value
+        assert ev.tail_estimate == single.tail_estimate
+        assert ev.certified_exact == single.certified_exact
+        assert ev.truncation == single.truncation
+
+
+def test_batched_orbit_sums_match_per_point_on_bundled_scans():
+    for name in ("shannon_onb", "gabor_onb"):
+        scenario = runner.load_bundled_scenario(name)
+        scan = scenario["analyses"][0]
+        grid = cfg.scan_grid(scan["segments"], scan["points_per_segment"])
+        _assert_batch_matches_per_point(cfg.build_profile(scenario),
+                                        cfg.build_family(scenario), grid)
+
+
+def test_certificates_and_edge_tails_against_direct_end_terms():
+    # dyadic powers j in [-3, 3] (expanding or contracting base) provably
+    # leave the support past both ends exactly when 1/8 < |xi| < 4; elsewhere
+    # the tail estimate is the weighted sum of the two end terms
+    grid = np.array([-5.0, -0.2, 0.1, 0.2, 1.0, 3.9, 4.5, 9.0])
+    weight = lambda j: 1.0 + abs(j)
+    for base in (2.0, 0.5):
+        fam = am.matrix_power_family([[base]], -3, 3, L2_1, weight=weight)
+        _assert_batch_matches_per_point(SHANNON, fam, grid)
+        for x, ev in zip(grid, cd.calderon_sum(SHANNON, fam, grid)):
+            assert ev.certified_exact == (0.125 < abs(x) < 4.0)
+            ends = sum(weight(j) * SHANNON.evaluate([[base ** j * x]])[0] ** 2
+                       for j in (-3, 3))
+            assert ev.tail_estimate == (0.0 if ev.certified_exact else ends)
+    # shifts p in [-2, 2] cover the window support [0, 1) exactly when
+    # -1 <= xi <= 2
+    g = PiecewiseConstantProfile(np.array([[0.0], [0.4]]), np.array([[0.4], [1.0]]),
+                                 np.array([0.7, 1.3]))
+    gabor = am.gabor_shift_family(np.arange(-2.0, 3.0), weight=lambda p: 1.0 + p * p)
+    grid = np.linspace(-3.0, 3.0, 61)
+    _assert_batch_matches_per_point(g, gabor, grid)
+    for x, ev in zip(grid, cd.calderon_sum(g, gabor, grid)):
+        assert ev.certified_exact == (-1.0 <= x <= 2.0)
+        ends = sum(5.0 * g.evaluate([[x - p]])[0] ** 2 for p in (-2.0, 2.0))
+        assert ev.tail_estimate == (0.0 if ev.certified_exact else ends)
+    assert any(ev.tail_estimate > 0.0 for ev in cd.calderon_sum(g, gabor, grid))
+
+
+@settings(max_examples=40, deadline=None)
+@given(base=st.floats(0.2, 4.0).filter(lambda b: abs(b - 1.0) > 0.05),
+       j_min=st.integers(-10, 3), span=st.integers(0, 10),
+       xs=st.lists(st.floats(0.01, 3.0), min_size=1, max_size=20))
+def test_batched_orbit_sums_property_on_dilation_powers(base, j_min, span, xs):
+    fam = am.matrix_power_family([[base]], j_min, j_min + span, L2_1,
+                                 weight=lambda j: 2.0 ** (-abs(j)))
+    _assert_batch_matches_per_point(SHANNON, fam, np.array(xs + [-x for x in xs]))
 
 
 def test_zero_profile_gives_zero_everywhere():
@@ -75,7 +137,7 @@ def test_singular_point_rejected_for_dilation_families():
 def test_gabor_family_allows_zero_frequency():
     fam = am.gabor_shift_family(np.arange(-5.0, 6.0))
     g = indicator_interval(0.0, 1.0)
-    assert cd.calderon_sum(g, fam, 0.0).value == pytest.approx(1.0)
+    assert cd.calderon_sum(g, fam, 0.0)[0].value == pytest.approx(1.0)
 
 
 def test_gabor_orbit_action_matches_direct_translate_formula():
@@ -96,7 +158,7 @@ def test_gabor_orbit_action_matches_direct_translate_formula():
         return total
 
     for xi in (-2.3, 0.0, 0.45, 1.9):
-        assert cd.calderon_sum(g, fam, xi).value == pytest.approx(direct(xi), abs=1e-14)
+        assert cd.calderon_sum(g, fam, xi)[0].value == pytest.approx(direct(xi), abs=1e-14)
 
 
 def test_partition_additivity_under_shared_truncation():
@@ -127,7 +189,7 @@ def test_gabor_tail_never_exceeds_orbit_sum():
     fam = am.gabor_shift_family(np.arange(-25.0, 26.0))
     g = indicator_interval(0.0, 1.0)
     for xi in (-1.7, 0.2, 2.4):
-        total = cd.calderon_sum(g, fam, xi).value
+        total = cd.calderon_sum(g, fam, xi)[0].value
         for M in (1.0, 2.0, 5.0, 20.0):
             tail = cd.calderon_tail(g, fam, xi, M)
             assert tail.value <= total + 1e-14
@@ -165,14 +227,14 @@ def test_continuous_orbit_sum_reciprocal_weight_constant_log_two():
     fam = am.continuous_dilation_family(0.05, 200.0, 64, L2_1,
                                         weight=lambda a: 1.0 / a)
     for xi in (0.06, 0.3, -1.4, 1.97):
-        ev = cd.calderon_sum(SHANNON, fam, xi)
+        ev = cd.calderon_sum(SHANNON, fam, xi)[0]
         assert ev.value == pytest.approx(math.log(2.0), abs=1e-9)
         assert ev.certified_exact
 
 
 def test_continuous_uncovered_window_reports_tail():
     fam = am.continuous_dilation_family(1.0, 2.0, 16, L2_1, weight=lambda a: 1.0)
-    ev = cd.calderon_sum(SHANNON, fam, 0.3)
+    ev = cd.calderon_sum(SHANNON, fam, 0.3)[0]
     assert not ev.certified_exact
     assert ev.tail_estimate > 0.0
 

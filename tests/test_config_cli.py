@@ -126,16 +126,6 @@ def test_runner_deterministic_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_worker_count_does_not_change_results(tmp_path):
-    scenario = runner.load_bundled_scenario("gabor_onb")
-    _, rep_1 = runner.run_scenario(scenario, tmp_path / "w1", workers=1)
-    _, rep_4 = runner.run_scenario(scenario, tmp_path / "w4", workers=4)
-    assert _strip_timings(rep_1) == _strip_timings(rep_4)
-    for name in sorted(p.name for p in (tmp_path / "w1").glob("*.csv")):
-        assert ((tmp_path / "w1" / name).read_bytes()
-                == (tmp_path / "w4" / name).read_bytes())
-
-
 def test_cli_run_exit_zero(tmp_path):
     code = cli.main(["run", "gabor_onb", "--out", str(tmp_path / "out")])
     assert code == 0
@@ -194,6 +184,18 @@ def test_cli_run_exit_one_on_parse_error(tmp_path):
 
 def test_cli_unknown_bundled_name_exit_one(tmp_path):
     assert cli.main(["run", "no_such_scenario", "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("override", [
+    'family.j_min="a"',          # a string where an integer belongs
+    "analyses.5.r=1",            # list index past the last analysis
+    "family.base=[[0.0]]",       # singular base, inverted for negative powers
+    "analyses.0.tolerence=1",    # misspelled knob
+])
+def test_cli_bad_override_exits_one_with_error_line(tmp_path, capsys, override):
+    code = cli.main(["run", "shannon_onb", "--out", str(tmp_path / "o"), "--set", override])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_list_and_describe(capsys):

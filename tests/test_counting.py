@@ -125,7 +125,7 @@ def test_counting_bounds_interval_example():
     assert bounds.count <= bounds.upper_bound + 3 * bounds.upper_bound_stderr
     assert count_2r >= bounds.lower_bound_at_2r - 3 * bounds.lower_bound_stderr
     assert set(bounds.bound_inputs) == {"deformed_ball_r", "deformed_ball_2r",
-                                        "omega_overlap_r", "omega_overlap_half_r"}
+                                        "omega_overlap_r"}
 
 
 def test_counting_bounds_degenerate_overlap_rejected():
@@ -212,7 +212,7 @@ def test_random_instance_sandwich_small():
         auto = am.matrix_automorphism(deform)
         r = float(rng.uniform(0.05, 2.0))
         bounds = ct.counting_bounds(lattice, auto, r, metric, n_samples=50000,
-                                    seed=SEED + case, include_half_radius=False)
+                                    seed=SEED + case)
         count_2r = ct.enumerate_points(lattice, auto, 2 * r, metric).count
         assert bounds.count <= bounds.upper_bound + 3 * bounds.upper_bound_stderr
         assert count_2r >= bounds.lower_bound_at_2r - 3 * bounds.lower_bound_stderr
