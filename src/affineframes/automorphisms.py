@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import RejectedInputError
 from .metric_lattice import (EUCLIDEAN_L2, EUCLIDEAN_LINF, GABOR_PRODUCT,
-                             MetricSpace)
+                             MetricSpace, linear_box)
 
 MATRIX = "matrix"
 MATRIX_POWER = "matrix_power"
@@ -98,8 +98,7 @@ class Automorphism:
         """Interval-arithmetic bounding box of the image of [lo, hi]."""
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
-        center = self.matrix @ (0.5 * (lo + hi))
-        half = np.abs(self.matrix) @ (0.5 * (hi - lo))
+        center, half = linear_box(self.matrix, 0.5 * (lo + hi), 0.5 * (hi - lo))
         return center - half, center + half
 
     def line_action(self, kappa: int = 1) -> tuple[float, float]:

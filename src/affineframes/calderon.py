@@ -339,19 +339,7 @@ def local_integrability_check(psihat: FrequencyProfile, family: AutomorphismFami
     if not rows:
         return IntegrabilityReport("finite", 0.0, (0.0,), (0,), M)
 
-    if psihat.dim == 1:
-        nodes, weights = quadrature.gl_nodes_weights(float(lo[0]), float(hi[0]),
-                                                     cells=2 ** level)
-        pts = nodes[:, None]
-    else:
-        axes = [quadrature.gl_nodes_weights(float(a), float(b), cells=2 ** level)
-                for a, b in zip(lo, hi)]
-        grids = np.meshgrid(*[nw[0] for nw in axes], indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        wg = np.meshgrid(*[nw[1] for nw in axes], indexing="ij")
-        weights = np.ones(pts.shape[0])
-        for w in wg:
-            weights = weights * w.ravel()
+    pts, weights = quadrature.tensor_nodes_weights(lo, hi, cells_per_axis=2 ** level)
 
     contributions = np.empty(len(rows))
     for i, m in enumerate(rows):

@@ -55,6 +55,20 @@ def _require(cond: bool, message: str) -> None:
         raise ScenarioParseError(message)
 
 
+def _require_known(section: dict, allowed, where: str) -> None:
+    unknown = sorted(set(section) - set(allowed))
+    _require(not unknown, f"unknown {where}(s) {unknown}")
+
+
+def _section(value, where: str) -> dict:
+    _require(isinstance(value, dict), f"{where} must be a JSON object")
+    return dict(value)
+
+
+_SCENARIO_KEYS = ("schema_version", "name", "description", "seed", "group", "metric",
+                  "lattice", "family", "profile", "analyses")
+
+
 def resolve_defaults(raw: dict, base_dir: Path | None = None) -> dict:
     """Validate a parsed scenario and fill every optional knob."""
     _require(isinstance(raw, dict), "scenario must be a JSON object")
@@ -62,23 +76,29 @@ def resolve_defaults(raw: dict, base_dir: Path | None = None) -> dict:
     _require(version == SCHEMA_VERSION, f"unsupported schema_version {version}")
     for key in ("group", "family", "profile"):
         _require(key in raw, f"scenario is missing required section {key!r}")
+    _require_known(raw, _SCENARIO_KEYS, "scenario key")
 
     out = dict(raw)
     out["schema_version"] = SCHEMA_VERSION
     out.setdefault("name", "unnamed")
     out.setdefault("description", "")
     out.setdefault("seed", DEFAULT_SEED)
+    _require_numbers(out, "scenario", integers=("seed",))
+    _require(out["seed"] >= 0, "seed must be nonnegative")
 
-    group = dict(out["group"])
+    group = _section(out["group"], "group")
+    _require_known(group, ("kind", "dim"), "group key")
     _require(group.get("kind") in ("euclidean", "gabor"), "group.kind must be euclidean or gabor")
     if group["kind"] == "euclidean":
         group.setdefault("dim", 1)
+        _require_numbers(group, "group", integers=("dim",))
         _require(int(group["dim"]) >= 1, "group.dim must be positive")
     else:
         group["dim"] = 1  # base line dimension
     out["group"] = group
 
-    metric = dict(out.get("metric", {}))
+    metric = _section(out.get("metric", {}), "metric")
+    _require_known(metric, ("kind",), "metric key")
     if group["kind"] == "gabor":
         metric.setdefault("kind", "gabor_product")
         _require(metric["kind"] == "gabor_product", "gabor scenarios use the product metric")
@@ -88,18 +108,24 @@ def resolve_defaults(raw: dict, base_dir: Path | None = None) -> dict:
                  "metric.kind must be euclidean_l2 or euclidean_linf")
     out["metric"] = metric
 
-    lattice = dict(out.get("lattice", {}))
-    lattice.setdefault("basis", np.eye(int(group["dim"])).tolist())
+    dim = int(group["dim"])
+    lattice = _section(out.get("lattice", {}), "lattice")
+    _require_known(lattice, ("basis",), "lattice key")
+    lattice.setdefault("basis", np.eye(dim).tolist())
+    _require_numbers(lattice, "lattice", arrays=("basis",))
+    _require(np.shape(lattice["basis"]) == (dim, dim),
+             f"lattice.basis must be a {dim}x{dim} matrix")
     out["lattice"] = lattice
 
-    out["family"] = _resolve_family(dict(out["family"]))
-    out["profile"] = _resolve_profile(dict(out["profile"]), base_dir)
+    out["family"] = _resolve_family(_section(out["family"], "family"))
+    out["profile"] = _resolve_profile(_section(out["profile"], "profile"), base_dir)
 
     analyses = out.get("analyses")
     if analyses is None:
         analyses = [{"kind": "calderon_scan"}]
     _require(isinstance(analyses, list) and analyses, "analyses must be a nonempty list")
-    out["analyses"] = [_resolve_analysis(dict(a), out) for a in analyses]
+    out["analyses"] = [_resolve_analysis(_section(a, f"analyses.{i}"), out)
+                       for i, a in enumerate(analyses)]
     return out
 
 
@@ -122,21 +148,27 @@ def _require_numbers(section: dict, where: str, integers=(), reals=(), arrays=()
                  f"{where}.{key} must be {'an integer' if key in integers else 'a number'}")
     for key in (k for k in arrays if k in section):
         try:
-            np.asarray(section[key], dtype=float)
+            ok = np.ndim(np.asarray(section[key], dtype=float)) >= 1
         except (TypeError, ValueError):
-            raise ScenarioParseError(f"{where}.{key} must be an array of numbers") from None
+            ok = False
+        _require(ok, f"{where}.{key} must be an array of numbers")
 
 
 def _resolve_family(fam: dict) -> dict:
     kind = fam.get("kind")
     _require(kind in _FAMILY_NUMBERS, f"unknown family kind {kind!r}")
+    _require_known(fam, ("kind", "weight", *sum(_FAMILY_NUMBERS[kind], ())),
+                   f"{kind} family key")
     fam.setdefault("weight", {"kind": "constant", "value": 1.0})
     w = fam["weight"]
     _require(isinstance(w, dict) and w.get("kind") in _WEIGHT_NUMBERS,
              f"unknown weight {w!r}")
     for key in _WEIGHT_NUMBERS[w["kind"]]:
         _require(key in w, f"{w['kind']} weight needs {key!r}")
-    _require_numbers(w, "family.weight", reals=("value", *_WEIGHT_NUMBERS[w["kind"]]))
+    optional = ("value",) if w["kind"] == "constant" else ()
+    _require_known(w, ("kind", *optional, *_WEIGHT_NUMBERS[w["kind"]]),
+                   f"{w['kind']} weight key")
+    _require_numbers(w, "family.weight", reals=(*optional, *_WEIGHT_NUMBERS[w["kind"]]))
     _require_numbers(fam, "family", *_FAMILY_NUMBERS[kind])
     if kind == "matrix_power":
         for key in ("base", "j_min", "j_max"):
@@ -157,18 +189,28 @@ def _resolve_family(fam: dict) -> dict:
     return fam
 
 
+# keys per profile kind, all of them required
+_PROFILE_KEYS = {"piecewise_constant": ("pieces",), "sampled_grid": ("lo", "hi", "samples"),
+                 "sampled_grid_csv": ("path",)}
+
+
 def _resolve_profile(prof: dict, base_dir: Path | None) -> dict:
     kind = prof.get("kind")
-    _require(kind in ("piecewise_constant", "sampled_grid", "sampled_grid_csv"),
-             f"unknown profile kind {kind!r}")
+    _require(kind in _PROFILE_KEYS, f"unknown profile kind {kind!r}")
+    _require_known(prof, ("kind", *_PROFILE_KEYS[kind]), f"{kind} profile key")
+    for key in _PROFILE_KEYS[kind]:
+        _require(key in prof, f"{kind} profile needs {key!r}")
     if kind == "piecewise_constant":
-        _require(isinstance(prof.get("pieces"), list) and prof["pieces"],
+        _require(isinstance(prof["pieces"], list) and prof["pieces"],
                  "piecewise_constant profile needs a nonempty pieces list")
+        for i, piece in enumerate(prof["pieces"]):
+            piece = _section(piece, f"profile.pieces.{i}")
+            _require_known(piece, ("box", "value"), "profile piece key")
+            _require("box" in piece and "value" in piece, f"profile.pieces.{i} needs box and value")
+            _require_numbers(piece, f"profile.pieces.{i}", reals=("value",), arrays=("box",))
     elif kind == "sampled_grid":
-        for key in ("lo", "hi", "samples"):
-            _require(key in prof, f"sampled_grid profile needs {key!r}")
+        _require_numbers(prof, "profile", reals=("lo", "hi"), arrays=("samples",))
     else:
-        _require("path" in prof, "sampled_grid_csv profile needs a path")
         path = Path(prof["path"])
         if not path.is_absolute() and base_dir is not None:
             path = base_dir / path
@@ -178,8 +220,12 @@ def _resolve_profile(prof: dict, base_dir: Path | None) -> dict:
             for row in csv.reader(fh):
                 if not row or row[0].startswith("#"):
                     continue
-                coords.append(float(row[0]))
-                values.append(float(row[1]))
+                try:
+                    coords.append(float(row[0]))
+                    values.append(float(row[1]))
+                except (IndexError, ValueError):
+                    raise ScenarioParseError(
+                        f"{path}: row {row!r} is not 'coordinate,value'") from None
         _require(len(coords) >= 2, "sampled-grid file needs at least two rows")
         prof = {"kind": "sampled_grid", "lo": coords[0], "hi": coords[-1],
                 "samples": values}
@@ -212,9 +258,15 @@ _ANALYSIS_DEFAULTS = {
 def _resolve_analysis(analysis: dict, scenario: dict) -> dict:
     kind = analysis.get("kind")
     _require(kind in ANALYSIS_KINDS, f"unknown analysis kind {kind!r}")
-    unknown = sorted(set(analysis) - set(_ANALYSIS_DEFAULTS[kind]) - {"kind"})
-    _require(not unknown, f"unknown {kind} knob(s) {unknown}")
-    merged = dict(_ANALYSIS_DEFAULTS[kind])
+    defaults = _ANALYSIS_DEFAULTS[kind]
+    _require_known(analysis, ("kind", *defaults), f"{kind} knob")
+    # a knob whose default is an int, a float or a list takes only numbers
+    _require_numbers(analysis, kind,
+                     integers=[k for k, v in defaults.items() if type(v) is int],
+                     reals=[k for k, v in defaults.items() if type(v) is float],
+                     arrays=[k for k, v in defaults.items() if type(v) is list])
+    _require(analysis.get("level", 0) >= 0, f"{kind}.level must be nonnegative")
+    merged = dict(defaults)
     merged.update(analysis)
     merged["kind"] = kind
     return merged

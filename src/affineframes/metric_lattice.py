@@ -31,6 +31,13 @@ def unit_ball_volume(dim: int) -> float:
     return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
 
 
+def linear_box(matrix: np.ndarray, center: np.ndarray,
+               half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Interval-arithmetic box (image center, image half-widths) containing the
+    image of the box center +/- half; `center` is one point or one per row."""
+    return center @ matrix.T, half @ np.abs(matrix).T
+
+
 @dataclass(frozen=True)
 class MetricSpace:
     """Translation-invariant metric on the frequency group.
@@ -186,13 +193,9 @@ class Lattice:
 
     def fundamental_box(self) -> tuple[np.ndarray, np.ndarray]:
         """Axis-aligned bounding box of the fundamental parallelepiped."""
-        corners = self.fundamental_corners()
-        return corners.min(axis=0), corners.max(axis=0)
-
-    def fundamental_corners(self) -> np.ndarray:
-        grid = np.stack(np.meshgrid(*[(0.0, 1.0)] * self.dim, indexing="ij"),
-                        axis=-1).reshape(-1, self.dim)
-        return grid @ self.basis.T
+        unit_half = np.full(self.dim, 0.5)
+        center, half = linear_box(self.basis, unit_half, unit_half)
+        return center - half, center + half
 
     def sample_fundamental(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.random((n, self.dim)) @ self.basis.T
@@ -209,10 +212,7 @@ class Lattice:
         """Integer-coordinate bounding box of {m : basis.m in [lo, hi]}."""
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
-        center = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        m_center = self.inv_basis @ center
-        m_half = np.abs(self.inv_basis) @ half
+        m_center, m_half = linear_box(self.inv_basis, 0.5 * (lo + hi), 0.5 * (hi - lo))
         m_lo = np.ceil(m_center - m_half - margin).astype(np.int64)
         m_hi = np.floor(m_center + m_half + margin).astype(np.int64)
         return m_lo, m_hi
@@ -406,17 +406,6 @@ class OverlapEstimate:
     n_samples: int
     seed: int
 
-    def __float__(self) -> float:
-        return self.value
-
-
-class _IdentityMap:
-    def inverse_apply(self, points: np.ndarray) -> np.ndarray:
-        return points
-
-    def box_image(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return lo, hi
-
 
 def _blocked_rngs(seed: int, n_samples: int) -> Iterator[tuple[int, np.random.Generator]]:
     offset = 0
@@ -439,8 +428,8 @@ def overlap_measure(lattice: Lattice, metric: MetricSpace, auto=None, r: float =
     """
     if r <= 0:
         raise RejectedInputError("radius must be positive")
-    if auto is None:
-        auto = _IdentityMap()
+    if n_samples < 1:
+        raise RejectedInputError("Monte Carlo sample count must be positive")
 
     if metric.kind == GABOR_PRODUCT:
         # The annihilator sits on the k = 0 slice and the dual shifts fix that
@@ -456,11 +445,15 @@ def overlap_measure(lattice: Lattice, metric: MetricSpace, auto=None, r: float =
             var += est.stderr ** 2
         return OverlapEstimate(value, math.sqrt(var), n_samples, seed)
 
+    matrix, inv = ((np.eye(metric.dim),) * 2 if auto is None
+                   else (auto.matrix, auto.inv_matrix))
     ball_lo, ball_hi = metric.ball_box(r)
-    img_lo, img_hi = auto.box_image(ball_lo, ball_hi)
+    img_center, img_half = linear_box(matrix, 0.5 * (ball_lo + ball_hi),
+                                      0.5 * (ball_hi - ball_lo))
     omega_lo, omega_hi = lattice.fundamental_box()
-    shifts = lattice.points_in_box(omega_lo - img_hi, omega_hi - img_lo, cap=2_000_000)
-    shifts = _prune_shifts(shifts, auto, metric, r, omega_lo, omega_hi)
+    shifts = lattice.points_in_box(omega_lo - (img_center + img_half),
+                                   omega_hi - (img_center - img_half), cap=2_000_000)
+    shifts = _prune_shifts(shifts, inv, metric, r, omega_lo, omega_hi)
     if shifts.shape[0]:
         # central shifts first: coverage saturates sooner, the scan loop exits early
         order = np.argsort(metric.norm(shifts - 0.5 * (omega_lo + omega_hi)))
@@ -472,7 +465,7 @@ def overlap_measure(lattice: Lattice, metric: MetricSpace, auto=None, r: float =
         xi = lattice.sample_fundamental(rng, size)
         covered = np.zeros(size, dtype=bool)
         for shift in shifts:
-            pre = auto.inverse_apply(xi - shift)
+            pre = (xi - shift) @ inv.T
             covered |= metric.norm(pre) < r
             if covered.all():
                 break
@@ -484,32 +477,17 @@ def overlap_measure(lattice: Lattice, metric: MetricSpace, auto=None, r: float =
     return OverlapEstimate(value, stderr, total, seed)
 
 
-def _prune_shifts(shifts: np.ndarray, auto, metric: MetricSpace, r: float,
+def _prune_shifts(shifts: np.ndarray, inv: np.ndarray, metric: MetricSpace, r: float,
                   omega_lo: np.ndarray, omega_hi: np.ndarray) -> np.ndarray:
-    """Drop shifts whose translated deformed ball provably misses the domain box."""
-    if shifts.shape[0] == 0:
-        return shifts
+    """Drop shifts whose translated deformed ball provably misses the domain box.
+
+    The relative margin on r absorbs the rounding of the batched interval
+    bound, so it can only keep more shifts than exact arithmetic would."""
     center = 0.5 * (omega_lo + omega_hi)
-    half = 0.5 * (omega_hi - omega_lo)
-    keep = []
-    for shift in shifts:
-        pre_center, pre_half = _affine_preimage_box(auto, center - shift, half)
-        lower = np.maximum(np.abs(pre_center) - pre_half, 0.0)
-        if metric.kind == EUCLIDEAN_L2:
-            bound = float(np.sqrt(np.sum(lower ** 2)))
-        else:
-            bound = float(np.max(lower))
-        if bound < r:
-            keep.append(shift)
-    return np.asarray(keep) if keep else np.empty((0, shifts.shape[1]))
-
-
-def _affine_preimage_box(auto, center: np.ndarray, half: np.ndarray):
-    """Interval-arithmetic image of a box under the inverse map."""
-    dim = center.shape[0]
-    corners = np.stack(np.meshgrid(*[(-1.0, 1.0)] * dim, indexing="ij"),
-                       axis=-1).reshape(-1, dim)
-    pts = auto.inverse_apply(center + corners * half)
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    return 0.5 * (lo + hi), 0.5 * (hi - lo)
+    pre_center, pre_half = linear_box(inv, center - shifts, 0.5 * (omega_hi - omega_lo))
+    lower = np.maximum(np.abs(pre_center) - pre_half, 0.0)
+    if metric.kind == EUCLIDEAN_L2:
+        bound = np.sqrt(np.sum(lower ** 2, axis=1))
+    else:
+        bound = np.max(lower, axis=1)
+    return shifts[bound < r * (1.0 + 1e-12)]

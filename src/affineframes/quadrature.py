@@ -60,6 +60,13 @@ def integrate_box(f: Callable[[np.ndarray], np.ndarray], lo: Sequence[float],
     hi = np.asarray(hi, dtype=float)
     if np.any(hi <= lo):
         return 0.0
+    points, weights = tensor_nodes_weights(lo, hi, cells_per_axis)
+    return float(np.dot(weights, f(points)))
+
+
+def tensor_nodes_weights(lo: Sequence[float], hi: Sequence[float],
+                         cells_per_axis: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(n, dim) nodes and (n,) weights of the tensor-product composite rule."""
     axes = [gl_nodes_weights(float(a), float(b), cells_per_axis) for a, b in zip(lo, hi)]
     grids = np.meshgrid(*[nw[0] for nw in axes], indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=-1)
@@ -67,4 +74,4 @@ def integrate_box(f: Callable[[np.ndarray], np.ndarray], lo: Sequence[float],
     weights = np.ones(points.shape[0])
     for wg in wgrids:
         weights = weights * wg.ravel()
-    return float(np.dot(weights, f(points)))
+    return points, weights

@@ -95,6 +95,13 @@ def test_sampled_grid_csv_profile(tmp_path):
     assert resolved["profile"]["samples"] == [0.0, 1.0, 0.0]
     profile = cfg.build_profile(resolved)
     assert profile.evaluate(np.array([[-0.5]]))[0] == pytest.approx(1.0)
+    # an unknown key, then rows that are not coordinate,value pairs
+    (tmp_path / "rows.csv").write_text("-1.0,0.0\n0.0\n1.0,x\n")
+    for bad in ({"kind": "sampled_grid_csv", "path": "bump.csv", "step": 1},
+                {"kind": "sampled_grid_csv", "path": "rows.csv"}):
+        scenario["profile"] = bad
+        with pytest.raises(ScenarioParseError):
+            cfg.resolve_defaults(scenario, base_dir=tmp_path)
 
 
 def test_scan_grid_concatenates_segments():
@@ -186,14 +193,41 @@ def test_cli_unknown_bundled_name_exit_one(tmp_path):
     assert cli.main(["run", "no_such_scenario", "--out", str(tmp_path / "o")]) == 1
 
 
-@pytest.mark.parametrize("override", [
-    'family.j_min="a"',          # a string where an integer belongs
-    "analyses.5.r=1",            # list index past the last analysis
-    "family.base=[[0.0]]",       # singular base, inverted for negative powers
-    "analyses.0.tolerence=1",    # misspelled knob
-])
-def test_cli_bad_override_exits_one_with_error_line(tmp_path, capsys, override):
-    code = cli.main(["run", "shannon_onb", "--out", str(tmp_path / "o"), "--set", override])
+BAD_OVERRIDES = [
+    ("shannon_onb", 'family.j_min="a"'),        # a string where an integer belongs
+    ("shannon_onb", "analyses.5.r=1"),          # list index past the last analysis
+    ("shannon_onb", "family.base=[[0.0]]"),     # singular base, inverted for negative powers
+    ("shannon_onb", "analyses.0.tolerence=1"),  # misspelled knob
+    ("weil_counting", "analyses.1.mc_samples=0"),  # no Monte Carlo samples to divide by
+    ("weil_counting", "analyses.1.mc_samples=-5"),
+    ("weil_counting", 'lattice.basis="a"'),     # strings where numbers belong
+    ("weil_counting", 'group.dim="x"'),
+    ("weil_counting", 'seed="x"'),
+    ("weil_counting", 'profile.lo="a"'),
+    ("weil_counting", 'analyses.1.radii=["a"]'),
+    ("weil_counting", "analyses.1.radii=0.3"),  # a scalar where a list belongs
+    ("weil_counting", "group.dim=2"),           # 2-d group against the 1x1 basis
+    ("weil_counting", "lattice.basis=[1.0]"),   # basis is not a matrix
+    ("weil_counting", "analyses.0.level=-1"),   # 2 ** -1 cells
+    ("weil_counting", "seed=-1"),
+    ("weil_counting", "group=3"),               # a section that is not an object
+    ("weil_counting", "analyses.0=3"),
+    ("weil_counting", "lattice.bassis=1"),      # misspelled keys in every section
+    ("weil_counting", "family.j_mn=1"),
+    ("weil_counting", "family.weight.exponent=1"),
+    ("weil_counting", "group.dimm=1"),
+    ("weil_counting", "profile.piecs=1"),
+    ("weil_counting", "metric.knd=1"),
+    ("weil_counting", "sede=1"),
+    ("gabor_onb", 'profile.pieces.0.box="a"'),
+    ("gabor_onb", "profile.pieces.0.valu=1"),
+    ("gabor_onb", "profile.pieces.0=3"),
+]
+
+
+@pytest.mark.parametrize("name,override", BAD_OVERRIDES, ids=[o for _, o in BAD_OVERRIDES])
+def test_cli_bad_override_exits_one_with_error_line(tmp_path, capsys, name, override):
+    code = cli.main(["run", name, "--out", str(tmp_path / "o"), "--set", override])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
 

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affineframes import metric_lattice as ml
-from affineframes.automorphisms import shearlet
+from affineframes.automorphisms import matrix_automorphism, shearlet
 from affineframes.errors import RejectedInputError
 from affineframes.profiles import (PiecewiseConstantProfile, indicator_interval,
                                    triangle_bump)
@@ -216,6 +218,100 @@ def test_overlap_deterministic_given_seed():
     b = ml.overlap_measure(ml.integer_lattice(1), ml.euclidean_l2(1), None, 0.25,
                            n_samples=70000, seed=5)
     assert a.value == b.value and a.stderr == b.stderr
+
+
+# ---------------------------------------------------------------------------
+# Interval-arithmetic box bounds and shift pruning
+# ---------------------------------------------------------------------------
+
+def _unimodular(rng: np.random.Generator, dim: int, max_cond: float = 50.0) -> np.ndarray:
+    cond = float(rng.uniform(1.0, max_cond))
+    log_sigma = rng.uniform(-0.5, 0.5, size=dim) * math.log(cond)
+    log_sigma -= log_sigma.mean()
+    u, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    v, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    return u @ np.diag(np.exp(log_sigma)) @ v
+
+
+def _signs(dim: int) -> np.ndarray:
+    return np.stack(np.meshgrid(*[(-1.0, 1.0)] * dim, indexing="ij"),
+                    axis=-1).reshape(-1, dim)
+
+
+def _corner_prune_keeps(shifts, inv, metric, r, omega_lo, omega_hi) -> np.ndarray:
+    """Oracle: the per-shift pruning test on the preimages of all box corners."""
+    center = 0.5 * (omega_lo + omega_hi)
+    half = 0.5 * (omega_hi - omega_lo)
+    keep = np.zeros(shifts.shape[0], dtype=bool)
+    for i, shift in enumerate(shifts):
+        pts = (center - shift + _signs(center.shape[0]) * half) @ inv.T
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        lower = np.maximum(np.abs(0.5 * (lo + hi)) - 0.5 * (hi - lo), 0.0)
+        if metric.kind == ml.EUCLIDEAN_L2:
+            bound = float(np.sqrt(np.sum(lower ** 2)))
+        else:
+            bound = float(np.max(lower))
+        keep[i] = bound < r
+    return keep
+
+
+_seeds = st.integers(0, 2 ** 32 - 1)
+_dims = st.integers(1, 3)
+_kinds = st.sampled_from([ml.EUCLIDEAN_L2, ml.EUCLIDEAN_LINF])
+_radii = st.floats(0.05, 2.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_seeds, dim=_dims, r=_radii)
+def test_linear_box_contains_every_corner_image(seed, dim, r):
+    rng = np.random.default_rng(seed)
+    matrix = _unimodular(rng, dim)
+    centers = rng.normal(scale=3.0, size=(4, dim))
+    half = rng.uniform(0.0, r, size=dim)
+    img_center, img_half = ml.linear_box(matrix, centers, half)
+    for c, ic in zip(centers, img_center):
+        images = (c + _signs(dim) * half) @ matrix.T
+        tol = 1e-12 * (1.0 + np.abs(ic) + img_half)
+        assert np.all(images >= ic - img_half - tol)
+        assert np.all(images <= ic + img_half + tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_seeds, dim=_dims, kind=_kinds, r=_radii)
+def test_box_image_and_integer_box_match_matrix_vector_form(seed, dim, kind, r):
+    rng = np.random.default_rng(seed)
+    lattice = ml.Lattice(_unimodular(rng, dim))
+    auto = matrix_automorphism(_unimodular(rng, dim))
+    ball_lo, ball_hi = ml.MetricSpace(kind, dim).ball_box(r)
+    center, half = 0.5 * (ball_lo + ball_hi), 0.5 * (ball_hi - ball_lo)
+    img_lo, img_hi = auto.box_image(ball_lo, ball_hi)
+    old_center = auto.matrix @ center
+    old_half = np.abs(auto.matrix) @ half
+    assert np.array_equal(img_lo, old_center - old_half)
+    assert np.array_equal(img_hi, old_center + old_half)
+
+    lo, hi = img_lo + rng.normal(size=dim), img_hi + rng.uniform(0.0, 1.0, size=dim)
+    m_center = lattice.inv_basis @ (0.5 * (lo + hi))
+    m_half = np.abs(lattice.inv_basis) @ (0.5 * (hi - lo))
+    m_lo, m_hi = lattice.integer_box(lo, hi)
+    assert np.array_equal(m_lo, np.ceil(m_center - m_half - 1e-9).astype(np.int64))
+    assert np.array_equal(m_hi, np.floor(m_center + m_half + 1e-9).astype(np.int64))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=_seeds, dim=_dims, kind=_kinds, r=_radii)
+def test_batched_pruning_keeps_every_shift_the_corner_bound_keeps(seed, dim, kind, r):
+    rng = np.random.default_rng(seed)
+    metric = ml.MetricSpace(kind, dim)
+    lattice = ml.Lattice(_unimodular(rng, dim))
+    auto = matrix_automorphism(_unimodular(rng, dim))
+    img_lo, img_hi = auto.box_image(*metric.ball_box(r))
+    omega_lo, omega_hi = lattice.fundamental_box()
+    shifts = lattice.points_in_box(omega_lo - img_hi, omega_hi - img_lo)
+    kept = ml._prune_shifts(shifts, auto.inv_matrix, metric, r, omega_lo, omega_hi)
+    oracle = shifts[_corner_prune_keeps(shifts, auto.inv_matrix, metric, r,
+                                        omega_lo, omega_hi)]
+    assert {tuple(s) for s in oracle} <= {tuple(s) for s in kept}
 
 
 def test_profile_rejects_unbounded_support():
