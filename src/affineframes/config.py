@@ -1,4 +1,4 @@
-"""Scenario configuration: a flat JSON schema with versioning and defaults.
+"""Scenario configuration: one schema table validates and fills every section.
 
 A scenario declares the group, metric, lattice, automorphism family and
 frequency profile, plus a list of analysis requests.  Profiles are box/value
@@ -9,8 +9,10 @@ identity on the resolved dictionary.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +23,6 @@ from .profiles import PiecewiseConstantProfile, SampledGridProfile
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 20240823
-
-ANALYSIS_KINDS = ("calderon_scan", "property_x", "counting", "lipschitz",
-                  "classify", "u_c", "frame_report", "weil_check",
-                  "local_integrability")
 
 
 class ScenarioParseError(ValueError):
@@ -55,166 +53,174 @@ def _require(cond: bool, message: str) -> None:
         raise ScenarioParseError(message)
 
 
-def _require_known(section: dict, allowed, where: str) -> None:
-    unknown = sorted(set(section) - set(allowed))
-    _require(not unknown, f"unknown {where}(s) {unknown}")
+# ---------------------------------------------------------------------------
+# Schema table
+# ---------------------------------------------------------------------------
+# Each section maps key -> (type, default, *bounds).  A type is "int", "real",
+# "str", "bool"; a nonempty array of numbers shaped as a 1-d "vector", an
+# "array" of any shape, "pairs" (k x 2), one "pair" or a square "matrix"; a
+# tuple of allowed values; a dict for a nested section; Kinds for a nested
+# section whose "kind" picks its keys; or [spec] for a nonempty list of items.
+# A trailing "?" admits null; for any other key null stands for the default.
+# A bound such as "> 0" or "<= 64" holds for every number of the value.
+
+REQUIRED, OPTIONAL = object(), object()  # no default / absent unless given
 
 
-def _section(value, where: str) -> dict:
-    _require(isinstance(value, dict), f"{where} must be a JSON object")
-    return dict(value)
+class Kinds(dict):
+    """Tables of a nested section, keyed by the value of its "kind"."""
 
 
-_SCENARIO_KEYS = ("schema_version", "name", "description", "seed", "group", "metric",
-                  "lattice", "family", "profile", "analyses")
+_WEIGHT = (Kinds(constant={"value": ("real", OPTIONAL)}, power={"exponent": ("real", REQUIRED)},
+                 geometric={"base": ("real", REQUIRED)}), {"kind": "constant", "value": 1.0})
+_SEGMENTS = ("pairs", [[-2.0, -0.05], [0.05, 2.0]])
+
+SCHEMA = {
+    "schema_version": ((SCHEMA_VERSION,), SCHEMA_VERSION),
+    "name": ("str", "unnamed"),
+    "description": ("str", ""),
+    "seed": ("int", DEFAULT_SEED, ">= 0"),
+    "group": (Kinds(euclidean={"dim": ("int", 1, "> 0")}, gabor={"dim": ((1,), 1)}), REQUIRED),
+    "metric": ({"kind": (("euclidean_l2", "euclidean_linf", "gabor_product"), OPTIONAL)}, {}),
+    "lattice": ({"basis": ("matrix", OPTIONAL)}, {}),
+    "family": (Kinds(
+        matrix_power={"base": ("matrix", REQUIRED), "j_min": ("int", REQUIRED),
+                      "j_max": ("int", REQUIRED), "weight": _WEIGHT},
+        shearlet_grid={"a_values": ("vector", REQUIRED), "s_values": ("vector", REQUIRED),
+                       "weight": _WEIGHT},
+        gabor_shifts={"p_values": ("vector", OPTIONAL), "p_min": ("real", OPTIONAL),
+                      "p_max": ("real", OPTIONAL), "p_step": ("real", 1.0, "> 0"),
+                      "weight": _WEIGHT},
+        matrix_atoms={"matrices": ("array", REQUIRED), "weight": _WEIGHT},
+        continuous_dilation={"lo": ("real", REQUIRED), "hi": ("real", REQUIRED),
+                             "cells": ("int", 64, "> 0"), "weight": _WEIGHT}), REQUIRED),
+    "profile": (Kinds(
+        piecewise_constant={"pieces": ([{"box": ("pairs", REQUIRED),
+                                         "value": ("real", REQUIRED)}], REQUIRED)},
+        sampled_grid={"lo": ("real", REQUIRED), "hi": ("real", REQUIRED),
+                      "samples": ("vector", REQUIRED)},
+        sampled_grid_csv={"path": ("str", REQUIRED)}), REQUIRED),
+    "analyses": ([Kinds(
+        calderon_scan={"segments": _SEGMENTS, "points_per_segment": ("int", 100, "> 0"),
+                       "lower": ("real?", None), "upper": ("real?", None),
+                       "tolerance": ("real", 1e-9)},
+        property_x={"r": ("real", 0.4), "M": ("real", 1.0), "explosion": ("real", 10.0),
+                    "distortion_cap": ("real", 4096.0), "constant_cap": ("real?", None)},
+        counting={"radii": ("vector", [0.25]), "params": ("array?", None),
+                  "mc_samples": ("int", 100000, "> 0"), "sigma_slack": ("real", 3.0)},
+        lipschitz={"oracle": ("bool", False), "oracle_directions": ("int", 20000, "> 0"),
+                   "relative_gap": ("real", 1e-3)},
+        classify={"probe_m": ("real?", None), "explosion": ("real", 10.0), "expect": (
+            (None, "uniformly_expanding", "expanding", "non_expanding"), None)},
+        u_c={"c": ("real", 2.0), "t_lo": ("real", 1.0, "> 0"), "t_hi": ("real", 32.0, "> 0"),
+             "t_points": ("int", 9, "> 0"), "M": ("real", 1.0), "cap": ("real", 1e6),
+             "expect_bounded": ("bool", True), "envelope": (Kinds(
+                 identity={}, power={"exponent": ("real", REQUIRED)},
+                 constant={"value": ("real", REQUIRED)}), {"kind": "identity"})},
+        frame_report={"lower": ("real", 1.0), "upper": ("real", 1.0), "M": ("real", 4.0),
+                      "epsilons": ("vector", [0.01], "> 0"), "test_centers": ("array?", None),
+                      "functional_tolerance": ("real", 1e-6), "segments": _SEGMENTS,
+                      "points_per_segment": ("int", 100, "> 0"), "tolerance": ("real", 1e-9),
+                      "scan_radius": ("real", 0.4), "probe_band": ("pair?", None),
+                      "probe_count": ("int", 50, "> 0"), "exclusion_radius": ("real", 1e-3),
+                      "distortion_cap": ("real", 4096.0)},
+        # level sets 2 ** level quadrature cells; the grid byte cap fires long before 64
+        weil_check={"level": ("int", 5, ">= 0", "<= 64"), "threshold": ("real", 1e-8),
+                    "method": (("exact", "grid"), "exact")},
+        local_integrability={"box": ("pairs", [[0.25, 2.0]]), "M": ("real", 2.0),
+                             "level": ("int", 3, ">= 0", "<= 64"),
+                             "expect": (("finite", "divergent"), "finite")})],
+        [{"kind": "calderon_scan"}]),
+}
+
+_NAMES = {"int": "an integer", "real": "a number", "str": "a string", "bool": "true or false",
+          "vector": "a nonempty list of numbers", "array": "a nonempty array of numbers",
+          "pairs": "a nonempty list of [lo, hi] pairs", "pair": "a [lo, hi] pair",
+          "matrix": "a square matrix"}
+_OPS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+_SHAPES = {"vector": lambda s: len(s) == 1, "array": lambda s: len(s) >= 1,
+           "pairs": lambda s: len(s) == 2 and s[1] == 2, "pair": lambda s: s == (2,),
+           "matrix": lambda s: len(s) == 2 and s[0] == s[1]}
 
 
-def resolve_defaults(raw: dict, base_dir: Path | None = None) -> dict:
-    """Validate a parsed scenario and fill every optional knob."""
-    _require(isinstance(raw, dict), "scenario must be a JSON object")
-    version = raw.get("schema_version", SCHEMA_VERSION)
-    _require(version == SCHEMA_VERSION, f"unsupported schema_version {version}")
-    for key in ("group", "family", "profile"):
-        _require(key in raw, f"scenario is missing required section {key!r}")
-    _require_known(raw, _SCENARIO_KEYS, "scenario key")
-
-    out = dict(raw)
-    out["schema_version"] = SCHEMA_VERSION
-    out.setdefault("name", "unnamed")
-    out.setdefault("description", "")
-    out.setdefault("seed", DEFAULT_SEED)
-    _require_numbers(out, "scenario", integers=("seed",))
-    _require(out["seed"] >= 0, "seed must be nonnegative")
-
-    group = _section(out["group"], "group")
-    _require_known(group, ("kind", "dim"), "group key")
-    _require(group.get("kind") in ("euclidean", "gabor"), "group.kind must be euclidean or gabor")
-    if group["kind"] == "euclidean":
-        group.setdefault("dim", 1)
-        _require_numbers(group, "group", integers=("dim",))
-        _require(int(group["dim"]) >= 1, "group.dim must be positive")
-    else:
-        group["dim"] = 1  # base line dimension
-    out["group"] = group
-
-    metric = _section(out.get("metric", {}), "metric")
-    _require_known(metric, ("kind",), "metric key")
-    if group["kind"] == "gabor":
-        metric.setdefault("kind", "gabor_product")
-        _require(metric["kind"] == "gabor_product", "gabor scenarios use the product metric")
-    else:
-        metric.setdefault("kind", "euclidean_l2")
-        _require(metric["kind"] in ("euclidean_l2", "euclidean_linf"),
-                 "metric.kind must be euclidean_l2 or euclidean_linf")
-    out["metric"] = metric
-
-    dim = int(group["dim"])
-    lattice = _section(out.get("lattice", {}), "lattice")
-    _require_known(lattice, ("basis",), "lattice key")
-    lattice.setdefault("basis", np.eye(dim).tolist())
-    _require_numbers(lattice, "lattice", arrays=("basis",))
-    _require(np.shape(lattice["basis"]) == (dim, dim),
-             f"lattice.basis must be a {dim}x{dim} matrix")
-    out["lattice"] = lattice
-
-    out["family"] = _resolve_family(_section(out["family"], "family"))
-    out["profile"] = _resolve_profile(_section(out["profile"], "profile"), base_dir)
-
-    analyses = out.get("analyses")
-    if analyses is None:
-        analyses = [{"kind": "calderon_scan"}]
-    _require(isinstance(analyses, list) and analyses, "analyses must be a nonempty list")
-    out["analyses"] = [_resolve_analysis(_section(a, f"analyses.{i}"), out)
-                       for i, a in enumerate(analyses)]
+def _resolve(section, spec: dict, where: str) -> dict:
+    """Check one section against its table and fill its defaults."""
+    if not isinstance(section, dict) or not section.keys() <= spec.keys():
+        _require(isinstance(section, dict), f"{where} must be a JSON object")
+        raise ScenarioParseError(f"unknown key(s) {sorted(set(section) - set(spec))} in {where}")
+    out = {}
+    for key, (typ, default, *bound) in spec.items():
+        value = section.get(key)
+        if value is None and not (isinstance(typ, str) and typ.endswith("?")):
+            _require(default is not REQUIRED, f"{where} needs {key!r}")
+            if default is OPTIONAL:
+                continue
+            value = copy.deepcopy(default) if isinstance(default, list) else default
+        out[key] = None if value is None else _check(value, typ, f"{where}.{key}", bound)
     return out
 
 
-# numeric fields per family kind: (integer scalars, real scalars, real arrays)
-_FAMILY_NUMBERS = {
-    "matrix_power": (("j_min", "j_max"), (), ("base",)),
-    "shearlet_grid": ((), (), ("a_values", "s_values")),
-    "gabor_shifts": ((), ("p_min", "p_max", "p_step"), ("p_values",)),
-    "matrix_atoms": ((), (), ("matrices",)),
-    "continuous_dilation": (("cells",), ("lo", "hi"), ()),
-}
-_WEIGHT_NUMBERS = {"constant": (), "power": ("exponent",), "geometric": ("base",)}
-
-
-def _require_numbers(section: dict, where: str, integers=(), reals=(), arrays=()) -> None:
-    for key in (k for k in (*integers, *reals) if k in section):
-        v = section[key]
-        ok = isinstance(v, (int, float)) and not isinstance(v, bool)
-        _require(ok and (key not in integers or float(v).is_integer()),
-                 f"{where}.{key} must be {'an integer' if key in integers else 'a number'}")
-    for key in (k for k in arrays if k in section):
+def _check(value, typ, where: str, bound=()):
+    """Check one value against its declared type and bound; return it resolved."""
+    if isinstance(typ, list):
+        if not isinstance(value, list) or not value:
+            raise ScenarioParseError(f"{where} must be a nonempty list")
+        return [_check(v, typ[0], f"{where}.{i}") for i, v in enumerate(value)]
+    if isinstance(typ, Kinds):
+        kind = value.get("kind") if isinstance(value, dict) else None
+        if not isinstance(kind, str) or kind not in typ:
+            raise ScenarioParseError(f"{where} must be an object of kind {' or '.join(typ)}")
+        return _resolve(value, {"kind": (tuple(typ), REQUIRED), **typ[kind]}, where)
+    if isinstance(typ, dict):
+        return _resolve(value, typ, where)
+    if isinstance(typ, tuple):
+        if value not in typ or isinstance(value, bool):
+            raise ScenarioParseError(f"{where} must be one of {json.dumps(list(typ))}")
+        return value
+    base = typ.rstrip("?")
+    if base == "int" or base == "real":
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and (base == "real" or isinstance(value, int) or value.is_integer()))
+    elif base in _SHAPES:
         try:
-            ok = np.ndim(np.asarray(section[key], dtype=float)) >= 1
-        except (TypeError, ValueError):
-            ok = False
-        _require(ok, f"{where}.{key} must be an array of numbers")
-
-
-def _resolve_family(fam: dict) -> dict:
-    kind = fam.get("kind")
-    _require(kind in _FAMILY_NUMBERS, f"unknown family kind {kind!r}")
-    _require_known(fam, ("kind", "weight", *sum(_FAMILY_NUMBERS[kind], ())),
-                   f"{kind} family key")
-    fam.setdefault("weight", {"kind": "constant", "value": 1.0})
-    w = fam["weight"]
-    _require(isinstance(w, dict) and w.get("kind") in _WEIGHT_NUMBERS,
-             f"unknown weight {w!r}")
-    for key in _WEIGHT_NUMBERS[w["kind"]]:
-        _require(key in w, f"{w['kind']} weight needs {key!r}")
-    optional = ("value",) if w["kind"] == "constant" else ()
-    _require_known(w, ("kind", *optional, *_WEIGHT_NUMBERS[w["kind"]]),
-                   f"{w['kind']} weight key")
-    _require_numbers(w, "family.weight", reals=(*optional, *_WEIGHT_NUMBERS[w["kind"]]))
-    _require_numbers(fam, "family", *_FAMILY_NUMBERS[kind])
-    if kind == "matrix_power":
-        for key in ("base", "j_min", "j_max"):
-            _require(key in fam, f"matrix_power family needs {key!r}")
-    elif kind == "shearlet_grid":
-        for key in ("a_values", "s_values"):
-            _require(key in fam, f"shearlet_grid family needs {key!r}")
-    elif kind == "gabor_shifts":
-        _require("p_values" in fam or ("p_min" in fam and "p_max" in fam),
-                 "gabor_shifts family needs p_values or p_min/p_max")
-        fam.setdefault("p_step", 1.0)
-    elif kind == "matrix_atoms":
-        _require("matrices" in fam, "matrix_atoms family needs matrices (row-major)")
-    elif kind == "continuous_dilation":
-        for key in ("lo", "hi"):
-            _require(key in fam, f"continuous_dilation family needs {key!r}")
-        fam.setdefault("cells", 64)
-    return fam
-
-
-# keys per profile kind, all of them required
-_PROFILE_KEYS = {"piecewise_constant": ("pieces",), "sampled_grid": ("lo", "hi", "samples"),
-                 "sampled_grid_csv": ("path",)}
-
-
-def _resolve_profile(prof: dict, base_dir: Path | None) -> dict:
-    kind = prof.get("kind")
-    _require(kind in _PROFILE_KEYS, f"unknown profile kind {kind!r}")
-    _require_known(prof, ("kind", *_PROFILE_KEYS[kind]), f"{kind} profile key")
-    for key in _PROFILE_KEYS[kind]:
-        _require(key in prof, f"{kind} profile needs {key!r}")
-    if kind == "piecewise_constant":
-        _require(isinstance(prof["pieces"], list) and prof["pieces"],
-                 "piecewise_constant profile needs a nonempty pieces list")
-        for i, piece in enumerate(prof["pieces"]):
-            piece = _section(piece, f"profile.pieces.{i}")
-            _require_known(piece, ("box", "value"), "profile piece key")
-            _require("box" in piece and "value" in piece, f"profile.pieces.{i} needs box and value")
-            _require_numbers(piece, f"profile.pieces.{i}", reals=("value",), arrays=("box",))
-    elif kind == "sampled_grid":
-        _require_numbers(prof, "profile", reals=("lo", "hi"), arrays=("samples",))
+            arr = np.asarray(value)
+        except ValueError:  # ragged nesting
+            arr = np.asarray(None)
+        ok = arr.dtype.kind in "iuf" and arr.size > 0 and _SHAPES[base](arr.shape)
     else:
-        path = Path(prof["path"])
+        ok = isinstance(value, str if base == "str" else bool)
+    if ok and bound:
+        nums = arr if base in _SHAPES else value
+        ok = all(np.all(_OPS[op](nums, float(n))) for op, n in map(str.split, bound))
+    if not ok:
+        raise ScenarioParseError(f"{where} must be {_NAMES[base]} {' and '.join(bound)}".rstrip()
+                                 + " or null" * (base != typ))
+    return value
+
+
+def resolve_defaults(raw: dict, base_dir: Path | None = None) -> dict:
+    """Validate a parsed scenario against SCHEMA and fill every default.
+
+    Checked by hand, as they span keys: the basis and the profile boxes against
+    group.dim, the metric against the group, the p-range of gabor_shifts, and
+    the rows of a sampled-grid CSV."""
+    out = _resolve(raw, SCHEMA, "scenario")
+    gabor = out["group"]["kind"] == "gabor"
+    metric = out["metric"].setdefault("kind", "gabor_product" if gabor else "euclidean_l2")
+    _require((metric == "gabor_product") == gabor, "gabor groups and gabor_product go together")
+    dim = int(out["group"]["dim"])
+    basis = out["lattice"]["basis"] = out["lattice"].get("basis") or np.eye(dim).tolist()
+    boxes = [piece["box"] for piece in out["profile"].get("pieces", [])]
+    _require(all(len(rows) == dim for rows in [basis, *boxes]),
+             f"lattice.basis and every profile box need group.dim = {dim} rows")
+    fam = out["family"]
+    _require(fam["kind"] != "gabor_shifts" or "p_values" in fam or {"p_min", "p_max"} <= set(fam),
+             "gabor_shifts family needs p_values or p_min/p_max")
+    if out["profile"]["kind"] == "sampled_grid_csv":
+        path = Path(out["profile"]["path"])
         if not path.is_absolute() and base_dir is not None:
             path = base_dir / path
-        _require(path.exists(), f"sampled-grid file not found: {path}")
+        _require(path.is_file(), f"sampled-grid file not found: {path}")
         coords, values = [], []
         with open(path, newline="") as fh:
             for row in csv.reader(fh):
@@ -227,49 +233,9 @@ def _resolve_profile(prof: dict, base_dir: Path | None) -> dict:
                     raise ScenarioParseError(
                         f"{path}: row {row!r} is not 'coordinate,value'") from None
         _require(len(coords) >= 2, "sampled-grid file needs at least two rows")
-        prof = {"kind": "sampled_grid", "lo": coords[0], "hi": coords[-1],
-                "samples": values}
-    return prof
-
-
-_ANALYSIS_DEFAULTS = {
-    "calderon_scan": {"segments": [[-2.0, -0.05], [0.05, 2.0]], "points_per_segment": 100,
-                      "lower": None, "upper": None, "tolerance": 1e-9},
-    "property_x": {"r": 0.4, "M": 1.0, "explosion": 10.0, "distortion_cap": 4096.0,
-                   "constant_cap": None},
-    "counting": {"radii": [0.25], "params": None, "mc_samples": 100000,
-                 "sigma_slack": 3.0},
-    "lipschitz": {"oracle": False, "oracle_directions": 20000, "relative_gap": 1e-3},
-    "classify": {"probe_m": None, "explosion": 10.0, "expect": None},
-    "u_c": {"c": 2.0, "t_lo": 1.0, "t_hi": 32.0, "t_points": 9, "M": 1.0,
-            "envelope": {"kind": "identity"}, "cap": 1e6, "expect_bounded": True},
-    "frame_report": {"lower": 1.0, "upper": 1.0, "M": 4.0, "epsilons": [0.01],
-                     "test_centers": None, "functional_tolerance": 1e-6,
-                     "segments": [[-2.0, -0.05], [0.05, 2.0]], "points_per_segment": 100,
-                     "tolerance": 1e-9, "scan_radius": 0.4, "probe_band": None,
-                     "probe_count": 50, "exclusion_radius": 1e-3,
-                     "distortion_cap": 4096.0},
-    "weil_check": {"level": 5, "threshold": 1e-8, "method": "exact"},
-    "local_integrability": {"box": [[0.25, 2.0]], "M": 2.0, "level": 3,
-                            "expect": "finite"},
-}
-
-
-def _resolve_analysis(analysis: dict, scenario: dict) -> dict:
-    kind = analysis.get("kind")
-    _require(kind in ANALYSIS_KINDS, f"unknown analysis kind {kind!r}")
-    defaults = _ANALYSIS_DEFAULTS[kind]
-    _require_known(analysis, ("kind", *defaults), f"{kind} knob")
-    # a knob whose default is an int, a float or a list takes only numbers
-    _require_numbers(analysis, kind,
-                     integers=[k for k, v in defaults.items() if type(v) is int],
-                     reals=[k for k, v in defaults.items() if type(v) is float],
-                     arrays=[k for k, v in defaults.items() if type(v) is list])
-    _require(analysis.get("level", 0) >= 0, f"{kind}.level must be nonnegative")
-    merged = dict(defaults)
-    merged.update(analysis)
-    merged["kind"] = kind
-    return merged
+        out["profile"] = {"kind": "sampled_grid", "lo": coords[0], "hi": coords[-1],
+                          "samples": values}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -280,38 +246,27 @@ def apply_overrides(scenario: dict, overrides: list[str]) -> dict:
     """Apply key=value overrides with dotted paths (list indices allowed)."""
     out = json.loads(json.dumps(scenario))  # deep copy
     for item in overrides:
-        if "=" not in item:
-            raise ScenarioParseError(f"override {item!r} is not of the form key=value")
+        _require("=" in item, f"override {item!r} is not of the form key=value")
         key, _, value = item.partition("=")
         try:
             parsed = json.loads(value)
         except json.JSONDecodeError:
             parsed = value
-        node = out
-        parts = key.split(".")
+        node, parts = out, key.split(".")
         for i, part in enumerate(parts):
-            last = i == len(parts) - 1
             if isinstance(node, list):
                 try:
-                    idx = int(part)
-                except ValueError as exc:
-                    raise ScenarioParseError(f"list index expected in override {key!r}") from exc
-                if not -len(node) <= idx < len(node):
-                    raise ScenarioParseError(
-                        f"index {idx} out of range in override {key!r} (length {len(node)})")
-                if last:
-                    node[idx] = parsed
-                else:
-                    node = node[idx]
-            elif not isinstance(node, dict):
-                raise ScenarioParseError(f"override {key!r} descends into a scalar")
+                    part = int(part)
+                except ValueError:
+                    raise ScenarioParseError(f"list index expected in override {key!r}") from None
+                _require(-len(node) <= part < len(node),
+                         f"index {part} out of range in override {key!r} (length {len(node)})")
             else:
-                if last:
-                    node[part] = parsed
-                else:
-                    if part not in node:
-                        node[part] = {}
-                    node = node[part]
+                _require(isinstance(node, dict), f"override {key!r} descends into a scalar")
+            if i == len(parts) - 1:
+                node[part] = parsed
+            else:
+                node = node.setdefault(part, {}) if isinstance(node, dict) else node[part]
     return resolve_defaults(out)
 
 
@@ -376,28 +331,21 @@ def build_family(scenario: dict) -> am.AutomorphismFamily:
 def build_profile(scenario: dict):
     prof = scenario["profile"]
     if prof["kind"] == "piecewise_constant":
-        lo, hi, values = [], [], []
-        for piece in prof["pieces"]:
-            box = piece["box"]
-            lo.append([float(b[0]) for b in box])
-            hi.append([float(b[1]) for b in box])
-            values.append(float(piece["value"]))
-        return PiecewiseConstantProfile(np.array(lo), np.array(hi), np.array(values))
+        boxes = np.array([piece["box"] for piece in prof["pieces"]], dtype=float)
+        values = np.array([piece["value"] for piece in prof["pieces"]], dtype=float)
+        return PiecewiseConstantProfile(boxes[..., 0].copy(), boxes[..., 1].copy(), values)
     return SampledGridProfile(float(prof["lo"]), float(prof["hi"]),
                               np.asarray(prof["samples"], dtype=float))
 
 
 def build_envelope(spec: dict):
-    kind = spec.get("kind", "identity")
-    if kind == "identity":
-        return lambda x: x
-    if kind == "power":
+    if spec["kind"] == "power":
         expo = float(spec["exponent"])
         return lambda x: float(x) ** expo
-    if kind == "constant":
+    if spec["kind"] == "constant":
         value = float(spec["value"])
         return lambda _x: value
-    raise ScenarioParseError(f"unknown envelope kind {kind!r}")
+    return lambda x: x  # identity
 
 
 def scan_grid(segments, points_per_segment: int) -> np.ndarray:

@@ -11,12 +11,22 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .errors import ResourceLimitError
+
 GL_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)
+MAX_GRID_BYTES = 2 ** 30  # float64 nodes a single rule may allocate
+
+
+def _check_grid_size(nodes: int, dim: int = 1) -> None:
+    if nodes * dim * 8 > MAX_GRID_BYTES:
+        raise ResourceLimitError(f"quadrature grid of {nodes} nodes in dim {dim} exceeds "
+                                 f"{MAX_GRID_BYTES} bytes", size=nodes)
 
 
 def gl_nodes_weights(lo: float, hi: float, cells: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the composite order-16 rule on [lo, hi]."""
+    _check_grid_size(cells * GL_ORDER)
     edges = np.linspace(lo, hi, cells + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -67,6 +77,7 @@ def integrate_box(f: Callable[[np.ndarray], np.ndarray], lo: Sequence[float],
 def tensor_nodes_weights(lo: Sequence[float], hi: Sequence[float],
                          cells_per_axis: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """(n, dim) nodes and (n,) weights of the tensor-product composite rule."""
+    _check_grid_size((cells_per_axis * GL_ORDER) ** len(lo), len(lo))
     axes = [gl_nodes_weights(float(a), float(b), cells_per_axis) for a, b in zip(lo, hi)]
     grids = np.meshgrid(*[nw[0] for nw in axes], indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=-1)

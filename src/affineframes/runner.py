@@ -129,10 +129,8 @@ def _run_counting(analysis, ctx, out_dir, tag):
     if params is None:
         autos = [(None, _identity_auto(metric))]
     else:
-        autos = []
-        for p in params:
-            key = tuple(p) if isinstance(p, list) else p
-            autos.append((key, family.automorphism(key)))
+        keys = [tuple(p) if isinstance(p, list) else p for p in params]
+        autos = [(key, family.member(key).auto) for key in keys]
     slack = float(analysis["sigma_slack"])
     csv_rows, passed = [], True
     for key, auto in autos:

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affineframes import cli
 from affineframes import config as cfg
@@ -102,6 +104,113 @@ def test_sampled_grid_csv_profile(tmp_path):
         scenario["profile"] = bad
         with pytest.raises(ScenarioParseError):
             cfg.resolve_defaults(scenario, base_dir=tmp_path)
+
+
+def test_null_knob_stands_for_its_default():
+    bare = cfg.resolve_defaults(json.loads(json.dumps(MINIMAL)))
+    nulls = json.loads(json.dumps(MINIMAL))
+    nulls.update(analyses=None, seed=None, metric=None)
+    nulls["family"]["weight"] = None
+    assert cfg.resolve_defaults(nulls) == bare
+    assert [a["kind"] for a in bare["analyses"]] == ["calderon_scan"]
+
+
+# ---------------------------------------------------------------------------
+# Properties drawn from the schema table
+# ---------------------------------------------------------------------------
+
+FAMILIES = cfg.SCHEMA["family"][0]
+PROFILES = cfg.Kinds({k: v for k, v in cfg.SCHEMA["profile"][0].items()
+                      if k != "sampled_grid_csv"})  # the CSV read is tested above
+ANALYSES = cfg.SCHEMA["analyses"][0][0]
+_NUMERIC = ("int", "real", "vector", "array", "pairs", "pair", "matrix")
+
+
+def _draw_value(typ, *bounds):
+    """Strategy for a valid value of one declared type and its bounds."""
+    if isinstance(typ, list):
+        return st.lists(_draw_value(typ[0]), min_size=1, max_size=3)
+    if isinstance(typ, cfg.Kinds):
+        return st.sampled_from(sorted(typ)).flatmap(
+            lambda kind: _draw_section(typ[kind]).map(lambda s: {**s, "kind": kind}))
+    if isinstance(typ, dict):
+        return _draw_section(typ)
+    if isinstance(typ, tuple):
+        return st.sampled_from(typ)
+    base = typ.rstrip("?")
+    lower = next((b for b in bounds if b[0] == ">"), None)
+    upper = next((int(b.split()[1]) for b in bounds if b.startswith("<=")), 10 ** 6)
+    real = st.floats(min_value=0.0 if lower else None, exclude_min=lower == "> 0",
+                     allow_nan=False, allow_infinity=False)
+
+    def row(n):
+        return st.lists(real, min_size=n, max_size=n)
+
+    values = {
+        "int": st.integers({"> 0": 1, ">= 0": 0}.get(lower, -10 ** 6), upper),
+        "real": real, "str": st.text(max_size=8), "bool": st.booleans(),
+        "vector": st.lists(real, min_size=1, max_size=4),
+        "array": st.lists(real, min_size=1, max_size=4), "pair": row(2),
+        "pairs": st.lists(row(2), min_size=1, max_size=3),
+        "matrix": st.integers(1, 3).flatmap(lambda n: st.lists(row(n), min_size=n, max_size=n)),
+    }[base]
+    return st.one_of(st.none(), values) if base != typ else values
+
+
+def _draw_section(spec):
+    """Strategy for one section: required keys drawn, every other key drawn or left out."""
+    drawn = {k: _draw_value(typ, *bounds) for k, (typ, _default, *bounds) in spec.items()}
+    return st.fixed_dictionaries(
+        {k: v for k, v in drawn.items() if spec[k][1] is cfg.REQUIRED},
+        optional={k: v for k, v in drawn.items() if spec[k][1] is not cfg.REQUIRED})
+
+
+def _one_row_boxes(profile):
+    for piece in profile.get("pieces", []):
+        piece["box"] = piece["box"][:1]  # one [lo, hi] row per axis of the 1-d group
+    return profile
+
+
+_scenarios = st.fixed_dictionaries({
+    "group": st.just({"kind": "euclidean", "dim": 1}),
+    "family": _draw_value(FAMILIES).filter(
+        lambda f: f["kind"] != "gabor_shifts" or "p_values" in f or {"p_min", "p_max"} <= set(f)),
+    "profile": _draw_value(PROFILES).map(_one_row_boxes),
+    "analyses": _draw_value([ANALYSES]),
+})
+
+
+def _kinded_sections(scenario):
+    """(section, its kinds table) for the family, the profile and every analysis."""
+    return [(scenario["family"], FAMILIES), (scenario["profile"], PROFILES),
+            *[(a, ANALYSES) for a in scenario["analyses"]]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=_scenarios)
+def test_table_drawn_scenario_roundtrips_and_carries_every_knob(raw):
+    resolved = cfg.resolve_defaults(json.loads(json.dumps(raw)))
+    assert cfg.parse_scenario_text(cfg.serialize_scenario(resolved)) == resolved
+    for (given_section, _), (section, kinds) in zip(_kinded_sections(raw),
+                                                    _kinded_sections(resolved)):
+        table = kinds[section["kind"]]
+        assert {k for k, entry in table.items() if entry[1] is not cfg.OPTIONAL} <= set(section)
+        assert set(section) <= {"kind", *table}
+        assert {k: section[k] for k in given_section} == given_section
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=_scenarios, data=st.data())
+def test_table_knob_of_wrong_type_rejected(raw, data):
+    sections = _kinded_sections(raw)
+    section, kinds = sections[data.draw(st.integers(0, len(sections) - 1))]
+    table = kinds[section["kind"]]
+    key = data.draw(st.sampled_from(sorted(table)))
+    typ = table[key][0]
+    # a string where a number or an array belongs, a number for anything else
+    section[key] = "a" if isinstance(typ, str) and typ.rstrip("?") in _NUMERIC else 3
+    with pytest.raises(ScenarioParseError):
+        cfg.resolve_defaults(raw)
 
 
 def test_scan_grid_concatenates_segments():
@@ -222,6 +331,31 @@ BAD_OVERRIDES = [
     ("gabor_onb", 'profile.pieces.0.box="a"'),
     ("gabor_onb", "profile.pieces.0.valu=1"),
     ("gabor_onb", "profile.pieces.0=3"),
+    ("gabor_onb", 'analyses.0.lower="a"'),     # every knob type-checked, not only numeric ones
+    ("gabor_onb", "analyses.0.points_per_segment=0"),
+    ("gabor_onb", "analyses.0.segments=[1,2]"),  # segments are [lo, hi] pairs
+    ("gabor_onb", "family.p_step=0"),
+    ("gabor_onb", "group.dim=3"),               # gabor base line is one-dimensional
+    ("shearlet_property_x", 'analyses.1.probe_m="a"'),
+    ("shearlet_property_x", 'analyses.3.oracle="no"'),  # a truthy string, not a bool
+    ("shearlet_property_x", "analyses.3.oracle_directions=0"),
+    ("semicontinuous_wavelet", "analyses.1.envelope=3"),
+    ("semicontinuous_wavelet", 'analyses.1.envelope={"kind":"power"}'),
+    ("semicontinuous_wavelet", 'analyses.1.expect_bounded="no"'),
+    ("shannon_onb", "analyses.1.probe_band=[1]"),
+    ("shannon_onb", "analyses.1.epsilons=[]"),
+    ("weil_counting", 'analyses.1.params="a"'),
+    ("weil_counting", "analyses.1.params=[[1,2]]"),  # counting params must name members
+    ("weil_counting", "analyses.1.params=[1.5]"),
+    ("weil_counting", "analyses.1.radii=[]"),   # zero cases would pass vacuously
+    ("weil_counting", "analyses.0.level=40"),   # quadrature grids past the byte cap
+    ("weil_counting", "analyses.0.level=25"),
+    ("weil_counting", "analyses.0.level=65"),   # bounded before 2 ** level is formed
+    ("weil_counting", "analyses.1.radii=[[0.3]]"),  # radii are a flat list
+    ("shearlet_property_x", "profile.pieces.0.box=[[0,1]]"),  # a 1-d box in the plane
+    ("gabor_onb", "analyses.2.epsilons=[0]"),
+    ("anisotropic_wavelet", "analyses.0.expect=3"),  # verdict names are an enum
+    ("anisotropic_wavelet", 'analyses.2.expect="maybe"'),
 ]
 
 
