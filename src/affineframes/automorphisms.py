@@ -80,13 +80,6 @@ class Automorphism:
         pts = np.asarray(points, dtype=float)
         return pts @ self.inv_matrix.T
 
-    def inverse(self) -> "Automorphism":
-        if self.kind == GABOR_SHIFT:
-            return gabor_shift(-self.params["p"])
-        if self.kind == MATRIX_POWER:
-            return matrix_power(self.params["base"], -self.params["exponent"])
-        return Automorphism(MATRIX, self.inv_matrix)
-
     def jacobian(self) -> float:
         if self.kind == GABOR_SHIFT:
             return 1.0
@@ -152,9 +145,6 @@ class LipschitzConstants:
     lower: float
     upper: float
     method: str
-
-    def as_tuple(self) -> tuple[float, float]:
-        return self.lower, self.upper
 
 
 def shearlet_l2_constants(a: float, s: float) -> tuple[float, float]:

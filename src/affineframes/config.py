@@ -19,6 +19,7 @@ import numpy as np
 
 from . import automorphisms as am
 from . import metric_lattice as ml
+from .errors import RejectedInputError
 from .profiles import PiecewiseConstantProfile, SampledGridProfile
 
 SCHEMA_VERSION = 1
@@ -202,8 +203,8 @@ def resolve_defaults(raw: dict, base_dir: Path | None = None) -> dict:
     """Validate a parsed scenario against SCHEMA and fill every default.
 
     Checked by hand, as they span keys: the basis and the profile boxes against
-    group.dim, the metric against the group, the p-range of gabor_shifts, and
-    the rows of a sampled-grid CSV."""
+    group.dim, the test centers and the metric against the group, the p-range
+    of gabor_shifts, and the rows of a sampled-grid CSV."""
     out = _resolve(raw, SCHEMA, "scenario")
     gabor = out["group"]["kind"] == "gabor"
     metric = out["metric"].setdefault("kind", "gabor_product" if gabor else "euclidean_l2")
@@ -213,6 +214,9 @@ def resolve_defaults(raw: dict, base_dir: Path | None = None) -> dict:
     boxes = [piece["box"] for piece in out["profile"].get("pieces", [])]
     _require(all(len(rows) == dim for rows in [basis, *boxes]),
              f"lattice.basis and every profile box need group.dim = {dim} rows")
+    centers = [a["test_centers"] for a in out["analyses"] if a.get("test_centers")]
+    _require(all(np.ndim(c) == 2 and np.shape(c)[1] == 1 + gabor for c in centers),
+             f"test_centers need {'[x, m]' if gabor else '[x]'} rows on this group")
     fam = out["family"]
     _require(fam["kind"] != "gabor_shifts" or "p_values" in fam or {"p_min", "p_max"} <= set(fam),
              "gabor_shifts family needs p_values or p_min/p_max")
@@ -286,6 +290,13 @@ def build_lattice(scenario: dict) -> ml.Lattice:
     return ml.Lattice(np.asarray(scenario["lattice"]["basis"], dtype=float))
 
 
+def _power(x, expo) -> float:
+    try:
+        return float(x) ** float(expo)
+    except OverflowError:
+        raise RejectedInputError(f"{x} ** {expo} overflows a float") from None
+
+
 def build_weight(spec: dict):
     kind = spec["kind"]
     if kind == "constant":
@@ -293,9 +304,9 @@ def build_weight(spec: dict):
         return lambda *_p: value
     if kind == "power":
         expo = float(spec["exponent"])
-        return lambda a, *_rest: float(a) ** expo
+        return lambda a, *_rest: _power(a, expo)
     base = float(spec["base"])  # geometric
-    return lambda j, *_rest: base ** float(j)
+    return lambda j, *_rest: _power(base, j)
 
 
 def build_family(scenario: dict) -> am.AutomorphismFamily:
@@ -341,7 +352,7 @@ def build_profile(scenario: dict):
 def build_envelope(spec: dict):
     if spec["kind"] == "power":
         expo = float(spec["exponent"])
-        return lambda x: float(x) ** expo
+        return lambda x: _power(x, expo)
     if spec["kind"] == "constant":
         value = float(spec["value"])
         return lambda _x: value

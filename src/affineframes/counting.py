@@ -37,21 +37,13 @@ class CountResult:
 
 
 def _candidate_points(lattice: Lattice, auto: Automorphism, r: float,
-                      metric: MetricSpace, shift=None,
-                      candidate_cap: int = CANDIDATE_CAP) -> np.ndarray:
+                      metric: MetricSpace, candidate_cap: int = CANDIDATE_CAP) -> np.ndarray:
     ball_lo, ball_hi = metric.ball_box(r)
     if metric.kind == GABOR_PRODUCT:
         # the annihilator lives on the k = 0 slice, which dual shifts fix
-        lo, hi = np.array([ball_lo[0]]), np.array([ball_hi[0]])
-        if shift is not None:
-            lo, hi = lo - shift[0], hi - shift[0]
-        base = lattice.points_in_box(lo, hi, cap=candidate_cap)
+        base = lattice.points_in_box(ball_lo[:1], ball_hi[:1], cap=candidate_cap)
         return np.concatenate([base, np.zeros((base.shape[0], 1))], axis=1)
-    img_lo, img_hi = auto.box_image(ball_lo, ball_hi)
-    if shift is not None:
-        img_lo = img_lo - shift
-        img_hi = img_hi - shift
-    return lattice.points_in_box(img_lo, img_hi, cap=candidate_cap)
+    return lattice.points_in_box(*auto.box_image(ball_lo, ball_hi), cap=candidate_cap)
 
 
 def enumerate_points(lattice: Lattice, auto: Automorphism, r: float,
@@ -74,18 +66,6 @@ def enumerate_points(lattice: Lattice, auto: Automorphism, r: float,
     count = int(inside.sum())
     overflow = count > point_cap
     return CountResult(count, pts[:point_cap], overflow, int(boundary.sum()), r)
-
-
-def shifted_count(lattice: Lattice, auto: Automorphism, r: float,
-                  metric: MetricSpace, shift) -> int:
-    """Number of lattice points in (deformed ball) - shift."""
-    shift = np.asarray(shift, dtype=float)
-    candidates = _candidate_points(lattice, auto, r, metric, shift=shift)
-    if candidates.shape[0] == 0:
-        return 0
-    dist = metric.norm(auto.inverse_apply(candidates + shift))
-    boundary = np.abs(dist - r) <= BOUNDARY_GUARD
-    return int(np.sum((dist < r) & ~boundary))
 
 
 def counting_bounds(lattice: Lattice, auto: Automorphism, r: float,

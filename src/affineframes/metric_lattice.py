@@ -122,34 +122,6 @@ def gabor_product() -> MetricSpace:
     return MetricSpace(GABOR_PRODUCT, 2)
 
 
-def distance(metric: MetricSpace, xi, eta) -> float:
-    return float(metric.distance(xi, eta))
-
-
-def ball_measure(metric: MetricSpace, r: float) -> float:
-    return metric.ball_measure(r)
-
-
-@dataclass(frozen=True)
-class Ball:
-    center: np.ndarray
-    radius: float
-    metric: MetricSpace
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise RejectedInputError("ball radius must be positive")
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-
-    def contains(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = self.metric.distance_many(pts, self.center) < self.radius
-        return out if np.asarray(points).ndim > 1 else bool(out[0])
-
-    def measure(self) -> float:
-        return self.metric.ball_measure(self.radius)
-
-
 @dataclass(frozen=True)
 class Lattice:
     """Full-rank lattice basis . Z^dim with the half-open basis parallelepiped

@@ -61,7 +61,7 @@ def _param_columns(param) -> list:
 # Analysis dispatchers
 # ---------------------------------------------------------------------------
 
-def _run_calderon_scan(analysis, ctx, out_dir, tag):
+def _run_calderon_scan(analysis, ctx):
     if ctx["profile"].dim != 1:
         raise RejectedInputError("calderon_scan scans a one-dimensional frequency line")
     grid = cfg.scan_grid(analysis["segments"], analysis["points_per_segment"])
@@ -77,13 +77,10 @@ def _run_calderon_scan(analysis, ctx, out_dir, tag):
         ok = (values >= lo - tol) & (values <= hi + tol)
         result["n_failures"] = int(np.sum(~ok))
         passed = bool(np.all(ok))
-    csv_path = out_dir / f"{tag}_calderon_scan.csv"
-    _write_csv(csv_path, ["xi", "value", "tail_estimate", "certified_exact",
-                          "truncation"],
-               [[float(x), ev.value, ev.tail_estimate, int(ev.certified_exact),
-                 _truncation_label(ev.truncation)] for x, ev in zip(grid, evals)])
-    result["csv"] = csv_path.name
-    return result, passed
+    rows = [[float(x), ev.value, ev.tail_estimate, int(ev.certified_exact),
+             _truncation_label(ev.truncation)] for x, ev in zip(grid, evals)]
+    return result, passed, (["xi", "value", "tail_estimate", "certified_exact",
+                             "truncation"], rows)
 
 
 def _truncation_label(truncation: dict) -> str:
@@ -98,7 +95,7 @@ def _truncation_label(truncation: dict) -> str:
     return kind
 
 
-def _run_property_x(analysis, ctx, out_dir, tag):
+def _run_property_x(analysis, ctx):
     family = ctx["family"]
     cap = float(analysis["distortion_cap"])
     scan_family = family.restrict(lambda _p, _lo, hi: hi <= cap)
@@ -106,8 +103,7 @@ def _run_property_x(analysis, ctx, out_dir, tag):
                                 float(analysis["r"]), float(analysis["M"]),
                                 explosion=float(analysis["explosion"]))
     result = {"verdict": report.verdict, "constant": report.constant,
-              "witness": _jsonable(report.witness),
-              "witness_count": report.witness_count,
+              "witness": report.witness, "witness_count": report.witness_count,
               "attempted_bound": report.attempted_bound,
               "r": report.r, "M": report.M, "note": report.note}
     passed = report.verdict == "holds"
@@ -116,13 +112,10 @@ def _run_property_x(analysis, ctx, out_dir, tag):
         result["constant_cap"] = float(analysis["constant_cap"])
     dicts = report.row_dicts()
     header = list(dicts[0].keys())
-    csv_path = out_dir / f"{tag}_property_x.csv"
-    _write_csv(csv_path, header, [[d[k] for k in header] for d in dicts])
-    result["csv"] = csv_path.name
-    return result, passed
+    return result, passed, (header, [[d[k] for k in header] for d in dicts])
 
 
-def _run_counting(analysis, ctx, out_dir, tag):
+def _run_counting(analysis, ctx):
     family, lattice, metric = ctx["family"], ctx["lattice"], ctx["metric"]
     seed = int(ctx["scenario"]["seed"])
     params = analysis["params"]
@@ -149,10 +142,7 @@ def _run_counting(analysis, ctx, out_dir, tag):
     header = [f"param_{i}" for i in range(n_param_cols)] + [
         "r", "count", "upper_bound", "upper_stderr", "count_2r",
         "lower_bound_at_2r", "lower_stderr", "sandwich_ok"]
-    csv_path = out_dir / f"{tag}_counting.csv"
-    _write_csv(csv_path, header, csv_rows)
-    result = {"n_cases": len(csv_rows), "all_sandwich_ok": passed, "csv": csv_path.name}
-    return result, passed
+    return {"n_cases": len(csv_rows), "all_sandwich_ok": passed}, passed, (header, csv_rows)
 
 
 def _identity_auto(metric: ml.MetricSpace) -> am.Automorphism:
@@ -161,7 +151,7 @@ def _identity_auto(metric: ml.MetricSpace) -> am.Automorphism:
     return am.matrix_automorphism(np.eye(metric.dim))
 
 
-def _run_lipschitz(analysis, ctx, out_dir, tag):
+def _run_lipschitz(analysis, ctx):
     family = ctx["family"]
     use_oracle = bool(analysis["oracle"])
     rel_gap = float(analysis["relative_gap"])
@@ -183,46 +173,39 @@ def _run_lipschitz(analysis, ctx, out_dir, tag):
     header = [f"param_{i}" for i in range(n_param_cols)] + ["lower", "upper", "method"]
     if use_oracle:
         header += ["oracle_lower", "oracle_upper", "consistent"]
-    csv_path = out_dir / f"{tag}_lipschitz.csv"
-    _write_csv(csv_path, header, rows)
-    return {"n_params": len(rows), "csv": csv_path.name,
-            "oracle_checked": use_oracle}, passed
+    return {"n_params": len(rows), "oracle_checked": use_oracle}, passed, (header, rows)
 
 
-def _run_classify(analysis, ctx, out_dir, tag):
+def _run_classify(analysis, ctx):
     verdict = am.classify_expansiveness(ctx["family"], probe_m=analysis["probe_m"],
                                         explosion=float(analysis["explosion"]))
     result = {"verdict": verdict.verdict, "probe_m": verdict.probe_m,
-              "witness": _jsonable(verdict.witness),
-              "witness_constants": _jsonable(verdict.witness_constants),
+              "witness": verdict.witness, "witness_constants": verdict.witness_constants,
               "note": verdict.note}
     if verdict.envelope is not None:
-        result["envelope_points"] = _jsonable(
-            list(zip(verdict.envelope.xs, verdict.envelope.ys)))
+        result["envelope_points"] = list(zip(verdict.envelope.xs, verdict.envelope.ys))
     expect = analysis["expect"]
     passed = True if expect is None else verdict.verdict == expect
     if expect is not None:
         result["expect"] = expect
-    return result, passed
+    return result, passed, None
 
 
-def _run_u_c(analysis, ctx, out_dir, tag):
+def _run_u_c(analysis, ctx):
     envelope = cfg.build_envelope(analysis["envelope"])
     t_grid = np.geomspace(float(analysis["t_lo"]), float(analysis["t_hi"]),
                           int(analysis["t_points"]))
     profile = am.band_mass_profile(ctx["family"], envelope, float(analysis["c"]),
                                    t_grid, float(analysis["M"]),
                                    cap=float(analysis["cap"]))
-    csv_path = out_dir / f"{tag}_u_c.csv"
-    _write_csv(csv_path, ["t", "band_mass"],
-               [[t, v] for t, v in zip(profile.t_grid, profile.values)])
     result = {"bounded": profile.bounded, "max_value": profile.max_value,
-              "cap": profile.cap, "csv": csv_path.name, "note": profile.note}
+              "cap": profile.cap, "note": profile.note}
     passed = profile.bounded == bool(analysis["expect_bounded"])
-    return result, passed
+    return result, passed, (["t", "band_mass"],
+                            [[t, v] for t, v in zip(profile.t_grid, profile.values)])
 
 
-def _run_frame_report(analysis, ctx, out_dir, tag):
+def _run_frame_report(analysis, ctx):
     scenario = ctx["scenario"]
     profile, family, lattice = ctx["profile"], ctx["family"], ctx["lattice"]
     gabor = family.metric.kind == ml.GABOR_PRODUCT
@@ -271,29 +254,26 @@ def _run_frame_report(analysis, ctx, out_dir, tag):
                         "note": "inner estimates from a finite ensemble"}
         passed = passed and probe_ok
 
-    csv_path = out_dir / f"{tag}_frame_report.csv"
-    _write_csv(csv_path, ["xi", "value", "pass"],
-               [[float(x), float(v), int(p)] for x, v, p in
-                zip(report.xi_grid, report.values, report.passes)])
     result = {"n_failures": report.n_failures, "min": report.min_value,
               "max": report.max_value, "counting_verdict": report.counting_verdict,
               "counting_constant": report.counting_constant,
-              "remainder": [_jsonable(vars(r)) for r in report.remainder],
-              "functional_checks": _jsonable(functional_rows),
-              "probe": _jsonable(probe_result), "csv": csv_path.name,
+              "remainder": [vars(r) for r in report.remainder],
+              "functional_checks": functional_rows, "probe": probe_result,
               "note": report.note}
-    return result, passed
+    rows = [[float(x), float(v), int(p)] for x, v, p in
+            zip(report.xi_grid, report.values, report.passes)]
+    return result, passed, (["xi", "value", "pass"], rows)
 
 
-def _run_weil_check(analysis, ctx, out_dir, tag):
+def _run_weil_check(analysis, ctx):
     residual = ml.weil_residual(ctx["profile"], ctx["lattice"],
                                 level=int(analysis["level"]),
                                 method=analysis["method"])
     threshold = float(analysis["threshold"])
-    return {"residual": residual, "threshold": threshold}, residual <= threshold
+    return {"residual": residual, "threshold": threshold}, residual <= threshold, None
 
 
-def _run_local_integrability(analysis, ctx, out_dir, tag):
+def _run_local_integrability(analysis, ctx):
     box = analysis["box"]
     lo = [float(b[0]) for b in box]
     hi = [float(b[1]) for b in box]
@@ -301,9 +281,9 @@ def _run_local_integrability(analysis, ctx, out_dir, tag):
                                           M=float(analysis["M"]),
                                           level=int(analysis["level"]))
     result = {"verdict": report.verdict, "value": report.value,
-              "partial_sums": _jsonable(report.partial_sums),
-              "truncation_sizes": _jsonable(report.truncation_sizes)}
-    return result, report.verdict == analysis["expect"]
+              "partial_sums": report.partial_sums,
+              "truncation_sizes": report.truncation_sizes}
+    return result, report.verdict == analysis["expect"], None
 
 
 _DISPATCH = {
@@ -339,7 +319,10 @@ def run_scenario(scenario: dict, out_dir) -> tuple[int, dict]:
     for index, analysis in enumerate(scenario["analyses"]):
         tag = f"{index:02d}"
         start = time.perf_counter()
-        result, passed = _DISPATCH[analysis["kind"]](analysis, ctx, out_dir, tag)
+        result, passed, table = _DISPATCH[analysis["kind"]](analysis, ctx)
+        if table is not None:
+            result["csv"] = f"{tag}_{analysis['kind']}.csv"
+            _write_csv(out_dir / result["csv"], *table)
         timings[f"{tag}_{analysis['kind']}"] = time.perf_counter() - start
         entry = {"kind": analysis["kind"], "passed": bool(passed)}
         entry.update(_jsonable(result))

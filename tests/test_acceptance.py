@@ -236,7 +236,8 @@ def test_criterion_9_structural_property_suites():
     # deformed-ball inclusion sandwich: 1000 random (center, radius, map) triples
     for _ in range(50):
         auto = am.shearlet(float(rng.uniform(0.5, 6.0)), float(rng.uniform(-3.0, 3.0)))
-        lo, hi = am.lipschitz_constants(auto, L2_2).as_tuple()
+        c = am.lipschitz_constants(auto, L2_2)
+        lo, hi = c.lower, c.upper
         for _ in range(20):
             center = rng.normal(size=2)
             r = float(rng.uniform(0.1, 2.0))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from affineframes import automorphisms as am
@@ -52,12 +52,12 @@ def test_jacobi_singular_values_match_reference():
 
 
 def test_lipschitz_closed_forms():
-    assert am.lipschitz_constants(am.matrix_automorphism([[2.0, 0.0], [0.0, 3.0]]),
-                                  L2_2).as_tuple() == pytest.approx((2.0, 3.0))
-    lo, hi = am.lipschitz_constants(am.gabor_shift(0.5), GABOR).as_tuple()
-    assert (lo, hi) == pytest.approx((2.0 / 3.0, 1.5))
-    lo, hi = am.lipschitz_constants(am.shearlet(4.0, 0.0), L2_2).as_tuple()
-    assert (lo, hi) == pytest.approx((2.0, 4.0))
+    c = am.lipschitz_constants(am.matrix_automorphism([[2.0, 0.0], [0.0, 3.0]]), L2_2)
+    assert (c.lower, c.upper) == pytest.approx((2.0, 3.0))
+    c = am.lipschitz_constants(am.gabor_shift(0.5), GABOR)
+    assert (c.lower, c.upper) == pytest.approx((2.0 / 3.0, 1.5))
+    c = am.lipschitz_constants(am.shearlet(4.0, 0.0), L2_2)
+    assert (c.lower, c.upper) == pytest.approx((2.0, 4.0))
 
 
 def test_shearlet_constants_match_jacobi_route():
@@ -96,7 +96,8 @@ def test_distortion_sandwich_on_samples():
     cases = [(am.shearlet(4.0, 1.0), L2_2), (am.matrix_power([[2.0, 0.0], [0.0, 0.5]], 3), LINF_2),
              (am.matrix_automorphism([[1.0, 0.4], [-0.2, 0.7]]), L2_2)]
     for auto, metric in cases:
-        lo, hi = am.lipschitz_constants(auto, metric).as_tuple()
+        c = am.lipschitz_constants(auto, metric)
+        lo, hi = c.lower, c.upper
         pts = rng.normal(size=(10000, metric.dim))
         d0 = metric.norm(pts)
         d1 = metric.norm(auto.apply(pts))
@@ -107,7 +108,8 @@ def test_distortion_sandwich_on_samples():
 def test_gabor_distortion_sandwich_on_integer_slices():
     rng = np.random.default_rng(SEED)
     auto = am.gabor_shift(0.6)
-    lo, hi = am.lipschitz_constants(auto, GABOR).as_tuple()
+    c = am.lipschitz_constants(auto, GABOR)
+    lo, hi = c.lower, c.upper
     xs = rng.uniform(-5, 5, size=10000)
     ks = rng.integers(-4, 5, size=10000).astype(float)
     pts = np.stack([xs, ks], axis=-1)
@@ -128,7 +130,7 @@ def test_inverse_constants_inequality():
         auto = am.matrix_automorphism(m)
         for metric in (L2_2, LINF_2):
             c = am.lipschitz_constants(auto, metric)
-            ci = am.lipschitz_constants(auto.inverse(), metric)
+            ci = am.lipschitz_constants(am.matrix_automorphism(auto.inv_matrix), metric)
             assert ci.lower >= 1.0 / c.upper - 1e-9
             assert ci.upper <= 1.0 / c.lower + 1e-9
 
@@ -139,7 +141,8 @@ def test_ball_inclusion_sandwich():
     metric = L2_2
     for _ in range(30):
         auto = am.shearlet(float(rng.uniform(0.5, 6.0)), float(rng.uniform(-3, 3)))
-        lo, hi = am.lipschitz_constants(auto, metric).as_tuple()
+        c = am.lipschitz_constants(auto, metric)
+        lo, hi = c.lower, c.upper
         for _ in range(33):
             center = rng.normal(size=2)
             r = float(rng.uniform(0.1, 2.0))
@@ -233,6 +236,21 @@ def test_matrix_power_table_property(dim, j_min, span, entries, metric_kind):
     fam = am.matrix_power_family(base, j_min, j_min + span, ml.MetricSpace(metric_kind, dim),
                                  weight=lambda j: 1.0 + 0.5 * j * j)
     _assert_table_matches_recomputation(fam)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 3), entries=st.lists(st.floats(-3.0, 3.0), min_size=9, max_size=9),
+       metric_kind=st.sampled_from([ml.EUCLIDEAN_L2, ml.EUCLIDEAN_LINF]))
+def test_closed_form_constants_bracket_oracle_property(dim, entries, metric_kind):
+    m = np.array(entries[:dim * dim]).reshape(dim, dim)
+    assume(abs(np.linalg.det(m)) > 1e-3 and np.linalg.cond(m) < 100.0)
+    auto, metric = am.matrix_automorphism(m), ml.MetricSpace(metric_kind, dim)
+    closed = am.lipschitz_constants(auto, metric)
+    o_lo, o_hi = am.lipschitz_oracle(auto, metric, n_directions=2000)
+    # the oracle only reports attained ratios, so the optimal constants enclose it
+    assert closed.method == am.CLOSED_FORM
+    assert closed.lower <= o_lo * (1 + 1e-12)
+    assert closed.upper >= o_hi * (1 - 1e-12)
 
 
 def test_classify_dyadic_dilations_uniform_identity_envelope():

@@ -171,12 +171,19 @@ def _one_row_boxes(profile):
     return profile
 
 
+def _one_column_centers(analyses):
+    for analysis in analyses:
+        if analysis.get("test_centers") is not None:  # [x] rows on the euclidean group
+            analysis["test_centers"] = [[x] for x in analysis["test_centers"]]
+    return analyses
+
+
 _scenarios = st.fixed_dictionaries({
     "group": st.just({"kind": "euclidean", "dim": 1}),
     "family": _draw_value(FAMILIES).filter(
         lambda f: f["kind"] != "gabor_shifts" or "p_values" in f or {"p_min", "p_max"} <= set(f)),
     "profile": _draw_value(PROFILES).map(_one_row_boxes),
-    "analyses": _draw_value([ANALYSES]),
+    "analyses": _draw_value([ANALYSES]).map(_one_column_centers),
 })
 
 
@@ -356,6 +363,13 @@ BAD_OVERRIDES = [
     ("gabor_onb", "analyses.2.epsilons=[0]"),
     ("anisotropic_wavelet", "analyses.0.expect=3"),  # verdict names are an enum
     ("anisotropic_wavelet", 'analyses.2.expect="maybe"'),
+    ("gabor_onb", "analyses.2.test_centers=[0]"),       # centers are rows
+    ("gabor_onb", "analyses.2.test_centers=[[0.5]]"),   # gabor centers are [x, m]
+    ("shannon_onb", "analyses.1.test_centers=[[0.5,1]]"),  # euclidean centers are [x]
+    ("semicontinuous_wavelet", "family.weight.exponent=1e300"),  # float powers overflow
+    ("anisotropic_wavelet", "analyses.1.c=1e300"),
+    ("anisotropic_wavelet", "analyses.1.t_hi=1e300"),
+    ("anisotropic_wavelet", "analyses.1.envelope.exponent=1e300"),
 ]
 
 

@@ -105,16 +105,6 @@ def test_enumerate_gabor_counts_base_slice():
         assert result.count == expected
 
 
-def test_shifted_count_invariant_under_lattice_shifts():
-    auto = am.shearlet(4.0, 1.0)
-    r = 0.9
-    base = ct.shifted_count(Z2, auto, r, LINF_2, np.zeros(2))
-    rng = np.random.default_rng(SEED)
-    for _ in range(10):
-        lam = Z2.point(rng.integers(-5, 6, size=2))
-        assert ct.shifted_count(Z2, auto, r, LINF_2, lam) == base
-
-
 def test_counting_bounds_interval_example():
     bounds = ct.counting_bounds(Z1, am.matrix_automorphism([[1.0]]), 0.25, L2_1,
                                 n_samples=200000)
