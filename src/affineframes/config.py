@@ -24,6 +24,7 @@ from .profiles import PiecewiseConstantProfile, SampledGridProfile
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 20240823
+MAX_FAMILY_SIZE = 100_000  # members of a j or p range; the largest bundled family has 121
 
 
 class ScenarioParseError(ValueError):
@@ -85,8 +86,8 @@ SCHEMA = {
     "metric": ({"kind": (("euclidean_l2", "euclidean_linf", "gabor_product"), OPTIONAL)}, {}),
     "lattice": ({"basis": ("matrix", OPTIONAL)}, {}),
     "family": (Kinds(
-        matrix_power={"base": ("matrix", REQUIRED), "j_min": ("int", REQUIRED),
-                      "j_max": ("int", REQUIRED), "weight": _WEIGHT},
+        matrix_power={"base": ("matrix", REQUIRED), "j_min": ("int", REQUIRED, ">= -1e6"),
+                      "j_max": ("int", REQUIRED, "<= 1e6"), "weight": _WEIGHT},
         shearlet_grid={"a_values": ("vector", REQUIRED), "s_values": ("vector", REQUIRED),
                        "weight": _WEIGHT},
         gabor_shifts={"p_values": ("vector", OPTIONAL), "p_min": ("real", OPTIONAL),
@@ -94,7 +95,7 @@ SCHEMA = {
                       "weight": _WEIGHT},
         matrix_atoms={"matrices": ("array", REQUIRED), "weight": _WEIGHT},
         continuous_dilation={"lo": ("real", REQUIRED), "hi": ("real", REQUIRED),
-                             "cells": ("int", 64, "> 0"), "weight": _WEIGHT}), REQUIRED),
+                             "cells": ("int", 64, "> 0", "<= 1e5"), "weight": _WEIGHT}), REQUIRED),
     "profile": (Kinds(
         piecewise_constant={"pieces": ([{"box": ("pairs", REQUIRED),
                                          "value": ("real", REQUIRED)}], REQUIRED)},
@@ -102,28 +103,32 @@ SCHEMA = {
                       "samples": ("vector", REQUIRED)},
         sampled_grid_csv={"path": ("str", REQUIRED)}), REQUIRED),
     "analyses": ([Kinds(
-        calderon_scan={"segments": _SEGMENTS, "points_per_segment": ("int", 100, "> 0"),
+        # size knobs are capped at 100x or more of every bundled and benchmark value
+        calderon_scan={"segments": _SEGMENTS,
+                       "points_per_segment": ("int", 100, "> 0", "<= 1e6"),
                        "lower": ("real?", None), "upper": ("real?", None),
                        "tolerance": ("real", 1e-9)},
         property_x={"r": ("real", 0.4), "M": ("real", 1.0), "explosion": ("real", 10.0),
                     "distortion_cap": ("real", 4096.0), "constant_cap": ("real?", None)},
         counting={"radii": ("vector", [0.25]), "params": ("array?", None),
-                  "mc_samples": ("int", 100000, "> 0"), "sigma_slack": ("real", 3.0)},
-        lipschitz={"oracle": ("bool", False), "oracle_directions": ("int", 20000, "> 0"),
+                  "mc_samples": ("int", 100000, "> 0", "<= 1e8"), "sigma_slack": ("real", 3.0)},
+        lipschitz={"oracle": ("bool", False), "oracle_directions": ("int", 20000, "> 0", "<= 2e6"),
                    "relative_gap": ("real", 1e-3)},
         classify={"probe_m": ("real?", None), "explosion": ("real", 10.0), "expect": (
             (None, "uniformly_expanding", "expanding", "non_expanding"), None)},
         u_c={"c": ("real", 2.0), "t_lo": ("real", 1.0, "> 0"), "t_hi": ("real", 32.0, "> 0"),
-             "t_points": ("int", 9, "> 0"), "M": ("real", 1.0), "cap": ("real", 1e6),
+             "t_points": ("int", 9, "> 0", "<= 1e4"), "M": ("real", 1.0), "cap": ("real", 1e6),
              "expect_bounded": ("bool", True), "envelope": (Kinds(
                  identity={}, power={"exponent": ("real", REQUIRED)},
                  constant={"value": ("real", REQUIRED)}), {"kind": "identity"})},
         frame_report={"lower": ("real", 1.0), "upper": ("real", 1.0), "M": ("real", 4.0),
                       "epsilons": ("vector", [0.01], "> 0"), "test_centers": ("array?", None),
                       "functional_tolerance": ("real", 1e-6), "segments": _SEGMENTS,
-                      "points_per_segment": ("int", 100, "> 0"), "tolerance": ("real", 1e-9),
+                      "points_per_segment": ("int", 100, "> 0", "<= 1e6"),
+                      "tolerance": ("real", 1e-9),
                       "scan_radius": ("real", 0.4), "probe_band": ("pair?", None),
-                      "probe_count": ("int", 50, "> 0"), "exclusion_radius": ("real", 1e-3),
+                      "probe_count": ("int", 50, "> 0", "<= 1e4"),
+                      "exclusion_radius": ("real", 1e-3),
                       "distortion_cap": ("real", 4096.0)},
         # level sets 2 ** level quadrature cells; the grid byte cap fires long before 64
         weil_check={"level": ("int", 5, ">= 0", "<= 64"), "threshold": ("real", 1e-8),
@@ -220,6 +225,12 @@ def resolve_defaults(raw: dict, base_dir: Path | None = None) -> dict:
     fam = out["family"]
     _require(fam["kind"] != "gabor_shifts" or "p_values" in fam or {"p_min", "p_max"} <= set(fam),
              "gabor_shifts family needs p_values or p_min/p_max")
+    if fam["kind"] == "matrix_power":
+        _require(fam["j_max"] - fam["j_min"] < MAX_FAMILY_SIZE,
+                 f"family j_min..j_max spans more than {MAX_FAMILY_SIZE} powers")
+    if fam["kind"] == "gabor_shifts" and "p_values" not in fam:
+        _require((fam["p_max"] - fam["p_min"]) / fam["p_step"] < MAX_FAMILY_SIZE,
+                 f"family p_min..p_max holds more than {MAX_FAMILY_SIZE} steps of p_step")
     if out["profile"]["kind"] == "sampled_grid_csv":
         path = Path(out["profile"]["path"])
         if not path.is_absolute() and base_dir is not None:

@@ -69,11 +69,21 @@ class MetricSpace:
         return pts
 
     def norm(self, vec: np.ndarray) -> np.ndarray:
+        """Norm over the last axis, accumulated column by column in place.
+
+        The L2 squares are added left to right, which is numpy's own last-axis
+        sum for up to 7 columns; from 8 columns numpy sums pairwise and the
+        two differ in the last bit."""
         v = np.atleast_2d(vec)
         if self.kind == EUCLIDEAN_L2:
-            out = np.sqrt(np.sum(v * v, axis=-1))
+            out = v[..., 0] * v[..., 0]
+            for i in range(1, v.shape[-1]):
+                out += v[..., i] * v[..., i]
+            np.sqrt(out, out=out)
         elif self.kind == EUCLIDEAN_LINF:
-            out = np.max(np.abs(v), axis=-1)
+            out = np.abs(v[..., 0])
+            for i in range(1, v.shape[-1]):
+                np.maximum(out, np.abs(v[..., i]), out=out)
         else:
             out = np.abs(v[..., 0]) + np.abs(v[..., 1])
         return out if np.ndim(vec) > 1 else float(out[0])
@@ -202,9 +212,16 @@ class Lattice:
         if total > cap:
             raise ResourceLimitError(
                 f"candidate box holds {total} lattice points (cap {cap})", size=total)
+        # the stacked integers, their float copy and the mapped points; the
+        # meshgrid is views of the axes
+        peak_bytes = 3 * 8 * self.dim * total
+        if peak_bytes > quadrature.MAX_GRID_BYTES:
+            raise ResourceLimitError(
+                f"candidate box of {total} lattice points in dim {self.dim} needs "
+                f"{peak_bytes} bytes (cap {quadrature.MAX_GRID_BYTES})", size=total)
         axes = [np.arange(a, b + 1) for a, b in zip(m_lo, m_hi)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        m = np.stack([g.ravel() for g in mesh], axis=-1).astype(float)
+        mesh = np.meshgrid(*axes, indexing="ij", copy=False)
+        m = np.stack(mesh, axis=-1).reshape(total, self.dim).astype(float)
         return m @ self.basis.T
 
 
@@ -434,10 +451,15 @@ def overlap_measure(lattice: Lattice, metric: MetricSpace, auto=None, r: float =
     hits = 0
     total = 0
     for size, rng in _blocked_rngs(seed, n_samples):
-        xi = lattice.sample_fundamental(rng, size)
+        # column-major blocks keep each coordinate contiguous for the
+        # broadcast subtract and the column-wise norm; the copy is exact
+        xi = np.asfortranarray(lattice.sample_fundamental(rng, size))
+        diff = np.empty_like(xi)
+        pre = np.empty_like(xi)
         covered = np.zeros(size, dtype=bool)
         for shift in shifts:
-            pre = (xi - shift) @ inv.T
+            np.subtract(xi, shift, out=diff)
+            np.matmul(diff, inv.T, out=pre)
             covered |= metric.norm(pre) < r
             if covered.all():
                 break
@@ -458,8 +480,4 @@ def _prune_shifts(shifts: np.ndarray, inv: np.ndarray, metric: MetricSpace, r: f
     center = 0.5 * (omega_lo + omega_hi)
     pre_center, pre_half = linear_box(inv, center - shifts, 0.5 * (omega_hi - omega_lo))
     lower = np.maximum(np.abs(pre_center) - pre_half, 0.0)
-    if metric.kind == EUCLIDEAN_L2:
-        bound = np.sqrt(np.sum(lower ** 2, axis=1))
-    else:
-        bound = np.max(lower, axis=1)
-    return shifts[bound < r * (1.0 + 1e-12)]
+    return shifts[metric.norm(lower) < r * (1.0 + 1e-12)]

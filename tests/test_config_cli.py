@@ -139,7 +139,7 @@ def _draw_value(typ, *bounds):
         return st.sampled_from(typ)
     base = typ.rstrip("?")
     lower = next((b for b in bounds if b[0] == ">"), None)
-    upper = next((int(b.split()[1]) for b in bounds if b.startswith("<=")), 10 ** 6)
+    upper = next((int(float(b.split()[1])) for b in bounds if b.startswith("<=")), 10 ** 6)
     real = st.floats(min_value=0.0 if lower else None, exclude_min=lower == "> 0",
                      allow_nan=False, allow_infinity=False)
 
@@ -178,10 +178,19 @@ def _one_column_centers(analyses):
     return analyses
 
 
+def _bounded_family(family):
+    """The family checks that span keys: a gabor p-range or p_values, and the family size."""
+    if family["kind"] == "matrix_power":
+        return family["j_max"] - family["j_min"] < cfg.MAX_FAMILY_SIZE
+    if family["kind"] == "gabor_shifts" and "p_values" not in family:
+        return ({"p_min", "p_max"} <= set(family) and (family["p_max"] - family["p_min"])
+                / family.get("p_step", 1.0) < cfg.MAX_FAMILY_SIZE)
+    return True
+
+
 _scenarios = st.fixed_dictionaries({
     "group": st.just({"kind": "euclidean", "dim": 1}),
-    "family": _draw_value(FAMILIES).filter(
-        lambda f: f["kind"] != "gabor_shifts" or "p_values" in f or {"p_min", "p_max"} <= set(f)),
+    "family": _draw_value(FAMILIES).filter(_bounded_family),
     "profile": _draw_value(PROFILES).map(_one_row_boxes),
     "analyses": _draw_value([ANALYSES]).map(_one_column_centers),
 })
@@ -370,6 +379,20 @@ BAD_OVERRIDES = [
     ("anisotropic_wavelet", "analyses.1.c=1e300"),
     ("anisotropic_wavelet", "analyses.1.t_hi=1e300"),
     ("anisotropic_wavelet", "analyses.1.envelope.exponent=1e300"),
+    ("weil_counting", "analyses.1.mc_samples=1e300"),  # size knobs are capped
+    ("weil_counting", "analyses.1.mc_samples=100000001"),
+    ("gabor_onb", "analyses.0.points_per_segment=1e300"),
+    ("shannon_onb", "analyses.1.points_per_segment=1e300"),
+    ("anisotropic_wavelet", "analyses.1.t_points=1e300"),
+    ("shearlet_property_x", "analyses.3.oracle_directions=1e300"),
+    ("semicontinuous_wavelet", "family.cells=1e300"),
+    ("shannon_onb", "analyses.1.probe_count=1e300"),
+    ("shannon_onb", "family.j_max=1e300"),      # so are family sizes and powers
+    ("shannon_onb", "family.j_min=-1e300"),
+    ("weil_counting", "family.j_max=1e6"),
+    ("gabor_onb", "family.p_max=1e300"),
+    ("gabor_onb", "family.p_min=-1e300"),
+    ("gabor_onb", "family.p_step=1e-300"),
 ]
 
 

@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from affineframes import metric_lattice as ml
 from affineframes.automorphisms import matrix_automorphism, shearlet
-from affineframes.errors import RejectedInputError
+from affineframes.errors import RejectedInputError, ResourceLimitError
 from affineframes.profiles import (PiecewiseConstantProfile, indicator_interval,
                                    triangle_bump)
 
@@ -97,6 +99,20 @@ def test_fundamental_domain_tiles():
 def test_lattice_rejects_singular_basis():
     with pytest.raises(RejectedInputError):
         ml.Lattice([[1.0, 2.0], [2.0, 4.0]])
+
+
+def test_points_in_box_checks_bytes_before_allocating():
+    lattice = ml.integer_lattice(3)
+    # 251^3 points sit under the point cap but need about 1.1 GB of arrays
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="bytes"):
+            lattice.points_in_box([0.0] * 3, [250.0] * 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert lattice.points_in_box([0.0] * 3, [9.0] * 3).shape == (1000, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +356,90 @@ def test_batched_pruning_keeps_every_shift_the_corner_bound_keeps(seed, dim, kin
     oracle = shifts[_corner_prune_keeps(shifts, auto.inv_matrix, metric, r,
                                         omega_lo, omega_hi)]
     assert {tuple(s) for s in oracle} <= {tuple(s) for s in kept}
+
+
+# ---------------------------------------------------------------------------
+# Column-wise norms and the coverage loop, bit for bit against numpy reductions
+# ---------------------------------------------------------------------------
+
+def _reduced_norm(kind: str, v: np.ndarray) -> np.ndarray:
+    """Oracle: the norms as numpy last-axis reductions."""
+    if kind == ml.EUCLIDEAN_L2:
+        return np.sqrt(np.sum(v * v, axis=-1))
+    if kind == ml.EUCLIDEAN_LINF:
+        return np.max(np.abs(v), axis=-1)
+    return np.abs(v[..., 0]) + np.abs(v[..., 1])
+
+
+def _per_shift_overlap(lattice, metric, auto, r, n_samples, seed) -> tuple[float, float]:
+    """Oracle: the per-shift coverage loop on row-major blocks with reduced norms."""
+    inv = auto.inv_matrix
+    img_lo, img_hi = auto.box_image(*metric.ball_box(r))
+    omega_lo, omega_hi = lattice.fundamental_box()
+    shifts = lattice.points_in_box(omega_lo - img_hi, omega_hi - img_lo, cap=2_000_000)
+    center = 0.5 * (omega_lo + omega_hi)
+    pre_center = (center - shifts) @ inv.T
+    pre_half = (0.5 * (omega_hi - omega_lo)) @ np.abs(inv).T
+    lower = np.maximum(np.abs(pre_center) - pre_half, 0.0)
+    if metric.kind == ml.EUCLIDEAN_L2:
+        bound = np.sqrt(np.sum(lower ** 2, axis=1))
+    else:
+        bound = np.max(lower, axis=1)
+    shifts = shifts[bound < r * (1.0 + 1e-12)]
+    shifts = shifts[np.argsort(_reduced_norm(metric.kind, shifts - center))]
+    hits = 0
+    for block, start in enumerate(range(0, n_samples, 1 << 17)):
+        size = min(1 << 17, n_samples - start)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, block)))
+        xi = rng.random((size, lattice.dim)) @ lattice.basis.T
+        covered = np.zeros(size, dtype=bool)
+        for shift in shifts:
+            covered |= _reduced_norm(metric.kind, (xi - shift) @ inv.T) < r
+            if covered.all():
+                break
+        hits += int(covered.sum())
+    p = hits / n_samples
+    return (lattice.covolume * p,
+            lattice.covolume * math.sqrt(max(p * (1.0 - p), 0.0) / n_samples))
+
+
+_entries = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from([ml.EUCLIDEAN_L2, ml.EUCLIDEAN_LINF, ml.GABOR_PRODUCT]),
+       dim=st.integers(1, 7), rows=st.integers(1, 40), data=st.data())
+def test_columnwise_norm_equals_numpy_reductions(kind, dim, rows, data):
+    dim = 2 if kind == ml.GABOR_PRODUCT else dim
+    metric = ml.MetricSpace(kind, dim)
+    v = data.draw(hnp.arrays(np.float64, (rows, dim), elements=_entries))
+    assert np.array_equal(metric.norm(v), _reduced_norm(kind, v))
+    for row in v:
+        value = metric.norm(row)
+        assert isinstance(value, float) and value == _reduced_norm(kind, row)
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_columnwise_norm_equals_numpy_reductions_on_full_blocks(dim):
+    rng = np.random.default_rng(SEED + dim)
+    v = rng.normal(size=((1 << 17) + 5, dim)) * np.exp(rng.uniform(-3.0, 3.0, size=dim))
+    v[::7] = 0.0
+    for kind in (ml.EUCLIDEAN_L2, ml.EUCLIDEAN_LINF):
+        assert np.array_equal(ml.MetricSpace(kind, dim).norm(v), _reduced_norm(kind, v))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=_seeds, dim=_dims, kind=_kinds, r=_radii, n_samples=st.integers(1000, 5000))
+# two sample blocks, the second of 5 samples; about 28% of the domain is covered
+@example(seed=SEED, dim=2, kind=ml.EUCLIDEAN_L2, r=0.3, n_samples=(1 << 17) + 5)
+def test_overlap_measure_equals_per_shift_loop(seed, dim, kind, r, n_samples):
+    rng = np.random.default_rng(seed)
+    metric = ml.MetricSpace(kind, dim)
+    lattice = ml.Lattice(_unimodular(rng, dim))
+    auto = matrix_automorphism(_unimodular(rng, dim))
+    est = ml.overlap_measure(lattice, metric, auto, r, n_samples=n_samples, seed=seed)
+    assert (est.value, est.stderr) == _per_shift_overlap(lattice, metric, auto, r,
+                                                         n_samples, seed)
 
 
 def test_profile_rejects_unbounded_support():
