@@ -30,6 +30,9 @@ NUMERICAL_ORACLE = "numerical_oracle"
 
 ORACLE_DIRECTIONS = 100_000
 ORACLE_SEED = 7151
+BISECT_TOL = 1e-12     # relative width at which a level-set crossing is cut
+SLOPE_THRESHOLD = -0.5  # log-log decay of the lower constant that flags non-expansion
+TIE_RTOL = 0.05        # lower constants this close form one tie group
 
 
 def singular_values(M: np.ndarray) -> np.ndarray:
@@ -94,14 +97,14 @@ class Automorphism:
         center, half = linear_box(self.matrix, 0.5 * (lo + hi), 0.5 * (hi - lo))
         return center - half, center + half
 
-    def line_action(self, kappa: int = 1) -> tuple[float, float]:
+    def line_action(self) -> tuple[float, float]:
         """Action on a one-dimensional frequency line as x -> scale*x + offset.
 
-        For the Gabor shift this is the restriction to the modulation index
-        kappa; for 1-d matrix kinds it is plain scaling.
+        For the Gabor shift this is the restriction to the modulation line
+        k = 1; for 1-d matrix kinds it is plain scaling.
         """
         if self.kind == GABOR_SHIFT:
-            return 1.0, -float(kappa) * float(self.params["p"])
+            return 1.0, -float(self.params["p"])
         if self.dim == 1:
             return float(self.matrix[0, 0]), 0.0
         raise RejectedInputError("no one-dimensional line action for this automorphism")
@@ -114,9 +117,14 @@ def matrix_automorphism(M) -> Automorphism:
 def matrix_power(base, exponent: int) -> Automorphism:
     b = np.atleast_2d(np.asarray(base, dtype=float))
     try:
-        m = np.linalg.matrix_power(b, int(exponent))
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = np.linalg.matrix_power(b, int(exponent))
     except np.linalg.LinAlgError as exc:
         raise RejectedInputError("matrix power base is singular or not square") from exc
+    finite = np.all(np.isfinite(m))
+    if not finite or (np.linalg.det(m) == 0.0 and np.linalg.det(b) != 0.0):
+        raise RejectedInputError(f"matrix power {b.tolist()} ** {int(exponent)} "
+                                 f"{'underflows' if finite else 'overflows'} a float")
     return Automorphism(MATRIX_POWER, m,
                         {"base": b, "exponent": int(exponent)})
 
@@ -384,8 +392,7 @@ class AutomorphismFamily:
         sub.__dict__["members"] = kept  # the subfamily shares the built rows
         return sub
 
-    def level_set_intervals(self, lower: float, upper: float,
-                            bisect_tol: float = 1e-12) -> list[tuple[float, float]]:
+    def level_set_intervals(self, lower: float, upper: float) -> list[tuple[float, float]]:
         """Parameter intervals where lower <= L(a) <= upper (continuous families).
 
         Cell-wise bracketing with bisection at the crossings; assumes L is
@@ -418,7 +425,7 @@ class AutomorphismFamily:
                 if f0 and cursor is None:
                     cursor = float(g0)
                 if f0 != f1:
-                    cut = _bisect_flag(inside, float(g0), float(g1), f0, bisect_tol)
+                    cut = _bisect_flag(inside, float(g0), float(g1), f0)
                     if f0:
                         out.append((cursor if cursor is not None else float(g0), cut))
                         cursor = None
@@ -431,10 +438,10 @@ class AutomorphismFamily:
 
 
 def _bisect_flag(flag: Callable[[float], bool], lo: float, hi: float,
-                 lo_value: bool, tol: float) -> float:
+                 lo_value: bool) -> float:
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= tol * max(1.0, abs(mid)):
+        if hi - lo <= BISECT_TOL * max(1.0, abs(mid)):
             return mid
         if flag(mid) == lo_value:
             lo = mid
@@ -540,14 +547,13 @@ def _monotone_concave_majorant(points: list[tuple[float, float]]) -> MonotoneEnv
 
 
 def classify_expansiveness(family: AutomorphismFamily, probe_m: float | None = None,
-                           explosion: float = 10.0, slope_threshold: float = -0.5,
-                           tie_rtol: float = 0.05) -> ExpansivenessVerdict:
+                           explosion: float = 10.0) -> ExpansivenessVerdict:
     """Classify a probed family by its distortion-constant cloud.
 
     Evidence rules on the truncation: the family is flagged non-expanding
     when the lower constant collapses (by `explosion`) somewhere at
     non-smaller upper constant, or when the lower constant decays against the
-    upper one at log-log slope below `slope_threshold` on the tail.  Without
+    upper one at log-log slope below `SLOPE_THRESHOLD` on the tail.  Without
     such evidence the tail cloud gets a monotone concave majorant; ties in
     the lower constant carrying an upper-constant spread above `explosion`
     demote the verdict from uniformly_expanding to expanding.
@@ -594,7 +600,7 @@ def classify_expansiveness(family: AutomorphismFamily, probe_m: float | None = N
         logs_l = np.log([lo for _p, lo, _hi in tail])
         if logs_u.max() - logs_u.min() > math.log(1.5):
             slope = float(np.polyfit(logs_u, logs_l, 1)[0])
-            if slope <= slope_threshold:
+            if slope <= SLOPE_THRESHOLD:
                 idx = int(np.argmin(logs_l))
                 witness = tail[idx]
 
@@ -613,7 +619,7 @@ def classify_expansiveness(family: AutomorphismFamily, probe_m: float | None = N
         j = i
         hi_min = hi_max = by_lower[i][2]
         while (j + 1 < len(by_lower)
-               and by_lower[j + 1][1] <= by_lower[i][1] * (1 + tie_rtol)):
+               and by_lower[j + 1][1] <= by_lower[i][1] * (1 + TIE_RTOL)):
             j += 1
             hi_min = min(hi_min, by_lower[j][2])
             hi_max = max(hi_max, by_lower[j][2])

@@ -56,10 +56,10 @@ def _frequencies(psihat: FrequencyProfile, points) -> np.ndarray:
     return pts
 
 
-def _mapped_points(auto, pts: np.ndarray, kappa: int) -> np.ndarray:
+def _mapped_points(auto, pts: np.ndarray) -> np.ndarray:
     """Orbit image of profile-side points under one automorphism."""
     if auto.kind == GABOR_SHIFT:
-        scale, offset = auto.line_action(kappa)
+        scale, offset = auto.line_action()
         return pts * scale + offset
     if pts.shape[1] == auto.dim:
         return auto.apply(pts)
@@ -74,12 +74,11 @@ def _check_not_identity(family: AutomorphismFamily, pts: np.ndarray) -> None:
 
 
 def calderon_values(psihat: FrequencyProfile, family: AutomorphismFamily, points,
-                    weighted: bool = False, lower_cutoff: float | None = None,
-                    upper_cutoff: float | None = None, kappa: int = 1) -> np.ndarray:
+                    weighted: bool = False, lower_cutoff: float | None = None) -> np.ndarray:
     """Orbit sums at many frequencies for an atomic family.
 
     weighted=True multiplies each term by the jacobian (the tail integrand);
-    cutoffs restrict to parameters with lower_cutoff < L(h) <= upper_cutoff.
+    lower_cutoff restricts to parameters with lower_cutoff < L(h).
     """
     if family.is_continuous:
         raise RejectedInputError("use calderon_sum for continuous families")
@@ -88,9 +87,7 @@ def calderon_values(psihat: FrequencyProfile, family: AutomorphismFamily, points
     for m in family.members:
         if lower_cutoff is not None and m.upper <= lower_cutoff:
             continue
-        if upper_cutoff is not None and m.upper > upper_cutoff:
-            continue
-        term = psihat.evaluate(_mapped_points(m.auto, pts, kappa)) ** 2
+        term = psihat.evaluate(_mapped_points(m.auto, pts)) ** 2
         w = m.weight * m.jacobian if weighted else m.weight
         out += w * term
     return out
@@ -100,7 +97,7 @@ def calderon_values(psihat: FrequencyProfile, family: AutomorphismFamily, points
 # Truncation certificates
 # ---------------------------------------------------------------------------
 
-def _integer_family_certificate(psihat, family, pts: np.ndarray, kappa: int) -> np.ndarray:
+def _integer_family_certificate(psihat, family, pts: np.ndarray) -> np.ndarray:
     """Per frequency: True when terms beyond both declared ends provably vanish.
 
     For matrix-power families the one-step distortion constants bound how the
@@ -110,7 +107,7 @@ def _integer_family_certificate(psihat, family, pts: np.ndarray, kappa: int) -> 
     """
     first, last = family.members[0], family.members[-1]
     if first.auto.kind == GABOR_SHIFT:
-        return _gabor_window_covered(psihat, family, pts, kappa)
+        return _gabor_window_covered(psihat, family, pts)
     if first.auto.kind != MATRIX_POWER:
         return np.zeros(pts.shape[0], dtype=bool)
     cb = lipschitz_constants(matrix_power(first.auto.params["base"], 1), family.metric)
@@ -123,23 +120,24 @@ def _integer_family_certificate(psihat, family, pts: np.ndarray, kappa: int) -> 
     return up_ok & down_ok
 
 
-def _gabor_window_covered(psihat, family, pts: np.ndarray, kappa: int) -> np.ndarray:
-    slo = float(psihat.support_lo[0])
-    shi = float(psihat.support_hi[0])
-    a, b = (pts[:, 0] - shi) / kappa, (pts[:, 0] - slo) / kappa
+def _gabor_window_covered(psihat, family, pts: np.ndarray) -> np.ndarray:
+    """Per frequency: every shift p with xi - p in the profile support lies
+    in the family's p-range."""
     ps = [p if not isinstance(p, tuple) else p[0] for p in family.parameters()]
-    return (min(ps) <= np.minimum(a, b)) & (max(ps) >= np.maximum(a, b))
+    return ((min(ps) <= pts[:, 0] - float(psihat.support_hi[0]))
+            & (max(ps) >= pts[:, 0] - float(psihat.support_lo[0])))
 
 
-def _divergence_monitor(contributions: np.ndarray, cap: float,
-                        growth: float) -> tuple[bool, tuple[float, ...], tuple[int, ...]]:
+def _divergence_monitor(contributions: np.ndarray) -> tuple[bool, tuple[float, ...],
+                                                            tuple[int, ...]]:
     """Partial sums at three dyadic truncations of the distortion-ordered terms."""
     n = contributions.shape[0]
     sizes = sorted({max(1, n // 4), max(1, n // 2), n})
     sums = tuple(float(np.sum(contributions[:k])) for k in sizes)
-    diverging = sums[-1] > cap
+    diverging = sums[-1] > DIVERGENCE_CAP
     if len(sums) == 3 and sums[0] > 0:
-        diverging = diverging or (sums[2] >= growth * sums[1] >= growth ** 2 * sums[0])
+        g = DIVERGENCE_GROWTH
+        diverging = diverging or (sums[2] >= g * sums[1] >= g ** 2 * sums[0])
     return diverging, sums, tuple(sizes)
 
 
@@ -147,8 +145,8 @@ def _divergence_monitor(contributions: np.ndarray, cap: float,
 # Evaluations with truncation certificates
 # ---------------------------------------------------------------------------
 
-def calderon_sum(psihat: FrequencyProfile, family: AutomorphismFamily, points,
-                 kappa: int = 1) -> list[CalderonEvaluation]:
+def calderon_sum(psihat: FrequencyProfile, family: AutomorphismFamily,
+                 points) -> list[CalderonEvaluation]:
     """The orbit sum of squared profile values with the family weights, one
     evaluation per frequency (a scalar, one point, or an (n, dim) array).
 
@@ -161,16 +159,15 @@ def calderon_sum(psihat: FrequencyProfile, family: AutomorphismFamily, points,
     if family.is_continuous:
         return [_continuous_orbit_integral(psihat, family, x, weighted=False,
                                            lower_cutoff=None) for x in pts]
-    values = calderon_values(psihat, family, pts, kappa=kappa)
-    certified, truncation = _atomic_certificate(psihat, family, pts, kappa)
-    tails = np.where(certified, 0.0, _edge_tail_estimate(psihat, family, pts, kappa))
+    values = calderon_values(psihat, family, pts)
+    certified, truncation = _atomic_certificate(psihat, family, pts)
+    tails = np.where(certified, 0.0, _edge_tail_estimate(psihat, family, pts))
     return [CalderonEvaluation(x, v, truncation, t, c) for x, v, t, c in
             zip(pts, values.tolist(), tails.tolist(), certified.tolist())]
 
 
-def calderon_tail(psihat: FrequencyProfile, family: AutomorphismFamily, xi, M: float,
-                  cap: float = DIVERGENCE_CAP, growth: float = DIVERGENCE_GROWTH,
-                  kappa: int = 1) -> CalderonEvaluation:
+def calderon_tail(psihat: FrequencyProfile, family: AutomorphismFamily, xi,
+                  M: float) -> CalderonEvaluation:
     """Jacobian-weighted orbit sum at one frequency, restricted to parameters
     with L(h) > M.
 
@@ -194,41 +191,40 @@ def calderon_tail(psihat: FrequencyProfile, family: AutomorphismFamily, xi, M: f
                                   certified_exact=True)
     contributions = np.empty(len(rows))
     for i, m in enumerate(rows):
-        term = float(psihat.evaluate(_mapped_points(m.auto, pts, kappa))[0]) ** 2
+        term = float(psihat.evaluate(_mapped_points(m.auto, pts))[0]) ** 2
         contributions[i] = m.weight * m.jacobian * term
-    diverging, partial, sizes = _divergence_monitor(contributions, cap, growth)
-    certified, truncation = _atomic_certificate(psihat, family, pts, kappa)
+    diverging, partial, sizes = _divergence_monitor(contributions)
+    certified, truncation = _atomic_certificate(psihat, family, pts)
     certified = bool(certified[0])
     truncation = dict(truncation)
     truncation.update({"partial_sums": partial, "truncation_sizes": sizes,
                        "distortion_cutoff": M})
     tail = 0.0 if certified else float(
-        _edge_tail_estimate(psihat, family, pts, kappa, weighted=True)[0])
+        _edge_tail_estimate(psihat, family, pts, weighted=True)[0])
     return CalderonEvaluation(xi, float(np.sum(contributions)), truncation, tail,
                               certified and not diverging, diverging)
 
 
-def _atomic_certificate(psihat, family, pts: np.ndarray,
-                        kappa: int) -> tuple[np.ndarray, dict]:
+def _atomic_certificate(psihat, family, pts: np.ndarray) -> tuple[np.ndarray, dict]:
     if isinstance(family.index_set, IntegerRange):
-        ok = _integer_family_certificate(psihat, family, pts, kappa)
+        ok = _integer_family_certificate(psihat, family, pts)
         return ok, {"kind": "integer_range", "j_min": family.index_set.j_min,
                     "j_max": family.index_set.j_max}
     terms = len(family.members)
     if _family_is_gabor(family):
-        return (_gabor_window_covered(psihat, family, pts, kappa),
+        return (_gabor_window_covered(psihat, family, pts),
                 {"kind": "shift_atoms", "terms": terms})
     # an explicit atom list is its own complete truncation
     return np.ones(pts.shape[0], dtype=bool), {"kind": "atoms", "terms": terms}
 
 
-def _edge_tail_estimate(psihat, family, pts: np.ndarray, kappa: int,
+def _edge_tail_estimate(psihat, family, pts: np.ndarray,
                         weighted: bool = False) -> np.ndarray:
     """Per frequency: the terms of the two end parameters of the truncation."""
     est = np.zeros(pts.shape[0])
     for m in (family.members[0], family.members[-1]):
         w = m.weight * m.jacobian if weighted else m.weight
-        est += w * psihat.evaluate(_mapped_points(m.auto, pts, kappa)) ** 2
+        est += w * psihat.evaluate(_mapped_points(m.auto, pts)) ** 2
     return est
 
 
@@ -319,10 +315,8 @@ def _intersect_interval_lists(a: list[tuple[float, float]],
 # ---------------------------------------------------------------------------
 
 def local_integrability_check(psihat: FrequencyProfile, family: AutomorphismFamily,
-                              box_lo, box_hi, M: float, level: int = 3,
-                              cap: float = DIVERGENCE_CAP,
-                              growth: float = DIVERGENCE_GROWTH,
-                              kappa: int = 1) -> IntegrabilityReport:
+                              box_lo, box_hi, M: float,
+                              level: int = 3) -> IntegrabilityReport:
     """Quadrature of the distortion tail over a compact box excluding the
     identity, with the partial-sum divergence monitor on the truncation."""
     lo = np.atleast_1d(np.asarray(box_lo, dtype=float))
@@ -343,8 +337,8 @@ def local_integrability_check(psihat: FrequencyProfile, family: AutomorphismFami
 
     contributions = np.empty(len(rows))
     for i, m in enumerate(rows):
-        vals = psihat.evaluate(_mapped_points(m.auto, pts, kappa)) ** 2
+        vals = psihat.evaluate(_mapped_points(m.auto, pts)) ** 2
         contributions[i] = m.weight * m.jacobian * float(np.dot(weights, vals))
-    diverging, partial, sizes = _divergence_monitor(contributions, cap, growth)
+    diverging, partial, sizes = _divergence_monitor(contributions)
     verdict = "divergent" if diverging else "finite"
     return IntegrabilityReport(verdict, float(np.sum(contributions)), partial, sizes, M)

@@ -131,8 +131,7 @@ SCHEMA = {
                       "exclusion_radius": ("real", 1e-3),
                       "distortion_cap": ("real", 4096.0)},
         # level sets 2 ** level quadrature cells; the grid byte cap fires long before 64
-        weil_check={"level": ("int", 5, ">= 0", "<= 64"), "threshold": ("real", 1e-8),
-                    "method": (("exact", "grid"), "exact")},
+        weil_check={"level": ("int", 5, ">= 0", "<= 64"), "threshold": ("real", 1e-8)},
         local_integrability={"box": ("pairs", [[0.25, 2.0]]), "M": ("real", 2.0),
                              "level": ("int", 3, ">= 0", "<= 64"),
                              "expect": (("finite", "divergent"), "finite")})],
@@ -208,8 +207,8 @@ def resolve_defaults(raw: dict, base_dir: Path | None = None) -> dict:
     """Validate a parsed scenario against SCHEMA and fill every default.
 
     Checked by hand, as they span keys: the basis and the profile boxes against
-    group.dim, the test centers and the metric against the group, the p-range
-    of gabor_shifts, and the rows of a sampled-grid CSV."""
+    group.dim, the test centers (on the gabor line k = 1) and the metric against
+    the group, the p-range of gabor_shifts, and the rows of a sampled-grid CSV."""
     out = _resolve(raw, SCHEMA, "scenario")
     gabor = out["group"]["kind"] == "gabor"
     metric = out["metric"].setdefault("kind", "gabor_product" if gabor else "euclidean_l2")
@@ -221,7 +220,9 @@ def resolve_defaults(raw: dict, base_dir: Path | None = None) -> dict:
              f"lattice.basis and every profile box need group.dim = {dim} rows")
     centers = [a["test_centers"] for a in out["analyses"] if a.get("test_centers")]
     _require(all(np.ndim(c) == 2 and np.shape(c)[1] == 1 + gabor for c in centers),
-             f"test_centers need {'[x, m]' if gabor else '[x]'} rows on this group")
+             f"test_centers need {'[x, 1]' if gabor else '[x]'} rows on this group")
+    _require(not gabor or all(np.all(np.asarray(c)[:, 1] == 1) for c in centers),
+             "gabor test_centers sit on the modulation line k = 1: rows [x, 1]")
     fam = out["family"]
     _require(fam["kind"] != "gabor_shifts" or "p_values" in fam or {"p_min", "p_max"} <= set(fam),
              "gabor_shifts family needs p_values or p_min/p_max")

@@ -47,8 +47,7 @@ def _candidate_points(lattice: Lattice, auto: Automorphism, r: float,
 
 
 def enumerate_points(lattice: Lattice, auto: Automorphism, r: float,
-                     metric: MetricSpace, point_cap: int = POINT_CAP,
-                     candidate_cap: int = CANDIDATE_CAP) -> CountResult:
+                     metric: MetricSpace, candidate_cap: int = CANDIDATE_CAP) -> CountResult:
     """Exact count of lattice points inside the deformed open ball."""
     if r <= 0:
         raise RejectedInputError("radius must be positive")
@@ -64,8 +63,8 @@ def enumerate_points(lattice: Lattice, auto: Automorphism, r: float,
     inside = (dist < r) & ~boundary
     pts = candidates[inside]
     count = int(inside.sum())
-    overflow = count > point_cap
-    return CountResult(count, pts[:point_cap], overflow, int(boundary.sum()), r)
+    overflow = count > POINT_CAP
+    return CountResult(count, pts[:POINT_CAP], overflow, int(boundary.sum()), r)
 
 
 def counting_bounds(lattice: Lattice, auto: Automorphism, r: float,
@@ -124,16 +123,6 @@ class PropertyXReport:
     attempted_bound: float | None = None
     rows: tuple[ScanRow, ...] = ()
     note: str = "scan verdict certifies the probed truncation only"
-
-    def row_dicts(self) -> list[dict]:
-        out = []
-        for row in self.rows:
-            params = row.param if isinstance(row.param, tuple) else (row.param,)
-            d = {f"param_{i}": p for i, p in enumerate(params)}
-            d.update({"upper_constant": row.upper_constant, "jacobian": row.jacobian,
-                      "count": row.count, "ratio": row.ratio})
-            out.append(d)
-        return out
 
 
 def property_x_scan(family: AutomorphismFamily, lattice: Lattice,

@@ -2,7 +2,7 @@
 end-to-end bound report.
 
 The functional is evaluated exactly on one-dimensional frequency lines (the
-Euclidean line and the Gabor modulation line), where every integrand is
+Euclidean line and the Gabor modulation line k = 1), where every integrand is
 polynomial between computable breakpoints.  Values for unit-norm inputs of a
 tight system come out at the frame constant to machine precision, which is
 what the acceptance checks lean on.
@@ -16,38 +16,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quadrature
-from .automorphisms import AutomorphismFamily, FamilyMember
+from .automorphisms import AutomorphismFamily
 from .calderon import calderon_sum, calderon_values
 from .counting import property_x_scan
 from .errors import RejectedInputError
 from .metric_lattice import GABOR_PRODUCT, Lattice, MetricSpace
 from .profiles import FrequencyProfile, PiecewiseConstantProfile
 
-FULL_SPACE = "full_space"
-MODULATION_LINE = "modulation_line"
-
 PROBE_COUNT = 50
 PROBE_SEED = 424243
-
-
-@dataclass(frozen=True)
-class AdmissibleRegion:
-    """Where ball-indicator test functions are admitted, with the radius cap."""
-
-    kind: str
-    epsilon0: float
-    modulation_index: int = 1
-
-
-def full_space_region(epsilon0: float = math.inf) -> AdmissibleRegion:
-    return AdmissibleRegion(FULL_SPACE, epsilon0)
-
-
-def modulation_line_region(kappa: int = 1) -> AdmissibleRegion:
-    # balls of radius below one meet a single modulation index
-    if kappa == 0:
-        raise RejectedInputError("modulation index must be nonzero")
-    return AdmissibleRegion(MODULATION_LINE, 1.0, kappa)
+PROBE_MAX_PIECES = 8
+REMAINDER_TOLERANCE = 5e-6
 
 
 @dataclass(frozen=True)
@@ -55,39 +34,31 @@ class TestFunction:
     center: np.ndarray
     radius: float
     normalization: float
-    region: AdmissibleRegion
     profile: PiecewiseConstantProfile
-    metric: MetricSpace
 
 
-def make_test_function(center, epsilon: float, metric: MetricSpace,
-                       region: AdmissibleRegion) -> TestFunction:
-    """Unit-norm frequency indicator of the ball at `center` of radius epsilon."""
+def make_test_function(center, epsilon: float, metric: MetricSpace) -> TestFunction:
+    """Unit-norm frequency indicator of the ball at `center` of radius epsilon.
+
+    Gabor centers sit on the modulation line k = 1, and balls of radius below
+    one meet that line only; euclidean centers sit on a line."""
     if epsilon <= 0:
         raise RejectedInputError("test-function radius must be positive")
-    if epsilon >= region.epsilon0:
-        raise RejectedInputError(
-            f"radius {epsilon} reaches the admissible cap {region.epsilon0}")
+    gabor = metric.kind == GABOR_PRODUCT
+    if gabor and epsilon >= 1.0:
+        raise RejectedInputError(f"radius {epsilon} reaches the admissible cap 1.0")
     c = np.atleast_1d(np.asarray(center, dtype=float))
-    if metric.kind == GABOR_PRODUCT:
-        if region.kind != MODULATION_LINE:
-            raise RejectedInputError("gabor test functions live on a modulation line")
-        if c.shape[0] != 2 or int(round(c[1])) != region.modulation_index:
-            raise RejectedInputError("center must sit on the admissible modulation line")
-        base = float(c[0])
-    else:
-        if region.kind != FULL_SPACE:
-            raise RejectedInputError("euclidean test functions use the full-space region")
-        if metric.dim != 1:
-            raise RejectedInputError(
-                "ball indicators are box profiles only on one-dimensional lines")
-        base = float(c[0])
+    if gabor and (c.shape[0] != 2 or c[1] != 1.0):
+        raise RejectedInputError("center must sit on the modulation line k = 1")
+    if not gabor and metric.dim != 1:
+        raise RejectedInputError("ball indicators are box profiles only on one-dimensional lines")
+    base = float(c[0])
     measure = 2.0 * epsilon  # interval measure on the line (any line metric)
     normalization = 1.0 / math.sqrt(measure)
     profile = PiecewiseConstantProfile(np.array([[base - epsilon]]),
                                        np.array([[base + epsilon]]),
                                        np.array([normalization]))
-    return TestFunction(c, epsilon, normalization, region, profile, metric)
+    return TestFunction(c, epsilon, normalization, profile)
 
 
 # ---------------------------------------------------------------------------
@@ -104,21 +75,13 @@ def _line_profile(p: FrequencyProfile) -> tuple[float, float, np.ndarray]:
 
 
 def frame_functional(psihat: FrequencyProfile, family: AutomorphismFamily,
-                     lattice: Lattice, fhat: FrequencyProfile, kappa: int = 1,
-                     method: str = "general") -> float:
+                     lattice: Lattice, fhat: FrequencyProfile) -> float:
     """The weighted double integral of the squared periodized product
-    f-hat(orbit-preimage) * psi-hat over the fundamental domain.
-
-    method="reduced" uses the single-shift evaluation wherever its support
-    certificate holds (ball test functions only) and must agree with the
-    general path; the agreement is itself a tested property.
-    """
+    f-hat(orbit-preimage) * psi-hat over the fundamental domain."""
     if family.is_continuous:
         raise RejectedInputError("the functional is evaluated on atomic families")
     if psihat.dim != 1 or fhat.dim != 1 or lattice.dim != 1:
         raise RejectedInputError("functional evaluation runs on 1-d frequency lines")
-    if method not in ("general", "reduced"):
-        raise RejectedInputError(f"unknown method {method!r}")
 
     omega_lo, omega_hi = _omega_interval(lattice)
     psi_lo, psi_hi, psi_breaks = _line_profile(psihat)
@@ -126,14 +89,9 @@ def frame_functional(psihat: FrequencyProfile, family: AutomorphismFamily,
 
     total = 0.0
     for m in family.members:
-        scale, offset = m.auto.line_action(kappa)
+        scale, offset = m.auto.line_action()
         if m.weight == 0.0:
             continue
-        if method == "reduced":
-            reduced = _reduced_term(psihat, m, lattice, fhat, kappa)
-            if reduced is not None:
-                total += m.weight * reduced
-                continue
         total += m.weight * _general_term(psihat, fhat, m.jacobian, scale, offset,
                                           omega_lo, omega_hi, psi_lo, psi_hi,
                                           psi_breaks, f_lo, f_hi, f_breaks, lattice)
@@ -169,49 +127,26 @@ def _general_term(psihat, fhat, jacobian, scale, offset, omega_lo, omega_hi,
 
 
 def single_term_threshold(family: AutomorphismFamily, lattice: Lattice, param,
-                          xi0: float, kappa: int = 1) -> float:
+                          xi0: float) -> float:
     """Largest test-function radius for which only one shift can contribute:
     boundary distance of the orbit point over its upper distortion constant."""
-    return _member_threshold(family.member(param), lattice, xi0, kappa)
-
-
-def _member_threshold(m: FamilyMember, lattice: Lattice, xi0: float, kappa: int) -> float:
-    scale, offset = m.auto.line_action(kappa)
+    m = family.member(param)
+    scale, offset = m.auto.line_action()
     return lattice.boundary_distance_1d(scale * xi0 + offset) / m.upper
-
-
-def _reduced_term(psihat, m: FamilyMember, lattice, fhat, kappa) -> float | None:
-    if not (isinstance(fhat, PiecewiseConstantProfile) and fhat.values.shape[0] == 1):
-        return None
-    lo = float(fhat.boxes_lo[0, 0])
-    hi = float(fhat.boxes_hi[0, 0])
-    xi0 = 0.5 * (lo + hi)
-    eps = 0.5 * (hi - lo)
-    if eps >= _member_threshold(m, lattice, xi0, kappa):
-        return None
-    scale, offset = m.auto.line_action(kappa)
-    value = float(fhat.values[0])
-
-    def integrand(u: np.ndarray) -> np.ndarray:
-        return psihat.evaluate((scale * u + offset)[:, None]) ** 2
-
-    cuts = [(float(b) - offset) / scale for b in psihat.breakpoints_1d()]
-    integral = quadrature.integrate_with_breakpoints(integrand, xi0 - eps, xi0 + eps, cuts)
-    return value ** 2 * integral
 
 
 # ---------------------------------------------------------------------------
 # Ball averages of the orbit sums (used by the remainder diagnostics)
 # ---------------------------------------------------------------------------
 
-def _orbit_breakpoints(psihat, family, lo: float, hi: float, kappa: int,
+def _orbit_breakpoints(psihat, family, lo: float, hi: float,
                        lower_cutoff: float | None = None) -> list[float]:
     cuts: list[float] = []
     breaks = psihat.breakpoints_1d()
     for m in family.members:
         if lower_cutoff is not None and m.upper <= lower_cutoff:
             continue
-        scale, offset = m.auto.line_action(kappa)
+        scale, offset = m.auto.line_action()
         for b in breaks:
             x = (float(b) - offset) / scale
             if lo < x < hi:
@@ -219,24 +154,22 @@ def _orbit_breakpoints(psihat, family, lo: float, hi: float, kappa: int,
     return cuts
 
 
-def ball_average_calderon(psihat, family, xi0: float, epsilon: float,
-                          kappa: int = 1) -> float:
+def ball_average_calderon(psihat, family, xi0: float, epsilon: float) -> float:
     """Average of the orbit sum over the interval ball at xi0."""
     lo, hi = xi0 - epsilon, xi0 + epsilon
-    cuts = _orbit_breakpoints(psihat, family, lo, hi, kappa)
+    cuts = _orbit_breakpoints(psihat, family, lo, hi)
     value = quadrature.integrate_with_breakpoints(
-        lambda x: calderon_values(psihat, family, x[:, None], kappa=kappa), lo, hi, cuts)
+        lambda x: calderon_values(psihat, family, x[:, None]), lo, hi, cuts)
     return value / (2.0 * epsilon)
 
 
-def ball_tail_integral(psihat, family, xi0: float, epsilon: float, M: float,
-                       kappa: int = 1) -> float:
+def ball_tail_integral(psihat, family, xi0: float, epsilon: float, M: float) -> float:
     """Integral over the interval ball of the jacobian-weighted tail."""
     lo, hi = xi0 - epsilon, xi0 + epsilon
-    cuts = _orbit_breakpoints(psihat, family, lo, hi, kappa, lower_cutoff=M)
+    cuts = _orbit_breakpoints(psihat, family, lo, hi, lower_cutoff=M)
     return quadrature.integrate_with_breakpoints(
         lambda x: calderon_values(psihat, family, x[:, None], weighted=True,
-                                  lower_cutoff=M, kappa=kappa), lo, hi, cuts)
+                                  lower_cutoff=M), lo, hi, cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +200,6 @@ class FrameReport:
     counting_verdict: str | None = None
     counting_constant: float | None = None
     remainder: tuple[RemainderDiagnostic, ...] = ()
-    empirical_bounds: tuple[float, float] | None = None
     note: str = "grid verdicts stand in for almost-everywhere claims"
 
 
@@ -277,10 +209,7 @@ def calderon_inequality_report(psihat: FrequencyProfile, family: AutomorphismFam
                                scan_radius: float = 0.4,
                                exclusion_radius: float = 1e-3,
                                tolerance: float = 1e-9,
-                               remainder_tolerance: float = 5e-6,
-                               n_remainder_points: int = 3,
-                               scan_distortion_cap: float = 4096.0,
-                               kappa: int = 1) -> FrameReport:
+                               scan_distortion_cap: float = 4096.0) -> FrameReport:
     """Per-frequency bound verdicts plus the averaged remainder inequality at
     a few probe points, with the counting-scan constant feeding the remainder."""
     grid = np.asarray(xi_grid, dtype=float).ravel()
@@ -292,7 +221,7 @@ def calderon_inequality_report(psihat: FrequencyProfile, family: AutomorphismFam
     if family.is_continuous:
         values = np.array([ev.value for ev in calderon_sum(psihat, family, grid)])
     else:
-        values = calderon_values(psihat, family, grid[:, None], kappa=kappa)
+        values = calderon_values(psihat, family, grid[:, None])
     passes = (values >= lower - tolerance) & (values <= upper + tolerance)
 
     counting_verdict = None
@@ -306,13 +235,12 @@ def calderon_inequality_report(psihat: FrequencyProfile, family: AutomorphismFam
         counting_verdict = scan.verdict
         constant = scan.constant
         if scan.verdict == "holds":
-            idx = sorted({0, grid.shape[0] // 2, grid.shape[0] - 1})
-            for i in list(idx)[:n_remainder_points]:
+            for i in sorted({0, grid.shape[0] // 2, grid.shape[0] - 1}):
                 xi0 = float(grid[i])
-                avg = ball_average_calderon(psihat, family, xi0, epsilon, kappa)
-                tail = ball_tail_integral(psihat, family, xi0, epsilon, M, kappa)
+                avg = ball_average_calderon(psihat, family, xi0, epsilon)
+                tail = ball_tail_integral(psihat, family, xi0, epsilon, M)
                 rem = constant * tail / (2.0 * epsilon)
-                ok = lower <= avg + rem + remainder_tolerance
+                ok = lower <= avg + rem + REMAINDER_TOLERANCE
                 remainder_rows.append(RemainderDiagnostic(xi0, epsilon, avg, rem,
                                                           constant, ok))
     return FrameReport(grid, values, lower, upper, tolerance, passes,
@@ -322,7 +250,7 @@ def calderon_inequality_report(psihat: FrequencyProfile, family: AutomorphismFam
 
 
 def frame_bound_probe(psihat: FrequencyProfile, family: AutomorphismFamily,
-                      lattice: Lattice, ensemble, kappa: int = 1) -> tuple[float, float]:
+                      lattice: Lattice, ensemble) -> tuple[float, float]:
     """Empirical inner frame-bound estimates: extremes of the functional over
     a unit-norm ensemble.  The spread can only shrink the true interval."""
     if not ensemble:
@@ -332,13 +260,12 @@ def frame_bound_probe(psihat: FrequencyProfile, family: AutomorphismFamily,
         n2 = fhat.squared_norm()
         if abs(n2 - 1.0) > 1e-9:
             raise RejectedInputError("ensemble profiles must be unit-norm")
-        values.append(frame_functional(psihat, family, lattice, fhat, kappa=kappa))
+        values.append(frame_functional(psihat, family, lattice, fhat))
     return float(np.min(values)), float(np.max(values))
 
 
 def random_probe_ensemble(band_lo: float, band_hi: float, count: int = PROBE_COUNT,
-                          seed: int = PROBE_SEED,
-                          max_pieces: int = 8) -> list[PiecewiseConstantProfile]:
+                          seed: int = PROBE_SEED) -> list[PiecewiseConstantProfile]:
     """Deterministic ensemble of unit-norm piecewise-constant band profiles."""
     if band_hi <= band_lo:
         raise RejectedInputError("empty probe band")
@@ -346,7 +273,7 @@ def random_probe_ensemble(band_lo: float, band_hi: float, count: int = PROBE_COU
     out: list[PiecewiseConstantProfile] = []
     span = band_hi - band_lo
     while len(out) < count:
-        k = int(rng.integers(3, max_pieces + 1))
+        k = int(rng.integers(3, PROBE_MAX_PIECES + 1))
         edges = np.sort(rng.uniform(band_lo, band_hi, size=k + 1))
         if np.min(np.diff(edges)) < 1e-6 * span:
             continue

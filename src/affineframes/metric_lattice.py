@@ -21,6 +21,7 @@ from .profiles import FrequencyProfile, PiecewiseConstantProfile
 DEFAULT_MC_SAMPLES = 1_000_000
 DEFAULT_MC_SEED = 20240823
 _MC_BLOCK = 1 << 17
+INTEGER_BOX_MARGIN = 1e-9  # widens the integer box against rounding of the inverse basis
 
 EUCLIDEAN_L2 = "euclidean_l2"
 EUCLIDEAN_LINF = "euclidean_linf"
@@ -159,9 +160,6 @@ class Lattice:
     def covolume(self) -> float:
         return abs(float(np.linalg.det(self.basis)))
 
-    def point(self, m) -> np.ndarray:
-        return self.basis @ np.asarray(m, dtype=float)
-
     def reduce(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Split xi = lambda + omega with omega in the fundamental domain.
 
@@ -190,13 +188,13 @@ class Lattice:
         off = float(xi) % b
         return min(off, b - off)
 
-    def integer_box(self, lo, hi, margin: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    def integer_box(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
         """Integer-coordinate bounding box of {m : basis.m in [lo, hi]}."""
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         m_center, m_half = linear_box(self.inv_basis, 0.5 * (lo + hi), 0.5 * (hi - lo))
-        m_lo = np.ceil(m_center - m_half - margin).astype(np.int64)
-        m_hi = np.floor(m_center + m_half + margin).astype(np.int64)
+        m_lo = np.ceil(m_center - m_half - INTEGER_BOX_MARGIN).astype(np.int64)
+        m_hi = np.floor(m_center + m_half + INTEGER_BOX_MARGIN).astype(np.int64)
         return m_lo, m_hi
 
     def points_in_box(self, lo, hi, cap: int = 100_000_000) -> np.ndarray:
@@ -358,30 +356,19 @@ def _integral_of_periodization(profile: FrequencyProfile, lattice: Lattice,
                                     np.ones(lattice.dim), cells_per_axis=2 ** level)
 
 
-def weil_residual(profile: FrequencyProfile, lattice: Lattice, level: int = 5,
-                  method: str = "exact") -> float:
+def weil_residual(profile: FrequencyProfile, lattice: Lattice, level: int = 5) -> float:
     """|integral of the profile - integral of its periodization over the
     fundamental domain|, both sides by composite Gauss-Legendre.
 
-    method="exact" splits at profile breakpoints (1-d) or clips pieces against
-    translated domain copies (2-d piecewise constant), so the residual
-    measures the unfolding identity itself.  method="grid" uses plain cell
-    subdivision on the periodized side and converges with `level`.
+    The periodized side splits at profile breakpoints (1-d) or clips pieces
+    against translated domain copies (2-d piecewise constant), so the residual
+    measures the unfolding identity itself; in other cases it uses plain cell
+    subdivision, which converges with `level`.
     """
     if profile.dim != lattice.dim:
         raise RejectedInputError("profile and lattice dimensions disagree")
     lhs = _integral_over_support(profile, level)
-    if method == "exact":
-        rhs = _integral_of_periodization(profile, lattice, level)
-    elif method == "grid":
-        per = periodize(profile, lattice)
-        jac = lattice.covolume
-        rhs = quadrature.integrate_box(lambda u: per(u @ lattice.basis.T) * jac,
-                                       np.zeros(lattice.dim), np.ones(lattice.dim),
-                                       cells_per_axis=2 ** level)
-    else:
-        raise RejectedInputError(f"unknown weil_residual method {method!r}")
-    return abs(lhs - rhs)
+    return abs(lhs - _integral_of_periodization(profile, lattice, level))
 
 
 # ---------------------------------------------------------------------------

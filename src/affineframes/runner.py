@@ -57,6 +57,11 @@ def _param_columns(param) -> list:
     return [param]
 
 
+def _param_header(param) -> list[str]:
+    """CSV headers of the `_param_columns` of one parameter."""
+    return [f"param_{i}" for i in range(len(_param_columns(param)))]
+
+
 # ---------------------------------------------------------------------------
 # Analysis dispatchers
 # ---------------------------------------------------------------------------
@@ -110,9 +115,11 @@ def _run_property_x(analysis, ctx):
     if passed and analysis["constant_cap"] is not None:
         passed = report.constant <= float(analysis["constant_cap"])
         result["constant_cap"] = float(analysis["constant_cap"])
-    dicts = report.row_dicts()
-    header = list(dicts[0].keys())
-    return result, passed, (header, [[d[k] for k in header] for d in dicts])
+    header = _param_header(report.rows[0].param) + ["upper_constant", "jacobian",
+                                                    "count", "ratio"]
+    rows = [[*_param_columns(row.param), row.upper_constant, row.jacobian, row.count,
+             row.ratio] for row in report.rows]
+    return result, passed, (header, rows)
 
 
 def _run_counting(analysis, ctx):
@@ -138,8 +145,7 @@ def _run_counting(analysis, ctx):
             csv_rows.append([*_param_columns(key), r, bounds.count, bounds.upper_bound,
                              bounds.upper_bound_stderr, count_2r, bounds.lower_bound_at_2r,
                              bounds.lower_bound_stderr, int(ok)])
-    n_param_cols = len(_param_columns(autos[0][0])) if csv_rows else 0
-    header = [f"param_{i}" for i in range(n_param_cols)] + [
+    header = _param_header(autos[0][0]) + [
         "r", "count", "upper_bound", "upper_stderr", "count_2r",
         "lower_bound_at_2r", "lower_stderr", "sandwich_ok"]
     return {"n_cases": len(csv_rows), "all_sandwich_ok": passed}, passed, (header, csv_rows)
@@ -169,8 +175,7 @@ def _run_lipschitz(analysis, ctx):
             row.extend([o_lo, o_hi, int(ok)])
             passed = passed and ok
         rows.append(row)
-    n_param_cols = len(rows[0]) - (6 if use_oracle else 3)
-    header = [f"param_{i}" for i in range(n_param_cols)] + ["lower", "upper", "method"]
+    header = _param_header(family.members[0].param) + ["lower", "upper", "method"]
     if use_oracle:
         header += ["oracle_lower", "oracle_upper", "consistent"]
     return {"n_params": len(rows), "oracle_checked": use_oracle}, passed, (header, rows)
@@ -232,9 +237,7 @@ def _run_frame_report(analysis, ctx):
     functional_rows = []
     for center in centers:
         for eps in epsilons:
-            region = (ff.modulation_line_region(int(center[1])) if gabor
-                      else ff.full_space_region())
-            tf = ff.make_test_function(center, eps, family.metric, region)
+            tf = ff.make_test_function(center, eps, family.metric)
             value = ff.frame_functional(profile, family, lattice, tf.profile)
             ok = lower - ftol <= value <= upper + ftol
             functional_rows.append({"center": center, "epsilon": eps,
@@ -266,9 +269,7 @@ def _run_frame_report(analysis, ctx):
 
 
 def _run_weil_check(analysis, ctx):
-    residual = ml.weil_residual(ctx["profile"], ctx["lattice"],
-                                level=int(analysis["level"]),
-                                method=analysis["method"])
+    residual = ml.weil_residual(ctx["profile"], ctx["lattice"], level=int(analysis["level"]))
     threshold = float(analysis["threshold"])
     return {"residual": residual, "threshold": threshold}, residual <= threshold, None
 

@@ -1,0 +1,35 @@
+"""Every bundled scenario reproduces the exit code, verdicts and CSV digests
+that the benchmark's reference file pins, so output drift fails here first."""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from affineframes import runner
+
+REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
+
+
+def _pinned_scenarios() -> dict:
+    workloads = json.loads(REFERENCE.read_text())["workloads"]
+    return {**workloads["orbit_scan"], **workloads["scenario_mix"]}
+
+
+PINNED = _pinned_scenarios()
+
+
+def test_every_bundled_scenario_is_pinned():
+    assert sorted(PINNED) == runner.bundled_scenario_names()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_bundled_scenario_matches_reference_digests(tmp_path, name):
+    code, report = runner.run_scenario(runner.load_bundled_scenario(name), tmp_path)
+    expected = PINNED[name]
+    assert code == expected["exit"]
+    assert [a["passed"] for a in report["analyses"]] == expected["passed"]
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.glob("*.csv"))}
+    assert digests == expected["csv"]

@@ -393,6 +393,9 @@ BAD_OVERRIDES = [
     ("gabor_onb", "family.p_max=1e300"),
     ("gabor_onb", "family.p_min=-1e300"),
     ("gabor_onb", "family.p_step=1e-300"),
+    ("gabor_onb", "analyses.2.test_centers=[[1.3,2]]"),  # the functional lives on k = 1
+    ("shannon_onb", "family.j_max=2000"),       # 2 ** 1024 overflows a float
+    ("shannon_onb", "family.j_min=-2000"),      # 2 ** -2000 underflows to zero
 ]
 
 
@@ -401,6 +404,15 @@ def test_cli_bad_override_exits_one_with_error_line(tmp_path, capsys, name, over
     code = cli.main(["run", name, "--out", str(tmp_path / "o"), "--set", override])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("override,word", [("family.j_max=2000", "overflow"),
+                                           ("family.j_min=-2000", "underflow")])
+def test_cli_matrix_power_out_of_float_range_is_named(tmp_path, capsys, override, word):
+    code = cli.main(["run", "shannon_onb", "--out", str(tmp_path / "o"), "--set", override])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and word in err and "singular" not in err
 
 
 def test_cli_list_and_describe(capsys):

@@ -6,6 +6,7 @@ import pytest
 from affineframes import automorphisms as am
 from affineframes import frame_functional as ff
 from affineframes import metric_lattice as ml
+from affineframes import quadrature
 from affineframes.errors import RejectedInputError
 from affineframes.profiles import PiecewiseConstantProfile, indicator_interval
 
@@ -30,7 +31,7 @@ def gabor_family():
 # ---------------------------------------------------------------------------
 
 def test_make_test_function_euclidean_interval():
-    tf = ff.make_test_function([0.3], 0.01, L2_1, ff.full_space_region())
+    tf = ff.make_test_function([0.3], 0.01, L2_1)
     assert tf.normalization == pytest.approx(1.0 / math.sqrt(0.02))
     assert tf.profile.squared_norm() == pytest.approx(1.0, abs=1e-12)
     inside = tf.profile.evaluate(np.array([[0.295], [0.305]]))
@@ -40,19 +41,19 @@ def test_make_test_function_euclidean_interval():
 
 
 def test_make_test_function_gabor_line_reduction():
-    tf = ff.make_test_function([0.3, 1], 0.25, GABOR, ff.modulation_line_region(1))
+    tf = ff.make_test_function([0.3, 1], 0.25, GABOR)
     assert tf.profile.dim == 1
     assert tf.profile.squared_norm() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_make_test_function_gabor_radius_cap():
     with pytest.raises(RejectedInputError):
-        ff.make_test_function([0.3, 1], 1.0, GABOR, ff.modulation_line_region(1))
+        ff.make_test_function([0.3, 1], 1.0, GABOR)
 
 
 def test_make_test_function_wrong_line_rejected():
     with pytest.raises(RejectedInputError):
-        ff.make_test_function([0.3, 2], 0.25, GABOR, ff.modulation_line_region(1))
+        ff.make_test_function([0.3, 2], 0.25, GABOR)
 
 
 # ---------------------------------------------------------------------------
@@ -62,39 +63,56 @@ def test_make_test_function_wrong_line_rejected():
 def test_shannon_functional_is_one_at_small_radii():
     fam = dyadic_family()
     for eps in (0.01, 0.005):
-        tf = ff.make_test_function([0.3], eps, L2_1, ff.full_space_region())
+        tf = ff.make_test_function([0.3], eps, L2_1)
         value = ff.frame_functional(SHANNON, fam, Z1, tf.profile)
         assert value == pytest.approx(1.0, abs=1e-6)
 
 
 def test_zero_window_gives_zero():
     fam = dyadic_family(-10, 10)
-    tf = ff.make_test_function([0.3], 0.01, L2_1, ff.full_space_region())
+    tf = ff.make_test_function([0.3], 0.01, L2_1)
     assert ff.frame_functional(SHANNON.scaled(0.0), fam, Z1, tf.profile) == 0.0
 
 
 def test_gabor_unit_window_functional_is_one():
     g = indicator_interval(0.0, 1.0)
-    tf = ff.make_test_function([0.3, 1], 0.25, GABOR, ff.modulation_line_region(1))
+    tf = ff.make_test_function([0.3, 1], 0.25, GABOR)
     value = ff.frame_functional(g, gabor_family(), Z1, tf.profile)
     assert value == pytest.approx(1.0, abs=1e-6)
 
 
 def test_functional_quadratic_in_the_window():
     fam = dyadic_family(-20, 20)
-    tf = ff.make_test_function([0.3], 0.01, L2_1, ff.full_space_region())
+    tf = ff.make_test_function([0.3], 0.01, L2_1)
     base = ff.frame_functional(SHANNON, fam, Z1, tf.profile)
     doubled = ff.frame_functional(SHANNON.scaled(2.0), fam, Z1, tf.profile)
     assert doubled == pytest.approx(4.0 * base, rel=1e-12)
 
 
+def _single_shift_term(psihat, m, fhat) -> float:
+    """Oracle for a member whose ball is below the single-term threshold: only
+    the zero shift meets the domain, so the functional reduces to
+    weight * value**2 * integral over the ball of psihat(scale*u + offset)**2."""
+    lo, hi = float(fhat.boxes_lo[0, 0]), float(fhat.boxes_hi[0, 0])
+    scale, offset = m.auto.line_action()
+    cuts = [(float(b) - offset) / scale for b in psihat.breakpoints_1d()]
+    integral = quadrature.integrate_with_breakpoints(
+        lambda u: psihat.evaluate((scale * u + offset)[:, None]) ** 2, lo, hi, cuts)
+    return m.weight * float(fhat.values[0]) ** 2 * integral
+
+
 def test_reduced_and_general_methods_agree():
     fam = dyadic_family(-30, 30)
     for eps in (0.01, 0.003):
-        tf = ff.make_test_function([0.3], eps, L2_1, ff.full_space_region())
-        general = ff.frame_functional(SHANNON, fam, Z1, tf.profile, method="general")
-        reduced = ff.frame_functional(SHANNON, fam, Z1, tf.profile, method="reduced")
-        assert reduced == pytest.approx(general, rel=1e-12, abs=1e-14)
+        tf = ff.make_test_function([0.3], eps, L2_1)
+        below = [m for m in fam.members
+                 if eps < ff.single_term_threshold(fam, Z1, m.param, 0.3)]
+        assert below
+        for m in below:
+            single = fam.restrict(lambda p, _lo, _hi, keep=m.param: p == keep)
+            general = ff.frame_functional(SHANNON, single, Z1, tf.profile)
+            reduced = _single_shift_term(SHANNON, m, tf.profile)
+            assert reduced == pytest.approx(general, rel=1e-12, abs=1e-14)
 
 
 def test_single_term_threshold_formula():
@@ -110,7 +128,7 @@ def test_partition_additivity_of_the_functional():
     M = 4.5
     low = fam.restrict(lambda _p, _lo, hi: hi < M)
     high = fam.restrict(lambda _p, _lo, hi: hi >= M)
-    tf = ff.make_test_function([0.3], 0.02, L2_1, ff.full_space_region())
+    tf = ff.make_test_function([0.3], 0.02, L2_1)
     full = ff.frame_functional(SHANNON, fam, Z1, tf.profile)
     split = (ff.frame_functional(SHANNON, low, Z1, tf.profile)
              + ff.frame_functional(SHANNON, high, Z1, tf.profile))
@@ -128,7 +146,7 @@ def test_lebesgue_point_convergence_ratio():
     assert target == 2.0
     diffs = []
     for eps in (0.04, 0.005, 0.0025):
-        tf = ff.make_test_function([xi0], eps, L2_1, ff.full_space_region())
+        tf = ff.make_test_function([xi0], eps, L2_1)
         value = ff.frame_functional(profile, fam, Z1, tf.profile)
         diffs.append(abs(value - target))
     assert diffs[0] <= 2.0 * 0.04 / 0.01  # first-order in the radius
@@ -139,7 +157,7 @@ def test_lebesgue_point_convergence_ratio():
 
 def test_functional_rejects_continuous_families():
     fam = am.continuous_dilation_family(0.1, 10.0, 16, L2_1)
-    tf = ff.make_test_function([0.3], 0.01, L2_1, ff.full_space_region())
+    tf = ff.make_test_function([0.3], 0.01, L2_1)
     with pytest.raises(RejectedInputError):
         ff.frame_functional(SHANNON, fam, Z1, tf.profile)
 

@@ -91,7 +91,7 @@ def test_fundamental_domain_tiles():
     coords = rem @ lattice.inv_basis.T
     assert np.all(coords >= -1e-12) and np.all(coords < 1.0)
     # uniqueness: any other lattice point moves the remainder out of the cell
-    shifted = rem + lattice.point([1, 0])
+    shifted = rem + lattice.basis @ np.array([1.0, 0.0])
     coords2 = shifted @ lattice.inv_basis.T
     assert not np.any(np.all((coords2 >= 0) & (coords2 < 1), axis=1))
 
@@ -140,15 +140,18 @@ def test_weil_residual_incommensurate_lattice():
 
 
 def test_weil_residual_grid_method_converges_with_refinement():
-    prof = PiecewiseConstantProfile(np.array([[-0.8, -0.3]]), np.array([[1.1, 0.9]]),
-                                    np.array([1.3]))
-    lattice = ml.Lattice([[1.0, 0.2], [-0.3, 0.8]])
-    residuals = [ml.weil_residual(prof, lattice, level=lv, method="grid")
-                 for lv in (2, 3, 4)]
+    # a 3-d profile takes the plain cell-subdivision fallback on the periodized side
+    box = PiecewiseConstantProfile(np.array([[-0.8, -0.3, -0.4]]),
+                                   np.array([[1.1, 0.9, 0.7]]), np.array([1.3]))
+    lattice3 = ml.Lattice([[1.0, 0.2, 0.1], [-0.3, 0.8, 0.0], [0.1, 0.2, 0.9]])
+    residuals = [ml.weil_residual(box, lattice3, level=lv) for lv in (0, 1, 2)]
     assert residuals[0] > residuals[1] > residuals[2]
     # roughly first-order decay per level for a jump profile
     assert residuals[2] < 0.5 * residuals[0]
     # the exact clipping path agrees with the identity to roundoff
+    prof = PiecewiseConstantProfile(np.array([[-0.8, -0.3]]), np.array([[1.1, 0.9]]),
+                                    np.array([1.3]))
+    lattice = ml.Lattice([[1.0, 0.2], [-0.3, 0.8]])
     assert ml.weil_residual(prof, lattice) < 1e-10
 
 
@@ -249,6 +252,25 @@ def test_overlap_shear_against_independent_grid_oracle():
         hits += int(covered.sum())
     oracle = hits / pts.shape[0]
     assert abs(est.value - oracle) <= 3 * est.stderr + 2e-3
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from([ml.EUCLIDEAN_L2, ml.EUCLIDEAN_LINF]), b=st.floats(0.3, 3.0), a=st.floats(0.2, 5.0), flip_b=st.booleans(), flip_a=st.booleans(),
+       coverage=st.floats(0.02, 1.25).filter(lambda f: abs(f - 1.0) > 1e-3))
+def test_overlap_1d_against_exact_measure(seed, kind, b, a, flip_b, flip_a, coverage):
+    """On bZ the deformed ball a.(-r, r) is an interval of length 2r|a|, and its
+    translates cover min(|b|, 2r|a|) of the fundamental domain."""
+    b, a = (-b if flip_b else b), (-a if flip_a else a)
+    r = coverage * abs(b) / (2.0 * abs(a))  # most draws cover only part of the domain
+    lattice = ml.Lattice([[b]])
+    est = ml.overlap_measure(lattice, ml.MetricSpace(kind, 1), matrix_automorphism([[a]]),
+                             r, n_samples=20_000, seed=seed)
+    exact = min(abs(b), 2.0 * r * abs(a))
+    if exact < abs(b):
+        assert abs(est.value - exact) <= 4 * est.stderr
+    else:
+        assert est.value == pytest.approx(lattice.covolume, rel=1e-12)
 
 
 def test_overlap_rejects_nonpositive_radius():
