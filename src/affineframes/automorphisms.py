@@ -36,11 +36,12 @@ TIE_RTOL = 0.05        # lower constants this close form one tie group
 
 
 def singular_values(M: np.ndarray) -> np.ndarray:
-    """Singular values (ascending) from the eigenvalues of the Gram matrix."""
+    """Singular values (ascending): |m| for 1x1 (m*m may overflow), else from the
+    eigenvalues of the Gram matrix."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    gram = M.T @ M
-    eigs = gram[0] if gram.shape == (1, 1) else np.linalg.eigvalsh(gram)
-    return np.sqrt(np.clip(eigs, 0.0, None))
+    if M.shape == (1, 1):
+        return np.abs(M[0])
+    return np.sqrt(np.clip(np.linalg.eigvalsh(M.T @ M), 0.0, None))
 
 
 # ---------------------------------------------------------------------------

@@ -272,7 +272,7 @@ def _continuous_orbit_integral(psihat, family, xi_arr: np.ndarray, weighted: boo
         level = family.level_set_intervals(lower_cutoff, np.inf)
         windows = _intersect_interval_lists(windows, level)
 
-    def integrand(a: np.ndarray) -> np.ndarray:
+    def integrand(a: np.ndarray, _owner=None) -> np.ndarray:
         vals = psihat.evaluate((a * xi)[:, None]) ** 2
         w = np.array([family.weight_of(float(v)) for v in a])
         if weighted:
@@ -280,8 +280,9 @@ def _continuous_orbit_integral(psihat, family, xi_arr: np.ndarray, weighted: boo
         return w * vals
 
     total = 0.0
-    for a0, a1 in windows:
-        total += quadrature.integrate_with_breakpoints(integrand, a0, a1, [])
+    for value in quadrature.integrate_with_breakpoints(
+            integrand, [(a0, a1, ()) for a0, a1 in windows]):
+        total += value
     # exactness: every support window on the positive parameter axis must lie
     # inside the declared domain truncation
     full = _active_windows(psihat, xi, (0.0, np.inf))

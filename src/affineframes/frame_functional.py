@@ -19,7 +19,7 @@ from . import quadrature
 from .automorphisms import AutomorphismFamily
 from .calderon import calderon_sum, calderon_values
 from .counting import property_x_scan
-from .errors import RejectedInputError
+from .errors import RejectedInputError, ResourceLimitError
 from .metric_lattice import GABOR_PRODUCT, Lattice, MetricSpace
 from .profiles import FrequencyProfile, PiecewiseConstantProfile
 
@@ -65,11 +65,6 @@ def make_test_function(center, epsilon: float, metric: MetricSpace) -> TestFunct
 # The functional
 # ---------------------------------------------------------------------------
 
-def _omega_interval(lattice: Lattice) -> tuple[float, float]:
-    b = float(lattice.basis[0, 0])
-    return (0.0, b) if b > 0 else (b, 0.0)
-
-
 def _line_profile(p: FrequencyProfile) -> tuple[float, float, np.ndarray]:
     return float(p.support_lo[0]), float(p.support_hi[0]), p.breakpoints_1d()
 
@@ -77,53 +72,56 @@ def _line_profile(p: FrequencyProfile) -> tuple[float, float, np.ndarray]:
 def frame_functional(psihat: FrequencyProfile, family: AutomorphismFamily,
                      lattice: Lattice, fhat: FrequencyProfile) -> float:
     """The weighted double integral of the squared periodized product
-    f-hat(orbit-preimage) * psi-hat over the fundamental domain."""
+    f-hat(orbit-preimage) * psi-hat over the fundamental domain, with one
+    quadrature interval per member and one quadrature call in all."""
     if family.is_continuous:
         raise RejectedInputError("the functional is evaluated on atomic families")
     if psihat.dim != 1 or fhat.dim != 1 or lattice.dim != 1:
         raise RejectedInputError("functional evaluation runs on 1-d frequency lines")
 
-    omega_lo, omega_hi = _omega_interval(lattice)
+    omega_lo, omega_hi = (float(v[0]) for v in lattice.fundamental_box())
     psi_lo, psi_hi, psi_breaks = _line_profile(psihat)
     f_lo, f_hi, f_breaks = _line_profile(fhat)
 
-    total = 0.0
-    for m in family.members:
-        scale, offset = m.auto.line_action()
-        if m.weight == 0.0:
-            continue
-        total += m.weight * _general_term(psihat, fhat, m.jacobian, scale, offset,
-                                          omega_lo, omega_hi, psi_lo, psi_hi,
-                                          psi_breaks, f_lo, f_hi, f_breaks, lattice)
-    return total
+    members = family.members
+    scale, offset = np.array([m.auto.line_action() for m in members]).reshape(-1, 2).T
+    img_a, img_b = scale * f_lo + offset, scale * f_hi + offset
+    cap_lo = np.maximum(psi_lo, np.minimum(img_a, img_b))
+    cap_hi = np.minimum(psi_hi, np.maximum(img_a, img_b))
+    live = (cap_hi > cap_lo) & (np.array([m.weight for m in members]) != 0.0)
+    k_lo, k_hi = lattice.integer_box(np.where(live, cap_lo - omega_hi, 0.0)[:, None],
+                                     np.where(live, cap_hi - omega_lo, 0.0)[:, None])
+    count = np.where(live, np.maximum(k_hi[:, 0] - k_lo[:, 0] + 1, 0), 0)
+    width = int(count.max(initial=0))
+    breaks = np.concatenate([np.broadcast_to(psi_breaks, (len(members), psi_breaks.size)),
+                             scale[:, None] * f_breaks + offset[:, None]], axis=1)
+    # the integer table, the shifts and the cuts of every shift
+    peak_bytes = 8 * len(members) * width * (2 + breaks.shape[1])
+    if peak_bytes > quadrature.MAX_GRID_BYTES:
+        raise ResourceLimitError(f"{len(members)} members of up to {width} lattice shifts "
+                                 f"need {peak_bytes} bytes (cap {quadrature.MAX_GRID_BYTES})",
+                                 size=len(members) * width)
+    shifts = (k_lo + np.arange(width)).astype(float) * lattice.basis[0, 0]
+    cuts = breaks[:, None, :] - shifts[:, :, None]
 
-
-def _general_term(psihat, fhat, jacobian, scale, offset, omega_lo, omega_hi,
-                  psi_lo, psi_hi, psi_breaks, f_lo, f_hi, f_breaks,
-                  lattice: Lattice) -> float:
-    img = sorted((scale * f_lo + offset, scale * f_hi + offset))
-    cap_lo = max(psi_lo, img[0])
-    cap_hi = min(psi_hi, img[1])
-    if cap_hi <= cap_lo:
-        return 0.0
-    shifts = lattice.points_in_box([cap_lo - omega_hi], [cap_hi - omega_lo])[:, 0]
-    if shifts.shape[0] == 0:
-        return 0.0
-    cuts: list[float] = []
-    for lam in shifts:
-        cuts.extend(float(b) - lam for b in psi_breaks)
-        cuts.extend(float(scale * b + offset) - lam for b in f_breaks)
-
-    def integrand(xi: np.ndarray) -> np.ndarray:
+    def integrand(xi: np.ndarray, owner: np.ndarray) -> np.ndarray:
         acc = np.zeros_like(xi)
-        for lam in shifts:
-            shifted = xi + lam
-            acc += (fhat.evaluate(((shifted - offset) / scale)[:, None])
-                    * psihat.evaluate(shifted[:, None]))
+        for k in range(width):
+            on = k < count[owner]
+            i = owner[on]
+            shifted = xi[on] + shifts[i, k]
+            acc[on] += (fhat.evaluate(((shifted - offset[i]) / scale[i])[:, None])
+                        * psihat.evaluate(shifted[:, None]))
         return acc ** 2
 
-    integral = quadrature.integrate_with_breakpoints(integrand, omega_lo, omega_hi, cuts)
-    return integral / jacobian
+    intervals = [(omega_lo, omega_hi, cuts[i, :n]) if n else (omega_lo, omega_lo, ())
+                 for i, n in enumerate(count)]
+    integrals = quadrature.integrate_with_breakpoints(integrand, intervals)
+    total = 0.0
+    for m, integral in zip(members, integrals):
+        if m.weight != 0.0:
+            total += m.weight * (integral / m.jacobian)
+    return total
 
 
 def single_term_threshold(family: AutomorphismFamily, lattice: Lattice, param,
@@ -139,37 +137,27 @@ def single_term_threshold(family: AutomorphismFamily, lattice: Lattice, param,
 # Ball averages of the orbit sums (used by the remainder diagnostics)
 # ---------------------------------------------------------------------------
 
-def _orbit_breakpoints(psihat, family, lo: float, hi: float,
-                       lower_cutoff: float | None = None) -> list[float]:
-    cuts: list[float] = []
+def ball_integrals(psihat, family, xi0: float, epsilon: float,
+                   M: float) -> tuple[float, float]:
+    """Average of the orbit sum over the interval ball at xi0, and the integral
+    over that ball of the jacobian-weighted tail above M, in one quadrature
+    call cut where the members pull back the breakpoints of psi-hat."""
+    lo, hi = xi0 - epsilon, xi0 + epsilon
     breaks = psihat.breakpoints_1d()
-    for m in family.members:
-        if lower_cutoff is not None and m.upper <= lower_cutoff:
-            continue
-        scale, offset = m.auto.line_action()
-        for b in breaks:
-            x = (float(b) - offset) / scale
-            if lo < x < hi:
-                cuts.append(x)
-    return cuts
+    scale, offset = np.array([m.auto.line_action() for m in family.members]).reshape(-1, 2).T
+    cuts = (breaks[None, :] - offset[:, None]) / scale[:, None]
+    tail = ~(np.array([m.upper for m in family.members]) <= M)
 
+    def integrand(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        out = np.empty_like(x)
+        out[owner == 0] = calderon_values(psihat, family, x[owner == 0, None])
+        out[owner == 1] = calderon_values(psihat, family, x[owner == 1, None],
+                                          weighted=True, lower_cutoff=M)
+        return out
 
-def ball_average_calderon(psihat, family, xi0: float, epsilon: float) -> float:
-    """Average of the orbit sum over the interval ball at xi0."""
-    lo, hi = xi0 - epsilon, xi0 + epsilon
-    cuts = _orbit_breakpoints(psihat, family, lo, hi)
-    value = quadrature.integrate_with_breakpoints(
-        lambda x: calderon_values(psihat, family, x[:, None]), lo, hi, cuts)
-    return value / (2.0 * epsilon)
-
-
-def ball_tail_integral(psihat, family, xi0: float, epsilon: float, M: float) -> float:
-    """Integral over the interval ball of the jacobian-weighted tail."""
-    lo, hi = xi0 - epsilon, xi0 + epsilon
-    cuts = _orbit_breakpoints(psihat, family, lo, hi, lower_cutoff=M)
-    return quadrature.integrate_with_breakpoints(
-        lambda x: calderon_values(psihat, family, x[:, None], weighted=True,
-                                  lower_cutoff=M), lo, hi, cuts)
+    total, tail_total = quadrature.integrate_with_breakpoints(
+        integrand, [(lo, hi, cuts), (lo, hi, cuts[tail])])
+    return total / (2.0 * epsilon), tail_total
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +225,7 @@ def calderon_inequality_report(psihat: FrequencyProfile, family: AutomorphismFam
         if scan.verdict == "holds":
             for i in sorted({0, grid.shape[0] // 2, grid.shape[0] - 1}):
                 xi0 = float(grid[i])
-                avg = ball_average_calderon(psihat, family, xi0, epsilon)
-                tail = ball_tail_integral(psihat, family, xi0, epsilon, M)
+                avg, tail = ball_integrals(psihat, family, xi0, epsilon, M)
                 rem = constant * tail / (2.0 * epsilon)
                 ok = lower <= avg + rem + REMAINDER_TOLERANCE
                 remainder_rows.append(RemainderDiagnostic(xi0, epsilon, avg, rem,

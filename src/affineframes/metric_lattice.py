@@ -324,8 +324,7 @@ def _integral_of_periodization(profile: FrequencyProfile, lattice: Lattice,
         per = periodize(profile, lattice)
         edges = profile.breakpoints_1d()
         cuts = (edges[None, :] - shifts[:, :1]).ravel()
-        b = float(lattice.basis[0, 0])
-        lo, hi = (0.0, b) if b > 0 else (b, 0.0)
+        lo, hi = float(omega_lo[0]), float(omega_hi[0])
         cuts = sorted({float(c) for c in cuts if lo < c < hi})
         segment_edges = [lo, *cuts, hi]
         total = 0.0

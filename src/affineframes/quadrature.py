@@ -7,7 +7,7 @@ splitting at breakpoints makes the rules exact.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,17 +24,18 @@ def _check_grid_size(nodes: int, dim: int = 1) -> None:
                                  f"{MAX_GRID_BYTES} bytes", size=nodes)
 
 
-def _cell_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(cells, 16) nodes and weights of the order-16 rule on each [edges[i], edges[i+1]]."""
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
+def _cell_rule(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cells, 16) nodes and weights of the order-16 rule on each [lo[i], hi[i]]."""
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
     return mid[:, None] + half[:, None] * _GL_NODES, half[:, None] * _GL_WEIGHTS
 
 
 def gl_nodes_weights(lo: float, hi: float, cells: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the composite order-16 rule on [lo, hi]."""
     _check_grid_size(cells * GL_ORDER)
-    nodes, weights = _cell_rule(np.linspace(lo, hi, cells + 1))
+    edges = np.linspace(lo, hi, cells + 1)
+    nodes, weights = _cell_rule(edges[:-1], edges[1:])
     return nodes.ravel(), weights.ravel()
 
 
@@ -46,22 +47,30 @@ def integrate_interval(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: flo
     return float(np.dot(weights, f(nodes)))
 
 
-def integrate_with_breakpoints(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                               breakpoints: Iterable[float]) -> float:
-    """Integrate f on [lo, hi], splitting at the interior breakpoints.
-
-    Exact for integrands polynomial (degree < 31) between breakpoints. f is
-    called once on every cell's nodes; the cells are summed left to right.
-    """
-    if hi <= lo:
-        return 0.0
-    cuts = sorted({float(b) for b in breakpoints if lo < b < hi})
-    nodes, weights = _cell_rule(np.array([lo, *cuts, hi], dtype=float))
-    values = np.reshape(f(nodes.ravel()), nodes.shape)
-    total = 0.0
-    for w_cell, f_cell in zip(weights, values):
-        total += float(np.dot(w_cell, f_cell))
-    return total
+def integrate_with_breakpoints(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                               intervals: Sequence[tuple[float, float, Sequence[float]]]
+                               ) -> list[float]:
+    """One integral per (lo, hi, breakpoints), 0.0 when hi <= lo, split at the
+    interior breakpoints: exact for integrands polynomial (degree < 31) between
+    them. f(nodes, owner) is called once, on every cell's nodes and the index
+    of each node's interval; each interval's cells are summed left to right."""
+    cell_lo, cell_hi, owner = [np.empty(0)], [np.empty(0)], [np.empty(0, dtype=np.intp)]
+    for i, (lo, hi, breakpoints) in enumerate(intervals):
+        if hi <= lo:
+            continue
+        b = np.asarray(breakpoints, dtype=float).ravel()
+        edges = np.concatenate([[lo], np.unique(b[(lo < b) & (b < hi)]), [hi]])
+        cell_lo.append(edges[:-1])
+        cell_hi.append(edges[1:])
+        owner.append(np.full(edges.size - 1, i))
+    owner = np.concatenate(owner)
+    _check_grid_size(owner.size * GL_ORDER)
+    nodes, weights = _cell_rule(np.concatenate(cell_lo), np.concatenate(cell_hi))
+    values = np.reshape(f(nodes.ravel(), np.repeat(owner, GL_ORDER)), nodes.shape)
+    totals = [0.0] * len(intervals)
+    for i, w_cell, f_cell in zip(owner, weights, values):
+        totals[i] += float(np.dot(w_cell, f_cell))
+    return totals
 
 
 def integrate_box(f: Callable[[np.ndarray], np.ndarray], lo: Sequence[float],

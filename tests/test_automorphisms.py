@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,16 @@ def test_jacobi_singular_values_match_reference():
             mine = am.singular_values(m)
             ref = np.sort(np.linalg.svd(m, compute_uv=False))
             assert np.allclose(mine, ref, rtol=1e-10, atol=1e-12)
+
+
+def test_one_by_one_constants_are_the_entry_beyond_the_squared_range():
+    # 2**512 squared overflows a float; the constants must not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fam = am.matrix_power_family([[2.0]], 500, 520, L2_1)
+        m = fam.member(512)
+        assert (m.lower, m.upper) == (2.0 ** 512, 2.0 ** 512)
+        assert all(np.isfinite([m.lower, m.upper]).all() for m in fam.members)
 
 
 def test_lipschitz_closed_forms():

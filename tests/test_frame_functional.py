@@ -1,14 +1,20 @@
 import math
+import subprocess
+import sys
+import textwrap
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affineframes import automorphisms as am
 from affineframes import frame_functional as ff
 from affineframes import metric_lattice as ml
 from affineframes import quadrature
 from affineframes.errors import RejectedInputError
-from affineframes.profiles import PiecewiseConstantProfile, indicator_interval
+from affineframes.profiles import PiecewiseConstantProfile, indicator_interval, triangle_bump
 
 L2_1 = ml.euclidean_l2(1)
 GABOR = ml.gabor_product()
@@ -68,6 +74,16 @@ def test_shannon_functional_is_one_at_small_radii():
         assert value == pytest.approx(1.0, abs=1e-6)
 
 
+def test_functional_is_quiet_with_members_far_outside_the_support():
+    # 2**600 squared overflows, and its caps lie far beyond any integer box
+    fam = dyadic_family(-600, 600)
+    tf = ff.make_test_function([0.3], 0.01, L2_1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = ff.frame_functional(SHANNON, fam, Z1, tf.profile)
+    assert value == pytest.approx(1.0, abs=1e-6)
+
+
 def test_zero_window_gives_zero():
     fam = dyadic_family(-10, 10)
     tf = ff.make_test_function([0.3], 0.01, L2_1)
@@ -96,8 +112,9 @@ def _single_shift_term(psihat, m, fhat) -> float:
     lo, hi = float(fhat.boxes_lo[0, 0]), float(fhat.boxes_hi[0, 0])
     scale, offset = m.auto.line_action()
     cuts = [(float(b) - offset) / scale for b in psihat.breakpoints_1d()]
-    integral = quadrature.integrate_with_breakpoints(
-        lambda u: psihat.evaluate((scale * u + offset)[:, None]) ** 2, lo, hi, cuts)
+    [integral] = quadrature.integrate_with_breakpoints(
+        lambda u, _owner: psihat.evaluate((scale * u + offset)[:, None]) ** 2,
+        [(lo, hi, cuts)])
     return m.weight * float(fhat.values[0]) ** 2 * integral
 
 
@@ -153,6 +170,131 @@ def test_lebesgue_point_convergence_ratio():
     floored = [max(d, 1e-12) for d in diffs]  # roundoff floor
     assert floored[0] >= floored[1] >= floored[2]
     assert diffs[1] < 1e-12 and diffs[2] < 1e-12
+
+
+def _per_member_functional(psihat, family, lattice, fhat) -> float:
+    """Oracle: the per-member formula, one lattice-box query, one shift loop
+    and one quadrature call per member, summed in member order."""
+    b = float(lattice.basis[0, 0])
+    omega_lo, omega_hi = (0.0, b) if b > 0 else (b, 0.0)
+    psi_lo, psi_hi = float(psihat.support_lo[0]), float(psihat.support_hi[0])
+    f_lo, f_hi = float(fhat.support_lo[0]), float(fhat.support_hi[0])
+    total = 0.0
+    for m in family.members:
+        scale, offset = m.auto.line_action()
+        if m.weight == 0.0:
+            continue
+        img = sorted((scale * f_lo + offset, scale * f_hi + offset))
+        cap_lo, cap_hi = max(psi_lo, img[0]), min(psi_hi, img[1])
+        if cap_hi <= cap_lo:
+            continue
+        shifts = lattice.points_in_box([cap_lo - omega_hi], [cap_hi - omega_lo])[:, 0]
+        if shifts.shape[0] == 0:
+            continue
+        cuts: list[float] = []
+        for lam in shifts:
+            cuts.extend(float(c) - lam for c in psihat.breakpoints_1d())
+            cuts.extend(float(scale * c + offset) - lam for c in fhat.breakpoints_1d())
+
+        def integrand(xi, _owner, shifts=shifts, scale=scale, offset=offset):
+            acc = np.zeros_like(xi)
+            for lam in shifts:
+                shifted = xi + lam
+                acc += (fhat.evaluate(((shifted - offset) / scale)[:, None])
+                        * psihat.evaluate(shifted[:, None]))
+            return acc ** 2
+
+        [integral] = quadrature.integrate_with_breakpoints(
+            integrand, [(omega_lo, omega_hi, cuts)])
+        total += m.weight * (integral / m.jacobian)
+    return total
+
+
+@st.composite
+def _line_profiles(draw):
+    """A piecewise-constant profile of disjoint pieces or a sampled hat."""
+    if draw(st.booleans()):
+        return triangle_bump(draw(st.floats(-2.0, 2.0)), draw(st.floats(0.05, 1.5)),
+                             draw(st.floats(0.5, 2.0)), n_nodes=draw(st.integers(3, 7)))
+    cursor, lo, hi = draw(st.floats(-3.0, 0.0)), [], []
+    for _ in range(draw(st.integers(1, 4))):
+        cursor += draw(st.floats(0.0, 0.5))
+        width = draw(st.floats(0.02, 1.5))
+        lo.append([cursor])
+        hi.append([cursor + width])
+        cursor += width
+    values = draw(st.lists(st.floats(0.25, 2.0) | st.floats(-2.0, -0.25),
+                           min_size=len(lo), max_size=len(lo)))
+    return PiecewiseConstantProfile(np.array(lo), np.array(hi), np.array(values))
+
+
+@st.composite
+def _families(draw):
+    """1-d matrix powers (negative and fractional bases) or Gabor shifts,
+    with some members weighted zero."""
+    if draw(st.booleans()):
+        base = draw(st.sampled_from([2.0, -1.5, 3.0, 0.5]))
+        j_lo = draw(st.integers(-4, 2))
+        js = range(j_lo, j_lo + draw(st.integers(0, 5)) + 1)
+        zeros = draw(st.sets(st.sampled_from(js), max_size=len(js) // 2))
+        return am.matrix_power_family([[base]], js[0], js[-1], L2_1,
+                                      weight=lambda j: 0.0 if j in zeros else 1.0 + 0.1 * j)
+    ps = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=8, unique=True))
+    zeros = draw(st.sets(st.sampled_from(ps), max_size=len(ps) // 2))
+    return am.gabor_shift_family(ps, weight=lambda p: 0.0 if p in zeros else 0.5 + 0.1 * abs(p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(family=_families(), psihat=_line_profiles(), fhat=_line_profiles(),
+       b=st.sampled_from([1.0, -1.0, 0.75, -0.6, 2.5, -1.7]))
+def test_functional_matches_per_member_formula(family, psihat, fhat, b):
+    lattice = ml.Lattice(np.array([[b]]))
+    assert (ff.frame_functional(psihat, family, lattice, fhat)
+            == _per_member_functional(psihat, family, lattice, fhat))
+
+
+def test_functional_is_one_quadrature_call_without_box_queries(monkeypatch):
+    calls = []
+    rule = quadrature.integrate_with_breakpoints
+    monkeypatch.setattr(quadrature, "integrate_with_breakpoints",
+                        lambda f, intervals: calls.append(len(intervals)) or rule(f, intervals))
+    monkeypatch.setattr(ml.Lattice, "points_in_box", lambda *a, **k: pytest.fail("box query"))
+    tf = ff.make_test_function([0.3], 0.01, L2_1)
+    assert ff.frame_functional(SHANNON, dyadic_family(), Z1, tf.profile) == pytest.approx(1.0)
+    assert calls == [121]
+
+
+def test_functional_checks_shift_table_bytes_before_allocating():
+    # a 1e-9 lattice puts 4e7 shifts under each member's cap: the byte budget
+    # must refuse the table at once, inside an address-space limit that a
+    # table of that size would exceed
+    script = textwrap.dedent("""
+        import resource, sys, time
+        import numpy as np
+        from affineframes import automorphisms as am, frame_functional as ff
+        from affineframes import metric_lattice as ml
+        from affineframes.errors import ResourceLimitError
+        from affineframes.profiles import PiecewiseConstantProfile
+        limit = 1536 * 2 ** 20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        shannon = PiecewiseConstantProfile(np.array([[-1.0], [0.5]]),
+                                           np.array([[-0.5], [1.0]]), np.array([1.0, 1.0]))
+        fam = am.matrix_power_family([[2.0]], -3, 3, ml.euclidean_l2(1))
+        tf = ff.make_test_function([0.3], 0.01, ml.euclidean_l2(1))
+        start = time.perf_counter()
+        try:
+            ff.frame_functional(shannon, fam, ml.Lattice(np.array([[1e-9]])), tf.profile)
+        except ResourceLimitError:
+            print(time.perf_counter() - start)
+            sys.exit(0)
+        sys.exit(3)
+    """)
+    env = {"PYTHONPATH": ":".join(sys.path), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 1.0
 
 
 def test_functional_rejects_continuous_families():

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,20 +54,43 @@ def _integrands(draw):
     ])), prof
 
 
+_widths = st.one_of(st.floats(1e-3, 10.0), st.just(0.0), st.floats(-2.0, -1e-3))
+
+
 @settings(max_examples=200, deadline=None)
-@given(lo=_reals, width=st.floats(1e-3, 10.0), integrand=_integrands(),
-       extra=st.lists(_reals, max_size=12), dup=st.integers(0, 4))
-def test_breakpoint_integral_matches_per_cell_rule(lo, width, integrand, extra, dup):
+@given(integrand=_integrands(),
+       intervals=st.lists(st.tuples(_reals, _widths, st.lists(_reals, max_size=12),
+                                    st.integers(0, 4)), max_size=6))
+def test_breakpoint_integral_matches_per_cell_rule(integrand, intervals):
+    """Batched rule on 0-6 intervals, empty or inverted ones included, each
+    with unsorted duplicate cuts, some outside it, plus the profile's own."""
     f, prof = integrand
-    hi = lo + width
-    # unsorted cuts with duplicates, some outside [lo, hi], plus the profile's own
-    breakpoints = [*extra, *prof.breakpoints_1d(), *extra[:dup]]
+    specs = [(lo, lo + width, [*extra, *prof.breakpoints_1d(), *extra[:dup]])
+             for lo, width, extra, dup in intervals]
     calls = []
 
-    def counted(x):
-        calls.append(x.shape)
+    def counted(x, owner):
+        calls.append((x, owner))
         return f(x)
 
-    value = quadrature.integrate_with_breakpoints(counted, lo, hi, breakpoints)
+    totals = quadrature.integrate_with_breakpoints(counted, specs)
     assert len(calls) == 1
-    assert value == _per_cell(f, lo, hi, breakpoints)
+    assert totals == [_per_cell(f, lo, hi, cuts) for lo, hi, cuts in specs]
+    nodes, owner = calls[0]
+    cells = [len({c for c in cuts if lo < c < hi}) + 1 if hi > lo else 0
+             for lo, hi, cuts in specs]
+    assert np.array_equal(owner, np.repeat(np.arange(len(specs)),
+                                           quadrature.GL_ORDER * np.array(cells, dtype=int)))
+    bounds = np.array([spec[:2] for spec in specs]).reshape(-1, 2)
+    assert np.all((bounds[owner, 0] <= nodes) & (nodes <= bounds[owner, 1]))
+
+
+def test_benchmark_tracer_wraps_every_integrator():
+    """The tracer counts integrand calls and nodes only for the integrators it
+    names; a new or renamed one would leave those per-layer metrics at zero."""
+    tracer = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    [names] = [ast.literal_eval(node.value) for node in ast.parse(tracer.read_text()).body
+               if isinstance(node, ast.Assign)
+               and any(getattr(t, "id", None) == "_INTEGRATORS" for t in node.targets)]
+    public = {name for name in vars(quadrature) if name.startswith("integrate_")}
+    assert public and public <= names
