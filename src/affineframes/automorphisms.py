@@ -183,8 +183,11 @@ def lipschitz_constants(auto: Automorphism, metric: MetricSpace) -> LipschitzCon
         if auto.kind == SHEARLET:
             lo, hi = shearlet_l2_constants(auto.params["a"], auto.params["s"])
             return LipschitzConstants(lo, hi, CLOSED_FORM)
+        # the smallest Gram eigenvalue is noise once cond(M)**2 nears 1/eps, so in
+        # dim >= 2 the lower constant is 1 / sigma_max of the inverse
         sv = singular_values(auto.matrix)
-        return LipschitzConstants(float(sv[0]), float(sv[-1]), CLOSED_FORM)
+        lower = sv[0] if auto.dim == 1 else 1.0 / singular_values(auto.inv_matrix)[-1]
+        return LipschitzConstants(float(lower), float(sv[-1]), CLOSED_FORM)
     if metric.kind == EUCLIDEAN_LINF:
         upper = float(np.max(np.sum(np.abs(auto.matrix), axis=1)))
         lower = 1.0 / float(np.max(np.sum(np.abs(auto.inv_matrix), axis=1)))
@@ -635,93 +638,6 @@ def classify_expansiveness(family: AutomorphismFamily, probe_m: float | None = N
 
 
 # ---------------------------------------------------------------------------
-# Subspace-expansion test for a single matrix
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SubspaceExpansionVerdict:
-    verdict: str  # "yes" | "no" | "indeterminate"
-    expanding_basis: np.ndarray | None = None  # F: strictly expanded subspace
-    neutral_basis: np.ndarray | None = None    # E: invariant, no contraction
-    reason: str = ""
-
-
-def _geometric_multiplicity(A: np.ndarray, lam: complex, rank_tol: float) -> int:
-    n = A.shape[0]
-    sv = np.linalg.svd(A.astype(complex) - lam * np.eye(n), compute_uv=False)
-    return int(np.sum(sv <= rank_tol * max(sv[0], 1.0)))
-
-
-def expanding_on_subspace(A, modulus_tol: float = 1e-9) -> SubspaceExpansionVerdict:
-    """Spectral test: strictly expanding on an invariant subspace with no
-    contraction on an invariant complement.
-
-    yes iff no eigenvalue modulus < 1, at least one > 1, and every
-    modulus-one eigenvalue is semisimple.  Near-defective borderlines are
-    flagged indeterminate rather than decided.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    n = A.shape[0]
-    if A.shape != (n, n) or n > 8:
-        raise RejectedInputError("matrix must be square of dim <= 8")
-    if abs(np.linalg.det(A)) < 1e-14:
-        raise RejectedInputError("matrix must be invertible")
-    eigvals, eigvecs = np.linalg.eig(A)
-    moduli = np.abs(eigvals)
-
-    if np.any(moduli < 1.0 - modulus_tol):
-        lam = eigvals[int(np.argmin(moduli))]
-        return SubspaceExpansionVerdict(
-            "no", reason=f"eigenvalue {lam:.6g} has modulus below one")
-    unit = np.abs(moduli - 1.0) <= modulus_tol
-    growing = moduli > 1.0 + modulus_tol
-    if not np.any(growing):
-        return SubspaceExpansionVerdict(
-            "no", reason="no eigenvalue modulus exceeds one, expanded subspace is trivial")
-
-    # semisimplicity of each unit-modulus eigenvalue cluster
-    unit_vals = eigvals[unit]
-    visited: list[complex] = []
-    for lam in unit_vals:
-        if any(abs(lam - v) <= 1e-8 for v in visited):
-            continue
-        visited.append(lam)
-        algebraic = int(np.sum(np.abs(eigvals - lam) <= 1e-8))
-        geo_lo = _geometric_multiplicity(A, lam, 1e-10)
-        geo_hi = _geometric_multiplicity(A, lam, 1e-6)
-        if geo_lo != geo_hi:
-            return SubspaceExpansionVerdict(
-                "indeterminate",
-                reason=f"rank of (A - {lam:.6g} I) is threshold-sensitive")
-        if geo_lo < algebraic:
-            return SubspaceExpansionVerdict(
-                "no", reason=f"unit-modulus eigenvalue {lam:.6g} is defective")
-
-    def real_basis(mask: np.ndarray) -> np.ndarray:
-        cols = []
-        used: set[int] = set()
-        for idx in np.flatnonzero(mask):
-            if idx in used:
-                continue
-            lam, vec = eigvals[idx], eigvecs[:, idx]
-            if abs(lam.imag) <= 1e-12:
-                cols.append(np.real(vec))
-            else:
-                cols.append(np.real(vec))
-                cols.append(np.imag(vec))
-                conj = np.flatnonzero(mask & (np.abs(eigvals - lam.conjugate()) <= 1e-10))
-                used.update(int(c) for c in conj)
-            used.add(int(idx))
-        basis = np.stack(cols, axis=1)
-        q, _ = np.linalg.qr(basis)
-        return q[:, :np.linalg.matrix_rank(basis, tol=1e-10)]
-
-    expanding_basis = real_basis(growing)
-    neutral_basis = real_basis(unit) if np.any(unit) else np.zeros((n, 0))
-    return SubspaceExpansionVerdict("yes", expanding_basis, neutral_basis)
-
-
-# ---------------------------------------------------------------------------
 # Mass of distortion level bands (local-integrability criterion input)
 # ---------------------------------------------------------------------------
 
@@ -761,9 +677,9 @@ def band_mass_profile(family: AutomorphismFamily, envelope: Callable[[float], fl
             hi = float(envelope(float(c * t)))
             total = 0.0
             for a0, a1 in family.level_set_intervals(float(t), hi):
-                total += quadrature.integrate_interval(
-                    lambda x: np.array([family.weight_of(float(v)) for v in x]),
-                    a0, a1, cells=4)
+                total += quadrature.integrate_box(
+                    lambda x: np.array([family.weight_of(float(v)) for v in x[:, 0]]),
+                    [a0], [a1], cells_per_axis=4)
             values[i] = total
     else:
         uppers = np.array([m.upper for m in family.members])

@@ -57,7 +57,7 @@ def main(argv=None) -> int:
         print(f"report written to {args.out}/report.json")
         return code
     except (cfg.ScenarioParseError, RejectedInputError, ResourceLimitError,
-            DegenerateDomainError, SingularPointError, FileNotFoundError) as exc:
+            DegenerateDomainError, SingularPointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -258,17 +258,14 @@ def periodize(profile: FrequencyProfile, lattice: Lattice):
 
 def _integral_over_support(profile: FrequencyProfile, level: int) -> float:
     """Composite Gauss-Legendre integral of the profile over its own pieces."""
-    cells = 2 ** level
     if isinstance(profile, PiecewiseConstantProfile):
-        total = 0.0
-        for lo, hi, _v in zip(profile.boxes_lo, profile.boxes_hi, profile.values):
-            total += quadrature.integrate_box(profile.evaluate, lo, hi, cells_per_axis=cells)
-        return total
-    nodes = profile.breakpoints_1d()
+        pieces = zip(profile.boxes_lo, profile.boxes_hi)
+    else:
+        nodes = profile.breakpoints_1d()[:, None]
+        pieces = zip(nodes[:-1], nodes[1:])
     total = 0.0
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        total += quadrature.integrate_interval(lambda x: profile.evaluate(x), float(a),
-                                               float(b), cells=cells)
+    for lo, hi in pieces:
+        total += quadrature.integrate_box(profile.evaluate, lo, hi, cells_per_axis=2 ** level)
     return total
 
 
@@ -329,8 +326,7 @@ def _integral_of_periodization(profile: FrequencyProfile, lattice: Lattice,
         segment_edges = [lo, *cuts, hi]
         total = 0.0
         for a, c in zip(segment_edges[:-1], segment_edges[1:]):
-            total += quadrature.integrate_interval(lambda x: per(x[:, None]), a, c,
-                                                   cells=2 ** level)
+            total += quadrature.integrate_box(per, [a], [c], cells_per_axis=2 ** level)
         return total
 
     if lattice.dim == 2 and isinstance(profile, PiecewiseConstantProfile):

@@ -39,14 +39,6 @@ def gl_nodes_weights(lo: float, hi: float, cells: int = 1) -> tuple[np.ndarray, 
     return nodes.ravel(), weights.ravel()
 
 
-def integrate_interval(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                       cells: int = 1) -> float:
-    if hi <= lo:
-        return 0.0
-    nodes, weights = gl_nodes_weights(lo, hi, cells)
-    return float(np.dot(weights, f(nodes)))
-
-
 def integrate_with_breakpoints(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
                                intervals: Sequence[tuple[float, float, Sequence[float]]]
                                ) -> list[float]:

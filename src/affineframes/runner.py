@@ -360,6 +360,6 @@ def load_bundled_scenario(name: str) -> dict:
 
 def resolve_scenario_argument(arg: str) -> dict:
     path = Path(arg)
-    if path.exists():
+    if path.is_file():
         return cfg.load_scenario(path)
     return load_bundled_scenario(arg)

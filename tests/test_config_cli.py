@@ -415,6 +415,29 @@ def test_cli_matrix_power_out_of_float_range_is_named(tmp_path, capsys, override
     assert err.startswith("error:") and word in err and "singular" not in err
 
 
+def test_cli_ill_conditioned_matrix_power_has_valid_constants(tmp_path, capsys):
+    # cond(base ** 30) ~ 1e17: the lower L2 constant must not come out as noise
+    code = cli.main(["run", "anisotropic_wavelet", "--out", str(tmp_path / "o"),
+                     "--set", "family.base=[[3,50],[0,1]]", "--set", "family.j_min=0",
+                     "--set", "family.j_max=30"])
+    assert code in (0, 2)
+    assert "invalid distortion constants" not in capsys.readouterr().err
+
+
+def test_cli_output_directory_named_like_a_bundled_scenario(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "shannon_onb").mkdir()
+    assert cli.main(["describe", "shannon_onb"]) == 0
+    assert cli.main(["run", "shannon_onb", "--out", "shannon_onb"]) == 0
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_cli_unusable_output_path_exits_one(tmp_path, capsys, out):
+    (tmp_path / "taken").write_text("a file, not a directory\n")
+    assert cli.main(["run", "gabor_onb", "--out", str(tmp_path / out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_cli_list_and_describe(capsys):
     assert cli.main(["list"]) == 0
     listed = capsys.readouterr().out

@@ -10,7 +10,7 @@ from affineframes.profiles import PiecewiseConstantProfile
 
 
 def _per_cell(f, lo, hi, breakpoints):
-    """Oracle: one integrate_interval call per breakpoint cell, summed in order."""
+    """Oracle: one single-cell integrate_box call per breakpoint cell, summed in order."""
     if hi <= lo:
         return 0.0
     cuts = sorted({float(b) for b in breakpoints if lo < b < hi})
@@ -18,7 +18,7 @@ def _per_cell(f, lo, hi, breakpoints):
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         if b > a:
-            total += quadrature.integrate_interval(f, a, b)
+            total += quadrature.integrate_box(lambda x: f(x[:, 0]), [a], [b])
     return total
 
 
