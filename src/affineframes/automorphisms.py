@@ -2,9 +2,9 @@
 
 Every automorphism here acts linearly on frequency coordinates (the Gabor
 shift is linear in (xi, k)).  Distortion constants are the optimal factors
-squeezing the invariant metric from below and above; closed forms are used
-where the metric/automorphism pair admits them, a seeded direction-sampling
-oracle otherwise.
+squeezing the invariant metric from below and above, in closed form for every
+metric: singular values for L2, row sums for L-infinity, the shift size for
+the Gabor product.  A seeded direction-sampling oracle checks them.
 """
 
 from __future__ import annotations
@@ -25,14 +25,12 @@ MATRIX_POWER = "matrix_power"
 SHEARLET = "shearlet"
 GABOR_SHIFT = "gabor_shift"
 
-CLOSED_FORM = "closed_form"
-NUMERICAL_ORACLE = "numerical_oracle"
-
 ORACLE_DIRECTIONS = 100_000
 ORACLE_SEED = 7151
 BISECT_TOL = 1e-12     # relative width at which a level-set crossing is cut
 SLOPE_THRESHOLD = -0.5  # log-log decay of the lower constant that flags non-expansion
 TIE_RTOL = 0.05        # lower constants this close form one tie group
+EXPLOSION = 10.0       # growth factor that counts as collapse or blow-up evidence
 
 
 def singular_values(M: np.ndarray) -> np.ndarray:
@@ -89,6 +87,8 @@ class Automorphism:
             return 1.0
         if self.kind == SHEARLET:
             return float(self.params["a"]) ** 1.5
+        if self.dim == 1:  # det goes through exp(log|m|), which rounds
+            return abs(float(self.matrix[0, 0]))
         return abs(float(np.linalg.det(self.matrix)))
 
     def box_image(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
@@ -153,51 +153,32 @@ def gabor_shift(p: float) -> Automorphism:
 class LipschitzConstants:
     lower: float
     upper: float
-    method: str
-
-
-def shearlet_l2_constants(a: float, s: float) -> tuple[float, float]:
-    """Optimal Euclidean distortion constants of the shearlet map.
-
-    These are the square roots of the Gram-matrix eigenvalues
-    (a/2) * ((a + s^2 + 1) -/+ sqrt((a + s^2 + 1)^2 - 4a)).
-    """
-    trace_term = a + s * s + 1.0
-    disc = math.sqrt(max(trace_term * trace_term - 4.0 * a, 0.0))
-    lam_minus = 0.5 * a * (trace_term - disc)
-    lam_plus = 0.5 * a * (trace_term + disc)
-    return math.sqrt(max(lam_minus, 0.0)), math.sqrt(lam_plus)
 
 
 def lipschitz_constants(auto: Automorphism, metric: MetricSpace) -> LipschitzConstants:
     """Optimal (lower, upper) metric distortion of the automorphism."""
     if metric.kind == GABOR_PRODUCT:
-        if auto.kind == GABOR_SHIFT:
-            p = abs(auto.params["p"])
-            return LipschitzConstants(1.0 / (1.0 + p), 1.0 + p, CLOSED_FORM)
-        lo, hi = _lipschitz_oracle_gabor(auto)
-        return LipschitzConstants(lo, hi, NUMERICAL_ORACLE)
+        if auto.kind != GABOR_SHIFT:
+            raise RejectedInputError("gabor_product distorts Gabor shifts only")
+        p = abs(auto.params["p"])
+        return LipschitzConstants(1.0 / (1.0 + p), 1.0 + p)
     if auto.dim != metric.dim:
         raise RejectedInputError("automorphism and metric dimensions disagree")
     if metric.kind == EUCLIDEAN_L2:
-        if auto.kind == SHEARLET:
-            lo, hi = shearlet_l2_constants(auto.params["a"], auto.params["s"])
-            return LipschitzConstants(lo, hi, CLOSED_FORM)
         # the smallest Gram eigenvalue is noise once cond(M)**2 nears 1/eps, so in
         # dim >= 2 the lower constant is 1 / sigma_max of the inverse
         sv = singular_values(auto.matrix)
         lower = sv[0] if auto.dim == 1 else 1.0 / singular_values(auto.inv_matrix)[-1]
-        return LipschitzConstants(float(lower), float(sv[-1]), CLOSED_FORM)
+        return LipschitzConstants(float(lower), float(sv[-1]))
     if metric.kind == EUCLIDEAN_LINF:
         upper = float(np.max(np.sum(np.abs(auto.matrix), axis=1)))
         lower = 1.0 / float(np.max(np.sum(np.abs(auto.inv_matrix), axis=1)))
-        return LipschitzConstants(lower, upper, CLOSED_FORM)
+        return LipschitzConstants(lower, upper)
     raise RejectedInputError(f"unsupported metric kind {metric.kind!r}")
 
 
 def lipschitz_oracle(auto: Automorphism, metric: MetricSpace,
-                     n_directions: int = ORACLE_DIRECTIONS,
-                     seed: int = ORACLE_SEED) -> tuple[float, float]:
+                     n_directions: int = ORACLE_DIRECTIONS) -> tuple[float, float]:
     """Inner approximation of the distortion constants by direction sampling.
 
     Returns (max of observed lower ratios, min of observed upper ratios) as
@@ -205,8 +186,8 @@ def lipschitz_oracle(auto: Automorphism, metric: MetricSpace,
     lower <= oracle_lower and upper >= oracle_upper.
     """
     if metric.kind == GABOR_PRODUCT:
-        return _lipschitz_oracle_gabor(auto, n_directions, seed)
-    rng = np.random.default_rng(seed)
+        return _lipschitz_oracle_gabor(auto, n_directions)
+    rng = np.random.default_rng(ORACLE_SEED)
     dim = auto.dim
     dirs = rng.normal(size=(n_directions, dim))
     # deterministic extremal candidates: axes, sign corners, their preimages
@@ -225,12 +206,11 @@ def lipschitz_oracle(auto: Automorphism, metric: MetricSpace,
     return float(np.min(ratios)), float(np.max(ratios))
 
 
-def _power_iteration_directions(auto: Automorphism, rng: np.random.Generator,
-                                steps: int = 60) -> np.ndarray:
+def _power_iteration_directions(auto: Automorphism, rng: np.random.Generator) -> np.ndarray:
     gram = auto.matrix.T @ auto.matrix
     grow = rng.normal(size=auto.dim)
     shrink = rng.normal(size=auto.dim)
-    for _ in range(steps):
+    for _ in range(60):
         grow = gram @ grow
         grow /= np.linalg.norm(grow)
         shrink = np.linalg.solve(gram, shrink)
@@ -238,12 +218,11 @@ def _power_iteration_directions(auto: Automorphism, rng: np.random.Generator,
     return np.stack([grow, shrink])
 
 
-def _lipschitz_oracle_gabor(auto: Automorphism, n_points: int = 4096,
-                            seed: int = ORACLE_SEED) -> tuple[float, float]:
+def _lipschitz_oracle_gabor(auto: Automorphism, n_points: int) -> tuple[float, float]:
     # Ratios on the k = 0 slice are 1; it suffices to scan the k = 1 slice
     # scaled by |k|, plus the slice anchors.
     p = -float(auto.matrix[0, 1])
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ORACLE_SEED)
     span = 2.0 * (1.0 + abs(p)) + 1.0
     xs = np.concatenate([rng.uniform(-span, span, n_points), [0.0, p, -p]])
     pts = np.stack([xs, np.ones_like(xs)], axis=-1)
@@ -319,7 +298,6 @@ class FamilyMember:
     auto: Automorphism
     lower: float
     upper: float
-    method: str
     jacobian: float
     weight: float
 
@@ -366,7 +344,7 @@ class AutomorphismFamily:
         for param in self.parameters():
             auto = self.automorphism(param)
             c = lipschitz_constants(auto, self.metric)
-            rows.append(FamilyMember(param, auto, c.lower, c.upper, c.method,
+            rows.append(FamilyMember(param, auto, c.lower, c.upper,
                                      auto.jacobian(), self.weight_of(param)))
         return tuple(rows)
 
@@ -550,16 +528,16 @@ def _monotone_concave_majorant(points: list[tuple[float, float]]) -> MonotoneEnv
     return MonotoneEnvelope(xs, ys)
 
 
-def classify_expansiveness(family: AutomorphismFamily, probe_m: float | None = None,
-                           explosion: float = 10.0) -> ExpansivenessVerdict:
+def classify_expansiveness(family: AutomorphismFamily,
+                           probe_m: float | None = None) -> ExpansivenessVerdict:
     """Classify a probed family by its distortion-constant cloud.
 
     Evidence rules on the truncation: the family is flagged non-expanding
-    when the lower constant collapses (by `explosion`) somewhere at
+    when the lower constant collapses (by `EXPLOSION`) somewhere at
     non-smaller upper constant, or when the lower constant decays against the
     upper one at log-log slope below `SLOPE_THRESHOLD` on the tail.  Without
     such evidence the tail cloud gets a monotone concave majorant; ties in
-    the lower constant carrying an upper-constant spread above `explosion`
+    the lower constant carrying an upper-constant spread above `EXPLOSION`
     demote the verdict from uniformly_expanding to expanding.
     """
     table = [(m.param, m.lower, m.upper) for m in family.members]
@@ -582,7 +560,7 @@ def classify_expansiveness(family: AutomorphismFamily, probe_m: float | None = N
     by_upper = sorted(tail, key=lambda t: (t[2], str(t[0])))
     best_prev_lower = -np.inf
     for p, lo, hi in by_upper:
-        if lo * explosion <= best_prev_lower:
+        if lo * EXPLOSION <= best_prev_lower:
             cand = (p, lo, hi)
             if witness is None or lo < witness[1] or (lo == witness[1] and str(p) > str(witness[0])):
                 witness = cand
@@ -593,7 +571,7 @@ def classify_expansiveness(family: AutomorphismFamily, probe_m: float | None = N
         if lows.size >= 4:
             argmin = int(np.argmin(lows))
             others = np.delete(lows, argmin)
-            if lows[argmin] * explosion <= float(np.median(others)):
+            if lows[argmin] * EXPLOSION <= float(np.median(others)):
                 hi_at_min = tail[argmin][2]
                 if hi_at_min >= float(np.median([hi for _p, _lo, hi in tail])):
                     witness = tail[argmin]
@@ -627,7 +605,7 @@ def classify_expansiveness(family: AutomorphismFamily, probe_m: float | None = N
             j += 1
             hi_min = min(hi_min, by_lower[j][2])
             hi_max = max(hi_max, by_lower[j][2])
-        if hi_max >= explosion * hi_min:
+        if hi_max >= EXPLOSION * hi_min:
             tie_break = True
             break
         i = j + 1

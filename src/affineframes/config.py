@@ -108,13 +108,12 @@ SCHEMA = {
                        "points_per_segment": ("int", 100, "> 0", "<= 1e6"),
                        "lower": ("real?", None), "upper": ("real?", None),
                        "tolerance": ("real", 1e-9)},
-        property_x={"r": ("real", 0.4), "M": ("real", 1.0), "explosion": ("real", 10.0),
+        property_x={"r": ("real", 0.4), "M": ("real", 1.0),
                     "distortion_cap": ("real", 4096.0), "constant_cap": ("real?", None)},
         counting={"radii": ("vector", [0.25]), "params": ("array?", None),
-                  "mc_samples": ("int", 100000, "> 0", "<= 1e8"), "sigma_slack": ("real", 3.0)},
-        lipschitz={"oracle": ("bool", False), "oracle_directions": ("int", 20000, "> 0", "<= 2e6"),
-                   "relative_gap": ("real", 1e-3)},
-        classify={"probe_m": ("real?", None), "explosion": ("real", 10.0), "expect": (
+                  "mc_samples": ("int", 100000, "> 0", "<= 1e8")},
+        lipschitz={"oracle": ("bool", False), "oracle_directions": ("int", 20000, "> 0", "<= 2e6")},
+        classify={"probe_m": ("real?", None), "expect": (
             (None, "uniformly_expanding", "expanding", "non_expanding"), None)},
         u_c={"c": ("real", 2.0), "t_lo": ("real", 1.0, "> 0"), "t_hi": ("real", 32.0, "> 0"),
              "t_points": ("int", 9, "> 0", "<= 1e4"), "M": ("real", 1.0), "cap": ("real", 1e6),
@@ -123,15 +122,14 @@ SCHEMA = {
                  constant={"value": ("real", REQUIRED)}), {"kind": "identity"})},
         frame_report={"lower": ("real", 1.0), "upper": ("real", 1.0), "M": ("real", 4.0),
                       "epsilons": ("vector", [0.01], "> 0"), "test_centers": ("array?", None),
-                      "functional_tolerance": ("real", 1e-6), "segments": _SEGMENTS,
+                      "segments": _SEGMENTS,
                       "points_per_segment": ("int", 100, "> 0", "<= 1e6"),
                       "tolerance": ("real", 1e-9),
                       "scan_radius": ("real", 0.4), "probe_band": ("pair?", None),
                       "probe_count": ("int", 50, "> 0", "<= 1e4"),
-                      "exclusion_radius": ("real", 1e-3),
                       "distortion_cap": ("real", 4096.0)},
         # level sets 2 ** level quadrature cells; the grid byte cap fires long before 64
-        weil_check={"level": ("int", 5, ">= 0", "<= 64"), "threshold": ("real", 1e-8)},
+        weil_check={"level": ("int", 5, ">= 0", "<= 64")},
         local_integrability={"box": ("pairs", [[0.25, 2.0]]), "M": ("real", 2.0),
                              "level": ("int", 3, ">= 0", "<= 64"),
                              "expect": (("finite", "divergent"), "finite")})],
@@ -207,12 +205,15 @@ def resolve_defaults(raw: dict, base_dir: Path | None = None) -> dict:
     """Validate a parsed scenario against SCHEMA and fill every default.
 
     Checked by hand, as they span keys: the basis and the profile boxes against
-    group.dim, the test centers (on the gabor line k = 1) and the metric against
-    the group, the p-range of gabor_shifts, and the rows of a sampled-grid CSV."""
+    group.dim, the test centers (on the gabor line k = 1), the metric and the
+    family kind against the group, the p-range of gabor_shifts, and the rows of a
+    sampled-grid CSV."""
     out = _resolve(raw, SCHEMA, "scenario")
     gabor = out["group"]["kind"] == "gabor"
     metric = out["metric"].setdefault("kind", "gabor_product" if gabor else "euclidean_l2")
     _require((metric == "gabor_product") == gabor, "gabor groups and gabor_product go together")
+    _require((out["family"]["kind"] == "gabor_shifts") == gabor,
+             "gabor groups and gabor_shifts families go together")
     dim = int(out["group"]["dim"])
     basis = out["lattice"]["basis"] = out["lattice"].get("basis") or np.eye(dim).tolist()
     boxes = [piece["box"] for piece in out["profile"].get("pieces", [])]

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .automorphisms import Automorphism, AutomorphismFamily
+from .automorphisms import EXPLOSION, Automorphism, AutomorphismFamily
 from .errors import DegenerateDomainError, RejectedInputError
 from .metric_lattice import (DEFAULT_MC_SAMPLES, DEFAULT_MC_SEED, GABOR_PRODUCT,
                              Lattice, MetricSpace, overlap_measure)
@@ -126,14 +126,13 @@ class PropertyXReport:
 
 
 def property_x_scan(family: AutomorphismFamily, lattice: Lattice,
-                    metric: MetricSpace, r: float, M: float,
-                    explosion: float = 10.0) -> PropertyXReport:
+                    metric: MetricSpace, r: float, M: float) -> PropertyXReport:
     """Scan counts over {h : L(h) > M} and test count <= 1 + C * jacobian.
 
     C is estimated as the largest observed (count - 1) / jacobian.  The
     verdict flips to violated when the ratio trace keeps growing through the
     last quartile of the distortion-ordered scan and gains at least the
-    explosion factor there; a finite scan can only report such evidence,
+    `EXPLOSION` factor there; a finite scan can only report such evidence,
     never refute the bound.
     """
     if r <= 0 or M <= 0:
@@ -155,7 +154,7 @@ def property_x_scan(family: AutomorphismFamily, lattice: Lattice,
     q_start = max(0, len(rows) - max(2, len(rows) // 4))
     quart = ratios[q_start:]
     growing = bool(np.all(np.diff(quart) >= 0)) and quart[-1] > quart[0]
-    exploding = quart[-1] >= explosion * max(quart[0], 1e-300)
+    exploding = quart[-1] >= EXPLOSION * max(quart[0], 1e-300)
     if growing and exploding:
         witness = rows[-1]
         attempted = 1.0 + float(quart[0]) * witness.jacobian

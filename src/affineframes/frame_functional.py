@@ -27,6 +27,7 @@ PROBE_COUNT = 50
 PROBE_SEED = 424243
 PROBE_MAX_PIECES = 8
 REMAINDER_TOLERANCE = 5e-6
+EXCLUSION_RADIUS = 1e-3  # Euclidean scan grids keep this far from the identity
 
 
 @dataclass(frozen=True)
@@ -195,16 +196,15 @@ def calderon_inequality_report(psihat: FrequencyProfile, family: AutomorphismFam
                                lattice: Lattice, xi_grid, lower: float, upper: float,
                                M: float, epsilon: float = 0.01,
                                scan_radius: float = 0.4,
-                               exclusion_radius: float = 1e-3,
                                tolerance: float = 1e-9,
                                scan_distortion_cap: float = 4096.0) -> FrameReport:
     """Per-frequency bound verdicts plus the averaged remainder inequality at
     a few probe points, with the counting-scan constant feeding the remainder."""
     grid = np.asarray(xi_grid, dtype=float).ravel()
     gabor = family.metric.kind == GABOR_PRODUCT
-    if not gabor and np.any(np.abs(grid) < exclusion_radius):
+    if not gabor and np.any(np.abs(grid) < EXCLUSION_RADIUS):
         raise RejectedInputError(
-            f"grid touches the exclusion radius {exclusion_radius} around the identity")
+            f"grid touches the exclusion radius {EXCLUSION_RADIUS} around the identity")
 
     if family.is_continuous:
         values = np.array([ev.value for ev in calderon_sum(psihat, family, grid)])

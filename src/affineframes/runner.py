@@ -23,6 +23,11 @@ from . import frame_functional as ff
 from . import metric_lattice as ml
 from .errors import RejectedInputError
 
+SIGMA_SLACK = 3.0              # Monte Carlo standard errors a counting bound may miss by
+RELATIVE_GAP = 1e-3            # largest relative gap between a constant and its oracle
+FUNCTIONAL_TOLERANCE = 1e-6    # slack of frame-functional values against the frame bounds
+WEIL_THRESHOLD = 1e-8          # largest unfolding residual that passes
+
 
 def _jsonable(value):
     if isinstance(value, dict):
@@ -105,8 +110,7 @@ def _run_property_x(analysis, ctx):
     cap = float(analysis["distortion_cap"])
     scan_family = family.restrict(lambda _p, _lo, hi: hi <= cap)
     report = ct.property_x_scan(scan_family, ctx["lattice"], family.metric,
-                                float(analysis["r"]), float(analysis["M"]),
-                                explosion=float(analysis["explosion"]))
+                                float(analysis["r"]), float(analysis["M"]))
     result = {"verdict": report.verdict, "constant": report.constant,
               "witness": report.witness, "witness_count": report.witness_count,
               "attempted_bound": report.attempted_bound,
@@ -131,15 +135,16 @@ def _run_counting(analysis, ctx):
     else:
         keys = [tuple(p) if isinstance(p, list) else p for p in params]
         autos = [(key, family.member(key).auto) for key in keys]
-    slack = float(analysis["sigma_slack"])
     csv_rows, passed = [], True
     for key, auto in autos:
         for r in map(float, analysis["radii"]):
             bounds = ct.counting_bounds(lattice, auto, r, metric,
                                         n_samples=int(analysis["mc_samples"]), seed=seed)
             count_2r = ct.enumerate_points(lattice, auto, 2.0 * r, metric).count
-            upper_ok = bounds.count <= bounds.upper_bound + slack * bounds.upper_bound_stderr
-            lower_ok = count_2r >= bounds.lower_bound_at_2r - slack * bounds.lower_bound_stderr
+            upper_ok = (bounds.count
+                        <= bounds.upper_bound + SIGMA_SLACK * bounds.upper_bound_stderr)
+            lower_ok = (count_2r
+                        >= bounds.lower_bound_at_2r - SIGMA_SLACK * bounds.lower_bound_stderr)
             ok = bool(upper_ok and lower_ok)
             passed = passed and ok
             csv_rows.append([*_param_columns(key), r, bounds.count, bounds.upper_bound,
@@ -160,18 +165,18 @@ def _identity_auto(metric: ml.MetricSpace) -> am.Automorphism:
 def _run_lipschitz(analysis, ctx):
     family = ctx["family"]
     use_oracle = bool(analysis["oracle"])
-    rel_gap = float(analysis["relative_gap"])
 
     rows, passed = [], True
     for m in family.members:
-        row = [*_param_columns(m.param), m.lower, m.upper, m.method]
+        # every constant is a closed form; the column keeps the CSV layout
+        row = [*_param_columns(m.param), m.lower, m.upper, "closed_form"]
         if use_oracle:
             o_lo, o_hi = am.lipschitz_oracle(m.auto, family.metric,
                                              n_directions=int(analysis["oracle_directions"]))
             sandwich = m.lower <= o_lo * (1 + 1e-12) and m.upper >= o_hi * (1 - 1e-12)
-            tight = (o_lo - m.lower <= rel_gap * m.lower
-                     and m.upper - o_hi <= rel_gap * m.upper)
-            ok = bool(sandwich and (tight or m.method != am.CLOSED_FORM))
+            tight = (o_lo - m.lower <= RELATIVE_GAP * m.lower
+                     and m.upper - o_hi <= RELATIVE_GAP * m.upper)
+            ok = bool(sandwich and tight)
             row.extend([o_lo, o_hi, int(ok)])
             passed = passed and ok
         rows.append(row)
@@ -182,8 +187,7 @@ def _run_lipschitz(analysis, ctx):
 
 
 def _run_classify(analysis, ctx):
-    verdict = am.classify_expansiveness(ctx["family"], probe_m=analysis["probe_m"],
-                                        explosion=float(analysis["explosion"]))
+    verdict = am.classify_expansiveness(ctx["family"], probe_m=analysis["probe_m"])
     result = {"verdict": verdict.verdict, "probe_m": verdict.probe_m,
               "witness": verdict.witness, "witness_constants": verdict.witness_constants,
               "note": verdict.note}
@@ -220,7 +224,6 @@ def _run_frame_report(analysis, ctx):
     report = ff.calderon_inequality_report(
         profile, family, lattice, grid, lower, upper, M=float(analysis["M"]),
         epsilon=epsilons[0], scan_radius=float(analysis["scan_radius"]),
-        exclusion_radius=float(analysis["exclusion_radius"]),
         tolerance=float(analysis["tolerance"]),
         scan_distortion_cap=float(analysis["distortion_cap"]))
     passed = report.n_failures == 0
@@ -228,7 +231,6 @@ def _run_frame_report(analysis, ctx):
         passed = passed and report.counting_verdict == "holds"
     passed = passed and all(r.satisfied for r in report.remainder)
 
-    ftol = float(analysis["functional_tolerance"])
     centers = analysis["test_centers"]
     if centers is None:
         pos = grid[grid > 0]
@@ -239,7 +241,7 @@ def _run_frame_report(analysis, ctx):
         for eps in epsilons:
             tf = ff.make_test_function(center, eps, family.metric)
             value = ff.frame_functional(profile, family, lattice, tf.profile)
-            ok = lower - ftol <= value <= upper + ftol
+            ok = lower - FUNCTIONAL_TOLERANCE <= value <= upper + FUNCTIONAL_TOLERANCE
             functional_rows.append({"center": center, "epsilon": eps,
                                     "value": value, "ok": bool(ok)})
             passed = passed and ok
@@ -251,7 +253,8 @@ def _run_frame_report(analysis, ctx):
                                             count=int(analysis["probe_count"]),
                                             seed=int(scenario["seed"]))
         a_hat, b_hat = ff.frame_bound_probe(profile, family, lattice, ensemble)
-        probe_ok = a_hat >= lower - ftol and b_hat <= upper + ftol
+        probe_ok = (a_hat >= lower - FUNCTIONAL_TOLERANCE
+                    and b_hat <= upper + FUNCTIONAL_TOLERANCE)
         probe_result = {"lower_empirical": a_hat, "upper_empirical": b_hat,
                         "ok": bool(probe_ok),
                         "note": "inner estimates from a finite ensemble"}
@@ -270,8 +273,8 @@ def _run_frame_report(analysis, ctx):
 
 def _run_weil_check(analysis, ctx):
     residual = ml.weil_residual(ctx["profile"], ctx["lattice"], level=int(analysis["level"]))
-    threshold = float(analysis["threshold"])
-    return {"residual": residual, "threshold": threshold}, residual <= threshold, None
+    return ({"residual": residual, "threshold": WEIL_THRESHOLD},
+            residual <= WEIL_THRESHOLD, None)
 
 
 def _run_local_integrability(analysis, ctx):

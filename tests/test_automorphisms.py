@@ -19,6 +19,13 @@ LINF_2 = ml.euclidean_linf(2)
 GABOR = ml.gabor_product()
 
 
+def test_jacobian_of_one_by_one_powers_is_exact():
+    # det goes through exp(sum log|u_ii|) and comes out one ulp off 2 ** j
+    for j in range(-60, 61):
+        assert am.matrix_power([[2.0]], j).jacobian() == 2.0 ** j
+    assert am.matrix_automorphism([[-3.0]]).jacobian() == 3.0
+
+
 def test_jacobian_closed_forms():
     assert am.shearlet(4.0, 1.0).jacobian() == pytest.approx(8.0)
     assert am.matrix_automorphism([[2.0, 0.0], [0.0, 0.5]]).jacobian() == pytest.approx(1.0)
@@ -42,7 +49,7 @@ def test_apply_inverse_roundtrip():
         assert np.max(np.abs(back - pts)) < 1e-12 * max(1.0, np.max(np.abs(pts)))
 
 
-def test_jacobi_singular_values_match_reference():
+def test_singular_values_match_svd_reference():
     rng = np.random.default_rng(SEED)
     for dim in (2, 3, 4, 6, 8):
         for _ in range(10):
@@ -84,12 +91,25 @@ def test_l2_constants_of_ill_conditioned_powers_match_svd(a, b, sign_a, sign_d, 
     assert c.upper == pytest.approx(sv[0], rel=1e-12, abs=0.0)
 
 
-def test_shearlet_constants_match_jacobi_route():
-    for a in (1.0, 2.0, 4.0, 9.0):
-        for s in (-3.0, 0.0, 1.0, 2.5):
-            closed = am.shearlet_l2_constants(a, s)
-            sv = am.singular_values(am.shearlet(a, s).matrix)
-            assert closed == pytest.approx((sv[0], sv[-1]), rel=1e-10)
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.5, 1e4), st.floats(-1e4, 1e4))
+def test_shearlet_l2_bounds_match_exact_singular_values(a, s):
+    # sigma_max = sqrt((a/2)(T + sqrt(T^2 - 4a))), T = a + s^2 + 1, with T^2 - 4a
+    # expanded into nonnegative terms; sigma_min = a ** 1.5 / sigma_max as
+    # |det| = a ** 1.5, while (a/2)(T - sqrt(T^2 - 4a)) loses 14% at a = 1, s = 1e4
+    t = a + s * s + 1.0
+    disc = math.sqrt((a - 1.0) ** 2 + s * s * (s * s + 2.0 * (a + 1.0)))
+    upper = math.sqrt(0.5 * a * (t + disc))
+    c = am.lipschitz_constants(am.shearlet(a, s), L2_2)
+    assert c.upper == pytest.approx(upper, rel=1e-12, abs=0.0)
+    assert c.lower == pytest.approx(a ** 1.5 / upper, rel=1e-12, abs=0.0)
+
+
+def test_gabor_product_rejects_other_automorphisms():
+    for auto in (am.matrix_automorphism([[2.0]]), am.shearlet(2.0, 1.0),
+                 am.matrix_power([[2.0, 0.0], [0.0, 3.0]], 2)):
+        with pytest.raises(RejectedInputError):
+            am.lipschitz_constants(auto, GABOR)
 
 
 def test_linf_closed_form_vs_oracle_exact_at_corners():
@@ -216,7 +236,7 @@ def _assert_table_matches_recomputation(fam):
         auto = fam.generator(*m.param) if isinstance(m.param, tuple) else fam.generator(m.param)
         c = am.lipschitz_constants(auto, fam.metric)
         assert np.array_equal(m.auto.matrix, auto.matrix)
-        assert (m.lower, m.upper, m.method) == (c.lower, c.upper, c.method)
+        assert (m.lower, m.upper) == (c.lower, c.upper)
         assert m.jacobian == auto.jacobian()
         assert m.weight == fam.weight_of(m.param)
 
@@ -272,7 +292,6 @@ def test_closed_form_constants_bracket_oracle_property(dim, entries, metric_kind
     closed = am.lipschitz_constants(auto, metric)
     o_lo, o_hi = am.lipschitz_oracle(auto, metric, n_directions=2000)
     # the oracle only reports attained ratios, so the optimal constants enclose it
-    assert closed.method == am.CLOSED_FORM
     assert closed.lower <= o_lo * (1 + 1e-12)
     assert closed.upper >= o_hi * (1 - 1e-12)
 

@@ -115,6 +115,16 @@ def test_null_knob_stands_for_its_default():
     assert [a["kind"] for a in bare["analyses"]] == ["calderon_scan"]
 
 
+def test_gabor_shifts_family_and_gabor_group_go_together():
+    on_line = json.loads(json.dumps(MINIMAL))
+    on_line["family"] = {"kind": "gabor_shifts", "p_values": [0, 1]}
+    off_line = json.loads(json.dumps(MINIMAL))
+    off_line["group"] = {"kind": "gabor", "dim": 1}
+    for scenario in (on_line, off_line):
+        with pytest.raises(ScenarioParseError, match="gabor_shifts"):
+            cfg.resolve_defaults(scenario)
+
+
 # ---------------------------------------------------------------------------
 # Properties drawn from the schema table
 # ---------------------------------------------------------------------------
@@ -171,11 +181,16 @@ def _one_row_boxes(profile):
     return profile
 
 
-def _one_column_centers(analyses):
-    for analysis in analyses:
-        if analysis.get("test_centers") is not None:  # [x] rows on the euclidean group
-            analysis["test_centers"] = [[x] for x in analysis["test_centers"]]
-    return analyses
+def _on_its_group(scenario):
+    """Draw the group from the family: gabor_shifts on the gabor group with [x, 1]
+    test centers, every other family on the line with [x] centers."""
+    gabor = scenario["family"]["kind"] == "gabor_shifts"
+    scenario["group"] = {"kind": "gabor" if gabor else "euclidean", "dim": 1}
+    for analysis in scenario["analyses"]:
+        if analysis.get("test_centers") is not None:
+            analysis["test_centers"] = [[x, 1] if gabor else [x]
+                                        for x in analysis["test_centers"]]
+    return scenario
 
 
 def _bounded_family(family):
@@ -189,11 +204,10 @@ def _bounded_family(family):
 
 
 _scenarios = st.fixed_dictionaries({
-    "group": st.just({"kind": "euclidean", "dim": 1}),
     "family": _draw_value(FAMILIES).filter(_bounded_family),
     "profile": _draw_value(PROFILES).map(_one_row_boxes),
-    "analyses": _draw_value([ANALYSES]).map(_one_column_centers),
-})
+    "analyses": _draw_value([ANALYSES]),
+}).map(_on_its_group)
 
 
 def _kinded_sections(scenario):
@@ -396,6 +410,10 @@ BAD_OVERRIDES = [
     ("gabor_onb", "analyses.2.test_centers=[[1.3,2]]"),  # the functional lives on k = 1
     ("shannon_onb", "family.j_max=2000"),       # 2 ** 1024 overflows a float
     ("shannon_onb", "family.j_min=-2000"),      # 2 ** -2000 underflows to zero
+    # gabor_shifts families and gabor groups go together
+    ("gabor_onb", 'family={"kind":"matrix_power","base":[[2.0]],"j_min":0,"j_max":3}'),
+    ("anisotropic_wavelet", 'family={"kind":"gabor_shifts","p_values":[0,1]}'),
+    ("shannon_onb", 'family={"kind":"gabor_shifts","p_values":[0,1]}'),
 ]
 
 
@@ -422,6 +440,17 @@ def test_cli_ill_conditioned_matrix_power_has_valid_constants(tmp_path, capsys):
                      "--set", "family.j_max=30"])
     assert code in (0, 2)
     assert "invalid distortion constants" not in capsys.readouterr().err
+
+
+def test_cli_strongly_sheared_shearlets_have_valid_l2_constants(tmp_path, capsys):
+    # at a = 1, s = 1e4 the closed form of the lower constant lost 14% to cancellation
+    code = cli.main(["run", "shearlet_property_x", "--out", str(tmp_path / "o"),
+                     "--set", "metric.kind=euclidean_l2",
+                     "--set", "family.s_values=[-10000,0,10000]",
+                     "--set", "family.a_values=[1,2]",
+                     "--set", "analyses.1.expect=null", "--set", "analyses.2.params=null"])
+    assert code == 0
+    assert "[PASS] lipschitz" in capsys.readouterr().out
 
 
 def test_cli_output_directory_named_like_a_bundled_scenario(tmp_path, monkeypatch):

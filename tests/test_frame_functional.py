@@ -118,7 +118,7 @@ def _single_shift_term(psihat, m, fhat) -> float:
     return m.weight * float(fhat.values[0]) ** 2 * integral
 
 
-def test_reduced_and_general_methods_agree():
+def test_single_shift_term_matches_frame_functional():
     fam = dyadic_family(-30, 30)
     for eps in (0.01, 0.003):
         tf = ff.make_test_function([0.3], eps, L2_1)

@@ -139,7 +139,7 @@ def test_weil_residual_incommensurate_lattice():
     assert ml.weil_residual(prof, ml.Lattice([[0.7]])) < 1e-8
 
 
-def test_weil_residual_grid_method_converges_with_refinement():
+def test_weil_residual_converges_with_refinement():
     # a 3-d profile takes the plain cell-subdivision fallback on the periodized side
     box = PiecewiseConstantProfile(np.array([[-0.8, -0.3, -0.4]]),
                                    np.array([[1.1, 0.9, 0.7]]), np.array([1.3]))
