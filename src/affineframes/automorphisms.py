@@ -177,19 +177,18 @@ def lipschitz_constants(auto: Automorphism, metric: MetricSpace) -> LipschitzCon
     raise RejectedInputError(f"unsupported metric kind {metric.kind!r}")
 
 
-def lipschitz_oracle(auto: Automorphism, metric: MetricSpace,
-                     n_directions: int = ORACLE_DIRECTIONS) -> tuple[float, float]:
-    """Inner approximation of the distortion constants by direction sampling.
+def lipschitz_oracle(autos: Sequence[Automorphism], metric: MetricSpace,
+                     n_directions: int = ORACLE_DIRECTIONS) -> list[tuple[float, float]]:
+    """Inner approximation of each member's distortion constants by direction sampling.
 
-    Returns (max of observed lower ratios, min of observed upper ratios) as
-    (oracle_lower, oracle_upper); the true constants satisfy
-    lower <= oracle_lower and upper >= oracle_upper.
-    """
+    Returns one (max of observed lower ratios, min of observed upper ratios)
+    pair per automorphism, as (oracle_lower, oracle_upper); the true constants
+    satisfy lower <= oracle_lower and upper >= oracle_upper."""
     if metric.kind == GABOR_PRODUCT:
-        return _lipschitz_oracle_gabor(auto, n_directions)
-    rng = np.random.default_rng(ORACLE_SEED)
-    dim = auto.dim
-    dirs = rng.normal(size=(n_directions, dim))
+        return [_lipschitz_oracle_gabor(auto, n_directions) for auto in autos]
+    rng = np.random.default_rng(ORACLE_SEED)  # every member reads the same draws
+    dim = autos[0].dim
+    sampled = _unit_rows(rng.normal(size=(n_directions, dim)), metric)
     # deterministic extremal candidates: axes, sign corners, their preimages
     # (max-norm extremizers sit at such points), and power-iteration refiners
     # (Euclidean extremizers); every candidate still only contributes an
@@ -197,25 +196,32 @@ def lipschitz_oracle(auto: Automorphism, metric: MetricSpace,
     corners = np.stack(np.meshgrid(*[(-1.0, 1.0)] * dim, indexing="ij"),
                        axis=-1).reshape(-1, dim)
     special = np.concatenate([np.eye(dim), corners])
-    dirs = np.concatenate([dirs, special, auto.inverse_apply(special),
-                           _power_iteration_directions(auto, rng)])
+    bounds = []
+    for auto, refiners in zip(autos, _power_iteration_directions(autos, rng)):
+        extra = np.concatenate([special, auto.inverse_apply(special), refiners])
+        # one product per member: BLAS bits depend on the batch shape
+        ratios = metric.norm(auto.apply(np.concatenate([sampled, _unit_rows(extra, metric)])))
+        bounds.append((float(np.min(ratios)), float(np.max(ratios))))
+    return bounds
+
+
+def _unit_rows(dirs: np.ndarray, metric: MetricSpace) -> np.ndarray:
     norms = metric.norm(dirs)
     keep = norms > 1e-12
-    dirs = dirs[keep] / norms[keep][:, None]
-    ratios = metric.norm(auto.apply(dirs))
-    return float(np.min(ratios)), float(np.max(ratios))
+    return dirs[keep] / norms[keep][:, None]
 
 
-def _power_iteration_directions(auto: Automorphism, rng: np.random.Generator) -> np.ndarray:
-    gram = auto.matrix.T @ auto.matrix
-    grow = rng.normal(size=auto.dim)
-    shrink = rng.normal(size=auto.dim)
+def _power_iteration_directions(autos: Sequence[Automorphism],
+                                rng: np.random.Generator) -> np.ndarray:
+    """Unit (grow, shrink) directions of every member, shape (n, 2, dim); numpy hands
+    each stacked item to the BLAS and LAPACK calls of a per-member loop, bit for bit."""
+    grams = np.stack([auto.matrix.T @ auto.matrix for auto in autos])
+    v = rng.normal(size=(2, grams.shape[-1]))  # the grow and shrink starts
     for _ in range(60):
-        grow = gram @ grow
-        grow /= np.linalg.norm(grow)
-        shrink = np.linalg.solve(gram, shrink)
-        shrink /= np.linalg.norm(shrink)
-    return np.stack([grow, shrink])
+        v = np.stack([np.matmul(grams, v[..., 0, :, None]),
+                      np.linalg.solve(grams, v[..., 1, :, None])], axis=1)[..., 0]
+        v /= np.sqrt(np.matmul(v[..., None, :], v[..., None]))[..., 0]
+    return v
 
 
 def _lipschitz_oracle_gabor(auto: Automorphism, n_points: int) -> tuple[float, float]:
@@ -225,11 +231,8 @@ def _lipschitz_oracle_gabor(auto: Automorphism, n_points: int) -> tuple[float, f
     rng = np.random.default_rng(ORACLE_SEED)
     span = 2.0 * (1.0 + abs(p)) + 1.0
     xs = np.concatenate([rng.uniform(-span, span, n_points), [0.0, p, -p]])
-    pts = np.stack([xs, np.ones_like(xs)], axis=-1)
-    ratios = (np.abs(pts[:, 0] - p) + 1.0) / (np.abs(pts[:, 0]) + 1.0)
-    lo = min(float(np.min(ratios)), 1.0)
-    hi = max(float(np.max(ratios)), 1.0)
-    return lo, hi
+    ratios = (np.abs(xs - p) + 1.0) / (np.abs(xs) + 1.0)
+    return min(float(np.min(ratios)), 1.0), max(float(np.max(ratios)), 1.0)
 
 
 # ---------------------------------------------------------------------------

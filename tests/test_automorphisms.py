@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from affineframes import automorphisms as am
@@ -114,20 +114,22 @@ def test_gabor_product_rejects_other_automorphisms():
 
 def test_linf_closed_form_vs_oracle_exact_at_corners():
     rng = np.random.default_rng(SEED)
+    autos = []
     for _ in range(20):
         m = rng.normal(size=(2, 2))
         if abs(np.linalg.det(m)) < 0.05:
             continue
-        auto = am.matrix_automorphism(m)
+        autos.append(am.matrix_automorphism(m))
+    oracle = am.lipschitz_oracle(autos, LINF_2, n_directions=2000)
+    for auto, (o_lo, o_hi) in zip(autos, oracle):
         c = am.lipschitz_constants(auto, LINF_2)
-        o_lo, o_hi = am.lipschitz_oracle(auto, LINF_2, n_directions=2000)
         assert c.upper == pytest.approx(o_hi, rel=1e-12)
         assert c.lower == pytest.approx(o_lo, rel=1e-12)
 
 
 def test_gabor_oracle_brackets_closed_form():
     auto = am.gabor_shift(0.8)
-    o_lo, o_hi = am.lipschitz_oracle(auto, GABOR)
+    [(o_lo, o_hi)] = am.lipschitz_oracle([auto], GABOR)
     c = am.lipschitz_constants(auto, GABOR)
     assert c.lower <= o_lo + 1e-12 and o_hi <= c.upper + 1e-12
     assert o_hi == pytest.approx(c.upper, rel=1e-9)
@@ -290,10 +292,83 @@ def test_closed_form_constants_bracket_oracle_property(dim, entries, metric_kind
     assume(abs(np.linalg.det(m)) > 1e-3 and np.linalg.cond(m) < 100.0)
     auto, metric = am.matrix_automorphism(m), ml.MetricSpace(metric_kind, dim)
     closed = am.lipschitz_constants(auto, metric)
-    o_lo, o_hi = am.lipschitz_oracle(auto, metric, n_directions=2000)
+    [(o_lo, o_hi)] = am.lipschitz_oracle([auto], metric, n_directions=2000)
     # the oracle only reports attained ratios, so the optimal constants enclose it
     assert closed.lower <= o_lo * (1 + 1e-12)
     assert closed.upper >= o_hi * (1 - 1e-12)
+
+
+def _member_oracle(auto, metric, n_directions):
+    """Reference: the oracle for one member, redrawing everything per call."""
+    if metric.kind == ml.GABOR_PRODUCT:
+        return _member_oracle_gabor(auto, n_directions)
+    rng = np.random.default_rng(am.ORACLE_SEED)
+    dim = auto.dim
+    dirs = rng.normal(size=(n_directions, dim))
+    corners = np.stack(np.meshgrid(*[(-1.0, 1.0)] * dim, indexing="ij"),
+                       axis=-1).reshape(-1, dim)
+    special = np.concatenate([np.eye(dim), corners])
+    dirs = np.concatenate([dirs, special, auto.inverse_apply(special),
+                           _member_power_iteration(auto, rng)])
+    norms = metric.norm(dirs)
+    keep = norms > 1e-12
+    dirs = dirs[keep] / norms[keep][:, None]
+    ratios = metric.norm(auto.apply(dirs))
+    return float(np.min(ratios)), float(np.max(ratios))
+
+
+def _member_oracle_gabor(auto, n_points):
+    p = -float(auto.matrix[0, 1])
+    rng = np.random.default_rng(am.ORACLE_SEED)
+    span = 2.0 * (1.0 + abs(p)) + 1.0
+    xs = np.concatenate([rng.uniform(-span, span, n_points), [0.0, p, -p]])
+    pts = np.stack([xs, np.ones_like(xs)], axis=-1)
+    ratios = (np.abs(pts[:, 0] - p) + 1.0) / (np.abs(pts[:, 0]) + 1.0)
+    return min(float(np.min(ratios)), 1.0), max(float(np.max(ratios)), 1.0)
+
+
+def _member_power_iteration(auto, rng):
+    gram = auto.matrix.T @ auto.matrix
+    grow = rng.normal(size=auto.dim)
+    shrink = rng.normal(size=auto.dim)
+    for _ in range(60):
+        grow = gram @ grow
+        grow /= np.linalg.norm(grow)
+        shrink = np.linalg.solve(gram, shrink)
+        shrink /= np.linalg.norm(shrink)
+    return np.stack([grow, shrink])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 3), n_members=st.integers(1, 40),
+       log_cond=st.floats(0.0, 16.0), n_directions=st.integers(1, 400),
+       metric_kind=st.sampled_from([ml.EUCLIDEAN_L2, ml.EUCLIDEAN_LINF]))
+@example(seed=1, dim=2, n_members=40, log_cond=16.0, n_directions=400,
+         metric_kind=ml.EUCLIDEAN_L2)
+@example(seed=2, dim=3, n_members=40, log_cond=16.0, n_directions=400,
+         metric_kind=ml.EUCLIDEAN_LINF)
+def test_family_oracle_matches_member_by_member_reference(seed, dim, n_members, log_cond,
+                                                          n_directions, metric_kind):
+    # members of cond up to e^log_cond <= e^16 (Gram cond e^32) at scales
+    # e^-3..e^3; the draws are shared and the power iteration stacked, which
+    # must not move a bit
+    rng = np.random.default_rng(seed)
+    autos = []
+    for _ in range(n_members):
+        u, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        v, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        log_sigma = (np.linspace(-0.5, 0.5, dim) * rng.uniform(0.0, log_cond)
+                     + rng.uniform(-3.0, 3.0))
+        autos.append(am.matrix_automorphism(u @ np.diag(np.exp(log_sigma)) @ v))
+    metric = ml.MetricSpace(metric_kind, dim)
+    assert am.lipschitz_oracle(autos, metric, n_directions=n_directions) == [
+        _member_oracle(auto, metric, n_directions) for auto in autos]
+
+
+def test_family_oracle_matches_member_by_member_reference_on_gabor_shifts():
+    autos = [am.gabor_shift(p) for p in np.linspace(-3.0, 3.0, 13)]
+    assert am.lipschitz_oracle(autos, GABOR, n_directions=5000) == [
+        _member_oracle(auto, GABOR, 5000) for auto in autos]
 
 
 def test_classify_dyadic_dilations_uniform_identity_envelope():

@@ -7,6 +7,7 @@ from affineframes import automorphisms as am
 from affineframes import counting as ct
 from affineframes import metric_lattice as ml
 from affineframes.errors import RejectedInputError, ResourceLimitError
+from unimodular import random_unimodular
 
 SEED = 97531
 L2_1 = ml.euclidean_l2(1)
@@ -196,8 +197,8 @@ def test_random_instance_sandwich_small():
     for case in range(12):
         dim = int(rng.integers(1, 4))
         metric = ml.MetricSpace(ml.EUCLIDEAN_LINF if case % 2 else ml.EUCLIDEAN_L2, dim)
-        basis = _random_unimodular(rng, dim)
-        deform = _random_unimodular(rng, dim)
+        basis = random_unimodular(rng, dim)
+        deform = random_unimodular(rng, dim)
         lattice = ml.Lattice(basis)
         auto = am.matrix_automorphism(deform)
         r = float(rng.uniform(0.05, 2.0))
@@ -206,15 +207,3 @@ def test_random_instance_sandwich_small():
         count_2r = ct.enumerate_points(lattice, auto, 2 * r, metric).count
         assert bounds.count <= bounds.upper_bound + 3 * bounds.upper_bound_stderr
         assert count_2r >= bounds.lower_bound_at_2r - 3 * bounds.lower_bound_stderr
-
-
-def _random_unimodular(rng: np.random.Generator, dim: int,
-                       max_cond: float = 50.0) -> np.ndarray:
-    """Random rotation * diag * rotation with unit determinant, bounded condition."""
-    cond = float(rng.uniform(1.0, max_cond))
-    log_sigma = rng.uniform(-0.5, 0.5, size=dim) * math.log(cond)
-    log_sigma -= log_sigma.mean()
-    sigma = np.exp(log_sigma)
-    u, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-    v, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-    return u @ np.diag(sigma) @ v
