@@ -311,8 +311,8 @@ class AutomorphismFamily:
 
     `weight` is a density on the parameter axis when the index set carries
     cell edges, and an atom mass otherwise.  `members` materialises every
-    parameter once, on first use; `automorphism` and `weight_of` serve
-    parameters outside that table (level-set bisection, quadrature nodes).
+    parameter once, on first use; only `weight_of` serves parameters outside
+    that table (the quadrature nodes of continuous families).
     """
 
     index_set: IntegerRange | RealGrid | ParameterList
@@ -328,11 +328,6 @@ class AutomorphismFamily:
     def is_continuous(self) -> bool:
         return isinstance(self.index_set, RealGrid) and self.index_set.edges is not None
 
-    def automorphism(self, param) -> Automorphism:
-        if isinstance(param, tuple):
-            return self.generator(*param)
-        return self.generator(param)
-
     def weight_of(self, param) -> float:
         w = self.weight(*param) if isinstance(param, tuple) else self.weight(param)
         if w < 0:
@@ -345,7 +340,7 @@ class AutomorphismFamily:
         every parameter, in `parameters()` order."""
         rows = []
         for param in self.parameters():
-            auto = self.automorphism(param)
+            auto = self.generator(*param) if isinstance(param, tuple) else self.generator(param)
             c = lipschitz_constants(auto, self.metric)
             rows.append(FamilyMember(param, auto, c.lower, c.upper,
                                      auto.jacobian(), self.weight_of(param)))
@@ -380,27 +375,23 @@ class AutomorphismFamily:
     def level_set_intervals(self, lower: float, upper: float) -> list[tuple[float, float]]:
         """Parameter intervals where lower <= L(a) <= upper (continuous families).
 
-        Cell-wise bracketing with bisection at the crossings; assumes L is
-        continuous and changes monotonically within each cell, which holds for
-        the shipped one-parameter dilation families.
+        Continuous families are dilations [[a]] with a > 0 (see
+        `continuous_dilation_family`), so L(a) = a in both metrics.  Cells
+        inside the band are kept whole; the others are bracketed on a 5-point
+        grid with bisection at the crossings.
         """
         if not self.is_continuous:
             raise RejectedInputError("level sets need a continuous index set")
 
-        def L(a: float) -> float:
-            return lipschitz_constants(self.automorphism(a), self.metric).upper
-
         def inside(a: float) -> bool:
-            return lower <= L(a) <= upper
+            return lower <= a <= upper
 
         edges = self.index_set.edges
-        edge_vals = np.array([L(float(e)) for e in edges])
         out: list[tuple[float, float]] = []
-        for a0, a1, v0, v1 in zip(edges[:-1], edges[1:], edge_vals[:-1], edge_vals[1:]):
-            cell_lo, cell_hi = min(v0, v1), max(v0, v1)
-            if cell_hi < lower or cell_lo > upper:
+        for a0, a1 in zip(edges[:-1], edges[1:]):
+            if a1 < lower or a0 > upper:
                 continue
-            if lower <= cell_lo and cell_hi <= upper:
+            if lower <= a0 and a1 <= upper:
                 out.append((float(a0), float(a1)))
                 continue
             grid = np.linspace(a0, a1, 5)
@@ -478,10 +469,14 @@ def continuous_dilation_family(lo: float, hi: float, n_cells: int,
                                metric: MetricSpace,
                                weight: Callable[[float], float] = lambda a: 1.0,
                                name: str = "") -> AutomorphismFamily:
+    """Dilations [[a]] over a in [lo, hi], with `weight` a density on n_cells
+    geometric cells.  This is the only constructor that passes cell edges, so
+    every continuous family has L(a) = jacobian(a) = a, which its level sets
+    and orbit integrals read directly."""
     if not (0 < lo < hi):
         raise RejectedInputError("dilation domain must satisfy 0 < lo < hi")
     edges = np.geomspace(lo, hi, n_cells + 1)
-    points = np.sqrt(edges[:-1] * edges[1:])
+    points = np.sqrt(edges[:-1]) * np.sqrt(edges[1:])  # the product over/underflows first
     return AutomorphismFamily(RealGrid(points, edges=edges),
                               lambda a: matrix_automorphism([[a]]), weight, metric, name)
 

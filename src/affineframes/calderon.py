@@ -152,13 +152,13 @@ def calderon_sum(psihat: FrequencyProfile, family: AutomorphismFamily,
 
     Atomic families take every value from one `calderon_values` call and
     their certificates and edge tails as arrays; continuous families
-    integrate per frequency, since their parameter windows depend on it.
+    integrate every frequency's parameter windows in one quadrature call.
     """
     pts = _frequencies(psihat, points)
     _check_not_identity(family, pts)
     if family.is_continuous:
-        return [_continuous_orbit_integral(psihat, family, x, weighted=False,
-                                           lower_cutoff=None) for x in pts]
+        return _continuous_orbit_integrals(psihat, family, pts, weighted=False,
+                                           lower_cutoff=None)
     values = calderon_values(psihat, family, pts)
     certified, truncation = _atomic_certificate(psihat, family, pts)
     tails = np.where(certified, 0.0, _edge_tail_estimate(psihat, family, pts))
@@ -182,8 +182,8 @@ def calderon_tail(psihat: FrequencyProfile, family: AutomorphismFamily, xi,
         raise RejectedInputError("calderon_tail evaluates one frequency")
     _check_not_identity(family, pts)
     if family.is_continuous:
-        return _continuous_orbit_integral(psihat, family, pts[0], weighted=True,
-                                          lower_cutoff=M)
+        return _continuous_orbit_integrals(psihat, family, pts, weighted=True,
+                                           lower_cutoff=M)[0]
     rows = sorted((m for m in family.members if m.upper > M),
                   key=lambda m: (m.upper, str(m.param)))
     if not rows:
@@ -232,72 +232,66 @@ def _edge_tail_estimate(psihat, family, pts: np.ndarray,
 # Continuous one-parameter dilation families
 # ---------------------------------------------------------------------------
 
-def _scalar_dilation_or_reject(family: AutomorphismFamily) -> None:
+def _continuous_orbit_integrals(psihat, family, pts: np.ndarray, weighted: bool,
+                                lower_cutoff: float | None) -> list[CalderonEvaluation]:
+    """Orbit integrals at every frequency from one quadrature call.
+
+    The members are dilations [[a]] with L(a) = jacobian(a) = a.  A frequency
+    xi integrates the weight density over the windows {a : a * xi in a live
+    profile piece}, clipped to the domain; the same windows on the whole
+    positive axis decide coverage and price the uncovered mass at the domain
+    boundary.  Each frequency adds its window integrals left to right, in
+    profile-piece order (sorted windows under a cutoff)."""
     if family.members[0].auto.dim != 1:
         raise RejectedInputError(
             "continuous orbit integrals support one-dimensional dilation families")
-
-
-def _active_windows(psihat, xi: float, domain: tuple[float, float]) -> list[tuple[float, float]]:
-    """Parameter intervals whose dilated frequency lands where the profile is
-    nonzero (support gaps between pieces are skipped)."""
-    lo_d, hi_d = domain
-    windows: list[tuple[float, float]] = []
-    edges = psihat.breakpoints_1d()
-    for u0, u1 in zip(edges[:-1], edges[1:]):
-        probes = np.array([[u0], [0.5 * (u0 + u1)], [u1 - 1e-12 * (u1 - u0)]])
-        if np.all(psihat.evaluate(probes) == 0.0):
-            continue
-        if xi > 0:
-            a0, a1 = u0 / xi, u1 / xi
-        elif xi < 0:
-            a0, a1 = u1 / xi, u0 / xi
-        else:
-            continue
-        a0, a1 = max(a0, lo_d), min(a1, hi_d)
-        if a1 > a0:
-            windows.append((a0, a1))
-    return windows
-
-
-def _continuous_orbit_integral(psihat, family, xi_arr: np.ndarray, weighted: bool,
-                               lower_cutoff: float | None) -> CalderonEvaluation:
-    _scalar_dilation_or_reject(family)
     if psihat.dim != 1:
         raise RejectedInputError("continuous families pair with 1-d profiles")
-    xi = float(xi_arr.ravel()[0])
-    domain = family.continuous_domain()
-    windows = _active_windows(psihat, xi, domain)
+    xi = pts[:, 0]
+    lo_d, hi_d = domain = family.continuous_domain()
+    edges = psihat.breakpoints_1d()
+    u0, u1 = edges[:-1], edges[1:]
+    probes = np.stack([u0, 0.5 * (u0 + u1), u1 - 1e-12 * (u1 - u0)], axis=1)
+    live = np.any(psihat.evaluate(probes.reshape(-1, 1)).reshape(-1, 3) != 0.0, axis=1)
+    # (n_xi, n_pieces) parameter windows; xi != 0 after _check_not_identity
+    q0, q1 = u0[live] / xi[:, None], u1[live] / xi[:, None]
+    a0, a1 = np.where(xi[:, None] > 0, q0, q1), np.where(xi[:, None] > 0, q1, q0)
+    w0, w1 = np.maximum(a0, lo_d), np.minimum(a1, hi_d)
+    windows = [list(zip(r0[k].tolist(), r1[k].tolist()))
+               for r0, r1, k in zip(w0, w1, w1 > w0)]
     if lower_cutoff is not None:
         level = family.level_set_intervals(lower_cutoff, np.inf)
-        windows = _intersect_interval_lists(windows, level)
+        windows = [_intersect_interval_lists(w, level) for w in windows]
+    freq_of = np.repeat(np.arange(xi.shape[0]), [len(w) for w in windows])
 
-    def integrand(a: np.ndarray, _owner=None) -> np.ndarray:
-        vals = psihat.evaluate((a * xi)[:, None]) ** 2
+    def density(a: np.ndarray, x: np.ndarray) -> np.ndarray:
         w = np.array([family.weight_of(float(v)) for v in a])
-        if weighted:
-            w = w * np.array([family.automorphism(float(v)).jacobian() for v in a])
-        return w * vals
+        return (w * a if weighted else w) * psihat.evaluate((a * x)[:, None]) ** 2
 
-    total = 0.0
-    for value in quadrature.integrate_with_breakpoints(
-            integrand, [(a0, a1, ()) for a0, a1 in windows]):
-        total += value
+    totals = quadrature.integrate_with_breakpoints(
+        lambda a, owner: density(a, xi[freq_of[owner]]),
+        [(b0, b1, ()) for w in windows for b0, b1 in w])
+    values = [0.0] * xi.shape[0]
+    for i, value in zip(freq_of.tolist(), totals):
+        values[i] += value
     # exactness: every support window on the positive parameter axis must lie
     # inside the declared domain truncation
-    full = _active_windows(psihat, xi, (0.0, np.inf))
-    covered = all(domain[0] <= f0 and f1 <= domain[1] for f0, f1 in full)
-    tail = 0.0
-    if not covered:
-        # uncovered window mass, priced at the boundary integrand value
-        for f0, f1 in full:
-            left_gap = max(0.0, min(f1, domain[0]) - f0)
-            right_gap = max(0.0, f1 - max(f0, domain[1]))
-            for gap, edge in ((left_gap, domain[0]), (right_gap, domain[1])):
-                if gap > 0:
-                    tail += gap * float(integrand(np.array([edge]))[0])
-    return CalderonEvaluation(xi, total, {"kind": "continuous", "domain": domain,
-                                          "windows": windows}, tail, covered)
+    f0 = np.maximum(a0, 0.0)
+    covered = np.all((a1 <= f0) | ((lo_d <= f0) & (a1 <= hi_d)), axis=1)
+    left = np.minimum(a1, lo_d) - f0
+    right = a1 - np.maximum(f0, hi_d)
+    out = []
+    for i, x in enumerate(xi.tolist()):
+        tail = 0.0
+        if not covered[i]:
+            # uncovered window mass, priced at the boundary integrand value
+            for gaps in zip(left[i].tolist(), right[i].tolist()):
+                for gap, edge in zip(gaps, domain):
+                    if gap > 0:
+                        tail += gap * float(density(np.array([edge]), xi[i:i + 1])[0])
+        out.append(CalderonEvaluation(x, values[i], {"kind": "continuous", "domain": domain},
+                                      tail, bool(covered[i])))
+    return out
 
 
 def _intersect_interval_lists(a: list[tuple[float, float]],

@@ -124,10 +124,8 @@ SCHEMA = {
                       "epsilons": ("vector", [0.01], "> 0"), "test_centers": ("array?", None),
                       "segments": _SEGMENTS,
                       "points_per_segment": ("int", 100, "> 0", "<= 1e6"),
-                      "tolerance": ("real", 1e-9),
                       "scan_radius": ("real", 0.4), "probe_band": ("pair?", None),
-                      "probe_count": ("int", 50, "> 0", "<= 1e4"),
-                      "distortion_cap": ("real", 4096.0)},
+                      "probe_count": ("int", 50, "> 0", "<= 1e4")},
         # level sets 2 ** level quadrature cells; the grid byte cap fires long before 64
         weil_check={"level": ("int", 5, ">= 0", "<= 64")},
         local_integrability={"box": ("pairs", [[0.25, 2.0]]), "M": ("real", 2.0),

@@ -27,6 +27,8 @@ PROBE_COUNT = 50
 PROBE_SEED = 424243
 PROBE_MAX_PIECES = 8
 REMAINDER_TOLERANCE = 5e-6
+BOUND_TOLERANCE = 1e-9       # slack of the per-frequency bound verdicts
+SCAN_DISTORTION_CAP = 4096.0  # members above it stay out of the counting scan
 EXCLUSION_RADIUS = 1e-3  # Euclidean scan grids keep this far from the identity
 
 
@@ -181,7 +183,6 @@ class FrameReport:
     values: np.ndarray = field(repr=False)
     lower_declared: float
     upper_declared: float
-    tolerance: float
     passes: np.ndarray = field(repr=False)
     n_failures: int
     min_value: float
@@ -195,9 +196,7 @@ class FrameReport:
 def calderon_inequality_report(psihat: FrequencyProfile, family: AutomorphismFamily,
                                lattice: Lattice, xi_grid, lower: float, upper: float,
                                M: float, epsilon: float = 0.01,
-                               scan_radius: float = 0.4,
-                               tolerance: float = 1e-9,
-                               scan_distortion_cap: float = 4096.0) -> FrameReport:
+                               scan_radius: float = 0.4) -> FrameReport:
     """Per-frequency bound verdicts plus the averaged remainder inequality at
     a few probe points, with the counting-scan constant feeding the remainder."""
     grid = np.asarray(xi_grid, dtype=float).ravel()
@@ -210,7 +209,7 @@ def calderon_inequality_report(psihat: FrequencyProfile, family: AutomorphismFam
         values = np.array([ev.value for ev in calderon_sum(psihat, family, grid)])
     else:
         values = calderon_values(psihat, family, grid[:, None])
-    passes = (values >= lower - tolerance) & (values <= upper + tolerance)
+    passes = (values >= lower - BOUND_TOLERANCE) & (values <= upper + BOUND_TOLERANCE)
 
     counting_verdict = None
     constant = None
@@ -218,7 +217,7 @@ def calderon_inequality_report(psihat: FrequencyProfile, family: AutomorphismFam
     if not family.is_continuous:
         # enumeration stays desk-scale below the distortion cap; the scan
         # certifies that probed sub-truncation
-        scan_family = family.restrict(lambda _p, _lo, hi: hi <= scan_distortion_cap)
+        scan_family = family.restrict(lambda _p, _lo, hi: hi <= SCAN_DISTORTION_CAP)
         scan = property_x_scan(scan_family, lattice, family.metric, scan_radius, M)
         counting_verdict = scan.verdict
         constant = scan.constant
@@ -230,7 +229,7 @@ def calderon_inequality_report(psihat: FrequencyProfile, family: AutomorphismFam
                 ok = lower <= avg + rem + REMAINDER_TOLERANCE
                 remainder_rows.append(RemainderDiagnostic(xi0, epsilon, avg, rem,
                                                           constant, ok))
-    return FrameReport(grid, values, lower, upper, tolerance, passes,
+    return FrameReport(grid, values, lower, upper, passes,
                        int(np.sum(~passes)), float(np.min(values)),
                        float(np.max(values)), counting_verdict, constant,
                        tuple(remainder_rows))

@@ -219,9 +219,7 @@ def _run_frame_report(analysis, ctx):
     epsilons = [float(e) for e in analysis["epsilons"]]
     report = ff.calderon_inequality_report(
         profile, family, lattice, grid, lower, upper, M=float(analysis["M"]),
-        epsilon=epsilons[0], scan_radius=float(analysis["scan_radius"]),
-        tolerance=float(analysis["tolerance"]),
-        scan_distortion_cap=float(analysis["distortion_cap"]))
+        epsilon=epsilons[0], scan_radius=float(analysis["scan_radius"]))
     passed = report.n_failures == 0
     if report.counting_verdict is not None:
         passed = passed and report.counting_verdict == "holds"

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -306,7 +307,7 @@ def test_matrix_atoms_family_from_row_major_config(tmp_path):
     resolved = cfg.resolve_defaults(scenario)
     family = cfg.build_family(resolved)
     assert len(family.parameters()) == 2
-    assert family.automorphism(0).matrix[1, 1] == 3.0
+    assert family.member(0).auto.matrix[1, 1] == 3.0
     code, _report = runner.run_scenario(resolved, tmp_path)
     assert code == 0
 
@@ -451,6 +452,18 @@ def test_cli_strongly_sheared_shearlets_have_valid_l2_constants(tmp_path, capsys
                      "--set", "analyses.1.expect=null", "--set", "analyses.2.params=null"])
     assert code == 0
     assert "[PASS] lipschitz" in capsys.readouterr().out
+
+
+def test_cli_wide_continuous_dilation_domain_runs(tmp_path, capsys):
+    # the cell midpoints sqrt(e0 * e1) over- and underflowed long before the
+    # edges did, and the member [[inf]] or [[0]] failed as a singular matrix
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["run", "semicontinuous_wavelet", "--out", str(tmp_path / "o"),
+                         "--set", "family.lo=1e-300", "--set", "family.hi=1e300"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "[PASS] calderon_scan" in captured.out
 
 
 def test_cli_output_directory_named_like_a_bundled_scenario(tmp_path, monkeypatch):
