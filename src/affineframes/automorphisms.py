@@ -126,14 +126,17 @@ def matrix_power(base, exponent: int) -> Automorphism:
     if not finite or (np.linalg.det(m) == 0.0 and np.linalg.det(b) != 0.0):
         raise RejectedInputError(f"matrix power {b.tolist()} ** {int(exponent)} "
                                  f"{'underflows' if finite else 'overflows'} a float")
-    return Automorphism(MATRIX_POWER, m,
-                        {"base": b, "exponent": int(exponent)})
+    return Automorphism(MATRIX_POWER, m)
 
 
 def shearlet(a: float, s: float) -> Automorphism:
     """Frequency-side shearlet map (a*x1, s*sqrt(a)*x1 + sqrt(a)*x2)."""
     if a <= 0:
         raise RejectedInputError("shearlet scale must be positive")
+    try:
+        float(a) ** 1.5  # the jacobian
+    except OverflowError:
+        raise RejectedInputError(f"shearlet scale {a} overflows its jacobian a ** 1.5") from None
     ra = math.sqrt(a)
     m = np.array([[a, 0.0], [s * ra, ra]])
     return Automorphism(SHEARLET, m, {"a": float(a), "s": float(s)})
@@ -240,60 +243,6 @@ def _lipschitz_oracle_gabor(auto: Automorphism, n_points: int) -> tuple[float, f
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class IntegerRange:
-    j_min: int
-    j_max: int
-
-    def __post_init__(self):
-        if self.j_max < self.j_min:
-            raise RejectedInputError("empty integer range")
-
-    def parameters(self) -> list[int]:
-        return list(range(self.j_min, self.j_max + 1))
-
-
-@dataclass(frozen=True)
-class RealGrid:
-    """Finite parameter grid; with `edges` it truncates a continuous density."""
-
-    points: np.ndarray
-    edges: np.ndarray | None = None
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.size == 0:
-            raise RejectedInputError("empty parameter grid")
-        object.__setattr__(self, "points", pts)
-        if self.edges is not None:
-            e = np.asarray(self.edges, dtype=float)
-            if pts.ndim != 1 or e.ndim != 1 or e.shape[0] != pts.shape[0] + 1:
-                raise RejectedInputError("edges must bracket a 1-d point grid")
-            if np.any(np.diff(e) <= 0):
-                raise RejectedInputError("edges must be strictly increasing")
-            object.__setattr__(self, "edges", e)
-
-    def parameters(self) -> list:
-        if self.points.ndim == 1:
-            return [float(p) for p in self.points]
-        return [tuple(map(float, p)) for p in self.points]
-
-
-@dataclass(frozen=True)
-class ParameterList:
-    """Explicit finite list of parameters (atomic masses only)."""
-
-    params: tuple
-
-    def __post_init__(self):
-        if len(self.params) == 0:
-            raise RejectedInputError("empty parameter list")
-        object.__setattr__(self, "params", tuple(self.params))
-
-    def parameters(self) -> list:
-        return list(self.params)
-
-
-@dataclass(frozen=True)
 class FamilyMember:
     """One parameter of a family with everything consumers read from it."""
 
@@ -309,24 +258,30 @@ class FamilyMember:
 class AutomorphismFamily:
     """Indexed family of dual automorphisms with weights and a metric.
 
-    `weight` is a density on the parameter axis when the index set carries
-    cell edges, and an atom mass otherwise.  `members` materialises every
-    parameter once, on first use; only `weight_of` serves parameters outside
-    that table (the quadrature nodes of continuous families).
+    `params` lists the parameters in member order.  With cell `edges` the
+    family is continuous and `weight` is a density on the parameter axis;
+    otherwise `weight` is an atom mass.  `base` marks the power range
+    base ** j of `matrix_power_family`, whose ends certify truncations.
+    `members` materialises every parameter once, on first use; only
+    `weight_of` serves parameters outside that table (the quadrature nodes of
+    continuous families).
     """
 
-    index_set: IntegerRange | RealGrid | ParameterList
+    params: tuple
     generator: Callable
     weight: Callable[..., float]
     metric: MetricSpace
     name: str = ""
+    edges: np.ndarray | None = None
+    base: np.ndarray | None = None
 
-    def parameters(self) -> list:
-        return self.index_set.parameters()
+    def __post_init__(self):
+        if len(self.params) == 0:
+            raise RejectedInputError("empty parameter set")
 
     @property
     def is_continuous(self) -> bool:
-        return isinstance(self.index_set, RealGrid) and self.index_set.edges is not None
+        return self.edges is not None
 
     def weight_of(self, param) -> float:
         w = self.weight(*param) if isinstance(param, tuple) else self.weight(param)
@@ -337,9 +292,9 @@ class AutomorphismFamily:
     @cached_property
     def members(self) -> tuple[FamilyMember, ...]:
         """Automorphism, distortion constants, jacobian and checked weight of
-        every parameter, in `parameters()` order."""
+        every parameter, in `params` order."""
         rows = []
-        for param in self.parameters():
+        for param in self.params:
             auto = self.generator(*param) if isinstance(param, tuple) else self.generator(param)
             c = lipschitz_constants(auto, self.metric)
             rows.append(FamilyMember(param, auto, c.lower, c.upper,
@@ -352,11 +307,16 @@ class AutomorphismFamily:
                 return m
         raise RejectedInputError(f"parameter {param!r} is not in the family")
 
+    def above(self, M: float) -> list[FamilyMember]:
+        """Members with L(h) > M in distortion order: by upper constant, ties
+        broken by the parameter's string form."""
+        return sorted((m for m in self.members if m.upper > M),
+                      key=lambda m: (m.upper, str(m.param)))
+
     def continuous_domain(self) -> tuple[float, float]:
         if not self.is_continuous:
             raise RejectedInputError("family has no continuous parameter domain")
-        e = self.index_set.edges
-        return float(e[0]), float(e[-1])
+        return float(self.edges[0]), float(self.edges[-1])
 
     def restrict(self, keep: Callable[..., bool]) -> "AutomorphismFamily":
         """Atomic subfamily of the parameters passing the predicate
@@ -367,8 +327,8 @@ class AutomorphismFamily:
         kept = tuple(m for m in self.members if keep(m.param, m.lower, m.upper))
         if not kept:
             raise RejectedInputError("restriction removed every parameter")
-        sub = AutomorphismFamily(ParameterList(tuple(m.param for m in kept)),
-                                 self.generator, self.weight, self.metric, self.name)
+        sub = AutomorphismFamily(tuple(m.param for m in kept), self.generator,
+                                 self.weight, self.metric, self.name)
         sub.__dict__["members"] = kept  # the subfamily shares the built rows
         return sub
 
@@ -386,7 +346,7 @@ class AutomorphismFamily:
         def inside(a: float) -> bool:
             return lower <= a <= upper
 
-        edges = self.index_set.edges
+        edges = self.edges
         out: list[tuple[float, float]] = []
         for a0, a1 in zip(edges[:-1], edges[1:]):
             if a1 < lower or a0 > upper:
@@ -444,25 +404,24 @@ def matrix_power_family(base, j_min: int, j_max: int, metric: MetricSpace,
                         weight: Callable[[int], float] = lambda j: 1.0,
                         name: str = "") -> AutomorphismFamily:
     b = np.atleast_2d(np.asarray(base, dtype=float))
-    return AutomorphismFamily(IntegerRange(j_min, j_max),
-                              lambda j: matrix_power(b, j), weight, metric, name)
+    return AutomorphismFamily(tuple(range(j_min, j_max + 1)), lambda j: matrix_power(b, j),
+                              weight, metric, name, base=b)
 
 
 def shearlet_grid_family(a_values: Sequence[float], s_values: Sequence[float],
                          metric: MetricSpace,
                          weight: Callable[[float, float], float] = lambda a, s: 1.0,
                          name: str = "") -> AutomorphismFamily:
-    points = np.array([(a, s) for a in a_values for s in s_values])
-    return AutomorphismFamily(RealGrid(points), lambda a, s: shearlet(a, s),
-                              weight, metric, name)
+    params = tuple((float(a), float(s)) for a in a_values for s in s_values)
+    return AutomorphismFamily(params, lambda a, s: shearlet(a, s), weight, metric, name)
 
 
 def gabor_shift_family(p_values: Sequence[float],
                        weight: Callable[[float], float] = lambda p: 1.0,
                        name: str = "") -> AutomorphismFamily:
     from .metric_lattice import gabor_product
-    return AutomorphismFamily(RealGrid(np.asarray(p_values, dtype=float)),
-                              lambda p: gabor_shift(p), weight, gabor_product(), name)
+    return AutomorphismFamily(tuple(float(p) for p in p_values), lambda p: gabor_shift(p),
+                              weight, gabor_product(), name)
 
 
 def continuous_dilation_family(lo: float, hi: float, n_cells: int,
@@ -476,9 +435,12 @@ def continuous_dilation_family(lo: float, hi: float, n_cells: int,
     if not (0 < lo < hi):
         raise RejectedInputError("dilation domain must satisfy 0 < lo < hi")
     edges = np.geomspace(lo, hi, n_cells + 1)
+    if np.any(np.diff(edges) <= 0):
+        raise RejectedInputError("edges must be strictly increasing")
     points = np.sqrt(edges[:-1]) * np.sqrt(edges[1:])  # the product over/underflows first
-    return AutomorphismFamily(RealGrid(points, edges=edges),
-                              lambda a: matrix_automorphism([[a]]), weight, metric, name)
+    return AutomorphismFamily(tuple(float(p) for p in points),
+                              lambda a: matrix_automorphism([[a]]), weight, metric, name,
+                              edges=edges)
 
 
 # ---------------------------------------------------------------------------

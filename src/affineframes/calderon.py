@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quadrature
-from .automorphisms import (GABOR_SHIFT, MATRIX_POWER, AutomorphismFamily,
-                            IntegerRange, lipschitz_constants, matrix_power)
+from .automorphisms import (GABOR_SHIFT, AutomorphismFamily, lipschitz_constants,
+                            matrix_power)
 from .errors import RejectedInputError, SingularPointError
 from .profiles import FrequencyProfile, support_radii
 
@@ -100,17 +100,13 @@ def calderon_values(psihat: FrequencyProfile, family: AutomorphismFamily, points
 def _integer_family_certificate(psihat, family, pts: np.ndarray) -> np.ndarray:
     """Per frequency: True when terms beyond both declared ends provably vanish.
 
-    For matrix-power families the one-step distortion constants bound how the
-    orbit distance evolves past each end: once the orbit provably stays
+    For a power range base ** j the one-step distortion constants bound how
+    the orbit distance evolves past each end: once the orbit provably stays
     outside the support circumradius (or inside its inradius) forever, the
     remaining terms are zero.
     """
     first, last = family.members[0], family.members[-1]
-    if first.auto.kind == GABOR_SHIFT:
-        return _gabor_window_covered(psihat, family, pts)
-    if first.auto.kind != MATRIX_POWER:
-        return np.zeros(pts.shape[0], dtype=bool)
-    cb = lipschitz_constants(matrix_power(first.auto.params["base"], 1), family.metric)
+    cb = lipschitz_constants(matrix_power(family.base, 1), family.metric)
     rho_min, rho_max = support_radii(psihat, family.metric)
     d = family.metric.norm(pts)
     up_ok = (((cb.lower > 1.0) & (last.lower * d > rho_max))
@@ -123,9 +119,8 @@ def _integer_family_certificate(psihat, family, pts: np.ndarray) -> np.ndarray:
 def _gabor_window_covered(psihat, family, pts: np.ndarray) -> np.ndarray:
     """Per frequency: every shift p with xi - p in the profile support lies
     in the family's p-range."""
-    ps = [p if not isinstance(p, tuple) else p[0] for p in family.parameters()]
-    return ((min(ps) <= pts[:, 0] - float(psihat.support_hi[0]))
-            & (max(ps) >= pts[:, 0] - float(psihat.support_lo[0])))
+    return ((min(family.params) <= pts[:, 0] - float(psihat.support_hi[0]))
+            & (max(family.params) >= pts[:, 0] - float(psihat.support_lo[0])))
 
 
 def _divergence_monitor(contributions: np.ndarray) -> tuple[bool, tuple[float, ...],
@@ -184,8 +179,7 @@ def calderon_tail(psihat: FrequencyProfile, family: AutomorphismFamily, xi,
     if family.is_continuous:
         return _continuous_orbit_integrals(psihat, family, pts, weighted=True,
                                            lower_cutoff=M)[0]
-    rows = sorted((m for m in family.members if m.upper > M),
-                  key=lambda m: (m.upper, str(m.param)))
+    rows = family.above(M)
     if not rows:
         return CalderonEvaluation(xi, 0.0, {"kind": "atoms", "terms": 0},
                                   certified_exact=True)
@@ -206,10 +200,10 @@ def calderon_tail(psihat: FrequencyProfile, family: AutomorphismFamily, xi,
 
 
 def _atomic_certificate(psihat, family, pts: np.ndarray) -> tuple[np.ndarray, dict]:
-    if isinstance(family.index_set, IntegerRange):
+    if family.base is not None:
         ok = _integer_family_certificate(psihat, family, pts)
-        return ok, {"kind": "integer_range", "j_min": family.index_set.j_min,
-                    "j_max": family.index_set.j_max}
+        return ok, {"kind": "integer_range", "j_min": family.params[0],
+                    "j_max": family.params[-1]}
     terms = len(family.members)
     if _family_is_gabor(family):
         return (_gabor_window_covered(psihat, family, pts),
@@ -323,8 +317,7 @@ def local_integrability_check(psihat: FrequencyProfile, family: AutomorphismFami
     if family.is_continuous:
         raise RejectedInputError("local integrability check runs on atomic families")
 
-    rows = sorted((m for m in family.members if m.upper > M),
-                  key=lambda m: (m.upper, str(m.param)))
+    rows = family.above(M)
     if not rows:
         return IntegrabilityReport("finite", 0.0, (0.0,), (0,), M)
 

@@ -343,8 +343,8 @@ def build_family(scenario: dict) -> am.AutomorphismFamily:
         return am.gabor_shift_family(ps, weight, name)
     if kind == "matrix_atoms":
         mats = [np.asarray(m, dtype=float) for m in fam["matrices"]]
-        grid = am.ParameterList(tuple(range(len(mats))))
-        return am.AutomorphismFamily(grid, lambda i: am.matrix_automorphism(mats[int(i)]),
+        return am.AutomorphismFamily(tuple(range(len(mats))),
+                                     lambda i: am.matrix_automorphism(mats[int(i)]),
                                      weight, metric, name)
     return am.continuous_dilation_family(float(fam["lo"]), float(fam["hi"]),
                                          int(fam["cells"]), metric, weight, name)

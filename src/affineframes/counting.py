@@ -19,7 +19,6 @@ from .metric_lattice import (DEFAULT_MC_SAMPLES, DEFAULT_MC_SEED, GABOR_PRODUCT,
 
 BOUNDARY_GUARD = 1e-12
 POINT_CAP = 512
-CANDIDATE_CAP = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -37,24 +36,23 @@ class CountResult:
 
 
 def _candidate_points(lattice: Lattice, auto: Automorphism, r: float,
-                      metric: MetricSpace, candidate_cap: int = CANDIDATE_CAP) -> np.ndarray:
+                      metric: MetricSpace) -> np.ndarray:
     ball_lo, ball_hi = metric.ball_box(r)
     if metric.kind == GABOR_PRODUCT:
         # the annihilator lives on the k = 0 slice, which dual shifts fix
-        base = lattice.points_in_box(ball_lo[:1], ball_hi[:1], cap=candidate_cap)
+        base = lattice.points_in_box(ball_lo[:1], ball_hi[:1])
         return np.concatenate([base, np.zeros((base.shape[0], 1))], axis=1)
-    return lattice.points_in_box(*auto.box_image(ball_lo, ball_hi), cap=candidate_cap)
+    return lattice.points_in_box(*auto.box_image(ball_lo, ball_hi))
 
 
 def enumerate_points(lattice: Lattice, auto: Automorphism, r: float,
-                     metric: MetricSpace, candidate_cap: int = CANDIDATE_CAP) -> CountResult:
+                     metric: MetricSpace) -> CountResult:
     """Exact count of lattice points inside the deformed open ball."""
     if r <= 0:
         raise RejectedInputError("radius must be positive")
     if metric.kind != GABOR_PRODUCT and lattice.dim > 4:
         raise RejectedInputError("exact enumeration supports dim <= 4")
-    candidates = _candidate_points(lattice, auto, r, metric,
-                                   candidate_cap=candidate_cap)
+    candidates = _candidate_points(lattice, auto, r, metric)
     if candidates.shape[0] == 0:
         dims = 2 if metric.kind == GABOR_PRODUCT else lattice.dim
         return CountResult(0, np.empty((0, dims)), False, 0, r)
@@ -138,16 +136,13 @@ def property_x_scan(family: AutomorphismFamily, lattice: Lattice,
     if r <= 0 or M <= 0:
         raise RejectedInputError("radius and distortion cutoff must be positive")
     rows: list[ScanRow] = []
-    for m in family.members:
-        if m.upper <= M:
-            continue
+    for m in family.above(M):
         count = enumerate_points(lattice, m.auto, r, metric).count
         rows.append(ScanRow(m.param, m.upper, m.jacobian, count,
                             (count - 1) / m.jacobian))
     if not rows:
         raise RejectedInputError("no family parameters exceed the distortion cutoff")
 
-    rows.sort(key=lambda row: (row.upper_constant, str(row.param)))
     ratios = np.array([row.ratio for row in rows])
     constant = float(np.max(ratios))
 

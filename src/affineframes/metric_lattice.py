@@ -193,9 +193,12 @@ class Lattice:
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         m_center, m_half = linear_box(self.inv_basis, 0.5 * (lo + hi), 0.5 * (hi - lo))
-        m_lo = np.ceil(m_center - m_half - INTEGER_BOX_MARGIN).astype(np.int64)
-        m_hi = np.floor(m_center + m_half + INTEGER_BOX_MARGIN).astype(np.int64)
-        return m_lo, m_hi
+        m_lo = np.ceil(m_center - m_half - INTEGER_BOX_MARGIN)
+        m_hi = np.floor(m_center + m_half + INTEGER_BOX_MARGIN)
+        # int64 casts of larger or non-finite bounds wrap to garbage boxes
+        if not np.all(np.abs([m_lo, m_hi]) < 2.0 ** 62):
+            raise ResourceLimitError("lattice box bounds exceed the int64 range")
+        return m_lo.astype(np.int64), m_hi.astype(np.int64)
 
     def points_in_box(self, lo, hi, cap: int = 100_000_000) -> np.ndarray:
         """All lattice points whose integer box intersects [lo, hi].

@@ -233,7 +233,7 @@ def test_family_constants_positive_and_ordered():
 
 
 def _assert_table_matches_recomputation(fam):
-    assert [m.param for m in fam.members] == fam.parameters()
+    assert [m.param for m in fam.members] == list(fam.params)
     for m in fam.members:
         auto = fam.generator(*m.param) if isinstance(m.param, tuple) else fam.generator(m.param)
         c = am.lipschitz_constants(auto, fam.metric)
@@ -258,7 +258,7 @@ def test_family_table_built_once_and_shared_by_restrictions():
     fam = am.matrix_power_family([[2.0]], -10, 10, L2_1)
     assert fam.members is fam.members
     sub = fam.restrict(lambda _p, _lo, hi: hi > 4.0)
-    assert sub.parameters() == list(range(3, 11))
+    assert list(sub.params) == list(range(3, 11))
     assert all(a is b for a, b in zip(sub.members, fam.members[13:]))
     assert fam.member(3) is fam.members[13]
     with pytest.raises(RejectedInputError):
@@ -417,7 +417,7 @@ def test_classify_unit_eigenvalue_powers_plain_expanding():
 
 def test_classify_empty_family_rejected():
     with pytest.raises(RejectedInputError):
-        am.IntegerRange(3, 1)
+        am.matrix_power_family([[2.0]], 3, 1, L2_1)
 
 
 def test_subspace_expansion_consistent_with_family_classifier():

@@ -306,7 +306,7 @@ def test_matrix_atoms_family_from_row_major_config(tmp_path):
     scenario["analyses"] = [{"kind": "lipschitz"}]
     resolved = cfg.resolve_defaults(scenario)
     family = cfg.build_family(resolved)
-    assert len(family.parameters()) == 2
+    assert len(family.params) == 2
     assert family.member(0).auto.matrix[1, 1] == 3.0
     code, _report = runner.run_scenario(resolved, tmp_path)
     assert code == 0
@@ -464,6 +464,29 @@ def test_cli_wide_continuous_dilation_domain_runs(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0, captured.err
     assert "[PASS] calderon_scan" in captured.out
+
+
+@pytest.mark.parametrize("name,overrides,word", [
+    # lattice boxes past int64 wrapped to one candidate: example_bad read PASS
+    ("example_bad", ["analyses.0.r=1e300"], "int64"),
+    ("weil_counting", ["analyses.1.radii=[1e300]"], "int64"),
+    # a ** 1.5 overflows for a above about 3.2e205
+    ("shearlet_property_x", ["family.a_values=[1e206]"], "jacobian"),
+    # geomspace collapses neighbouring cell edges to one float
+    ("semicontinuous_wavelet", ["family.lo=1", "family.hi=1.0000000000000002",
+                                "family.cells=100000"], "strictly increasing"),
+])
+def test_cli_out_of_float_range_inputs_end_in_one_error_line(tmp_path, capsys, name,
+                                                             overrides, word):
+    argv = ["run", name, "--out", str(tmp_path / "o")]
+    for override in overrides:
+        argv += ["--set", override]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and word in err
 
 
 def test_cli_output_directory_named_like_a_bundled_scenario(tmp_path, monkeypatch):

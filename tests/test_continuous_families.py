@@ -33,7 +33,7 @@ def ref_level_set_intervals(family, lower, upper):
     def inside(a):
         return lower <= L(a) <= upper
 
-    edges = family.index_set.edges
+    edges = family.edges
     edge_vals = np.array([L(float(e)) for e in edges])
     out = []
     for a0, a1, v0, v1 in zip(edges[:-1], edges[1:], edge_vals[:-1], edge_vals[1:]):
@@ -142,7 +142,7 @@ def _random_profile(rng, sampled):
 
 def _grid_points(family):
     """Cell edges and the 5-point bracketing grids the level sets probe."""
-    edges = family.index_set.edges
+    edges = family.edges
     return np.concatenate([np.linspace(a0, a1, 5) for a0, a1 in zip(edges[:-1], edges[1:])])
 
 
@@ -152,7 +152,7 @@ def _probe_value(rng, family):
     lo, hi = family.continuous_domain()
     kind = rng.integers(3)
     if kind == 0:
-        return float(rng.choice(family.index_set.edges))
+        return float(rng.choice(family.edges))
     if kind == 1:
         return float(rng.choice(_grid_points(family)))
     return float(math.exp(rng.uniform(math.log(lo) - 1.0, math.log(hi) + 1.0)))

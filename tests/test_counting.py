@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affineframes import automorphisms as am
 from affineframes import counting as ct
@@ -94,7 +96,7 @@ def test_enumerate_monotone_in_radius():
 def test_enumerate_resource_cap():
     auto = am.matrix_automorphism(np.diag([1e5, 1e5]))
     with pytest.raises(ResourceLimitError):
-        ct.enumerate_points(Z2, auto, 2.0, LINF_2, candidate_cap=10000)
+        ct.enumerate_points(Z2, auto, 2.0, LINF_2)
 
 
 def test_enumerate_gabor_counts_base_slice():
@@ -189,6 +191,57 @@ def test_property_x_empty_tail_rejected():
     fam = am.shearlet_grid_family([1, 2], [-1, 0, 1], LINF_2)
     with pytest.raises(RejectedInputError):
         ct.property_x_scan(fam, Z2, LINF_2, 0.4, 1e9)
+
+
+def _filter_and_sort(family, M):
+    """Reference copy of the distortion order: members with L(h) > M, sorted by
+    upper constant, then by the parameter's string form."""
+    return sorted((m for m in family.members if m.upper > M),
+                  key=lambda m: (m.upper, str(m.param)))
+
+
+def _scan_rows_reference(family, r, M):
+    """Reference copy of the scan rows: enumerate in member order, sort after."""
+    rows = []
+    for m in family.members:
+        if m.upper <= M:
+            continue
+        count = ct.enumerate_points(Z2, m.auto, r, family.metric).count
+        rows.append(ct.ScanRow(m.param, m.upper, m.jacobian, count, (count - 1) / m.jacobian))
+    rows.sort(key=lambda row: (row.upper_constant, str(row.param)))
+    return rows
+
+
+_symmetric_shearlets = st.builds(
+    lambda a_values, s_abs, metric: am.shearlet_grid_family(
+        a_values, s_abs + [-s for s in s_abs], metric),
+    st.lists(st.sampled_from([1.0, 2.0, 4.0]), min_size=1, max_size=3, unique=True),
+    st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), min_size=1, max_size=3, unique=True),
+    st.sampled_from([LINF_2, ml.euclidean_l2(2)]))
+_power_ranges = st.builds(
+    lambda base, j, metric: am.matrix_power_family(base, -j, j, metric),
+    st.sampled_from([[[2.0, 0.0], [0.0, 0.5]], [[1.5, 0.0], [0.0, 1.0]],
+                     [[2.0, 1.0], [0.0, 0.5]]]),
+    st.integers(0, 4), st.sampled_from([LINF_2, ml.euclidean_l2(2)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.one_of(_symmetric_shearlets, _power_ranges), data=st.data())
+def test_distortion_order_matches_filter_and_sort(family, data):
+    # upper constants tie across s -> -s and j -> -j; M sits on a constant or
+    # between two of them
+    uppers = sorted({m.upper for m in family.members})
+    cuts = uppers + [0.5 * (a + b) for a, b in zip(uppers, uppers[1:])] + [0.5 * uppers[0]]
+    M = data.draw(st.sampled_from(cuts))
+    expected = _filter_and_sort(family, M)
+    assert family.above(M) == expected
+    reference = _scan_rows_reference(family, 0.4, M)
+    if not expected:
+        with pytest.raises(RejectedInputError):
+            ct.property_x_scan(family, Z2, family.metric, 0.4, M)
+        return
+    report = ct.property_x_scan(family, Z2, family.metric, 0.4, M)
+    assert list(report.rows) == reference
 
 
 def test_random_instance_sandwich_small():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -354,6 +355,18 @@ def test_box_image_and_integer_box_match_matrix_vector_form(seed, dim, kind, r):
     m_lo, m_hi = lattice.integer_box(lo, hi)
     assert np.array_equal(m_lo, np.ceil(m_center - m_half - 1e-9).astype(np.int64))
     assert np.array_equal(m_hi, np.floor(m_center + m_half + 1e-9).astype(np.int64))
+
+
+def test_integer_box_past_int64_is_refused_before_the_cast():
+    lattice = ml.integer_lattice(2)
+    for lo, hi in (([-1e300, 0.0], [1e300, 1.0]), ([0.0, -1e300], [1.0, 0.0]),
+                   ([np.nan, 0.0], [1.0, 1.0]), ([0.0, 0.0], [2.0 ** 62, 1.0])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ResourceLimitError):
+                lattice.integer_box(lo, hi)
+    m_lo, m_hi = lattice.integer_box([-2.0 ** 61, 0.0], [2.0 ** 61, 1.0])
+    assert m_lo.tolist() == [-2 ** 61, 0] and m_hi.tolist() == [2 ** 61, 1]
 
 
 @settings(max_examples=25, deadline=None)
