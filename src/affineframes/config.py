@@ -134,10 +134,10 @@ SCHEMA = {
         [{"kind": "calderon_scan"}]),
 }
 
-_NAMES = {"int": "an integer", "real": "a number", "str": "a string", "bool": "true or false",
-          "vector": "a nonempty list of numbers", "array": "a nonempty array of numbers",
-          "pairs": "a nonempty list of [lo, hi] pairs", "pair": "a [lo, hi] pair",
-          "matrix": "a square matrix"}
+_NAMES = {"int": "an integer", "real": "a finite number", "str": "a string",
+          "bool": "true or false", "vector": "a nonempty list of finite numbers",
+          "array": "a nonempty finite array", "matrix": "a finite square matrix",
+          "pairs": "a nonempty list of finite [lo, hi] pairs", "pair": "a finite [lo, hi] pair"}
 _OPS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 _SHAPES = {"vector": lambda s: len(s) == 1, "array": lambda s: len(s) >= 1,
            "pairs": lambda s: len(s) == 2 and s[1] == 2, "pair": lambda s: s == (2,),
@@ -181,13 +181,15 @@ def _check(value, typ, where: str, bound=()):
     base = typ.rstrip("?")
     if base == "int" or base == "real":
         ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and abs(value) < float("inf")  # false for NaN too; exact for any int
               and (base == "real" or isinstance(value, int) or value.is_integer()))
     elif base in _SHAPES:
         try:
             arr = np.asarray(value)
         except ValueError:  # ragged nesting
             arr = np.asarray(None)
-        ok = arr.dtype.kind in "iuf" and arr.size > 0 and _SHAPES[base](arr.shape)
+        ok = (arr.dtype.kind in "iuf" and arr.size > 0 and _SHAPES[base](arr.shape)
+              and np.isfinite(arr).all())
     else:
         ok = isinstance(value, str if base == "str" else bool)
     if ok and bound:

@@ -62,7 +62,7 @@ def enumerate_points(lattice: Lattice, auto: Automorphism, r: float,
     pts = candidates[inside]
     count = int(inside.sum())
     overflow = count > POINT_CAP
-    return CountResult(count, pts[:POINT_CAP], overflow, int(boundary.sum()), r)
+    return CountResult(count, pts[:POINT_CAP].copy(), overflow, int(boundary.sum()), r)
 
 
 def counting_bounds(lattice: Lattice, auto: Automorphism, r: float,

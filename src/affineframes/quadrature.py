@@ -44,25 +44,27 @@ def integrate_with_breakpoints(f: Callable[[np.ndarray, np.ndarray], np.ndarray]
                                ) -> list[float]:
     """One integral per (lo, hi, breakpoints), 0.0 when hi <= lo, split at the
     interior breakpoints: exact for integrands polynomial (degree < 31) between
-    them. f(nodes, owner) is called once, on every cell's nodes and the index
-    of each node's interval; each interval's cells are summed left to right."""
-    cell_lo, cell_hi, owner = [np.empty(0)], [np.empty(0)], [np.empty(0, dtype=np.intp)]
-    for i, (lo, hi, breakpoints) in enumerate(intervals):
-        if hi <= lo:
-            continue
-        b = np.asarray(breakpoints, dtype=float).ravel()
-        edges = np.concatenate([[lo], np.unique(b[(lo < b) & (b < hi)]), [hi]])
-        cell_lo.append(edges[:-1])
-        cell_hi.append(edges[1:])
-        owner.append(np.full(edges.size - 1, i))
-    owner = np.concatenate(owner)
+    them. f(nodes, owner) is called once, on every cell's nodes and the index of
+    each node's interval; cell sums are ddots, added left to right by bincount."""
+    n = len(intervals)
+    lo, hi, cuts = zip(*intervals) if n else ((), (), ())
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    cut_owner = np.repeat(np.arange(n), np.fromiter(map(np.size, cuts), np.intp, n))
+    b = np.concatenate([np.empty(0), *cuts], axis=None)
+    live = np.flatnonzero(~(hi <= lo))
+    inner = (lo[cut_owner] < b) & (b < hi[cut_owner])
+    owner = np.concatenate([live, cut_owner[inner], live])
+    value = np.concatenate([lo[live], b[inner], hi[live]])
+    # tags keep lo, cuts, hi in that order past a NaN bound; cells skip hi rows and repeated cuts
+    tag = np.repeat([0, 1, 2], [live.size, owner.size - 2 * live.size, live.size])
+    order = np.lexsort((value, tag, owner))
+    value, tag = value[order], tag[order]
+    cell = np.flatnonzero((tag[:-1] != 2) & ((tag[1:] != 1) | (value[1:] != value[:-1])))
+    owner = owner[order[cell]]
     _check_grid_size(owner.size * GL_ORDER)
-    nodes, weights = _cell_rule(np.concatenate(cell_lo), np.concatenate(cell_hi))
+    nodes, weights = _cell_rule(value[cell], value[cell + 1])
     values = np.reshape(f(nodes.ravel(), np.repeat(owner, GL_ORDER)), nodes.shape)
-    totals = [0.0] * len(intervals)
-    for i, w_cell, f_cell in zip(owner, weights, values):
-        totals[i] += float(np.dot(w_cell, f_cell))
-    return totals
+    return np.bincount(owner, weights=np.vecdot(weights, values), minlength=n).tolist()
 
 
 def integrate_box(f: Callable[[np.ndarray], np.ndarray], lo: Sequence[float],

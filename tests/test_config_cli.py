@@ -489,6 +489,23 @@ def test_cli_out_of_float_range_inputs_end_in_one_error_line(tmp_path, capsys, n
     assert err.startswith("error:") and word in err
 
 
+@pytest.mark.parametrize("name,override", [
+    # JSON admits Infinity and NaN; they reached the lattice box as inf/NaN bounds
+    ("example_bad", "analyses.0.r=Infinity"),
+    ("example_bad", "analyses.0.r=NaN"),
+    ("example_bad", "analyses.0.r=-Infinity"),
+    ("weil_counting", "analyses.1.radii=[0.5,Infinity]"),
+    ("anisotropic_wavelet", "family.base=[[NaN,0],[0,3]]"),
+])
+def test_cli_non_finite_numbers_are_scenario_errors(tmp_path, capsys, name, override):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["run", name, "--out", str(tmp_path / "o"), "--set", override])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and override.split("=")[0] in err and "finite" in err
+
+
 def test_cli_output_directory_named_like_a_bundled_scenario(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "shannon_onb").mkdir()

@@ -45,6 +45,15 @@ def test_enumerate_hyperbolic_power_seven_points():
     assert np.allclose(result.points[:, 1], 0.0)
 
 
+def test_capped_points_own_their_memory():
+    # example_bad's member j = 20: the 512 kept rows must not hold the
+    # 838,861-row array of every inside point alive
+    auto = am.matrix_power([[2.0, 0.0], [0.0, 0.5]], 20)
+    result = ct.enumerate_points(Z2, auto, 0.4, LINF_2)
+    assert result.overflow and result.count == 838_861
+    assert result.points.shape == (ct.POINT_CAP, 2) and result.points.base is None
+
+
 def test_enumerate_shearlet_within_box_bound():
     auto = am.shearlet(4.0, 1.0)
     result = ct.enumerate_points(Z2, auto, 0.45, LINF_2)
