@@ -553,24 +553,16 @@ def classify_expansiveness(family: AutomorphismFamily,
         return ExpansivenessVerdict("non_expanding", m, chosen[0],
                                     (chosen[1], chosen[2]))
 
-    # distinguish an envelope-compatible tail from one with lower-constant ties
-    tie_break = False
+    # distinguish an envelope-compatible tail from one with lower-constant ties:
+    # a group runs from its smallest lower constant lo to every one <= lo * (1 + TIE_RTOL)
     by_lower = sorted(tail, key=lambda t: t[1])
+    lows, his = (np.array(col) for col in list(zip(*by_lower))[1:])
     i = 0
     while i < len(by_lower):
-        j = i
-        hi_min = hi_max = by_lower[i][2]
-        while (j + 1 < len(by_lower)
-               and by_lower[j + 1][1] <= by_lower[i][1] * (1 + TIE_RTOL)):
-            j += 1
-            hi_min = min(hi_min, by_lower[j][2])
-            hi_max = max(hi_max, by_lower[j][2])
-        if hi_max >= EXPLOSION * hi_min:
-            tie_break = True
-            break
-        i = j + 1
-    if tie_break:
-        return ExpansivenessVerdict("expanding", m)
+        end = int(np.searchsorted(lows, lows[i] * (1 + TIE_RTOL), side="right"))
+        if his[i:end].max() >= EXPLOSION * his[i:end].min():
+            return ExpansivenessVerdict("expanding", m)
+        i = end
     envelope = _monotone_concave_majorant([(lo, hi) for _p, lo, hi in tail])
     return ExpansivenessVerdict("uniformly_expanding", m, envelope=envelope)
 

@@ -231,8 +231,9 @@ def resolve_defaults(raw: dict, base_dir: Path | None = None) -> dict:
         _require(fam["j_max"] - fam["j_min"] < MAX_FAMILY_SIZE,
                  f"family j_min..j_max spans more than {MAX_FAMILY_SIZE} powers")
     if fam["kind"] == "gabor_shifts" and "p_values" not in fam:
-        _require((fam["p_max"] - fam["p_min"]) / fam["p_step"] < MAX_FAMILY_SIZE,
-                 f"family p_min..p_max holds more than {MAX_FAMILY_SIZE} steps of p_step")
+        _require(0 <= (fam["p_max"] - fam["p_min"]) / fam["p_step"] < MAX_FAMILY_SIZE,
+                 f"family p_min..p_max needs p_min <= p_max and at most {MAX_FAMILY_SIZE} "
+                 "steps of p_step")
     if out["profile"]["kind"] == "sampled_grid_csv":
         path = Path(out["profile"]["path"])
         if not path.is_absolute() and base_dir is not None:

@@ -19,7 +19,7 @@ from . import quadrature
 from .automorphisms import AutomorphismFamily
 from .calderon import calderon_sum, calderon_values
 from .counting import property_x_scan
-from .errors import RejectedInputError, ResourceLimitError
+from .errors import RejectedInputError, check_bytes
 from .metric_lattice import GABOR_PRODUCT, Lattice, MetricSpace
 from .profiles import FrequencyProfile, PiecewiseConstantProfile
 
@@ -99,11 +99,8 @@ def frame_functional(psihat: FrequencyProfile, family: AutomorphismFamily,
     breaks = np.concatenate([np.broadcast_to(psi_breaks, (len(members), psi_breaks.size)),
                              scale[:, None] * f_breaks + offset[:, None]], axis=1)
     # the integer table, the shifts and the cuts of every shift
-    peak_bytes = 8 * len(members) * width * (2 + breaks.shape[1])
-    if peak_bytes > quadrature.MAX_GRID_BYTES:
-        raise ResourceLimitError(f"{len(members)} members of up to {width} lattice shifts "
-                                 f"need {peak_bytes} bytes (cap {quadrature.MAX_GRID_BYTES})",
-                                 size=len(members) * width)
+    check_bytes(len(members) * width, 8 * (2 + breaks.shape[1]),
+                f"{len(members)} members' lattice shifts")
     shifts = (k_lo + np.arange(width)).astype(float) * lattice.basis[0, 0]
     cuts = breaks[:, None, :] - shifts[:, :, None]
 

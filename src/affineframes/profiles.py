@@ -29,8 +29,18 @@ def _as_points(points, dim: int) -> np.ndarray:
     return pts
 
 
+class _Scalable:
+    """`normalized` from the `squared_norm` and `scaled` of either profile kind."""
+
+    def normalized(self):
+        n2 = self.squared_norm()
+        if n2 <= 0:
+            raise RejectedInputError("cannot normalize a null profile")
+        return self.scaled(1.0 / np.sqrt(n2))
+
+
 @dataclass(frozen=True)
-class PiecewiseConstantProfile:
+class PiecewiseConstantProfile(_Scalable):
     """Constant value on each of finitely many disjoint half-open boxes."""
 
     boxes_lo: np.ndarray  # (k, dim)
@@ -82,12 +92,6 @@ class PiecewiseConstantProfile:
     def scaled(self, c: float) -> "PiecewiseConstantProfile":
         return PiecewiseConstantProfile(self.boxes_lo, self.boxes_hi, self.values * c)
 
-    def normalized(self) -> "PiecewiseConstantProfile":
-        n2 = self.squared_norm()
-        if n2 <= 0:
-            raise RejectedInputError("cannot normalize a null profile")
-        return self.scaled(1.0 / np.sqrt(n2))
-
     def breakpoints_1d(self) -> np.ndarray:
         if self.dim != 1:
             raise RejectedInputError("breakpoints_1d requires a 1-d profile")
@@ -95,7 +99,7 @@ class PiecewiseConstantProfile:
 
 
 @dataclass(frozen=True)
-class SampledGridProfile:
+class SampledGridProfile(_Scalable):
     """Linear interpolation of samples on a uniform 1-d grid, zero outside."""
 
     lo: float
@@ -143,12 +147,6 @@ class SampledGridProfile:
 
     def scaled(self, c: float) -> "SampledGridProfile":
         return SampledGridProfile(self.lo, self.hi, self.samples * c)
-
-    def normalized(self) -> "SampledGridProfile":
-        n2 = self.squared_norm()
-        if n2 <= 0:
-            raise RejectedInputError("cannot normalize a null profile")
-        return self.scaled(1.0 / np.sqrt(n2))
 
     def breakpoints_1d(self) -> np.ndarray:
         return self.nodes

@@ -11,17 +11,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import check_bytes
 
 GL_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)
-MAX_GRID_BYTES = 2 ** 30  # float64 nodes a single rule may allocate
-
-
-def _check_grid_size(nodes: int, dim: int = 1) -> None:
-    if nodes * dim * 8 > MAX_GRID_BYTES:
-        raise ResourceLimitError(f"quadrature grid of {nodes} nodes in dim {dim} exceeds "
-                                 f"{MAX_GRID_BYTES} bytes", size=nodes)
 
 
 def _cell_rule(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -33,7 +26,7 @@ def _cell_rule(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def gl_nodes_weights(lo: float, hi: float, cells: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the composite order-16 rule on [lo, hi]."""
-    _check_grid_size(cells * GL_ORDER)
+    check_bytes(cells * GL_ORDER, 8, "quadrature nodes")
     edges = np.linspace(lo, hi, cells + 1)
     nodes, weights = _cell_rule(edges[:-1], edges[1:])
     return nodes.ravel(), weights.ravel()
@@ -61,7 +54,7 @@ def integrate_with_breakpoints(f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     value, tag = value[order], tag[order]
     cell = np.flatnonzero((tag[:-1] != 2) & ((tag[1:] != 1) | (value[1:] != value[:-1])))
     owner = owner[order[cell]]
-    _check_grid_size(owner.size * GL_ORDER)
+    check_bytes(owner.size * GL_ORDER, 8, "quadrature nodes")
     nodes, weights = _cell_rule(value[cell], value[cell + 1])
     values = np.reshape(f(nodes.ravel(), np.repeat(owner, GL_ORDER)), nodes.shape)
     return np.bincount(owner, weights=np.vecdot(weights, values), minlength=n).tolist()
@@ -84,7 +77,7 @@ def integrate_box(f: Callable[[np.ndarray], np.ndarray], lo: Sequence[float],
 def tensor_nodes_weights(lo: Sequence[float], hi: Sequence[float],
                          cells_per_axis: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """(n, dim) nodes and (n,) weights of the tensor-product composite rule."""
-    _check_grid_size((cells_per_axis * GL_ORDER) ** len(lo), len(lo))
+    check_bytes((cells_per_axis * GL_ORDER) ** len(lo), 8 * len(lo), "quadrature nodes")
     axes = [gl_nodes_weights(float(a), float(b), cells_per_axis) for a, b in zip(lo, hi)]
     grids = np.meshgrid(*[nw[0] for nw in axes], indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=-1)

@@ -195,11 +195,12 @@ def _on_its_group(scenario):
 
 
 def _bounded_family(family):
-    """The family checks that span keys: a gabor p-range or p_values, and the family size."""
+    """The family checks that span keys: a gabor p-range (upward) or p_values, and the
+    family size."""
     if family["kind"] == "matrix_power":
         return family["j_max"] - family["j_min"] < cfg.MAX_FAMILY_SIZE
     if family["kind"] == "gabor_shifts" and "p_values" not in family:
-        return ({"p_min", "p_max"} <= set(family) and (family["p_max"] - family["p_min"])
+        return ({"p_min", "p_max"} <= set(family) and 0 <= (family["p_max"] - family["p_min"])
                 / family.get("p_step", 1.0) < cfg.MAX_FAMILY_SIZE)
     return True
 
@@ -504,6 +505,17 @@ def test_cli_non_finite_numbers_are_scenario_errors(tmp_path, capsys, name, over
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and override.split("=")[0] in err and "finite" in err
+
+
+@pytest.mark.parametrize("override", ["family.p_min=1e300", "family.p_max=-1e300"])
+def test_cli_gabor_p_range_running_downward_is_a_scenario_error(tmp_path, capsys, override):
+    # a negative span passed the family-size check and reached np.arange
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["run", "gabor_onb", "--out", str(tmp_path / "o"), "--set", override])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "p_min <= p_max" in err
 
 
 def test_cli_output_directory_named_like_a_bundled_scenario(tmp_path, monkeypatch):

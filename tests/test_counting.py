@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from affineframes import automorphisms as am
 from affineframes import counting as ct
 from affineframes import metric_lattice as ml
+from affineframes import runner
 from affineframes.errors import RejectedInputError, ResourceLimitError
 from unimodular import random_unimodular
 
@@ -17,6 +20,7 @@ LINF_2 = ml.euclidean_linf(2)
 Z1 = ml.integer_lattice(1)
 Z2 = ml.integer_lattice(2)
 IDENTITY_2 = am.matrix_automorphism(np.eye(2))
+ENUMERATE = ct.enumerate_points  # the function under test, whatever a test patches
 
 
 def brute_count(basis: np.ndarray, auto: am.Automorphism, r: float,
@@ -30,28 +34,60 @@ def brute_count(basis: np.ndarray, auto: am.Automorphism, r: float,
     return int(np.sum(dist < r))
 
 
+def _reference_enumerate(lattice: ml.Lattice, auto: am.Automorphism, r: float,
+                         metric: ml.MetricSpace) -> tuple[int, int, np.ndarray]:
+    """The box enumeration the line count replaced, kept as its oracle: every
+    point of the integer box through the exact test.  Returns the count, the
+    boundary hits and the inside points."""
+    ball_lo, ball_hi = metric.ball_box(r)
+    if metric.kind == ml.GABOR_PRODUCT:
+        base = lattice.points_in_box(ball_lo[:1], ball_hi[:1])
+        candidates = np.concatenate([base, np.zeros((base.shape[0], 1))], axis=1)
+    else:
+        candidates = lattice.points_in_box(*auto.box_image(ball_lo, ball_hi))
+    dist = metric.norm(auto.inverse_apply(candidates))
+    boundary = np.abs(dist - r) <= ct.BOUNDARY_GUARD
+    inside = (dist < r) & ~boundary
+    return int(inside.sum()), int(boundary.sum()), candidates[inside]
+
+
+def _counts(lattice, auto, r, metric) -> set[tuple[int, int]]:
+    """(count, boundary_hits) of enumerate_points on its default path and with
+    every box sent down the line path."""
+    default = ENUMERATE(lattice, auto, r, metric)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ct, "WHOLE_BOX", 0)
+        lines = ENUMERATE(lattice, auto, r, metric)
+    return {(default.count, default.boundary_hits), (lines.count, lines.boundary_hits)}
+
+
 def test_enumerate_identity_small_radius():
-    result = ct.enumerate_points(Z2, IDENTITY_2, 0.4, LINF_2)
-    assert result.count == 1
-    assert np.allclose(result.points, [[0.0, 0.0]])
+    count, hits, points = _reference_enumerate(Z2, IDENTITY_2, 0.4, LINF_2)
+    assert np.array_equal(points, [[0.0, 0.0]]) and (count, hits) == (1, 0)
+    assert _counts(Z2, IDENTITY_2, 0.4, LINF_2) == {(1, 0)}
 
 
 def test_enumerate_hyperbolic_power_seven_points():
     auto = am.matrix_power([[2.0, 0.0], [0.0, 0.5]], 3)
-    result = ct.enumerate_points(Z2, auto, 0.4, LINF_2)
-    assert result.count == 7
-    xs = np.sort(result.points[:, 0])
-    assert np.array_equal(xs, np.arange(-3.0, 4.0))
-    assert np.allclose(result.points[:, 1], 0.0)
+    count, hits, points = _reference_enumerate(Z2, auto, 0.4, LINF_2)
+    assert np.array_equal(np.sort(points[:, 0]), np.arange(-3.0, 4.0))
+    assert np.array_equal(points[:, 1], np.zeros(7)) and (count, hits) == (7, 0)
+    assert _counts(Z2, auto, 0.4, LINF_2) == {(7, 0)}
 
 
-def test_capped_points_own_their_memory():
-    # example_bad's member j = 20: the 512 kept rows must not hold the
-    # 838,861-row array of every inside point alive
+def test_enumeration_memory_stays_with_the_band():
+    # example_bad's member j = 20: 838,861 points on one lattice line, which
+    # the box enumeration held as a 13 MB array of inside points
     auto = am.matrix_power([[2.0, 0.0], [0.0, 0.5]], 20)
-    result = ct.enumerate_points(Z2, auto, 0.4, LINF_2)
-    assert result.overflow and result.count == 838_861
-    assert result.points.shape == (ct.POINT_CAP, 2) and result.points.base is None
+    tracemalloc.start()
+    try:
+        result = ct.enumerate_points(Z2, auto, 0.4, LINF_2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (result.count, result.boundary_hits) == (2 * math.floor(0.4 * 2 ** 20) + 1, 0)
+    assert not any(isinstance(v, np.ndarray) for v in vars(result).values())
+    assert peak < 1 << 20
 
 
 def test_enumerate_shearlet_within_box_bound():
@@ -90,9 +126,14 @@ def test_enumerate_origin_always_counted():
 
 def test_enumerate_point_set_symmetric_under_negation():
     auto = am.shearlet(6.0, 2.0)
-    result = ct.enumerate_points(Z2, auto, 0.6, LINF_2)
-    pts = {tuple(p) for p in result.points}
-    assert pts == {tuple(-np.asarray(p)) for p in pts}
+    count, hits, points = _reference_enumerate(Z2, auto, 0.6, LINF_2)
+    pts = {tuple(p) for p in points}
+    assert pts == {tuple(-np.asarray(p)) for p in pts} and len(pts) == count
+    # -A deforms the ball into the same set, and -B spans the same lattice
+    counts = _counts(Z2, auto, 0.6, LINF_2)
+    assert counts == {(count, hits)}
+    assert _counts(Z2, am.matrix_automorphism(-auto.matrix), 0.6, LINF_2) == counts
+    assert _counts(ml.Lattice(-np.eye(2)), auto, 0.6, LINF_2) == counts
 
 
 def test_enumerate_monotone_in_radius():
@@ -103,9 +144,36 @@ def test_enumerate_monotone_in_radius():
 
 
 def test_enumerate_resource_cap():
+    # 400,001^2 lattice lines: the cap counts lines and fires before any exists
+    auto = am.matrix_automorphism(np.diag([1e5, 1e5, 1e5]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="lattice lines"):
+            ct.enumerate_points(ml.integer_lattice(3), auto, 2.0, ml.euclidean_linf(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_enumerate_counts_the_old_capped_box_in_closed_form():
+    # 400,001^2 box points, past the old 1e8-point cap: |m_i| <= 199,999 are
+    # inside, and the square ring max |m_i| = 200,000 sits on the sphere
     auto = am.matrix_automorphism(np.diag([1e5, 1e5]))
-    with pytest.raises(ResourceLimitError):
-        ct.enumerate_points(Z2, auto, 2.0, LINF_2)
+    result = ct.enumerate_points(Z2, auto, 2.0, LINF_2)
+    assert (result.count, result.boundary_hits) == (399_999 ** 2, 400_001 ** 2 - 399_999 ** 2)
+
+
+def test_enumerate_counts_far_past_the_old_cap_in_closed_form():
+    # example_bad's base at j = 40: lattice line spacing 2**-40 < BOUNDARY_GUARD,
+    # so the box ends t = +-floor(0.4 * 2**40), at 0.4 * 2**-40 inside the
+    # sphere, are boundary hits and the count is 2 * floor(0.4 * 2**40) - 1
+    auto = am.matrix_power([[2.0, 0.0], [0.0, 0.5]], 40)
+    start = time.perf_counter()
+    result = ct.enumerate_points(Z2, auto, 0.4, LINF_2)
+    assert time.perf_counter() - start < 0.5
+    assert (result.count, result.boundary_hits) == (2 * math.floor(0.4 * 2 ** 40) - 1, 2)
+    assert result.count == 879_609_302_219
 
 
 def test_enumerate_gabor_counts_base_slice():
@@ -269,3 +337,91 @@ def test_random_instance_sandwich_small():
         count_2r = ct.enumerate_points(lattice, auto, 2 * r, metric).count
         assert bounds.count <= bounds.upper_bound + 3 * bounds.upper_bound_stderr
         assert count_2r >= bounds.lower_bound_at_2r - 3 * bounds.lower_bound_stderr
+
+
+@pytest.mark.parametrize("metric", [L2_1, ml.euclidean_linf(1)])
+def test_guard_band_spans_many_points_of_a_fine_line(metric):
+    # lattice spacing 1e-13 in y: the 1e-12 guard band inside the sphere holds
+    # about 10 lattice points at each end of the box line t in [-1e10, 1e10]
+    auto, r = am.matrix_automorphism([[1e13]]), 1e-3
+    _, box_hi = Z1.integer_box(*auto.box_image(*metric.ball_box(r)))
+    window = np.arange(box_hi[0] - 100, box_hi[0] + 1, dtype=float)[:, None]
+    gap = metric.norm(auto.inverse_apply(window @ Z1.basis.T)) - r
+    assert gap[0] < -ct.BOUNDARY_GUARD  # |dist| grows with |t|: every t below is inside
+    last_inside = int(window[gap < -ct.BOUNDARY_GUARD, 0].max())
+    hits = int(np.count_nonzero(np.abs(gap) <= ct.BOUNDARY_GUARD))
+    assert hits >= 10
+    assert _counts(Z1, auto, r, metric) == {(2 * last_inside + 1, 2 * hits)}
+
+
+# ---------------------------------------------------------------------------
+# The line count against the box enumeration, and metamorphic relations
+# ---------------------------------------------------------------------------
+
+MAX_REFERENCE_BOX = 20_000  # box points the reference enumerates per drawn case
+
+
+@st.composite
+def _random_counts(draw):
+    """A lattice, a deformation scaled by e^[-1, 2] and a radius, in dims 1 to 3,
+    L2 or L∞; half the time the radius is the distance of a lattice point, which
+    then sits on the sphere."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = int(rng.integers(1, 4))
+    metric = ml.MetricSpace((ml.EUCLIDEAN_L2, ml.EUCLIDEAN_LINF)[rng.integers(2)], dim)
+    lattice = ml.Lattice(random_unimodular(rng, dim, max_cond=10.0))
+    auto = am.matrix_automorphism(random_unimodular(rng, dim, max_cond=10.0)
+                                  * math.exp(rng.uniform(-1.0, 2.0)))
+    if rng.random() < 0.5:
+        m = rng.integers(-3, 4, size=dim)
+        m[0] = m[0] or 1
+        r = float(metric.norm(auto.inverse_apply(m.astype(float) @ lattice.basis.T)))
+    else:
+        r = float(rng.uniform(0.05, 2.0))
+    box_lo, box_hi = lattice.integer_box(*auto.box_image(*metric.ball_box(r)))
+    while np.prod((box_hi - box_lo + 1).astype(float)) > MAX_REFERENCE_BOX:
+        r *= 0.5  # the drawn sphere point is lost, the case stays
+        box_lo, box_hi = lattice.integer_box(*auto.box_image(*metric.ball_box(r)))
+    return lattice, auto, r, metric
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_random_counts())
+def test_line_count_equals_the_box_enumeration(case):
+    count, hits, _ = _reference_enumerate(*case)
+    assert _counts(*case) == {(count, hits)}
+
+
+def test_every_bundled_enumeration_matches_the_box_enumeration(tmp_path, monkeypatch):
+    calls = []
+
+    def checked(lattice, auto, r, metric):
+        count, hits, _ = _reference_enumerate(lattice, auto, r, metric)
+        assert _counts(lattice, auto, r, metric) == {(count, hits)}
+        calls.append(count)
+        return ENUMERATE(lattice, auto, r, metric)
+
+    monkeypatch.setattr(ct, "enumerate_points", checked)
+    for name in runner.bundled_scenario_names():
+        runner.run_scenario(runner.load_bundled_scenario(name), tmp_path / name)
+    assert len(calls) == 287
+
+
+def _random_unimodular_integers(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Integer matrix of determinant +-1: a signed permutation times shears."""
+    u = np.eye(dim)[rng.permutation(dim)] * rng.choice([-1.0, 1.0], size=dim)
+    for _ in range(3 * (dim - 1)):
+        i, j = rng.choice(dim, size=2, replace=False)
+        u[i] += rng.choice([-1.0, 1.0]) * u[j]
+    return u
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_random_counts(), seed=st.integers(0, 2 ** 32 - 1))
+def test_counts_depend_on_the_lattice_not_its_basis_and_scale(case, seed):
+    lattice, auto, r, metric = case
+    counts = _counts(*case)
+    assert len(counts) == 1
+    u = _random_unimodular_integers(np.random.default_rng(seed), lattice.dim)
+    assert _counts(ml.Lattice(lattice.basis @ u), auto, r, metric) == counts
+    assert _counts(ml.Lattice(2.0 * lattice.basis), auto, 2.0 * r, metric) == counts
