@@ -1,10 +1,11 @@
 """Dual-automorphism families: jacobians, metric distortion, expansiveness.
 
-Every automorphism here acts linearly on frequency coordinates (the Gabor
-shift is linear in (xi, k)).  Distortion constants are the optimal factors
-squeezing the invariant metric from below and above, in closed form for every
-metric: singular values for L2, row sums for L-infinity, the shift size for
-the Gabor product.  A seeded direction-sampling oracle checks them.
+An automorphism is an invertible matrix acting on frequency coordinates and
+its jacobian, fixed at construction (the Gabor shift is the matrix
+[[1, -p], [0, 1]] acting on (xi, k)).  Distortion constants are the optimal
+factors squeezing the invariant metric from below and above, in closed form
+for every metric: singular values for L2, row sums for L-infinity, the shift
+size for the Gabor product.  A seeded direction-sampling oracle checks them.
 """
 
 from __future__ import annotations
@@ -16,14 +17,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import quadrature
 from .errors import RejectedInputError
 from .metric_lattice import (EUCLIDEAN_L2, EUCLIDEAN_LINF, GABOR_PRODUCT,
-                             MetricSpace, linear_box)
-
-MATRIX = "matrix"
-MATRIX_POWER = "matrix_power"
-SHEARLET = "shearlet"
-GABOR_SHIFT = "gabor_shift"
+                             MetricSpace, gabor_product, linear_box)
 
 ORACLE_DIRECTIONS = 100_000
 ORACLE_SEED = 7151
@@ -48,18 +45,19 @@ def singular_values(M: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Automorphism:
-    """Invertible linear map on frequency coordinates with named structure."""
+    """Invertible linear map on frequency coordinates and its jacobian; without
+    a closed form the jacobian is |m| in 1-d and |det| otherwise."""
 
-    kind: str
     matrix: np.ndarray
-    params: dict = field(default_factory=dict)
+    jacobian: float | None = None
     inv_matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.atleast_2d(np.asarray(self.matrix, dtype=float))
         if m.shape[0] != m.shape[1]:
             raise RejectedInputError("automorphism matrix must be square")
-        if not np.all(np.isfinite(m)) or float(np.linalg.det(m)) == 0.0:
+        det = float(np.linalg.det(m)) if np.all(np.isfinite(m)) else 0.0
+        if det == 0.0:
             raise RejectedInputError("automorphism matrix is singular")
         try:
             inv = np.linalg.inv(m)
@@ -69,6 +67,9 @@ class Automorphism:
             raise RejectedInputError("automorphism matrix is numerically singular")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "inv_matrix", inv)
+        if self.jacobian is None:  # 1-d: det goes through exp(log|m|), which rounds
+            object.__setattr__(self, "jacobian", abs(float(m[0, 0])) if m.shape == (1, 1)
+                               else abs(det))
 
     @property
     def dim(self) -> int:
@@ -82,15 +83,6 @@ class Automorphism:
         pts = np.asarray(points, dtype=float)
         return pts @ self.inv_matrix.T
 
-    def jacobian(self) -> float:
-        if self.kind == GABOR_SHIFT:
-            return 1.0
-        if self.kind == SHEARLET:
-            return float(self.params["a"]) ** 1.5
-        if self.dim == 1:  # det goes through exp(log|m|), which rounds
-            return abs(float(self.matrix[0, 0]))
-        return abs(float(np.linalg.det(self.matrix)))
-
     def box_image(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
         """Interval-arithmetic bounding box of the image of [lo, hi]."""
         lo = np.asarray(lo, dtype=float)
@@ -101,18 +93,26 @@ class Automorphism:
     def line_action(self) -> tuple[float, float]:
         """Action on a one-dimensional frequency line as x -> scale*x + offset.
 
-        For the Gabor shift this is the restriction to the modulation line
-        k = 1; for 1-d matrix kinds it is plain scaling.
+        A Gabor shift [[1, x], [0, 1]] translates the modulation line k = 1
+        by x; a 1-d matrix is plain scaling.
         """
-        if self.kind == GABOR_SHIFT:
-            return 1.0, -float(self.params["p"])
         if self.dim == 1:
             return float(self.matrix[0, 0]), 0.0
-        raise RejectedInputError("no one-dimensional line action for this automorphism")
+        offset = _shift_offset(self.matrix)
+        if offset is None:
+            raise RejectedInputError("no one-dimensional line action for this automorphism")
+        return 1.0, offset
+
+
+def _shift_offset(m: np.ndarray) -> float | None:
+    """x of a Gabor shift matrix [[1, x], [0, 1]]; None for any other matrix."""
+    if m.shape == (2, 2) and m[0, 0] == 1.0 and m[1, 0] == 0.0 and m[1, 1] == 1.0:
+        return float(m[0, 1])
+    return None
 
 
 def matrix_automorphism(M) -> Automorphism:
-    return Automorphism(MATRIX, M)
+    return Automorphism(M)
 
 
 def matrix_power(base, exponent: int) -> Automorphism:
@@ -126,26 +126,24 @@ def matrix_power(base, exponent: int) -> Automorphism:
     if not finite or (np.linalg.det(m) == 0.0 and np.linalg.det(b) != 0.0):
         raise RejectedInputError(f"matrix power {b.tolist()} ** {int(exponent)} "
                                  f"{'underflows' if finite else 'overflows'} a float")
-    return Automorphism(MATRIX_POWER, m)
+    return Automorphism(m)
 
 
 def shearlet(a: float, s: float) -> Automorphism:
-    """Frequency-side shearlet map (a*x1, s*sqrt(a)*x1 + sqrt(a)*x2)."""
+    """Frequency-side shearlet map (a*x1, s*sqrt(a)*x1 + sqrt(a)*x2), jacobian a ** 1.5."""
     if a <= 0:
         raise RejectedInputError("shearlet scale must be positive")
     try:
-        float(a) ** 1.5  # the jacobian
+        jacobian = float(a) ** 1.5
     except OverflowError:
         raise RejectedInputError(f"shearlet scale {a} overflows its jacobian a ** 1.5") from None
     ra = math.sqrt(a)
-    m = np.array([[a, 0.0], [s * ra, ra]])
-    return Automorphism(SHEARLET, m, {"a": float(a), "s": float(s)})
+    return Automorphism(np.array([[a, 0.0], [s * ra, ra]]), jacobian)
 
 
 def gabor_shift(p: float) -> Automorphism:
-    """Dual Gabor action (xi, k) -> (xi - k*p, k)."""
-    m = np.array([[1.0, -float(p)], [0.0, 1.0]])
-    return Automorphism(GABOR_SHIFT, m, {"p": float(p)})
+    """Dual Gabor action (xi, k) -> (xi - k*p, k), jacobian 1."""
+    return Automorphism(np.array([[1.0, -float(p)], [0.0, 1.0]]), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +159,10 @@ class LipschitzConstants:
 def lipschitz_constants(auto: Automorphism, metric: MetricSpace) -> LipschitzConstants:
     """Optimal (lower, upper) metric distortion of the automorphism."""
     if metric.kind == GABOR_PRODUCT:
-        if auto.kind != GABOR_SHIFT:
-            raise RejectedInputError("gabor_product distorts Gabor shifts only")
-        p = abs(auto.params["p"])
+        shift = _shift_offset(auto.matrix)
+        if shift is None:
+            raise RejectedInputError("gabor_product distorts Gabor shifts [[1, x], [0, 1]] only")
+        p = abs(shift)
         return LipschitzConstants(1.0 / (1.0 + p), 1.0 + p)
     if auto.dim != metric.dim:
         raise RejectedInputError("automorphism and metric dimensions disagree")
@@ -298,8 +297,13 @@ class AutomorphismFamily:
             auto = self.generator(*param) if isinstance(param, tuple) else self.generator(param)
             c = lipschitz_constants(auto, self.metric)
             rows.append(FamilyMember(param, auto, c.lower, c.upper,
-                                     auto.jacobian(), self.weight_of(param)))
+                                     auto.jacobian, self.weight_of(param)))
         return tuple(rows)
+
+    @cached_property
+    def base_constants(self) -> LipschitzConstants:
+        """Distortion constants of one power step `base` (power ranges only)."""
+        return lipschitz_constants(matrix_automorphism(self.base), self.metric)
 
     def member(self, param) -> FamilyMember:
         for m in self.members:
@@ -419,7 +423,6 @@ def shearlet_grid_family(a_values: Sequence[float], s_values: Sequence[float],
 def gabor_shift_family(p_values: Sequence[float],
                        weight: Callable[[float], float] = lambda p: 1.0,
                        name: str = "") -> AutomorphismFamily:
-    from .metric_lattice import gabor_product
     return AutomorphismFamily(tuple(float(p) for p in p_values), lambda p: gabor_shift(p),
                               weight, gabor_product(), name)
 
@@ -500,70 +503,57 @@ def classify_expansiveness(family: AutomorphismFamily,
     the lower constant carrying an upper-constant spread above `EXPLOSION`
     demote the verdict from uniformly_expanding to expanding.
     """
-    table = [(m.param, m.lower, m.upper) for m in family.members]
-    if not table:
-        raise RejectedInputError("empty truncation")
-    for _param, lo, hi in table:
-        if not (0 < lo <= hi):
+    members = family.members
+    for t in members:
+        if not (0 < t.lower <= t.upper):
             raise RejectedInputError("invalid distortion constants in family")
 
-    uppers = np.array([hi for _p, _lo, hi in table])
     # default tail starts at the lower quartile: collapse evidence often sits
     # at moderate distortion, and verdicts are truncation-scoped anyway
-    m = float(np.quantile(uppers, 0.25)) if probe_m is None else float(probe_m)
-    tail = [(p, lo, hi) for p, lo, hi in table if hi > m]
-    if not tail:
-        tail = list(table)
+    m = (float(np.quantile([t.upper for t in members], 0.25)) if probe_m is None
+         else float(probe_m))
+    tail = [t for t in members if t.upper > m] or list(members)
+    lows = np.array([t.lower for t in tail])
+    his = np.array([t.upper for t in tail])
 
-    # (A) lower-constant collapse at non-decreasing upper constant
-    witness = None
-    by_upper = sorted(tail, key=lambda t: (t[2], str(t[0])))
-    best_prev_lower = -np.inf
-    for p, lo, hi in by_upper:
-        if lo * EXPLOSION <= best_prev_lower:
-            cand = (p, lo, hi)
-            if witness is None or lo < witness[1] or (lo == witness[1] and str(p) > str(witness[0])):
-                witness = cand
-        best_prev_lower = max(best_prev_lower, lo)
-    if witness is None:
+    # (A) lower-constant collapse at non-decreasing upper constant: against the
+    # largest lower constant up to it in distortion order (EXPLOSION > 1, so no
+    # member collapses against its own)
+    by_upper = lows[sorted(range(len(tail)), key=lambda i: (his[i], str(tail[i].param)))]
+    collapsed = by_upper[by_upper * EXPLOSION <= np.maximum.accumulate(by_upper)]
+    witness_lo = float(collapsed.min()) if collapsed.size else None
+    if witness_lo is None and lows.size >= 4:
         # also catch collapse carried by the extreme tail against the bulk
-        lows = np.array([lo for _p, lo, _hi in tail])
-        if lows.size >= 4:
-            argmin = int(np.argmin(lows))
-            others = np.delete(lows, argmin)
-            if lows[argmin] * EXPLOSION <= float(np.median(others)):
-                hi_at_min = tail[argmin][2]
-                if hi_at_min >= float(np.median([hi for _p, _lo, hi in tail])):
-                    witness = tail[argmin]
+        argmin = int(np.argmin(lows))
+        if (lows[argmin] * EXPLOSION <= float(np.median(np.delete(lows, argmin)))
+                and his[argmin] >= float(np.median(his))):
+            witness_lo = float(lows[argmin])
 
     # (B) log-log decay of the lower constant along the tail
-    if witness is None and len(tail) >= 3:
-        logs_u = np.log([hi for _p, _lo, hi in tail])
-        logs_l = np.log([lo for _p, lo, _hi in tail])
+    if witness_lo is None and len(tail) >= 3:
+        logs_u, logs_l = np.log(his), np.log(lows)
         if logs_u.max() - logs_u.min() > math.log(1.5):
-            slope = float(np.polyfit(logs_u, logs_l, 1)[0])
-            if slope <= SLOPE_THRESHOLD:
-                idx = int(np.argmin(logs_l))
-                witness = tail[idx]
+            if float(np.polyfit(logs_u, logs_l, 1)[0]) <= SLOPE_THRESHOLD:
+                witness_lo = float(lows[int(np.argmin(logs_l))])
 
-    if witness is not None:
+    if witness_lo is not None:
         # deterministic tie-break: smallest lower constant, then last parameter
-        candidates = [t for t in tail if t[1] <= witness[1] * (1 + 1e-12)]
-        chosen = max(candidates, key=lambda t: (str(t[0])))
-        return ExpansivenessVerdict("non_expanding", m, chosen[0],
-                                    (chosen[1], chosen[2]))
+        chosen = max((t for t in tail if t.lower <= witness_lo * (1 + 1e-12)),
+                     key=lambda t: str(t.param))
+        return ExpansivenessVerdict("non_expanding", m, chosen.param,
+                                    (chosen.lower, chosen.upper))
 
     # distinguish an envelope-compatible tail from one with lower-constant ties:
     # a group runs from its smallest lower constant lo to every one <= lo * (1 + TIE_RTOL)
-    by_lower = sorted(tail, key=lambda t: t[1])
-    lows, his = (np.array(col) for col in list(zip(*by_lower))[1:])
+    order = np.argsort(lows, kind="stable")
+    lows, his = lows[order], his[order]
     i = 0
-    while i < len(by_lower):
+    while i < len(tail):
         end = int(np.searchsorted(lows, lows[i] * (1 + TIE_RTOL), side="right"))
         if his[i:end].max() >= EXPLOSION * his[i:end].min():
             return ExpansivenessVerdict("expanding", m)
         i = end
-    envelope = _monotone_concave_majorant([(lo, hi) for _p, lo, hi in tail])
+    envelope = _monotone_concave_majorant([(t.lower, t.upper) for t in tail])
     return ExpansivenessVerdict("uniformly_expanding", m, envelope=envelope)
 
 
@@ -602,7 +592,6 @@ def band_mass_profile(family: AutomorphismFamily, envelope: Callable[[float], fl
 
     values = np.empty(ts.shape)
     if family.is_continuous:
-        from . import quadrature
         for i, t in enumerate(ts):
             hi = float(envelope(float(c * t)))
             total = 0.0

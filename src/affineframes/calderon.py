@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quadrature
-from .automorphisms import (GABOR_SHIFT, AutomorphismFamily, lipschitz_constants,
-                            matrix_power)
+# bench/tracer.py wraps lipschitz_constants in this namespace as well
+from .automorphisms import AutomorphismFamily, lipschitz_constants  # noqa: F401
 from .errors import RejectedInputError, SingularPointError
+from .metric_lattice import GABOR_PRODUCT
 from .profiles import FrequencyProfile, support_radii
 
 DIVERGENCE_CAP = 1e12
@@ -43,10 +44,6 @@ class IntegrabilityReport:
     M: float
 
 
-def _family_is_gabor(family: AutomorphismFamily) -> bool:
-    return family.members[0].auto.kind == GABOR_SHIFT
-
-
 def _frequencies(psihat: FrequencyProfile, points) -> np.ndarray:
     """Frequencies as rows of an (n, dim) array: a scalar or a single point
     gives one row, a flat 1-d array gives one row per entry."""
@@ -56,20 +53,23 @@ def _frequencies(psihat: FrequencyProfile, points) -> np.ndarray:
     return pts
 
 
+def _check_profile_dim(family: AutomorphismFamily, pts: np.ndarray) -> None:
+    """Only Gabor families map points of another dimension: along the
+    modulation line k = 1."""
+    if pts.shape[1] != family.metric.dim and family.metric.kind != GABOR_PRODUCT:
+        raise RejectedInputError("profile dimension does not match the automorphism")
+
+
 def _mapped_points(auto, pts: np.ndarray) -> np.ndarray:
     """Orbit image of profile-side points under one automorphism."""
-    if auto.kind == GABOR_SHIFT:
+    if pts.shape[1] < auto.dim:
         scale, offset = auto.line_action()
         return pts * scale + offset
-    if pts.shape[1] == auto.dim:
-        return auto.apply(pts)
-    raise RejectedInputError("profile dimension does not match the automorphism")
+    return auto.apply(pts)
 
 
 def _check_not_identity(family: AutomorphismFamily, pts: np.ndarray) -> None:
-    if _family_is_gabor(family):
-        return
-    if np.any(family.metric.norm(pts) == 0.0):
+    if family.metric.kind != GABOR_PRODUCT and np.any(family.metric.norm(pts) == 0.0):
         raise SingularPointError("orbit sum requested at the identity frequency")
 
 
@@ -83,13 +83,18 @@ def calderon_values(psihat: FrequencyProfile, family: AutomorphismFamily, points
     if family.is_continuous:
         raise RejectedInputError("use calderon_sum for continuous families")
     pts = _frequencies(psihat, points)
+    members = [m for m in family.members if lower_cutoff is None or m.upper > lower_cutoff]
+    _check_profile_dim(family, pts)
+    return _orbit_sum(psihat, members, pts, weighted)
+
+
+def _orbit_sum(psihat, members, pts: np.ndarray, weighted: bool) -> np.ndarray:
+    """Per frequency: the weighted squared profile values along the orbit of
+    `members`, each term times its jacobian when `weighted`."""
     out = np.zeros(pts.shape[0])
-    for m in family.members:
-        if lower_cutoff is not None and m.upper <= lower_cutoff:
-            continue
-        term = psihat.evaluate(_mapped_points(m.auto, pts)) ** 2
+    for m in members:
         w = m.weight * m.jacobian if weighted else m.weight
-        out += w * term
+        out += w * psihat.evaluate(_mapped_points(m.auto, pts)) ** 2
     return out
 
 
@@ -106,7 +111,7 @@ def _integer_family_certificate(psihat, family, pts: np.ndarray) -> np.ndarray:
     remaining terms are zero.
     """
     first, last = family.members[0], family.members[-1]
-    cb = lipschitz_constants(matrix_power(family.base, 1), family.metric)
+    cb = family.base_constants
     rho_min, rho_max = support_radii(psihat, family.metric)
     d = family.metric.norm(pts)
     up_ok = (((cb.lower > 1.0) & (last.lower * d > rho_max))
@@ -121,19 +126,6 @@ def _gabor_window_covered(psihat, family, pts: np.ndarray) -> np.ndarray:
     in the family's p-range."""
     return ((min(family.params) <= pts[:, 0] - float(psihat.support_hi[0]))
             & (max(family.params) >= pts[:, 0] - float(psihat.support_lo[0])))
-
-
-def _divergence_monitor(contributions: np.ndarray) -> tuple[bool, tuple[float, ...],
-                                                            tuple[int, ...]]:
-    """Partial sums at three dyadic truncations of the distortion-ordered terms."""
-    n = contributions.shape[0]
-    sizes = sorted({max(1, n // 4), max(1, n // 2), n})
-    sums = tuple(float(np.sum(contributions[:k])) for k in sizes)
-    diverging = sums[-1] > DIVERGENCE_CAP
-    if len(sums) == 3 and sums[0] > 0:
-        g = DIVERGENCE_GROWTH
-        diverging = diverging or (sums[2] >= g * sums[1] >= g ** 2 * sums[0])
-    return diverging, sums, tuple(sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +148,8 @@ def calderon_sum(psihat: FrequencyProfile, family: AutomorphismFamily,
                                            lower_cutoff=None)
     values = calderon_values(psihat, family, pts)
     certified, truncation = _atomic_certificate(psihat, family, pts)
-    tails = np.where(certified, 0.0, _edge_tail_estimate(psihat, family, pts))
+    ends = (family.members[0], family.members[-1])  # their terms estimate the tail
+    tails = np.where(certified, 0.0, _orbit_sum(psihat, ends, pts, False))
     return [CalderonEvaluation(x, v, truncation, t, c) for x, v, t, c in
             zip(pts, values.tolist(), tails.tolist(), certified.tolist())]
 
@@ -183,20 +176,37 @@ def calderon_tail(psihat: FrequencyProfile, family: AutomorphismFamily, xi,
     if not rows:
         return CalderonEvaluation(xi, 0.0, {"kind": "atoms", "terms": 0},
                                   certified_exact=True)
-    contributions = np.empty(len(rows))
-    for i, m in enumerate(rows):
-        term = float(psihat.evaluate(_mapped_points(m.auto, pts))[0]) ** 2
-        contributions[i] = m.weight * m.jacobian * term
-    diverging, partial, sizes = _divergence_monitor(contributions)
+    # float ** 2 goes through libm pow, which rounds some squares unlike numpy's v * v
+    diverging, partial, sizes = _distortion_tail(psihat, family, rows, pts,
+                                                 lambda v: float(v[0]) ** 2)
     certified, truncation = _atomic_certificate(psihat, family, pts)
     certified = bool(certified[0])
     truncation = dict(truncation)
     truncation.update({"partial_sums": partial, "truncation_sizes": sizes,
                        "distortion_cutoff": M})
     tail = 0.0 if certified else float(
-        _edge_tail_estimate(psihat, family, pts, weighted=True)[0])
-    return CalderonEvaluation(xi, float(np.sum(contributions)), truncation, tail,
-                              certified and not diverging, diverging)
+        _orbit_sum(psihat, (family.members[0], family.members[-1]), pts, True)[0])
+    return CalderonEvaluation(xi, partial[-1], truncation, tail, certified and not diverging,
+                              diverging)
+
+
+def _distortion_tail(psihat, family, rows, pts: np.ndarray,
+                     term) -> tuple[bool, tuple[float, ...], tuple[int, ...]]:
+    """Divergence flag, partial sums and truncation sizes of the jacobian-
+    weighted terms of the distortion-ordered `rows`, the last sum taking every
+    term; `term` reduces one member's profile values at `pts`."""
+    _check_profile_dim(family, pts)
+    contributions = np.array([m.weight * m.jacobian
+                              * term(psihat.evaluate(_mapped_points(m.auto, pts)))
+                              for m in rows])
+    n = len(rows)
+    sizes = sorted({max(1, n // 4), max(1, n // 2), n})
+    sums = tuple(float(np.sum(contributions[:k])) for k in sizes)
+    diverging = sums[-1] > DIVERGENCE_CAP
+    if len(sums) == 3 and sums[0] > 0:
+        g = DIVERGENCE_GROWTH
+        diverging = diverging or (sums[2] >= g * sums[1] >= g ** 2 * sums[0])
+    return diverging, sums, tuple(sizes)
 
 
 def _atomic_certificate(psihat, family, pts: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -205,21 +215,11 @@ def _atomic_certificate(psihat, family, pts: np.ndarray) -> tuple[np.ndarray, di
         return ok, {"kind": "integer_range", "j_min": family.params[0],
                     "j_max": family.params[-1]}
     terms = len(family.members)
-    if _family_is_gabor(family):
+    if family.metric.kind == GABOR_PRODUCT:
         return (_gabor_window_covered(psihat, family, pts),
                 {"kind": "shift_atoms", "terms": terms})
     # an explicit atom list is its own complete truncation
     return np.ones(pts.shape[0], dtype=bool), {"kind": "atoms", "terms": terms}
-
-
-def _edge_tail_estimate(psihat, family, pts: np.ndarray,
-                        weighted: bool = False) -> np.ndarray:
-    """Per frequency: the terms of the two end parameters of the truncation."""
-    est = np.zeros(pts.shape[0])
-    for m in (family.members[0], family.members[-1]):
-        w = m.weight * m.jacobian if weighted else m.weight
-        est += w * psihat.evaluate(_mapped_points(m.auto, pts)) ** 2
-    return est
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +322,7 @@ def local_integrability_check(psihat: FrequencyProfile, family: AutomorphismFami
         return IntegrabilityReport("finite", 0.0, (0.0,), (0,), M)
 
     pts, weights = quadrature.tensor_nodes_weights(lo, hi, cells_per_axis=2 ** level)
-
-    contributions = np.empty(len(rows))
-    for i, m in enumerate(rows):
-        vals = psihat.evaluate(_mapped_points(m.auto, pts)) ** 2
-        contributions[i] = m.weight * m.jacobian * float(np.dot(weights, vals))
-    diverging, partial, sizes = _divergence_monitor(contributions)
-    verdict = "divergent" if diverging else "finite"
-    return IntegrabilityReport(verdict, float(np.sum(contributions)), partial, sizes, M)
+    diverging, partial, sizes = _distortion_tail(psihat, family, rows, pts,
+                                                 lambda v: float(np.dot(weights, v ** 2)))
+    return IntegrabilityReport("divergent" if diverging else "finite", partial[-1], partial,
+                               sizes, M)

@@ -124,7 +124,7 @@ def counting_bounds(lattice: Lattice, auto: Automorphism, r: float,
     measure).
     """
     base = enumerate_points(lattice, auto, r, metric)
-    delta = auto.jacobian()
+    delta = auto.jacobian
     vol_r = delta * metric.ball_measure(r)
     vol_2r = delta * metric.ball_measure(2.0 * r)
     omega_r = overlap_measure(lattice, metric, auto, r, n_samples=n_samples, seed=seed)

@@ -257,7 +257,7 @@ def test_criterion_9_structural_property_suites():
         box_vol = float(np.prod(hi_box - lo_box))
         est = box_vol * inside.mean()
         stderr = box_vol * math.sqrt(inside.mean() * (1 - inside.mean()) / n)
-        assert abs(est - auto.jacobian() * L2_2.ball_measure(r)) <= 3 * stderr
+        assert abs(est - auto.jacobian * L2_2.ball_measure(r)) <= 3 * stderr
 
     # quadratic scaling of orbit sums, exactly
     fam = am.matrix_power_family([[2.0]], -40, 40, L2_1)

@@ -22,14 +22,16 @@ GABOR = ml.gabor_product()
 def test_jacobian_of_one_by_one_powers_is_exact():
     # det goes through exp(sum log|u_ii|) and comes out one ulp off 2 ** j
     for j in range(-60, 61):
-        assert am.matrix_power([[2.0]], j).jacobian() == 2.0 ** j
-    assert am.matrix_automorphism([[-3.0]]).jacobian() == 3.0
+        assert am.matrix_power([[2.0]], j).jacobian == 2.0 ** j
+    assert am.matrix_automorphism([[-3.0]]).jacobian == 3.0
 
 
 def test_jacobian_closed_forms():
-    assert am.shearlet(4.0, 1.0).jacobian() == pytest.approx(8.0)
-    assert am.matrix_automorphism([[2.0, 0.0], [0.0, 0.5]]).jacobian() == pytest.approx(1.0)
-    assert am.gabor_shift(0.7).jacobian() == pytest.approx(1.0)
+    # the shearlet and Gabor-shift constructors fix their closed forms
+    assert am.shearlet(4.0, 1.0).jacobian == 8.0
+    assert am.shearlet(3.0, -2.0).jacobian == 3.0 ** 1.5
+    assert am.matrix_automorphism([[2.0, 0.0], [0.0, 0.5]]).jacobian == pytest.approx(1.0)
+    assert am.gabor_shift(0.7).jacobian == 1.0
 
 
 def test_singular_matrix_rejected_at_construction():
@@ -106,8 +108,12 @@ def test_shearlet_l2_bounds_match_exact_singular_values(a, s):
 
 
 def test_gabor_product_rejects_other_automorphisms():
+    # only the shift form [[1, x], [0, 1]] is a Gabor shift
     for auto in (am.matrix_automorphism([[2.0]]), am.shearlet(2.0, 1.0),
-                 am.matrix_power([[2.0, 0.0], [0.0, 3.0]], 2)):
+                 am.matrix_power([[2.0, 0.0], [0.0, 3.0]], 2),
+                 am.matrix_automorphism([[1.0, 0.5], [0.25, 1.0]]),
+                 am.matrix_automorphism([[1.0, 0.5], [0.0, 2.0]]),
+                 am.matrix_automorphism([[-1.0, 0.5], [0.0, 1.0]])):
         with pytest.raises(RejectedInputError):
             am.lipschitz_constants(auto, GABOR)
 
@@ -218,7 +224,7 @@ def test_measure_scaling_of_deformed_balls():
     box_vol = float(np.prod(hi_box - lo_box))
     estimate = box_vol * inside.mean()
     stderr = box_vol * math.sqrt(inside.mean() * (1 - inside.mean()) / n)
-    expected = auto.jacobian() * metric.ball_measure(r)
+    expected = auto.jacobian * metric.ball_measure(r)
     assert abs(estimate - expected) <= 3 * stderr
 
 
@@ -239,7 +245,7 @@ def _assert_table_matches_recomputation(fam):
         c = am.lipschitz_constants(auto, fam.metric)
         assert np.array_equal(m.auto.matrix, auto.matrix)
         assert (m.lower, m.upper) == (c.lower, c.upper)
-        assert m.jacobian == auto.jacobian()
+        assert m.jacobian == auto.jacobian
         assert m.weight == fam.weight_of(m.param)
 
 
@@ -483,3 +489,100 @@ def test_band_mass_rejects_bad_inputs():
         am.band_mass_profile(fam, lambda x: x, 2.0, [0.5], 1.0)
     with pytest.raises(RejectedInputError):
         am.band_mass_profile(fam, lambda x: -x, 2.0, [1.0], 1.0)
+
+
+def _reference_classify(family, probe_m=None):
+    """classify_expansiveness as it stood, with a per-candidate loop for rule (A)."""
+    table = [(m.param, m.lower, m.upper) for m in family.members]
+    if not table:
+        raise RejectedInputError("empty truncation")
+    for _param, lo, hi in table:
+        if not (0 < lo <= hi):
+            raise RejectedInputError("invalid distortion constants in family")
+    uppers = np.array([hi for _p, _lo, hi in table])
+    m = float(np.quantile(uppers, 0.25)) if probe_m is None else float(probe_m)
+    tail = [(p, lo, hi) for p, lo, hi in table if hi > m]
+    if not tail:
+        tail = list(table)
+    witness = None
+    by_upper = sorted(tail, key=lambda t: (t[2], str(t[0])))
+    best_prev_lower = -np.inf
+    for p, lo, hi in by_upper:
+        if lo * am.EXPLOSION <= best_prev_lower:
+            cand = (p, lo, hi)
+            if witness is None or lo < witness[1] or (lo == witness[1]
+                                                      and str(p) > str(witness[0])):
+                witness = cand
+        best_prev_lower = max(best_prev_lower, lo)
+    if witness is None:
+        lows = np.array([lo for _p, lo, _hi in tail])
+        if lows.size >= 4:
+            argmin = int(np.argmin(lows))
+            others = np.delete(lows, argmin)
+            if lows[argmin] * am.EXPLOSION <= float(np.median(others)):
+                hi_at_min = tail[argmin][2]
+                if hi_at_min >= float(np.median([hi for _p, _lo, hi in tail])):
+                    witness = tail[argmin]
+    if witness is None and len(tail) >= 3:
+        logs_u = np.log([hi for _p, _lo, hi in tail])
+        logs_l = np.log([lo for _p, lo, _hi in tail])
+        if logs_u.max() - logs_u.min() > math.log(1.5):
+            slope = float(np.polyfit(logs_u, logs_l, 1)[0])
+            if slope <= am.SLOPE_THRESHOLD:
+                witness = tail[int(np.argmin(logs_l))]
+    if witness is not None:
+        candidates = [t for t in tail if t[1] <= witness[1] * (1 + 1e-12)]
+        chosen = max(candidates, key=lambda t: (str(t[0])))
+        return am.ExpansivenessVerdict("non_expanding", m, chosen[0], (chosen[1], chosen[2]))
+    by_lower = sorted(tail, key=lambda t: t[1])
+    lows, his = (np.array(col) for col in list(zip(*by_lower))[1:])
+    i = 0
+    while i < len(by_lower):
+        end = int(np.searchsorted(lows, lows[i] * (1 + am.TIE_RTOL), side="right"))
+        if his[i:end].max() >= am.EXPLOSION * his[i:end].min():
+            return am.ExpansivenessVerdict("expanding", m)
+        i = end
+    envelope = am._monotone_concave_majorant([(lo, hi) for _p, lo, hi in tail])
+    return am.ExpansivenessVerdict("uniformly_expanding", m, envelope=envelope)
+
+
+def _verdict_fields(classify, family, probe_m):
+    """The verdict's fields, or the type of the input error classifying raises."""
+    try:
+        v = classify(family, probe_m)
+    except RejectedInputError as exc:
+        return type(exc)
+    env = None if v.envelope is None else (v.envelope.xs.tolist(), v.envelope.ys.tolist())
+    return v.verdict, v.probe_m, v.witness, v.witness_constants, env, v.note
+
+
+@settings(max_examples=500, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 3),
+       metric_kind=st.sampled_from([ml.EUCLIDEAN_L2, ml.EUCLIDEAN_LINF]),
+       n_members=st.integers(1, 29), spread=st.floats(0.0, 3.0), n_ties=st.integers(0, 8),
+       diagonal=st.booleans(), probe_q=st.none() | st.floats(0.0, 1.0))
+def test_classify_matches_reference_property(seed, dim, metric_kind, n_members, spread,
+                                             n_ties, diagonal, probe_q):
+    # rows scaled over 10 ** +-spread spread both constants; diagonals diag(1, 10 ** k)
+    # tie lower constants under spread upper ones; -A ties every constant of A
+    rng = np.random.default_rng(seed)
+    mats = [np.diag(10.0 ** (rng.integers(0, 3, dim) * (np.arange(dim) > 0))) if diagonal else
+            10.0 ** rng.uniform(-spread, spread, (dim, 1)) * rng.normal(size=(dim, dim))
+            for _ in range(n_members)]
+    for i, j in rng.integers(n_members, size=(n_ties, 2)):
+        mats[i] = -mats[j]
+    fam = am.AutomorphismFamily(tuple(range(n_members)),
+                                lambda i: am.matrix_automorphism(mats[i]),
+                                lambda i: 1.0, ml.MetricSpace(metric_kind, dim))
+    uppers = [m.upper for m in fam.members]
+    probe_m = None if probe_q is None else float(np.quantile(uppers, probe_q))
+    assert (_verdict_fields(am.classify_expansiveness, fam, probe_m)
+            == _verdict_fields(_reference_classify, fam, probe_m))
+
+
+def test_gabor_product_reads_any_shift_form_matrix_as_a_gabor_shift():
+    for p in (0.0, 0.7, -2.5, 1e6):
+        shift, matrix = am.gabor_shift(p), am.matrix_automorphism([[1.0, -p], [0.0, 1.0]])
+        assert am.lipschitz_constants(matrix, GABOR) == am.lipschitz_constants(shift, GABOR)
+        assert matrix.jacobian == shift.jacobian == 1.0
+        assert matrix.line_action() == shift.line_action() == (1.0, -p)

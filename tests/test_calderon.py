@@ -2,16 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from affineframes import automorphisms as am
 from affineframes import calderon as cd
+from affineframes import quadrature
 from affineframes import config as cfg
 from affineframes import metric_lattice as ml
 from affineframes import runner
 from affineframes.errors import RejectedInputError, SingularPointError
-from affineframes.profiles import PiecewiseConstantProfile, indicator_interval
+from affineframes.profiles import (PiecewiseConstantProfile, SampledGridProfile,
+                                   indicator_interval)
 
 L2_1 = ml.euclidean_l2(1)
 L2_2 = ml.euclidean_l2(2)
@@ -300,3 +302,238 @@ def test_local_integrability_box_containing_identity_rejected():
 def test_tail_cutoff_must_be_positive():
     with pytest.raises(RejectedInputError):
         cd.calderon_tail(SHANNON, dyadic_family(-5, 5), 0.3, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Reference bodies: the orbit routines as they stood when each automorphism
+# carried a kind and a parameter dict, with Gabor shifts mapped by their p
+# ---------------------------------------------------------------------------
+
+def _ref_mapped_points(family, m, pts):
+    if family.metric.kind == ml.GABOR_PRODUCT:  # every member is the shift by its parameter
+        return pts * 1.0 + -float(m.param)
+    if pts.shape[1] == m.auto.dim:
+        return m.auto.apply(pts)
+    raise RejectedInputError("profile dimension does not match the automorphism")
+
+
+def _ref_calderon_values(psihat, family, points, weighted=False, lower_cutoff=None):
+    if family.is_continuous:
+        raise RejectedInputError("use calderon_sum for continuous families")
+    pts = cd._frequencies(psihat, points)
+    out = np.zeros(pts.shape[0])
+    for m in family.members:
+        if lower_cutoff is not None and m.upper <= lower_cutoff:
+            continue
+        term = psihat.evaluate(_ref_mapped_points(family, m, pts)) ** 2
+        w = m.weight * m.jacobian if weighted else m.weight
+        out += w * term
+    return out
+
+
+def _ref_edge_tail_estimate(psihat, family, pts, weighted=False):
+    est = np.zeros(pts.shape[0])
+    for m in (family.members[0], family.members[-1]):
+        w = m.weight * m.jacobian if weighted else m.weight
+        est += w * psihat.evaluate(_ref_mapped_points(family, m, pts)) ** 2
+    return est
+
+
+def _ref_divergence_monitor(contributions):
+    n = contributions.shape[0]
+    sizes = sorted({max(1, n // 4), max(1, n // 2), n})
+    sums = tuple(float(np.sum(contributions[:k])) for k in sizes)
+    diverging = sums[-1] > cd.DIVERGENCE_CAP
+    if len(sums) == 3 and sums[0] > 0:
+        g = cd.DIVERGENCE_GROWTH
+        diverging = diverging or (sums[2] >= g * sums[1] >= g ** 2 * sums[0])
+    return diverging, sums, tuple(sizes)
+
+
+def _ref_calderon_tail(psihat, family, xi, M):
+    if M <= 0:
+        raise RejectedInputError("distortion cutoff must be positive")
+    pts = cd._frequencies(psihat, xi)
+    if pts.shape[0] != 1:
+        raise RejectedInputError("calderon_tail evaluates one frequency")
+    cd._check_not_identity(family, pts)
+    rows = family.above(M)
+    if not rows:
+        return cd.CalderonEvaluation(xi, 0.0, {"kind": "atoms", "terms": 0},
+                                     certified_exact=True)
+    contributions = np.empty(len(rows))
+    for i, m in enumerate(rows):
+        term = float(psihat.evaluate(_ref_mapped_points(family, m, pts))[0]) ** 2
+        contributions[i] = m.weight * m.jacobian * term
+    diverging, partial, sizes = _ref_divergence_monitor(contributions)
+    certified, truncation = cd._atomic_certificate(psihat, family, pts)
+    certified = bool(certified[0])
+    truncation = dict(truncation)
+    truncation.update({"partial_sums": partial, "truncation_sizes": sizes,
+                       "distortion_cutoff": M})
+    tail = 0.0 if certified else float(
+        _ref_edge_tail_estimate(psihat, family, pts, weighted=True)[0])
+    return cd.CalderonEvaluation(xi, float(np.sum(contributions)), truncation, tail,
+                                 certified and not diverging, diverging)
+
+
+def _ref_local_integrability_check(psihat, family, box_lo, box_hi, M, level=3):
+    lo = np.atleast_1d(np.asarray(box_lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(box_hi, dtype=float))
+    if np.any(hi <= lo):
+        raise RejectedInputError("empty integration box")
+    if np.all(lo <= 0.0) and np.all(hi >= 0.0):
+        raise RejectedInputError("integration box must exclude the identity")
+    rows = family.above(M)
+    if not rows:
+        return cd.IntegrabilityReport("finite", 0.0, (0.0,), (0,), M)
+    pts, weights = quadrature.tensor_nodes_weights(lo, hi, cells_per_axis=2 ** level)
+    contributions = np.empty(len(rows))
+    for i, m in enumerate(rows):
+        vals = psihat.evaluate(_ref_mapped_points(family, m, pts)) ** 2
+        contributions[i] = m.weight * m.jacobian * float(np.dot(weights, vals))
+    diverging, partial, sizes = _ref_divergence_monitor(contributions)
+    verdict = "divergent" if diverging else "finite"
+    return cd.IntegrabilityReport(verdict, float(np.sum(contributions)), partial, sizes, M)
+
+
+def _outcome(call):
+    """What a call returns, or the type of the input error it raises."""
+    try:
+        return call()
+    except (RejectedInputError, SingularPointError) as exc:
+        return type(exc)
+
+
+def _evaluation_fields(ev):
+    if isinstance(ev, type):
+        return ev
+    return ev.value, ev.truncation, ev.tail_estimate, ev.certified_exact, ev.diverging
+
+
+def _same_array(a, b):
+    return a is b if isinstance(a, type) or isinstance(b, type) else np.array_equal(a, b)
+
+
+@st.composite
+def orbit_cases(draw):
+    """A power (1-d or 2-d), shearlet or Gabor family with a matching profile,
+    frequencies, a weighting and cutoff choice, a tail cutoff and a box."""
+    kind = draw(st.sampled_from(["power_1d", "power_2d", "shearlet", "gabor"]))
+    c = draw(st.floats(0.25, 2.0))
+    weight = lambda q, *_rest: c ** q
+    dim = 2 if kind in ("power_2d", "shearlet") else 1
+    metric = (ml.gabor_product() if kind == "gabor" else
+              ml.MetricSpace(draw(st.sampled_from([ml.EUCLIDEAN_L2, ml.EUCLIDEAN_LINF])), dim))
+    if kind == "power_1d":
+        base = draw(st.floats(0.3, 3.5).filter(lambda b: abs(b - 1.0) > 0.1))
+        base *= draw(st.sampled_from([-1.0, 1.0]))
+        j_min = draw(st.integers(-6, 0))
+        fam = am.matrix_power_family([[base]], j_min, j_min + draw(st.integers(0, 10)),
+                                     metric, weight)
+    elif kind == "power_2d":
+        base = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4)))
+        assume(abs(base[0] * base[3] - base[1] * base[2]) > 0.1)
+        j_min = draw(st.integers(-4, 0))
+        fam = am.matrix_power_family(base.reshape(2, 2), j_min,
+                                     j_min + draw(st.integers(0, 6)), metric, weight)
+    elif kind == "shearlet":
+        a_values = draw(st.lists(st.floats(0.25, 8.0), min_size=1, max_size=4))
+        s_values = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3))
+        fam = am.shearlet_grid_family(a_values, s_values, metric, weight)
+    else:
+        p_min, step = draw(st.integers(-6, 0)), draw(st.sampled_from([0.5, 1.0, 1.5]))
+        fam = am.gabor_shift_family(p_min + step * np.arange(draw(st.integers(1, 10))),
+                                    weight)
+    lo = np.array(draw(st.lists(st.floats(-2.0, 1.0), min_size=dim, max_size=dim)))
+    width = np.array(draw(st.lists(st.floats(0.25, 2.0), min_size=dim, max_size=dim)))
+    values = draw(st.lists(st.floats(0.05, 2.0) | st.floats(-2.0, -0.05), min_size=2,
+                           max_size=6))
+    if dim == 1 and draw(st.booleans()):
+        psihat = SampledGridProfile(lo[0], lo[0] + width[0], np.array(values))
+    else:
+        # two boxes split along the first axis
+        cut = lo[0] + draw(st.floats(0.1, 0.9)) * width[0]
+        left_hi, right_lo = lo + width, lo.copy()
+        left_hi[0] = right_lo[0] = cut
+        psihat = PiecewiseConstantProfile(np.stack([lo, right_lo]),
+                                          np.stack([left_hi, lo + width]),
+                                          np.array(values[:2]))
+    members = _outcome(lambda: fam.members)
+    if isinstance(members, type):
+        members = ()
+
+    def frequency():
+        """A frequency that some member maps into the support, or any."""
+        if not members or draw(st.booleans()):
+            return np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=dim, max_size=dim)))
+        m = members[draw(st.integers(0, len(members) - 1))]
+        y = lo + width * np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=dim,
+                                                max_size=dim)))
+        return y + m.param if kind == "gabor" else m.auto.inverse_apply(y)
+
+    pts = np.array([frequency() for _ in range(draw(st.integers(1, 5)))])
+    center, half = frequency(), draw(st.floats(0.01, 1.0))
+    uppers = sorted(m.upper for m in members) or [1.0]
+    M = uppers[draw(st.integers(0, len(uppers) - 1))] * draw(st.floats(0.5, 1.2))
+    cutoff = draw(st.none() | st.sampled_from(uppers))
+    return psihat, fam, pts, draw(st.booleans()), cutoff, M, (center - half, center + half)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=orbit_cases())
+def test_orbit_routines_match_reference_bodies(case):
+    psihat, fam, pts, weighted, cutoff, M, (box_lo, box_hi) = case
+    assert _same_array(
+        _outcome(lambda: cd.calderon_values(psihat, fam, pts, weighted, cutoff)),
+        _outcome(lambda: _ref_calderon_values(psihat, fam, pts, weighted, cutoff)))
+    ends = _outcome(lambda: (fam.members[0], fam.members[-1]))
+    if not isinstance(ends, type):
+        assert _same_array(_outcome(lambda: cd._orbit_sum(psihat, ends, pts, weighted)),
+                           _outcome(lambda: _ref_edge_tail_estimate(psihat, fam, pts,
+                                                                    weighted)))
+    for x in pts:
+        assert (_evaluation_fields(_outcome(lambda: cd.calderon_tail(psihat, fam, x, M)))
+                == _evaluation_fields(_outcome(lambda: _ref_calderon_tail(psihat, fam, x, M))))
+    assert (_outcome(lambda: cd.local_integrability_check(psihat, fam, box_lo, box_hi, M,
+                                                          level=1))
+            == _outcome(lambda: _ref_local_integrability_check(psihat, fam, box_lo, box_hi,
+                                                               M, level=1)))
+
+
+def test_profile_of_another_dimension_needs_a_gabor_family():
+    # a 2-d family under a euclidean metric has no orbit on a 1-d profile, even
+    # when its matrices have the Gabor shift form [[1, x], [0, 1]]
+    for base in ([[2.0, 0.0], [0.0, 3.0]], [[1.0, 1.0], [0.0, 1.0]]):
+        fam = am.matrix_power_family(base, 1, 4, L2_2)
+        for call in (lambda: cd.calderon_values(SHANNON, fam, [[0.3]]),
+                     lambda: cd.calderon_sum(SHANNON, fam, 0.3),
+                     lambda: cd.calderon_tail(SHANNON, fam, 0.3, 0.5),
+                     lambda: cd.local_integrability_check(SHANNON, fam, [0.1], [0.4], 0.5)):
+            with pytest.raises(RejectedInputError, match="profile dimension"):
+                call()
+
+
+def test_certificate_step_constants_built_once_per_family(monkeypatch):
+    fam = am.matrix_power_family([[2.0, 1.0], [0.0, 3.0]], -3, 3, L2_2)
+    first = cd.calderon_sum(RING_2D, fam, [[0.6, 0.2]])
+    assert fam.base_constants == am.lipschitz_constants(am.matrix_power(fam.base, 1),
+                                                        fam.metric)
+    built = []
+    post_init = am.Automorphism.__post_init__
+    monkeypatch.setattr(am.Automorphism, "__post_init__",
+                        lambda self: built.append(1) or post_init(self))
+    again = cd.calderon_sum(RING_2D, fam, [[0.6, 0.2]])
+    cd.calderon_tail(RING_2D, fam, [0.6, 0.2], 1.0)
+    assert built == []
+    assert _evaluation_fields(again[0]) == _evaluation_fields(first[0])
+
+
+def test_tail_squares_its_terms_like_the_reference_body():
+    # glibc's pow rounds 1.9007093261133585 ** 2 one ulp away from numpy's v * v,
+    # so a tail term squared by the quadrature's box rule would move a bit
+    v = 1.9007093261133585
+    psihat = PiecewiseConstantProfile(np.array([[0.5]]), np.array([[1.0]]), np.array([v]))
+    fam = dyadic_family(-3, 3)
+    assert (_evaluation_fields(cd.calderon_tail(psihat, fam, 0.75, 0.5))
+            == _evaluation_fields(_ref_calderon_tail(psihat, fam, 0.75, 0.5)))

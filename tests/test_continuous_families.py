@@ -93,7 +93,7 @@ def ref_orbit_integral(psihat, family, xi, weighted, lower_cutoff):
         vals = psihat.evaluate((a * xi)[:, None]) ** 2
         w = np.array([family.weight_of(float(v)) for v in a])
         if weighted:
-            w = w * np.array([family.generator(float(v)).jacobian() for v in a])
+            w = w * np.array([family.generator(float(v)).jacobian for v in a])
         return w * vals
 
     total = 0.0
