@@ -171,12 +171,14 @@ def lipschitz_constants(auto: Automorphism, metric: MetricSpace) -> LipschitzCon
         # dim >= 2 the lower constant is 1 / sigma_max of the inverse
         sv = singular_values(auto.matrix)
         lower = sv[0] if auto.dim == 1 else 1.0 / singular_values(auto.inv_matrix)[-1]
-        return LipschitzConstants(float(lower), float(sv[-1]))
-    if metric.kind == EUCLIDEAN_LINF:
+        upper = float(sv[-1])
+    elif metric.kind == EUCLIDEAN_LINF:
         upper = float(np.max(np.sum(np.abs(auto.matrix), axis=1)))
         lower = 1.0 / float(np.max(np.sum(np.abs(auto.inv_matrix), axis=1)))
-        return LipschitzConstants(lower, upper)
-    raise RejectedInputError(f"unsupported metric kind {metric.kind!r}")
+    else:
+        raise RejectedInputError(f"unsupported metric kind {metric.kind!r}")
+    # exactly lower <= upper; through the inverse, c * I can round one ulp above
+    return LipschitzConstants(min(float(lower), upper), upper)
 
 
 def lipschitz_oracle(autos: Sequence[Automorphism], metric: MetricSpace,
@@ -270,7 +272,6 @@ class AutomorphismFamily:
     generator: Callable
     weight: Callable[..., float]
     metric: MetricSpace
-    name: str = ""
     edges: np.ndarray | None = None
     base: np.ndarray | None = None
 
@@ -332,7 +333,7 @@ class AutomorphismFamily:
         if not kept:
             raise RejectedInputError("restriction removed every parameter")
         sub = AutomorphismFamily(tuple(m.param for m in kept), self.generator,
-                                 self.weight, self.metric, self.name)
+                                 self.weight, self.metric)
         sub.__dict__["members"] = kept  # the subfamily shares the built rows
         return sub
 
@@ -405,32 +406,30 @@ def _merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, 
 
 
 def matrix_power_family(base, j_min: int, j_max: int, metric: MetricSpace,
-                        weight: Callable[[int], float] = lambda j: 1.0,
-                        name: str = "") -> AutomorphismFamily:
+                        weight: Callable[[int], float] = lambda j: 1.0) -> AutomorphismFamily:
     b = np.atleast_2d(np.asarray(base, dtype=float))
     return AutomorphismFamily(tuple(range(j_min, j_max + 1)), lambda j: matrix_power(b, j),
-                              weight, metric, name, base=b)
+                              weight, metric, base=b)
 
 
 def shearlet_grid_family(a_values: Sequence[float], s_values: Sequence[float],
                          metric: MetricSpace,
-                         weight: Callable[[float, float], float] = lambda a, s: 1.0,
-                         name: str = "") -> AutomorphismFamily:
+                         weight: Callable[[float, float], float] = lambda a, s: 1.0
+                         ) -> AutomorphismFamily:
     params = tuple((float(a), float(s)) for a in a_values for s in s_values)
-    return AutomorphismFamily(params, lambda a, s: shearlet(a, s), weight, metric, name)
+    return AutomorphismFamily(params, lambda a, s: shearlet(a, s), weight, metric)
 
 
 def gabor_shift_family(p_values: Sequence[float],
-                       weight: Callable[[float], float] = lambda p: 1.0,
-                       name: str = "") -> AutomorphismFamily:
+                       weight: Callable[[float], float] = lambda p: 1.0) -> AutomorphismFamily:
     return AutomorphismFamily(tuple(float(p) for p in p_values), lambda p: gabor_shift(p),
-                              weight, gabor_product(), name)
+                              weight, gabor_product())
 
 
 def continuous_dilation_family(lo: float, hi: float, n_cells: int,
                                metric: MetricSpace,
-                               weight: Callable[[float], float] = lambda a: 1.0,
-                               name: str = "") -> AutomorphismFamily:
+                               weight: Callable[[float], float] = lambda a: 1.0
+                               ) -> AutomorphismFamily:
     """Dilations [[a]] over a in [lo, hi], with `weight` a density on n_cells
     geometric cells.  This is the only constructor that passes cell edges, so
     every continuous family has L(a) = jacobian(a) = a, which its level sets
@@ -442,8 +441,7 @@ def continuous_dilation_family(lo: float, hi: float, n_cells: int,
         raise RejectedInputError("edges must be strictly increasing")
     points = np.sqrt(edges[:-1]) * np.sqrt(edges[1:])  # the product over/underflows first
     return AutomorphismFamily(tuple(float(p) for p in points),
-                              lambda a: matrix_automorphism([[a]]), weight, metric, name,
-                              edges=edges)
+                              lambda a: matrix_automorphism([[a]]), weight, metric, edges=edges)
 
 
 # ---------------------------------------------------------------------------

@@ -328,29 +328,28 @@ def build_family(scenario: dict) -> am.AutomorphismFamily:
     metric = build_metric(scenario)
     weight = build_weight(fam["weight"])
     kind = fam["kind"]
-    name = scenario.get("name", "")
     if kind == "matrix_power":
         return am.matrix_power_family(np.asarray(fam["base"], dtype=float),
                                       int(fam["j_min"]), int(fam["j_max"]),
-                                      metric, weight, name)
+                                      metric, weight)
     if kind == "shearlet_grid":
         return am.shearlet_grid_family([float(a) for a in fam["a_values"]],
                                        [float(s) for s in fam["s_values"]],
-                                       metric, weight, name)
+                                       metric, weight)
     if kind == "gabor_shifts":
         if "p_values" in fam:
             ps = [float(p) for p in fam["p_values"]]
         else:
             ps = np.arange(float(fam["p_min"]), float(fam["p_max"]) + 1e-12,
                            float(fam["p_step"])).tolist()
-        return am.gabor_shift_family(ps, weight, name)
+        return am.gabor_shift_family(ps, weight)
     if kind == "matrix_atoms":
         mats = [np.asarray(m, dtype=float) for m in fam["matrices"]]
         return am.AutomorphismFamily(tuple(range(len(mats))),
                                      lambda i: am.matrix_automorphism(mats[int(i)]),
-                                     weight, metric, name)
+                                     weight, metric)
     return am.continuous_dilation_family(float(fam["lo"]), float(fam["hi"]),
-                                         int(fam["cells"]), metric, weight, name)
+                                         int(fam["cells"]), metric, weight)
 
 
 def build_profile(scenario: dict):

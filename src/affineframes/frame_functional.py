@@ -21,7 +21,7 @@ from .calderon import calderon_sum, calderon_values
 from .counting import property_x_scan
 from .errors import RejectedInputError, check_bytes
 from .metric_lattice import GABOR_PRODUCT, Lattice, MetricSpace
-from .profiles import FrequencyProfile, PiecewiseConstantProfile
+from .profiles import FrequencyProfile, PiecewiseConstantProfile, indicator_interval
 
 PROBE_COUNT = 50
 PROBE_SEED = 424243
@@ -32,15 +32,8 @@ SCAN_DISTORTION_CAP = 4096.0  # members above it stay out of the counting scan
 EXCLUSION_RADIUS = 1e-3  # Euclidean scan grids keep this far from the identity
 
 
-@dataclass(frozen=True)
-class TestFunction:
-    center: np.ndarray
-    radius: float
-    normalization: float
-    profile: PiecewiseConstantProfile
-
-
-def make_test_function(center, epsilon: float, metric: MetricSpace) -> TestFunction:
+def make_test_function(center, epsilon: float,
+                       metric: MetricSpace) -> PiecewiseConstantProfile:
     """Unit-norm frequency indicator of the ball at `center` of radius epsilon.
 
     Gabor centers sit on the modulation line k = 1, and balls of radius below
@@ -56,12 +49,8 @@ def make_test_function(center, epsilon: float, metric: MetricSpace) -> TestFunct
     if not gabor and metric.dim != 1:
         raise RejectedInputError("ball indicators are box profiles only on one-dimensional lines")
     base = float(c[0])
-    measure = 2.0 * epsilon  # interval measure on the line (any line metric)
-    normalization = 1.0 / math.sqrt(measure)
-    profile = PiecewiseConstantProfile(np.array([[base - epsilon]]),
-                                       np.array([[base + epsilon]]),
-                                       np.array([normalization]))
-    return TestFunction(c, epsilon, normalization, profile)
+    # the interval measure 2 epsilon on the line (any line metric)
+    return indicator_interval(base - epsilon, base + epsilon, 1.0 / math.sqrt(2.0 * epsilon))
 
 
 # ---------------------------------------------------------------------------

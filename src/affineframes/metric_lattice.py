@@ -16,7 +16,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import RejectedInputError, ResourceLimitError, check_bytes
-from .profiles import FrequencyProfile, PiecewiseConstantProfile
+from .profiles import FrequencyProfile
 
 DEFAULT_MC_SAMPLES = 1_000_000
 DEFAULT_MC_SEED = 20240823
@@ -57,10 +57,6 @@ class MetricSpace:
             raise RejectedInputError("gabor_product points are (xi, k) pairs")
         if self.dim < 1:
             raise RejectedInputError("dimension must be positive")
-
-    @property
-    def identity(self) -> np.ndarray:
-        return np.zeros(self.dim)
 
     def _check(self, xi) -> np.ndarray:
         pts = np.asarray(xi, dtype=float)
@@ -257,13 +253,8 @@ def periodize(profile: FrequencyProfile, lattice: Lattice):
 
 def _integral_over_support(profile: FrequencyProfile, level: int) -> float:
     """Composite Gauss-Legendre integral of the profile over its own pieces."""
-    if isinstance(profile, PiecewiseConstantProfile):
-        pieces = zip(profile.boxes_lo, profile.boxes_hi)
-    else:
-        nodes = profile.breakpoints_1d()[:, None]
-        pieces = zip(nodes[:-1], nodes[1:])
     total = 0.0
-    for lo, hi in pieces:
+    for lo, hi in zip(*profile.pieces):
         total += quadrature.integrate_box(profile.evaluate, lo, hi, cells_per_axis=2 ** level)
     return total
 
@@ -328,12 +319,12 @@ def _integral_of_periodization(profile: FrequencyProfile, lattice: Lattice,
             total += quadrature.integrate_box(per, [a], [c], cells_per_axis=2 ** level)
         return total
 
-    if lattice.dim == 2 and isinstance(profile, PiecewiseConstantProfile):
-        # Exact: clip each constant piece against every translated domain copy
-        # (the domain translated by shift intersects the support exactly when
-        # shift lies in the contributing window above).
+    if lattice.dim == 2:
+        # Exact: clip each constant piece (2-d profiles are piecewise constant)
+        # against every translated domain copy (the domain translated by shift
+        # intersects the support exactly when shift lies in the window above).
         total = 0.0
-        for lo, hi, v in zip(profile.boxes_lo, profile.boxes_hi, profile.values):
+        for lo, hi, v in zip(*profile.pieces, profile.values):
             for shift in shifts:
                 area = _box_parallelogram_area(lo, hi, shift, lattice.basis)
                 total += v * area

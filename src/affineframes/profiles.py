@@ -29,8 +29,23 @@ def _as_points(points, dim: int) -> np.ndarray:
     return pts
 
 
-class _Scalable:
-    """`normalized` from the `squared_norm` and `scaled` of either profile kind."""
+class _PieceTable:
+    """What follows from a profile's `pieces`, the (lo, hi) arrays of shape
+    (k, dim) of its half-open pieces, and from its `squared_norm` and `scaled`."""
+
+    @property
+    def support_lo(self) -> np.ndarray:
+        return self.pieces[0].min(axis=0)
+
+    @property
+    def support_hi(self) -> np.ndarray:
+        return self.pieces[1].max(axis=0)
+
+    def breakpoints_1d(self) -> np.ndarray:
+        if self.dim != 1:
+            raise RejectedInputError("breakpoints_1d requires a 1-d profile")
+        lo, hi = self.pieces
+        return np.unique(np.concatenate([lo[:, 0], hi[:, 0]]))
 
     def normalized(self):
         n2 = self.squared_norm()
@@ -40,7 +55,7 @@ class _Scalable:
 
 
 @dataclass(frozen=True)
-class PiecewiseConstantProfile(_Scalable):
+class PiecewiseConstantProfile(_PieceTable):
     """Constant value on each of finitely many disjoint half-open boxes."""
 
     boxes_lo: np.ndarray  # (k, dim)
@@ -70,12 +85,8 @@ class PiecewiseConstantProfile(_Scalable):
         return self.boxes_lo.shape[1]
 
     @property
-    def support_lo(self) -> np.ndarray:
-        return self.boxes_lo.min(axis=0)
-
-    @property
-    def support_hi(self) -> np.ndarray:
-        return self.boxes_hi.max(axis=0)
+    def pieces(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.boxes_lo, self.boxes_hi
 
     def evaluate(self, points) -> np.ndarray:
         pts = _as_points(points, self.dim)
@@ -92,14 +103,9 @@ class PiecewiseConstantProfile(_Scalable):
     def scaled(self, c: float) -> "PiecewiseConstantProfile":
         return PiecewiseConstantProfile(self.boxes_lo, self.boxes_hi, self.values * c)
 
-    def breakpoints_1d(self) -> np.ndarray:
-        if self.dim != 1:
-            raise RejectedInputError("breakpoints_1d requires a 1-d profile")
-        return np.unique(np.concatenate([self.boxes_lo[:, 0], self.boxes_hi[:, 0]]))
-
 
 @dataclass(frozen=True)
-class SampledGridProfile(_Scalable):
+class SampledGridProfile(_PieceTable):
     """Linear interpolation of samples on a uniform 1-d grid, zero outside."""
 
     lo: float
@@ -121,16 +127,13 @@ class SampledGridProfile(_Scalable):
         return 1
 
     @property
-    def support_lo(self) -> np.ndarray:
-        return np.array([self.lo])
-
-    @property
-    def support_hi(self) -> np.ndarray:
-        return np.array([self.hi])
-
-    @property
     def nodes(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.samples.shape[0])
+
+    @property
+    def pieces(self) -> tuple[np.ndarray, np.ndarray]:
+        nodes = self.nodes
+        return nodes[:-1, None], nodes[1:, None]
 
     def evaluate(self, points) -> np.ndarray:
         pts = _as_points(points, 1)[:, 0]
@@ -147,9 +150,6 @@ class SampledGridProfile(_Scalable):
 
     def scaled(self, c: float) -> "SampledGridProfile":
         return SampledGridProfile(self.lo, self.hi, self.samples * c)
-
-    def breakpoints_1d(self) -> np.ndarray:
-        return self.nodes
 
 
 FrequencyProfile = PiecewiseConstantProfile | SampledGridProfile
@@ -172,20 +172,11 @@ def support_radii(profile: FrequencyProfile, metric) -> tuple[float, float]:
 
     inradius = distance from the identity to the nearest support point,
     circumradius = distance to the farthest one, both in the given metric.
+    A piece's nearest point is the identity clipped into it, and its farthest
+    point is the corner of largest coordinate magnitudes, which has the
+    largest computed norm too, since rounding keeps a monotone norm's order.
     Used to certify truncation of orbit sums.
     """
-    if isinstance(profile, PiecewiseConstantProfile):
-        los, his = profile.boxes_lo, profile.boxes_hi
-    else:
-        los = profile.support_lo[None, :]
-        his = profile.support_hi[None, :]
-    inr = np.inf
-    circ = 0.0
-    e = metric.identity
-    for lo, hi in zip(los, his):
-        nearest = np.clip(e, lo, hi)
-        corners = np.stack(np.meshgrid(*[(l, h) for l, h in zip(lo, hi)],
-                                       indexing="ij"), axis=-1).reshape(-1, len(lo))
-        inr = min(inr, float(metric.distance(nearest, e)))
-        circ = max(circ, float(np.max(metric.distance_many(corners, e))))
-    return inr, circ
+    lo, hi = profile.pieces
+    return (float(metric.norm(np.clip(0.0, lo, hi)).min()),
+            float(metric.norm(np.maximum(-lo, hi)).max()))

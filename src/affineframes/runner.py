@@ -234,7 +234,7 @@ def _run_frame_report(analysis, ctx):
     for center in centers:
         for eps in epsilons:
             tf = ff.make_test_function(center, eps, family.metric)
-            value = ff.frame_functional(profile, family, lattice, tf.profile)
+            value = ff.frame_functional(profile, family, lattice, tf)
             ok = lower - FUNCTIONAL_TOLERANCE <= value <= upper + FUNCTIONAL_TOLERANCE
             functional_rows.append({"center": center, "epsilon": eps,
                                     "value": value, "ok": bool(ok)})

@@ -54,7 +54,7 @@ def test_criterion_1_shannon_onb_scan_and_functional():
 
     for eps in (0.01, 0.005):
         tf = ff.make_test_function([0.3], eps, L2_1)
-        value = ff.frame_functional(SHANNON, fam, Z1, tf.profile)
+        value = ff.frame_functional(SHANNON, fam, Z1, tf)
         assert abs(value - 1.0) <= 1e-6
     _report("criterion 1: band-indicator wavelet scan = 1 (1e-9), functional = 1 (1e-6)",
             time.perf_counter() - start, 5.0)
@@ -273,9 +273,9 @@ def test_criterion_9_structural_property_suites():
              + cd.calderon_values(SHANNON, high, grid))
     assert np.allclose(split, base, atol=1e-14)
     tf = ff.make_test_function([0.3], 0.02, L2_1)
-    full_i = ff.frame_functional(SHANNON, fam, Z1, tf.profile)
-    split_i = (ff.frame_functional(SHANNON, low, Z1, tf.profile)
-               + ff.frame_functional(SHANNON, high, Z1, tf.profile))
+    full_i = ff.frame_functional(SHANNON, fam, Z1, tf)
+    split_i = (ff.frame_functional(SHANNON, low, Z1, tf)
+               + ff.frame_functional(SHANNON, high, Z1, tf))
     assert split_i == pytest.approx(full_i, rel=1e-13)
 
     # averaged remainder inequality at probed points

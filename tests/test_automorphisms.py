@@ -80,6 +80,33 @@ def test_lipschitz_closed_forms():
     assert (c.lower, c.upper) == pytest.approx((2.0, 4.0))
 
 
+@settings(max_examples=300, deadline=None)
+@given(c=st.floats(0.1, 10.0), dim=st.integers(1, 3), linf=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(c=0.20900900900900904, dim=1, linf=True, seed=0)
+@example(c=1.5, dim=2, linf=False, seed=0)
+def test_constants_of_scaled_isometries_are_never_inverted(c, dim, linf, seed):
+    # exactly lower == upper == c for c times a signed permutation (L∞) or an
+    # orthogonal map (L2); the lower constant goes through the inverse, where
+    # 1 / (1 / c) rounds one ulp above c for about 7% of c
+    rng = np.random.default_rng(seed)
+    if linf:
+        q = np.eye(dim)[rng.permutation(dim)] * rng.choice([-1.0, 1.0], size=dim)
+    else:
+        q = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+    metric = (ml.euclidean_linf if linf else ml.euclidean_l2)(dim)
+    k = am.lipschitz_constants(am.matrix_automorphism(c * q), metric)
+    assert 0 < k.lower <= k.upper
+
+
+@pytest.mark.parametrize("c", [1.2, 1.3, 1.5, 1.7, 3.0])
+def test_classify_scaled_identity_powers_uniformly_expanding(c):
+    # some powers of c * I once got a lower constant one ulp above the upper one,
+    # and classify rejected the family as holding invalid constants
+    fam = am.matrix_power_family([[c, 0.0], [0.0, c]], -10, 10, L2_2)
+    assert am.classify_expansiveness(fam).verdict == "uniformly_expanding"
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(1.05, 3.0), st.floats(-50.0, 50.0), st.sampled_from([-1.0, 1.0]),
        st.sampled_from([-1.0, 1.0]), st.integers(0, 30))

@@ -444,6 +444,19 @@ def test_cli_ill_conditioned_matrix_power_has_valid_constants(tmp_path, capsys):
     assert "invalid distortion constants" not in capsys.readouterr().err
 
 
+def test_cli_scaled_identity_powers_classify(tmp_path, capsys):
+    # powers of 1.5 * I once got an L2 lower constant one ulp above the upper one
+    scenario = runner.load_bundled_scenario("anisotropic_wavelet")
+    scenario["family"].update(base=[[1.5, 0.0], [0.0, 1.5]], j_min=-10, j_max=10)
+    scenario["analyses"] = [{"kind": "classify", "expect": "uniformly_expanding"}]
+    path = tmp_path / "scaled_identity.json"
+    path.write_text(json.dumps(scenario))
+    code = cli.main(["run", str(path), "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "[PASS] classify" in captured.out
+
+
 def test_cli_strongly_sheared_shearlets_have_valid_l2_constants(tmp_path, capsys):
     # at a = 1, s = 1e4 the closed form of the lower constant lost 14% to cancellation
     code = cli.main(["run", "shearlet_property_x", "--out", str(tmp_path / "o"),

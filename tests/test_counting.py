@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from affineframes import automorphisms as am
@@ -416,12 +416,50 @@ def _random_unimodular_integers(rng: np.random.Generator, dim: int) -> np.ndarra
     return u
 
 
+def _line_counts(lattice, auto, r, metric) -> tuple[int, int]:
+    """(count, boundary_hits) with every box sent down the line path, so the
+    relations below test `_line_band` against itself and need no oracle."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ct, "WHOLE_BOX", 0)
+        result = ENUMERATE(lattice, auto, r, metric)
+    return result.count, result.boundary_hits
+
+
+@st.composite
+def _metamorphic_counts(draw):
+    """`_random_counts`, or half the time a diagonal lattice and deformation:
+    then the integer box is tight and points on its faces lie inside the
+    ball, which the unimodular draws seldom reach."""
+    if draw(st.booleans()):
+        return draw(_random_counts())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = int(rng.integers(1, 4))
+    metric = ml.MetricSpace((ml.EUCLIDEAN_L2, ml.EUCLIDEAN_LINF)[rng.integers(2)], dim)
+    lattice = ml.Lattice(np.diag(np.exp(rng.uniform(-0.5, 0.5, dim))))
+    auto = am.matrix_automorphism(np.diag(np.exp(rng.uniform(-1.0, 2.5, dim))))
+    return lattice, auto, float(rng.uniform(0.3, 2.0)), metric
+
+
 @settings(max_examples=150, deadline=None)
-@given(case=_random_counts(), seed=st.integers(0, 2 ** 32 - 1))
-def test_counts_depend_on_the_lattice_not_its_basis_and_scale(case, seed):
+@given(case=_metamorphic_counts(), seed=st.integers(0, 2 ** 32 - 1))
+def test_line_counts_depend_on_the_lattice_not_its_basis(case, seed):
     lattice, auto, r, metric = case
-    counts = _counts(*case)
-    assert len(counts) == 1
     u = _random_unimodular_integers(np.random.default_rng(seed), lattice.dim)
-    assert _counts(ml.Lattice(lattice.basis @ u), auto, r, metric) == counts
-    assert _counts(ml.Lattice(2.0 * lattice.basis), auto, 2.0 * r, metric) == counts
+    assert (_line_counts(ml.Lattice(lattice.basis @ u), auto, r, metric)
+            == _line_counts(*case))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_metamorphic_counts())
+def test_line_counts_scale_with_the_lattice_and_radius(case):
+    # doubling B and r doubles every computed distance and its gap to r exactly,
+    # but the 1e-12 boundary guard stays absolute: a gap g in (5e-13, 1e-12] is a
+    # boundary hit at (B, r) and not at (2B, 2r).  The draws put lattice points
+    # exactly on the sphere (|g| near 1e-16) or, at uniform radii, almost surely
+    # more than 2e-12 from it; the assumption discards the rest
+    lattice, auto, r, metric = case
+    candidates = lattice.points_in_box(*auto.box_image(*metric.ball_box(r)))
+    gap = np.abs(metric.norm(auto.inverse_apply(candidates)) - r)
+    assume(not np.any((gap > 1e-14) & (gap <= 2e-12)))
+    assert (_line_counts(ml.Lattice(2.0 * lattice.basis), auto, 2.0 * r, metric)
+            == _line_counts(*case))

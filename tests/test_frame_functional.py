@@ -38,18 +38,18 @@ def gabor_family():
 
 def test_make_test_function_euclidean_interval():
     tf = ff.make_test_function([0.3], 0.01, L2_1)
-    assert tf.normalization == pytest.approx(1.0 / math.sqrt(0.02))
-    assert tf.profile.squared_norm() == pytest.approx(1.0, abs=1e-12)
-    inside = tf.profile.evaluate(np.array([[0.295], [0.305]]))
-    outside = tf.profile.evaluate(np.array([[0.289], [0.311]]))
-    assert np.all(inside == tf.normalization)
+    assert tf.values[0] == pytest.approx(1.0 / math.sqrt(0.02))
+    assert tf.squared_norm() == pytest.approx(1.0, abs=1e-12)
+    inside = tf.evaluate(np.array([[0.295], [0.305]]))
+    outside = tf.evaluate(np.array([[0.289], [0.311]]))
+    assert np.all(inside == tf.values[0])
     assert np.all(outside == 0.0)
 
 
 def test_make_test_function_gabor_line_reduction():
     tf = ff.make_test_function([0.3, 1], 0.25, GABOR)
-    assert tf.profile.dim == 1
-    assert tf.profile.squared_norm() == pytest.approx(1.0, abs=1e-15)
+    assert tf.dim == 1
+    assert tf.squared_norm() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_make_test_function_gabor_radius_cap():
@@ -70,7 +70,7 @@ def test_shannon_functional_is_one_at_small_radii():
     fam = dyadic_family()
     for eps in (0.01, 0.005):
         tf = ff.make_test_function([0.3], eps, L2_1)
-        value = ff.frame_functional(SHANNON, fam, Z1, tf.profile)
+        value = ff.frame_functional(SHANNON, fam, Z1, tf)
         assert value == pytest.approx(1.0, abs=1e-6)
 
 
@@ -80,28 +80,28 @@ def test_functional_is_quiet_with_members_far_outside_the_support():
     tf = ff.make_test_function([0.3], 0.01, L2_1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        value = ff.frame_functional(SHANNON, fam, Z1, tf.profile)
+        value = ff.frame_functional(SHANNON, fam, Z1, tf)
     assert value == pytest.approx(1.0, abs=1e-6)
 
 
 def test_zero_window_gives_zero():
     fam = dyadic_family(-10, 10)
     tf = ff.make_test_function([0.3], 0.01, L2_1)
-    assert ff.frame_functional(SHANNON.scaled(0.0), fam, Z1, tf.profile) == 0.0
+    assert ff.frame_functional(SHANNON.scaled(0.0), fam, Z1, tf) == 0.0
 
 
 def test_gabor_unit_window_functional_is_one():
     g = indicator_interval(0.0, 1.0)
     tf = ff.make_test_function([0.3, 1], 0.25, GABOR)
-    value = ff.frame_functional(g, gabor_family(), Z1, tf.profile)
+    value = ff.frame_functional(g, gabor_family(), Z1, tf)
     assert value == pytest.approx(1.0, abs=1e-6)
 
 
 def test_functional_quadratic_in_the_window():
     fam = dyadic_family(-20, 20)
     tf = ff.make_test_function([0.3], 0.01, L2_1)
-    base = ff.frame_functional(SHANNON, fam, Z1, tf.profile)
-    doubled = ff.frame_functional(SHANNON.scaled(2.0), fam, Z1, tf.profile)
+    base = ff.frame_functional(SHANNON, fam, Z1, tf)
+    doubled = ff.frame_functional(SHANNON.scaled(2.0), fam, Z1, tf)
     assert doubled == pytest.approx(4.0 * base, rel=1e-12)
 
 
@@ -127,8 +127,8 @@ def test_single_shift_term_matches_frame_functional():
         assert below
         for m in below:
             single = fam.restrict(lambda p, _lo, _hi, keep=m.param: p == keep)
-            general = ff.frame_functional(SHANNON, single, Z1, tf.profile)
-            reduced = _single_shift_term(SHANNON, m, tf.profile)
+            general = ff.frame_functional(SHANNON, single, Z1, tf)
+            reduced = _single_shift_term(SHANNON, m, tf)
             assert reduced == pytest.approx(general, rel=1e-12, abs=1e-14)
 
 
@@ -146,9 +146,9 @@ def test_partition_additivity_of_the_functional():
     low = fam.restrict(lambda _p, _lo, hi: hi < M)
     high = fam.restrict(lambda _p, _lo, hi: hi >= M)
     tf = ff.make_test_function([0.3], 0.02, L2_1)
-    full = ff.frame_functional(SHANNON, fam, Z1, tf.profile)
-    split = (ff.frame_functional(SHANNON, low, Z1, tf.profile)
-             + ff.frame_functional(SHANNON, high, Z1, tf.profile))
+    full = ff.frame_functional(SHANNON, fam, Z1, tf)
+    split = (ff.frame_functional(SHANNON, low, Z1, tf)
+             + ff.frame_functional(SHANNON, high, Z1, tf))
     assert split == pytest.approx(full, rel=1e-13)
 
 
@@ -164,7 +164,7 @@ def test_lebesgue_point_convergence_ratio():
     diffs = []
     for eps in (0.04, 0.005, 0.0025):
         tf = ff.make_test_function([xi0], eps, L2_1)
-        value = ff.frame_functional(profile, fam, Z1, tf.profile)
+        value = ff.frame_functional(profile, fam, Z1, tf)
         diffs.append(abs(value - target))
     assert diffs[0] <= 2.0 * 0.04 / 0.01  # first-order in the radius
     floored = [max(d, 1e-12) for d in diffs]  # roundoff floor
@@ -260,7 +260,7 @@ def test_functional_is_one_quadrature_call_without_box_queries(monkeypatch):
                         lambda f, intervals: calls.append(len(intervals)) or rule(f, intervals))
     monkeypatch.setattr(ml.Lattice, "points_in_box", lambda *a, **k: pytest.fail("box query"))
     tf = ff.make_test_function([0.3], 0.01, L2_1)
-    assert ff.frame_functional(SHANNON, dyadic_family(), Z1, tf.profile) == pytest.approx(1.0)
+    assert ff.frame_functional(SHANNON, dyadic_family(), Z1, tf) == pytest.approx(1.0)
     assert calls == [121]
 
 
@@ -283,7 +283,7 @@ def test_functional_checks_shift_table_bytes_before_allocating():
         tf = ff.make_test_function([0.3], 0.01, ml.euclidean_l2(1))
         start = time.perf_counter()
         try:
-            ff.frame_functional(shannon, fam, ml.Lattice(np.array([[1e-9]])), tf.profile)
+            ff.frame_functional(shannon, fam, ml.Lattice(np.array([[1e-9]])), tf)
         except ResourceLimitError:
             print(time.perf_counter() - start)
             sys.exit(0)
@@ -301,7 +301,7 @@ def test_functional_rejects_continuous_families():
     fam = am.continuous_dilation_family(0.1, 10.0, 16, L2_1)
     tf = ff.make_test_function([0.3], 0.01, L2_1)
     with pytest.raises(RejectedInputError):
-        ff.frame_functional(SHANNON, fam, Z1, tf.profile)
+        ff.frame_functional(SHANNON, fam, Z1, tf)
 
 
 # ---------------------------------------------------------------------------

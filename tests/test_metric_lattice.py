@@ -11,8 +11,8 @@ from hypothesis.extra import numpy as hnp
 from affineframes import metric_lattice as ml
 from affineframes.automorphisms import matrix_automorphism, shearlet
 from affineframes.errors import RejectedInputError, ResourceLimitError
-from affineframes.profiles import (PiecewiseConstantProfile, indicator_interval,
-                                   triangle_bump)
+from affineframes.profiles import (PiecewiseConstantProfile, SampledGridProfile,
+                                   indicator_interval, support_radii, triangle_bump)
 from unimodular import random_unimodular
 
 SEED = 13579
@@ -483,3 +483,69 @@ def test_profile_squared_norms_exact():
     # integral of the squared unit hat over [-1, 1]
     assert hat.squared_norm() == pytest.approx(2.0 / 3.0)
     assert hat.normalized().squared_norm() == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# The piece table against the per-kind code it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_support_radii(profile, metric) -> tuple[float, float]:
+    """The corner enumeration the closed form replaced: the identity clipped into
+    each piece, and every one of the 2^d corners of each piece."""
+    if isinstance(profile, PiecewiseConstantProfile):
+        los, his = profile.boxes_lo, profile.boxes_hi
+    else:
+        los, his = np.array([[profile.lo]]), np.array([[profile.hi]])
+    inr, circ, e = np.inf, 0.0, np.zeros(metric.dim)
+    for lo, hi in zip(los, his):
+        nearest = np.clip(e, lo, hi)
+        corners = np.stack(np.meshgrid(*[(a, b) for a, b in zip(lo, hi)],
+                                       indexing="ij"), axis=-1).reshape(-1, len(lo))
+        inr = min(inr, float(metric.distance(nearest, e)))
+        circ = max(circ, float(np.max(metric.distance_many(corners, e))))
+    return inr, circ
+
+
+def _reference_support_and_breakpoints(profile):
+    """Each kind's own support_lo, support_hi and breakpoints_1d as they were."""
+    if isinstance(profile, PiecewiseConstantProfile):
+        lo, hi = profile.boxes_lo, profile.boxes_hi
+        breaks = (np.unique(np.concatenate([lo[:, 0], hi[:, 0]]))
+                  if profile.dim == 1 else None)
+        return lo.min(axis=0), hi.max(axis=0), breaks
+    return np.array([profile.lo]), np.array([profile.hi]), profile.nodes
+
+
+@st.composite
+def _profiles(draw):
+    """Either kind in dims 1 to 3 (sampled grids are 1-d), coordinates scaled by
+    10^[-3, 3], shifted so that the pieces straddle or avoid the identity.  The
+    boxes are disjoint slabs along axis 0 with free extents on the other axes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    if rng.random() < 0.3:
+        n = int(rng.integers(2, 10))
+        lo = float(rng.uniform(-4.0, 4.0)) * scale
+        return SampledGridProfile(lo, lo + float(rng.uniform(0.1, 4.0)) * scale,
+                                  rng.normal(size=n))
+    dim, k = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    edges = np.sort(rng.choice(np.arange(-8, 9), size=2 * k, replace=False)).reshape(k, 2)
+    lo = np.concatenate([edges[:, :1], rng.uniform(-4.0, 0.5, (k, dim - 1))], axis=1)
+    hi = np.concatenate([edges[:, 1:], lo[:, 1:] + rng.uniform(0.1, 4.0, (k, dim - 1))], axis=1)
+    shift = rng.uniform(-6.0, 6.0, dim) * (rng.random() < 0.5)
+    return PiecewiseConstantProfile((lo + shift) * scale, (hi + shift) * scale,
+                                    rng.normal(size=k))
+
+
+@settings(max_examples=400, deadline=None)
+@given(profile=_profiles(), linf=st.booleans())
+def test_piece_table_matches_the_per_kind_references(profile, linf):
+    metric = (ml.euclidean_linf if linf else ml.euclidean_l2)(profile.dim)
+    assert support_radii(profile, metric) == _reference_support_radii(profile, metric)
+    lo, hi, breaks = _reference_support_and_breakpoints(profile)
+    assert np.array_equal(profile.support_lo, lo) and np.array_equal(profile.support_hi, hi)
+    if breaks is None:
+        with pytest.raises(RejectedInputError, match="requires a 1-d profile"):
+            profile.breakpoints_1d()
+    else:
+        assert np.array_equal(profile.breakpoints_1d(), breaks)
