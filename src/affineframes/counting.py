@@ -23,6 +23,7 @@ from .metric_lattice import (DEFAULT_MC_SAMPLES, DEFAULT_MC_SEED, EUCLIDEAN_L2, 
 BOUNDARY_GUARD = 1e-12
 LINE_BAND = 1e-10  # band half-width in y per unit of |A^-1| |B| |m|, against rounding
 WHOLE_BOX = 2048  # below about this many box points the line step costs more than it saves
+BAND_CHUNK = 1 << 16  # band points given the exact test at once
 _LINE_IDENTITY = matrix_automorphism([[1.0]])  # the Gabor count's map on its k = 0 line
 
 
@@ -74,13 +75,20 @@ def _line_band(lattice: Lattice, auto: Automorphism, r: float, metric: MetricSpa
     i_lo = np.clip(lo[1], o_lo, o_hi + 1)
     i_hi = np.clip(hi[1], i_lo - 1, o_hi)
     o_lo, o_hi, i_lo, i_hi = np.array([o_lo, o_hi, i_lo, i_hi], dtype=np.int64)
-    # per line, the left band [o_lo, i_lo - 1], then the right band [i_hi + 1, o_hi]
-    lengths = np.array([i_lo - o_lo, o_hi - i_hi]).T.ravel()
-    check_bytes(int(lengths.sum()), 8 * (3 * lattice.dim + 4), "band points")
-    first = np.array([o_lo, i_hi + 1]).T.ravel() - (lengths.cumsum() - lengths)
-    m = starts.repeat(lengths.reshape(lines, 2).sum(axis=1), axis=0)
-    m[:, k] = first.repeat(lengths) + np.arange(len(m))
-    return int((i_hi - i_lo).sum()) + lines, m
+    # per line, the left band [o_lo, i_lo - 1], then the right band [i_hi + 1, o_hi];
+    # band point n sits in the band `seg` with ends[seg - 1] <= n < ends[seg]
+    ends = np.array([i_lo - o_lo, o_hi - i_hi]).T.ravel().cumsum()
+    check_bytes(int(ends[-1]), 8 * (3 * lattice.dim + 4), "band points")
+    first = np.array([o_lo, i_hi + 1]).T.ravel() - np.concatenate([[0], ends[:-1]])
+
+    def band():
+        for n0 in range(0, int(ends[-1]), BAND_CHUNK):
+            n = np.arange(n0, min(n0 + BAND_CHUNK, int(ends[-1])))
+            seg = np.searchsorted(ends, n, side="right")
+            m = starts[seg // 2]
+            m[:, k] = first[seg] + n
+            yield m
+    return int((i_hi - i_lo).sum()) + lines, band()
 
 
 def enumerate_points(lattice: Lattice, auto: Automorphism, r: float,
@@ -104,13 +112,16 @@ def enumerate_points(lattice: Lattice, auto: Automorphism, r: float,
     extent = np.maximum(m_hi - m_lo + 1, 0)
     box = math.prod(extent.tolist())
     if box <= WHOLE_BOX:
-        inside, m = 0, np.indices(extent, dtype=float).reshape(lattice.dim, box).T + m_lo
+        inside, band = 0, [np.indices(extent, dtype=float).reshape(lattice.dim, box).T + m_lo]
     else:
-        inside, m = _line_band(lattice, auto, r, metric, m_lo, m_hi)
+        inside, band = _line_band(lattice, auto, r, metric, m_lo, m_hi)
     # the exact test: dist < r, with |dist - r| <= BOUNDARY_GUARD a boundary hit
-    gap = metric.norm(auto.inverse_apply(m @ lattice.basis.T)) - r
-    return CountResult(inside + int(np.count_nonzero(gap < -BOUNDARY_GUARD)),
-                       int(np.count_nonzero(np.abs(gap) <= BOUNDARY_GUARD)), r)
+    hits = 0
+    for m in band:
+        gap = metric.norm(auto.inverse_apply(m @ lattice.basis.T)) - r
+        inside += int(np.count_nonzero(gap < -BOUNDARY_GUARD))
+        hits += int(np.count_nonzero(np.abs(gap) <= BOUNDARY_GUARD))
+    return CountResult(inside, hits, r)
 
 
 def counting_bounds(lattice: Lattice, auto: Automorphism, r: float,

@@ -58,13 +58,6 @@ class MetricSpace:
         if self.dim < 1:
             raise RejectedInputError("dimension must be positive")
 
-    def _check(self, xi) -> np.ndarray:
-        pts = np.asarray(xi, dtype=float)
-        if pts.shape[-1] != self.dim:
-            raise RejectedInputError(
-                f"point dimension {pts.shape[-1]} does not match metric dimension {self.dim}")
-        return pts
-
     def norm(self, vec: np.ndarray) -> np.ndarray:
         """Norm over the last axis, accumulated column by column in place.
 
@@ -84,15 +77,6 @@ class MetricSpace:
         else:
             out = np.abs(v[..., 0]) + np.abs(v[..., 1])
         return out if np.ndim(vec) > 1 else float(out[0])
-
-    def distance(self, xi, eta) -> float:
-        a = self._check(np.atleast_1d(np.asarray(xi, dtype=float)))
-        b = self._check(np.atleast_1d(np.asarray(eta, dtype=float)))
-        return self.norm(a - b)
-
-    def distance_many(self, points, eta) -> np.ndarray:
-        pts = self._check(np.atleast_2d(np.asarray(points, dtype=float)))
-        return self.norm(pts - np.asarray(eta, dtype=float))
 
     def ball_measure(self, r: float) -> float:
         """Haar measure of the open ball B(e, r)."""

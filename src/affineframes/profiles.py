@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RejectedInputError
+from .errors import RejectedInputError, check_bytes
 
 
 def _as_points(points, dim: int) -> np.ndarray:
@@ -72,10 +72,11 @@ class PiecewiseConstantProfile(_PieceTable):
             raise RejectedInputError("unbounded declared support")
         if np.any(hi <= lo):
             raise RejectedInputError("empty or inverted box")
-        for i in range(lo.shape[0]):
-            for j in range(i + 1, lo.shape[0]):
-                if np.all(np.maximum(lo[i], lo[j]) < np.minimum(hi[i], hi[j])):
-                    raise RejectedInputError(f"boxes {i} and {j} overlap")
+        check_bytes(lo.shape[0] ** 2, 17 * lo.shape[1], "box overlap pairs")
+        overlap = np.all(np.maximum(lo[:, None], lo) < np.minimum(hi[:, None], hi), axis=2)
+        i, j = np.nonzero(np.triu(overlap, 1))  # row-major, so (i[0], j[0]) is the first pair
+        if i.size:
+            raise RejectedInputError(f"boxes {i[0]} and {j[0]} overlap")
         object.__setattr__(self, "boxes_lo", lo)
         object.__setattr__(self, "boxes_hi", hi)
         object.__setattr__(self, "values", vals)

@@ -230,15 +230,15 @@ def _run_frame_report(analysis, ctx):
         pos = grid[grid > 0]
         base = float(pos[len(pos) // 2]) if pos.size else float(grid[0])
         centers = [[base, 1]] if gabor else [[base]]
+    checks = [(center, eps) for center in centers for eps in epsilons]
+    values = ff.frame_functional(profile, family, lattice,
+                                 [ff.make_test_function(c, e, family.metric) for c, e in checks])
     functional_rows = []
-    for center in centers:
-        for eps in epsilons:
-            tf = ff.make_test_function(center, eps, family.metric)
-            value = ff.frame_functional(profile, family, lattice, tf)
-            ok = lower - FUNCTIONAL_TOLERANCE <= value <= upper + FUNCTIONAL_TOLERANCE
-            functional_rows.append({"center": center, "epsilon": eps,
-                                    "value": value, "ok": bool(ok)})
-            passed = passed and ok
+    for (center, eps), value in zip(checks, values.tolist()):
+        ok = lower - FUNCTIONAL_TOLERANCE <= value <= upper + FUNCTIONAL_TOLERANCE
+        functional_rows.append({"center": center, "epsilon": eps,
+                                "value": value, "ok": bool(ok)})
+        passed = passed and ok
 
     probe_result = None
     if analysis["probe_band"] is not None:

@@ -231,10 +231,10 @@ def test_ball_inclusion_sandwich():
             radii = rng.uniform(0, 1, size=(1000, 1))
             inner_pts = image_center + dirs * radii * (lo * r) * (1 - 1e-9)
             pre = auto.inverse_apply(inner_pts)
-            assert np.all(metric.distance_many(pre, center) < r * (1 + 1e-9))
+            assert np.all(metric.norm(pre - center) < r * (1 + 1e-9))
             ball_pts = center + dirs * radii * r
             image_pts = auto.apply(ball_pts)
-            assert np.all(metric.distance_many(image_pts, image_center)
+            assert np.all(metric.norm(image_pts - image_center)
                           <= hi * r * (1 + 1e-9))
 
 

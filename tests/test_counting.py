@@ -52,13 +52,16 @@ def _reference_enumerate(lattice: ml.Lattice, auto: am.Automorphism, r: float,
 
 
 def _counts(lattice, auto, r, metric) -> set[tuple[int, int]]:
-    """(count, boundary_hits) of enumerate_points on its default path and with
-    every box sent down the line path."""
+    """(count, boundary_hits) of enumerate_points on its default path, with
+    every box sent down the line path, and with its band tested 3 points at a time."""
     default = ENUMERATE(lattice, auto, r, metric)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ct, "WHOLE_BOX", 0)
         lines = ENUMERATE(lattice, auto, r, metric)
-    return {(default.count, default.boundary_hits), (lines.count, lines.boundary_hits)}
+        mp.setattr(ct, "BAND_CHUNK", 3)
+        chunked = ENUMERATE(lattice, auto, r, metric)
+    return {(default.count, default.boundary_hits), (lines.count, lines.boundary_hits),
+            (chunked.count, chunked.boundary_hits)}
 
 
 def test_enumerate_identity_small_radius():
@@ -162,6 +165,21 @@ def test_enumerate_counts_the_old_capped_box_in_closed_form():
     auto = am.matrix_automorphism(np.diag([1e5, 1e5]))
     result = ct.enumerate_points(Z2, auto, 2.0, LINF_2)
     assert (result.count, result.boundary_hits) == (399_999 ** 2, 400_001 ** 2 - 399_999 ** 2)
+
+
+def test_enumeration_tests_the_band_in_chunks():
+    # the case above has 2,399,998 band points, which the exact test held at
+    # once (a 146 MB peak); in chunks of BAND_CHUNK the peak is the 400,001
+    # lines' interval arrays, about 80 MB
+    auto = am.matrix_automorphism(np.diag([1e5, 1e5]))
+    tracemalloc.start()
+    try:
+        result = ct.enumerate_points(Z2, auto, 2.0, LINF_2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (result.count, result.boundary_hits) == (399_999 ** 2, 400_001 ** 2 - 399_999 ** 2)
+    assert peak < 100 << 20
 
 
 def test_enumerate_counts_far_past_the_old_cap_in_closed_form():

@@ -6,15 +6,17 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affineframes import automorphisms as am
+from affineframes import config as cfg
 from affineframes import frame_functional as ff
 from affineframes import metric_lattice as ml
-from affineframes import quadrature
+from affineframes import quadrature, runner
 from affineframes.errors import RejectedInputError
-from affineframes.profiles import PiecewiseConstantProfile, indicator_interval, triangle_bump
+from affineframes.profiles import (PiecewiseConstantProfile, SampledGridProfile,
+                                   indicator_interval, triangle_bump)
 
 L2_1 = ml.euclidean_l2(1)
 GABOR = ml.gabor_product()
@@ -70,7 +72,7 @@ def test_shannon_functional_is_one_at_small_radii():
     fam = dyadic_family()
     for eps in (0.01, 0.005):
         tf = ff.make_test_function([0.3], eps, L2_1)
-        value = ff.frame_functional(SHANNON, fam, Z1, tf)
+        [value] = ff.frame_functional(SHANNON, fam, Z1, [tf])
         assert value == pytest.approx(1.0, abs=1e-6)
 
 
@@ -80,28 +82,28 @@ def test_functional_is_quiet_with_members_far_outside_the_support():
     tf = ff.make_test_function([0.3], 0.01, L2_1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        value = ff.frame_functional(SHANNON, fam, Z1, tf)
+        [value] = ff.frame_functional(SHANNON, fam, Z1, [tf])
     assert value == pytest.approx(1.0, abs=1e-6)
 
 
 def test_zero_window_gives_zero():
     fam = dyadic_family(-10, 10)
     tf = ff.make_test_function([0.3], 0.01, L2_1)
-    assert ff.frame_functional(SHANNON.scaled(0.0), fam, Z1, tf) == 0.0
+    assert ff.frame_functional(SHANNON.scaled(0.0), fam, Z1, [tf]).tolist() == [0.0]
 
 
 def test_gabor_unit_window_functional_is_one():
     g = indicator_interval(0.0, 1.0)
     tf = ff.make_test_function([0.3, 1], 0.25, GABOR)
-    value = ff.frame_functional(g, gabor_family(), Z1, tf)
+    [value] = ff.frame_functional(g, gabor_family(), Z1, [tf])
     assert value == pytest.approx(1.0, abs=1e-6)
 
 
 def test_functional_quadratic_in_the_window():
     fam = dyadic_family(-20, 20)
     tf = ff.make_test_function([0.3], 0.01, L2_1)
-    base = ff.frame_functional(SHANNON, fam, Z1, tf)
-    doubled = ff.frame_functional(SHANNON.scaled(2.0), fam, Z1, tf)
+    [base] = ff.frame_functional(SHANNON, fam, Z1, [tf])
+    [doubled] = ff.frame_functional(SHANNON.scaled(2.0), fam, Z1, [tf])
     assert doubled == pytest.approx(4.0 * base, rel=1e-12)
 
 
@@ -127,7 +129,7 @@ def test_single_shift_term_matches_frame_functional():
         assert below
         for m in below:
             single = fam.restrict(lambda p, _lo, _hi, keep=m.param: p == keep)
-            general = ff.frame_functional(SHANNON, single, Z1, tf)
+            [general] = ff.frame_functional(SHANNON, single, Z1, [tf])
             reduced = _single_shift_term(SHANNON, m, tf)
             assert reduced == pytest.approx(general, rel=1e-12, abs=1e-14)
 
@@ -146,9 +148,9 @@ def test_partition_additivity_of_the_functional():
     low = fam.restrict(lambda _p, _lo, hi: hi < M)
     high = fam.restrict(lambda _p, _lo, hi: hi >= M)
     tf = ff.make_test_function([0.3], 0.02, L2_1)
-    full = ff.frame_functional(SHANNON, fam, Z1, tf)
-    split = (ff.frame_functional(SHANNON, low, Z1, tf)
-             + ff.frame_functional(SHANNON, high, Z1, tf))
+    [full] = ff.frame_functional(SHANNON, fam, Z1, [tf])
+    split = (ff.frame_functional(SHANNON, low, Z1, [tf])[0]
+             + ff.frame_functional(SHANNON, high, Z1, [tf])[0])
     assert split == pytest.approx(full, rel=1e-13)
 
 
@@ -164,7 +166,7 @@ def test_lebesgue_point_convergence_ratio():
     diffs = []
     for eps in (0.04, 0.005, 0.0025):
         tf = ff.make_test_function([xi0], eps, L2_1)
-        value = ff.frame_functional(profile, fam, Z1, tf)
+        [value] = ff.frame_functional(profile, fam, Z1, [tf])
         diffs.append(abs(value - target))
     assert diffs[0] <= 2.0 * 0.04 / 0.01  # first-order in the radius
     floored = [max(d, 1e-12) for d in diffs]  # roundoff floor
@@ -249,19 +251,144 @@ def _families(draw):
        b=st.sampled_from([1.0, -1.0, 0.75, -0.6, 2.5, -1.7]))
 def test_functional_matches_per_member_formula(family, psihat, fhat, b):
     lattice = ml.Lattice(np.array([[b]]))
-    assert (ff.frame_functional(psihat, family, lattice, fhat)
-            == _per_member_functional(psihat, family, lattice, fhat))
+    assert (ff.frame_functional(psihat, family, lattice, [fhat]).tolist()
+            == [_per_member_functional(psihat, family, lattice, fhat)])
+
+
+def _unbatched_functional(psihat, family, lattice, fhat) -> float:
+    """Reference: the functional one f-hat at a time, with every live member
+    integrated over the whole fundamental domain."""
+    omega_lo, omega_hi = (float(v[0]) for v in lattice.fundamental_box())
+    psi_lo, psi_hi, psi_breaks = (float(psihat.support_lo[0]), float(psihat.support_hi[0]),
+                                  psihat.breakpoints_1d())
+    f_lo, f_hi, f_breaks = (float(fhat.support_lo[0]), float(fhat.support_hi[0]),
+                            fhat.breakpoints_1d())
+    members = family.members
+    scale, offset = np.array([m.auto.line_action() for m in members]).reshape(-1, 2).T
+    img_a, img_b = scale * f_lo + offset, scale * f_hi + offset
+    cap_lo = np.maximum(psi_lo, np.minimum(img_a, img_b))
+    cap_hi = np.minimum(psi_hi, np.maximum(img_a, img_b))
+    live = (cap_hi > cap_lo) & (np.array([m.weight for m in members]) != 0.0)
+    k_lo, k_hi = lattice.integer_box(np.where(live, cap_lo - omega_hi, 0.0)[:, None],
+                                     np.where(live, cap_hi - omega_lo, 0.0)[:, None])
+    count = np.where(live, np.maximum(k_hi[:, 0] - k_lo[:, 0] + 1, 0), 0)
+    width = int(count.max(initial=0))
+    breaks = np.concatenate([np.broadcast_to(psi_breaks, (len(members), psi_breaks.size)),
+                             scale[:, None] * f_breaks + offset[:, None]], axis=1)
+    shifts = (k_lo + np.arange(width)).astype(float) * lattice.basis[0, 0]
+    cuts = breaks[:, None, :] - shifts[:, :, None]
+
+    def integrand(xi, owner):
+        acc = np.zeros_like(xi)
+        for k in range(width):
+            on = k < count[owner]
+            i = owner[on]
+            shifted = xi[on] + shifts[i, k]
+            acc[on] += (fhat.evaluate(((shifted - offset[i]) / scale[i])[:, None])
+                        * psihat.evaluate(shifted[:, None]))
+        return acc ** 2
+
+    intervals = [(omega_lo, omega_hi, cuts[i, :n]) if n else (omega_lo, omega_lo, ())
+                 for i, n in enumerate(count)]
+    integrals = quadrature.integrate_with_breakpoints(integrand, intervals)
+    total = 0.0
+    for m, integral in zip(members, integrals):
+        if m.weight != 0.0:
+            total += m.weight * (integral / m.jacobian)
+    return total
+
+
+@st.composite
+def _wide_families(draw):
+    """Matrix powers of dyadic, non-dyadic and negative bases with j reaching
+    +-30, or Gabor shifts, with some members weighted zero."""
+    if draw(st.booleans()):
+        base = draw(st.sampled_from([1.5, 2.0, -2.0, 3.0, -1.7]))
+        j_lo = draw(st.integers(-30, 30))
+        js = range(j_lo, draw(st.integers(j_lo, min(j_lo + 50, 30))) + 1)
+        zeros = draw(st.sets(st.sampled_from(js), max_size=3))
+        return am.matrix_power_family([[base]], js[0], js[-1], L2_1,
+                                      weight=lambda j: 0.0 if j in zeros else 1.0 + 0.01 * j)
+    return draw(_families())
+
+
+# psi-hat pieces wide enough to meet many shifts of a 0.3 lattice; with the
+# support hulls trimmed exactly, the nodes just outside them that rounding
+# carries across an f-hat breakpoint at scale 3^-30 (or 3^-28) were lost
+_WIDE_PSI = PiecewiseConstantProfile(
+    np.array([[-2.222], [-2.034], [0.461], [2.948], [4.702]]),
+    np.array([[-2.034], [0.168], [2.86], [4.702], [6.332]]),
+    np.array([0.47, -0.328, 0.311, 1.573, -1.815]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=_wide_families(), psihat=_line_profiles(),
+       fhats=st.lists(_line_profiles(), min_size=1, max_size=5),
+       b=st.sampled_from([0.3, 0.5, 1.0, 2.0, -1.0]))
+@example(family=am.matrix_power_family([[3.0]], -30, 17, L2_1), psihat=_WIDE_PSI,
+         fhats=[indicator_interval(-0.657, -0.312, -1.879)], b=0.3)
+@example(family=am.matrix_power_family([[3.0]], -28, -28, L2_1, weight=lambda j: 0.72),
+         psihat=PiecewiseConstantProfile(
+             np.array([[-2.9495966270303526], [-1.785454369684181], [1.1953224058409995],
+                       [3.764202857964882], [6.846906379702979]]),
+             np.array([[-1.785454369684181], [0.9052946804891799], [3.7097184429764223],
+                       [6.401456511615517], [9.239582294103986]]),
+             np.array([0.5490890466076779, -0.2692048463854227, 0.604539946465831,
+                       1.0307742893252194, 0.9540298450703677])),
+         fhats=[SampledGridProfile(0.4638074370776935, 0.8060556469657765, np.array(
+             [0.0, 0.33764731961953626, 0.6752946392390727, 1.0129419588586086,
+              0.6752946392390721, 0.3376473196195356, 0.0]))], b=-1.0)
+def test_trimmed_functional_matches_the_unbatched_reference(family, psihat, fhats, b):
+    lattice = ml.Lattice(np.array([[b]]))
+    assert (ff.frame_functional(psihat, family, lattice, fhats).tolist()
+            == [_unbatched_functional(psihat, family, lattice, f) for f in fhats])
+
+
+def test_trimmed_functional_integrates_few_cells_it_finds_zero(monkeypatch):
+    # the bundled shannon_onb probe ensemble: the untrimmed domain handed over
+    # 26,322 cells, of which 517 have a nonzero integrand value
+    scenario = runner.load_bundled_scenario("shannon_onb")
+    [analysis] = [a for a in scenario["analyses"] if a["kind"] == "frame_report"]
+    ensemble = ff.random_probe_ensemble(*analysis["probe_band"], count=analysis["probe_count"],
+                                        seed=scenario["seed"])
+    cells = []
+    rule = quadrature.integrate_with_breakpoints
+
+    def recorded(f, intervals):
+        def g(x, owner):
+            values = f(x, owner)
+            cells.append(values.reshape(-1, quadrature.GL_ORDER))
+            return values
+        return rule(g, intervals)
+
+    monkeypatch.setattr(quadrature, "integrate_with_breakpoints", recorded)
+    ff.frame_bound_probe(cfg.build_profile(scenario), cfg.build_family(scenario),
+                         cfg.build_lattice(scenario), ensemble)
+    [values] = cells
+    live = int(np.count_nonzero((values != 0.0).any(axis=1)))
+    assert 0 < values.shape[0] <= 3 * live
 
 
 def test_functional_is_one_quadrature_call_without_box_queries(monkeypatch):
+    # one call in all, handing over exactly the members with a nonzero integral
     calls = []
     rule = quadrature.integrate_with_breakpoints
-    monkeypatch.setattr(quadrature, "integrate_with_breakpoints",
-                        lambda f, intervals: calls.append(len(intervals)) or rule(f, intervals))
+
+    def recorded(f, intervals):
+        calls.append(rule(f, intervals))
+        return calls[-1]
+
+    monkeypatch.setattr(quadrature, "integrate_with_breakpoints", recorded)
     monkeypatch.setattr(ml.Lattice, "points_in_box", lambda *a, **k: pytest.fail("box query"))
     tf = ff.make_test_function([0.3], 0.01, L2_1)
-    assert ff.frame_functional(SHANNON, dyadic_family(), Z1, tf) == pytest.approx(1.0)
-    assert calls == [121]
+    fam = dyadic_family()
+    assert ff.frame_functional(SHANNON, fam, Z1, [tf])[0] == pytest.approx(1.0)
+    [integrals] = calls
+    monkeypatch.undo()
+    nonzero = [_unbatched_functional(SHANNON, fam.restrict(lambda p, _lo, _hi, q=m.param: p == q),
+                                     Z1, tf) != 0.0 for m in fam.members]
+    assert len(integrals) == sum(nonzero) > 0
+    assert all(v > 0.0 for v in integrals)
 
 
 def test_functional_checks_shift_table_bytes_before_allocating():
@@ -283,7 +410,7 @@ def test_functional_checks_shift_table_bytes_before_allocating():
         tf = ff.make_test_function([0.3], 0.01, ml.euclidean_l2(1))
         start = time.perf_counter()
         try:
-            ff.frame_functional(shannon, fam, ml.Lattice(np.array([[1e-9]])), tf)
+            ff.frame_functional(shannon, fam, ml.Lattice(np.array([[1e-9]])), [tf])
         except ResourceLimitError:
             print(time.perf_counter() - start)
             sys.exit(0)
@@ -301,7 +428,7 @@ def test_functional_rejects_continuous_families():
     fam = am.continuous_dilation_family(0.1, 10.0, 16, L2_1)
     tf = ff.make_test_function([0.3], 0.01, L2_1)
     with pytest.raises(RejectedInputError):
-        ff.frame_functional(SHANNON, fam, Z1, tf)
+        ff.frame_functional(SHANNON, fam, Z1, [tf])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -19,14 +20,9 @@ SEED = 13579
 
 
 def test_distance_closed_forms():
-    assert ml.euclidean_linf(2).distance([0.3, -0.4], [0.0, 0.0]) == pytest.approx(0.4)
-    assert ml.euclidean_l2(2).distance([3.0, 4.0], [0.0, 0.0]) == pytest.approx(5.0)
-    assert ml.gabor_product().distance([0.25, 2], [0.0, 0]) == pytest.approx(2.25)
-
-
-def test_distance_dimension_mismatch_rejected():
-    with pytest.raises(RejectedInputError):
-        ml.euclidean_l2(2).distance([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
+    assert ml.euclidean_linf(2).norm(np.subtract([0.3, -0.4], [0.0, 0.0])) == pytest.approx(0.4)
+    assert ml.euclidean_l2(2).norm(np.subtract([3.0, 4.0], [0.0, 0.0])) == pytest.approx(5.0)
+    assert ml.gabor_product().norm(np.subtract([0.25, 2], [0.0, 0])) == pytest.approx(2.25)
 
 
 def test_ball_measures():
@@ -60,11 +56,11 @@ def test_metric_axioms_on_sampled_triples():
     for metric in (ml.euclidean_l2(2), ml.euclidean_linf(3)):
         pts = rng.normal(size=(300, 3, metric.dim))
         for a, b, c in pts:
-            dab = metric.distance(a, b)
-            assert dab == pytest.approx(metric.distance(b, a))
-            assert dab <= metric.distance(a, c) + metric.distance(c, b) + 1e-12
+            dab = metric.norm(a - b)
+            assert dab == pytest.approx(metric.norm(b - a))
+            assert dab <= metric.norm(a - c) + metric.norm(c - b) + 1e-12
             tau = rng.normal(size=metric.dim)
-            assert metric.distance(a + tau, b + tau) == pytest.approx(dab, abs=1e-12)
+            assert metric.norm((a + tau) - (b + tau)) == pytest.approx(dab, abs=1e-12)
 
 
 def test_ball_translation_invariance():
@@ -75,8 +71,8 @@ def test_ball_translation_invariance():
         tau = rng.normal(size=2)
         r = float(rng.uniform(0.1, 2.0))
         probe = rng.normal(size=2)
-        inside0 = metric.distance_many(probe[None, :], center)[0] < r
-        inside1 = metric.distance_many((probe + tau)[None, :], center + tau)[0] < r
+        inside0 = metric.norm(probe[None, :] - center)[0] < r
+        inside1 = metric.norm((probe + tau)[None, :] - (center + tau))[0] < r
         assert inside0 == inside1
 
 
@@ -485,6 +481,39 @@ def test_profile_squared_norms_exact():
     assert hat.normalized().squared_norm() == pytest.approx(1.0)
 
 
+def _first_overlap_by_loop(lo, hi):
+    """The pairwise loop the broadcast overlap check replaced, kept as its oracle."""
+    for i in range(lo.shape[0]):
+        for j in range(i + 1, lo.shape[0]):
+            if np.all(np.maximum(lo[i], lo[j]) < np.minimum(hi[i], hi[j])):
+                return i, j
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(dim=st.integers(1, 3), data=st.data())
+def test_overlap_check_names_the_pair_the_loop_names(dim, data):
+    # boxes on a coarse integer grid, so that many share an edge or a face
+    k = data.draw(st.integers(1, 8))
+    lo = data.draw(hnp.arrays(np.int64, (k, dim), elements=st.integers(-3, 3)))
+    hi = lo + data.draw(hnp.arrays(np.int64, (k, dim), elements=st.integers(1, 3)))
+    lo, hi = lo.astype(float), hi.astype(float)
+    pair = _first_overlap_by_loop(lo, hi)
+    if pair is None:
+        PiecewiseConstantProfile(lo, hi, np.ones(k))
+    else:
+        with pytest.raises(RejectedInputError, match=f"^boxes {pair[0]} and {pair[1]} overlap$"):
+            PiecewiseConstantProfile(lo, hi, np.ones(k))
+
+
+def test_two_thousand_pieces_build_at_once():
+    edges = np.linspace(0.0, 1.0, 2001)
+    start = time.perf_counter()
+    profile = PiecewiseConstantProfile(edges[:-1, None], edges[1:, None], np.ones(2000))
+    assert time.perf_counter() - start < 0.5
+    assert profile.breakpoints_1d().size == 2001
+
+
 # ---------------------------------------------------------------------------
 # The piece table against the per-kind code it replaced
 # ---------------------------------------------------------------------------
@@ -501,8 +530,8 @@ def _reference_support_radii(profile, metric) -> tuple[float, float]:
         nearest = np.clip(e, lo, hi)
         corners = np.stack(np.meshgrid(*[(a, b) for a, b in zip(lo, hi)],
                                        indexing="ij"), axis=-1).reshape(-1, len(lo))
-        inr = min(inr, float(metric.distance(nearest, e)))
-        circ = max(circ, float(np.max(metric.distance_many(corners, e))))
+        inr = min(inr, float(metric.norm(nearest - e)))
+        circ = max(circ, float(np.max(metric.norm(corners - e))))
     return inr, circ
 
 
