@@ -61,11 +61,17 @@ def _check_profile_dim(family: AutomorphismFamily, pts: np.ndarray) -> None:
 
 
 def _mapped_points(auto, pts: np.ndarray) -> np.ndarray:
-    """Orbit image of profile-side points under one automorphism."""
-    if pts.shape[1] < auto.dim:
-        scale, offset = auto.line_action()
-        return pts * scale + offset
-    return auto.apply(pts)
+    """Orbit image of profile-side points under one automorphism, which must
+    stay within float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if pts.shape[1] < auto.dim:
+            scale, offset = auto.line_action()
+            out = pts * scale + offset
+        else:
+            out = auto.apply(pts)
+    if not np.isfinite(out).all():
+        raise RejectedInputError("orbit image of a frequency overflows a float")
+    return out
 
 
 def _check_not_identity(family: AutomorphismFamily, pts: np.ndarray) -> None:

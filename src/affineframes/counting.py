@@ -24,6 +24,7 @@ BOUNDARY_GUARD = 1e-12
 LINE_BAND = 1e-10  # band half-width in y per unit of |A^-1| |B| |m|, against rounding
 WHOLE_BOX = 2048  # below about this many box points the line step costs more than it saves
 BAND_CHUNK = 1 << 16  # band points given the exact test at once
+LINE_CHUNK = 1 << 14  # lattice lines whose intervals are built at once
 _LINE_IDENTITY = matrix_automorphism([[1.0]])  # the Gabor count's map on its k = 0 line
 
 
@@ -40,9 +41,11 @@ class CountResult:
 
 
 def _line_band(lattice: Lattice, auto: Automorphism, r: float, metric: MetricSpace,
-               m_lo: np.ndarray, m_hi: np.ndarray) -> tuple[int, np.ndarray]:
-    """Points of the integer box certified inside, counted along the lines of
-    its longest axis k, and the integer coordinates of the band left over."""
+               m_lo: np.ndarray, m_hi: np.ndarray):
+    """(inner, band) pairs along the lines of the integer box's longest axis k:
+    per chunk of LINE_CHUNK lines, built only when reached, the count of its
+    points certified inside, then the integer coordinates of its band left
+    over, BAND_CHUNK points at a time (with inner 0 after the first)."""
     reach = np.maximum(-m_lo, m_hi).astype(float)
     if reach.max() >= 2.0 ** 53:
         raise ResourceLimitError("lattice box passes 2**53, where float coordinates are inexact")
@@ -50,45 +53,51 @@ def _line_band(lattice: Lattice, auto: Automorphism, r: float, metric: MetricSpa
     k = int(extent.argmax())
     extent[k] = 1
     lines = math.prod(extent.tolist())
+    # counts every line up front, before the first chunk is built
     check_bytes(lines, 8 * (6 * lattice.dim + 16), "lattice lines")
-    starts = np.indices(extent, dtype=float).reshape(lattice.dim, lines).T + m_lo
-    starts[:, k] = 0.0
     G = auto.inv_matrix @ lattice.basis
-    p, q = starts @ G.T, G[:, k]
+    q = G[:, k]
     scale = (np.abs(auto.inv_matrix) @ (np.abs(lattice.basis) @ reach)).max()
     delta = BOUNDARY_GUARD + LINE_BAND * scale
     rad = np.array([[r + delta], [max(r - delta, 0.0)]])  # outer and inner radius
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if metric.kind == EUCLIDEAN_L2:  # between the roots; none reads half = -inf
-            t0 = (p @ q) / -(q @ q)
-            perp = p + t0[:, None] * q
-            half = np.fmax(np.sqrt((rad * rad - (perp * perp).sum(axis=1)) / (q @ q)), -np.inf)
-            lo, hi = t0 - half, t0 + half
-        else:  # d slabs; q_i = 0 gives an infinite pair, or inf and NaN when |p_i| = rad
-            t1, t2 = (-rad[..., None] - p) / q, (rad[..., None] - p) / q
-            lo, hi = np.fmin(t1, t2).max(axis=-1), np.fmax(t1, t2).min(axis=-1)
-    # outer ends widen by one and clip to the box; inner ends shrink by one and
-    # clip into the outer range, so every range reads [a, b] with b >= a - 1
-    lo, hi = np.ceil(lo) - [[1.0], [-1.0]], np.floor(hi) + [[1.0], [-1.0]]
-    o_lo = np.clip(lo[0], m_lo[k], m_hi[k] + 1)
-    o_hi = np.clip(hi[0], o_lo - 1, m_hi[k])
-    i_lo = np.clip(lo[1], o_lo, o_hi + 1)
-    i_hi = np.clip(hi[1], i_lo - 1, o_hi)
-    o_lo, o_hi, i_lo, i_hi = np.array([o_lo, o_hi, i_lo, i_hi], dtype=np.int64)
-    # per line, the left band [o_lo, i_lo - 1], then the right band [i_hi + 1, o_hi];
-    # band point n sits in the band `seg` with ends[seg - 1] <= n < ends[seg]
-    ends = np.array([i_lo - o_lo, o_hi - i_hi]).T.ravel().cumsum()
-    check_bytes(int(ends[-1]), 8 * (3 * lattice.dim + 4), "band points")
-    first = np.array([o_lo, i_hi + 1]).T.ravel() - np.concatenate([[0], ends[:-1]])
-
-    def band():
-        for n0 in range(0, int(ends[-1]), BAND_CHUNK):
+    n_band = 0
+    for l0 in range(0, lines, LINE_CHUNK):
+        starts = np.array(np.unravel_index(np.arange(l0, min(l0 + LINE_CHUNK, lines)),
+                                           extent), dtype=float).T + m_lo
+        starts[:, k] = 0.0
+        p = starts @ G.T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if metric.kind == EUCLIDEAN_L2:  # between the roots; none reads half = -inf
+                t0 = (p @ q) / -(q @ q)
+                perp = p + t0[:, None] * q
+                half = np.fmax(np.sqrt((rad * rad - (perp * perp).sum(axis=1)) / (q @ q)),
+                               -np.inf)
+                lo, hi = t0 - half, t0 + half
+            else:  # d slabs; q_i = 0 gives an infinite pair, or inf and NaN when |p_i| = rad
+                t1, t2 = (-rad[..., None] - p) / q, (rad[..., None] - p) / q
+                lo, hi = np.fmin(t1, t2).max(axis=-1), np.fmax(t1, t2).min(axis=-1)
+        # outer ends widen by one and clip to the box; inner ends shrink by one and
+        # clip into the outer range, so every range reads [a, b] with b >= a - 1
+        lo, hi = np.ceil(lo) - [[1.0], [-1.0]], np.floor(hi) + [[1.0], [-1.0]]
+        o_lo = np.clip(lo[0], m_lo[k], m_hi[k] + 1)
+        o_hi = np.clip(hi[0], o_lo - 1, m_hi[k])
+        i_lo = np.clip(lo[1], o_lo, o_hi + 1)
+        i_hi = np.clip(hi[1], i_lo - 1, o_hi)
+        o_lo, o_hi, i_lo, i_hi = np.array([o_lo, o_hi, i_lo, i_hi], dtype=np.int64)
+        # per line, the left band [o_lo, i_lo - 1], then the right band [i_hi + 1, o_hi];
+        # band point n sits in the band `seg` with ends[seg - 1] <= n < ends[seg]
+        ends = np.array([i_lo - o_lo, o_hi - i_hi]).T.ravel().cumsum()
+        n_band += int(ends[-1])
+        check_bytes(n_band, 8 * (3 * lattice.dim + 4), "band points")
+        first = np.array([o_lo, i_hi + 1]).T.ravel() - np.concatenate([[0], ends[:-1]])
+        inner = int((i_hi - i_lo).sum()) + starts.shape[0]
+        # a chunk with no band still yields once, to hand over its inner count
+        for n0 in range(0, max(int(ends[-1]), 1), BAND_CHUNK):
             n = np.arange(n0, min(n0 + BAND_CHUNK, int(ends[-1])))
             seg = np.searchsorted(ends, n, side="right")
             m = starts[seg // 2]
             m[:, k] = first[seg] + n
-            yield m
-    return int((i_hi - i_lo).sum()) + lines, band()
+            yield (inner if n0 == 0 else 0), m
 
 
 def enumerate_points(lattice: Lattice, auto: Automorphism, r: float,
@@ -98,7 +107,7 @@ def enumerate_points(lattice: Lattice, auto: Automorphism, r: float,
     With y = G m, G = A^-1 B, each line m = (prefix, t) along the longest axis
     of the integer box meets the ball in one interval of t.  Its integers at
     r - delta, less one at each end, count by arithmetic; the band out to the
-    interval at r + delta, plus one, takes the exact test in one batch.  So
+    interval at r + delta, plus one, takes the exact test in batches.  So
     counts and boundary hits are those of testing every point of the box,
     which a box of at most WHOLE_BOX points does."""
     if r <= 0:
@@ -112,14 +121,14 @@ def enumerate_points(lattice: Lattice, auto: Automorphism, r: float,
     extent = np.maximum(m_hi - m_lo + 1, 0)
     box = math.prod(extent.tolist())
     if box <= WHOLE_BOX:
-        inside, band = 0, [np.indices(extent, dtype=float).reshape(lattice.dim, box).T + m_lo]
+        band = [(0, np.indices(extent, dtype=float).reshape(lattice.dim, box).T + m_lo)]
     else:
-        inside, band = _line_band(lattice, auto, r, metric, m_lo, m_hi)
+        band = _line_band(lattice, auto, r, metric, m_lo, m_hi)
     # the exact test: dist < r, with |dist - r| <= BOUNDARY_GUARD a boundary hit
-    hits = 0
-    for m in band:
+    inside = hits = 0
+    for inner, m in band:
         gap = metric.norm(auto.inverse_apply(m @ lattice.basis.T)) - r
-        inside += int(np.count_nonzero(gap < -BOUNDARY_GUARD))
+        inside += inner + int(np.count_nonzero(gap < -BOUNDARY_GUARD))
         hits += int(np.count_nonzero(np.abs(gap) <= BOUNDARY_GUARD))
     return CountResult(inside, hits, r)
 

@@ -1,5 +1,6 @@
-"""Fourier-domain frame functional, ball-indicator test functions, and the
-end-to-end bound report.
+"""Fourier-domain frame functional, ball-indicator test functions, the ball
+integrals of the orbit sums and the empirical frame-bound probe: the library
+parts that `runner` composes into the frame report.
 
 The functional is evaluated exactly on one-dimensional frequency lines (the
 Euclidean line and the Gabor modulation line k = 1), where every integrand is
@@ -21,14 +22,13 @@ for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import quadrature
 from .automorphisms import AutomorphismFamily
-from .calderon import calderon_sum, calderon_values
-from .counting import property_x_scan
+# bench/tracer.py wraps calderon_sum in this namespace as well
+from .calderon import calderon_sum, calderon_values  # noqa: F401
 from .errors import RejectedInputError, check_bytes
 from .metric_lattice import GABOR_PRODUCT, Lattice, MetricSpace
 from .profiles import FrequencyProfile, PiecewiseConstantProfile, indicator_interval
@@ -36,10 +36,6 @@ from .profiles import FrequencyProfile, PiecewiseConstantProfile, indicator_inte
 PROBE_COUNT = 50
 PROBE_SEED = 424243
 PROBE_MAX_PIECES = 8
-REMAINDER_TOLERANCE = 5e-6
-BOUND_TOLERANCE = 1e-9       # slack of the per-frequency bound verdicts
-SCAN_DISTORTION_CAP = 4096.0  # members above it stay out of the counting scan
-EXCLUSION_RADIUS = 1e-3  # Euclidean scan grids keep this far from the identity
 
 
 def make_test_function(center, epsilon: float,
@@ -176,15 +172,16 @@ def single_term_threshold(family: AutomorphismFamily, lattice: Lattice, param,
 
 
 # ---------------------------------------------------------------------------
-# Ball averages of the orbit sums (used by the remainder diagnostics)
+# Ball averages of the orbit sums (the frame report's remainder probes)
 # ---------------------------------------------------------------------------
 
-def ball_integrals(psihat, family, xi0: float, epsilon: float,
-                   M: float) -> tuple[float, float]:
-    """Average of the orbit sum over the interval ball at xi0, and the integral
-    over that ball of the jacobian-weighted tail above M, in one quadrature
-    call cut where the members pull back the breakpoints of psi-hat."""
-    lo, hi = xi0 - epsilon, xi0 + epsilon
+def ball_integrals(psihat, family, centers, epsilon: float,
+                   M: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per center: the average of the orbit sum over the interval ball of
+    radius epsilon there, and the integral over that ball of the jacobian-
+    weighted tail above M.  One quadrature call takes every ball twice, cut
+    where the members (those above M for the tail) pull back the breakpoints
+    of psi-hat; even intervals are plain sums, odd ones tails."""
     breaks = psihat.breakpoints_1d()
     scale, offset = np.array([m.auto.line_action() for m in family.members]).reshape(-1, 2).T
     cuts = (breaks[None, :] - offset[:, None]) / scale[:, None]
@@ -192,87 +189,21 @@ def ball_integrals(psihat, family, xi0: float, epsilon: float,
 
     def integrand(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
         out = np.empty_like(x)
-        out[owner == 0] = calderon_values(psihat, family, x[owner == 0, None])
-        out[owner == 1] = calderon_values(psihat, family, x[owner == 1, None],
-                                          weighted=True, lower_cutoff=M)
+        plain = owner % 2 == 0
+        out[plain] = calderon_values(psihat, family, x[plain, None])
+        out[~plain] = calderon_values(psihat, family, x[~plain, None],
+                                      weighted=True, lower_cutoff=M)
         return out
 
-    total, tail_total = quadrature.integrate_with_breakpoints(
-        integrand, [(lo, hi, cuts), (lo, hi, cuts[tail])])
-    return total / (2.0 * epsilon), tail_total
+    totals, tails = np.reshape(quadrature.integrate_with_breakpoints(
+        integrand, [(c - epsilon, c + epsilon, part) for c in np.asarray(centers).tolist()
+                    for part in (cuts, cuts[tail])]), (-1, 2)).T
+    return totals / (2.0 * epsilon), tails
 
 
 # ---------------------------------------------------------------------------
-# Reports and probes
+# Frame-bound probes
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RemainderDiagnostic:
-    xi0: float
-    epsilon: float
-    ball_average: float
-    remainder: float
-    constant: float
-    satisfied: bool
-
-
-@dataclass(frozen=True)
-class FrameReport:
-    xi_grid: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-    lower_declared: float
-    upper_declared: float
-    passes: np.ndarray = field(repr=False)
-    n_failures: int
-    min_value: float
-    max_value: float
-    counting_verdict: str | None = None
-    counting_constant: float | None = None
-    remainder: tuple[RemainderDiagnostic, ...] = ()
-    note: str = "grid verdicts stand in for almost-everywhere claims"
-
-
-def calderon_inequality_report(psihat: FrequencyProfile, family: AutomorphismFamily,
-                               lattice: Lattice, xi_grid, lower: float, upper: float,
-                               M: float, epsilon: float = 0.01,
-                               scan_radius: float = 0.4) -> FrameReport:
-    """Per-frequency bound verdicts plus the averaged remainder inequality at
-    a few probe points, with the counting-scan constant feeding the remainder."""
-    grid = np.asarray(xi_grid, dtype=float).ravel()
-    gabor = family.metric.kind == GABOR_PRODUCT
-    if not gabor and np.any(np.abs(grid) < EXCLUSION_RADIUS):
-        raise RejectedInputError(
-            f"grid touches the exclusion radius {EXCLUSION_RADIUS} around the identity")
-
-    if family.is_continuous:
-        values = np.array([ev.value for ev in calderon_sum(psihat, family, grid)])
-    else:
-        values = calderon_values(psihat, family, grid[:, None])
-    passes = (values >= lower - BOUND_TOLERANCE) & (values <= upper + BOUND_TOLERANCE)
-
-    counting_verdict = None
-    constant = None
-    remainder_rows: list[RemainderDiagnostic] = []
-    if not family.is_continuous:
-        # enumeration stays desk-scale below the distortion cap; the scan
-        # certifies that probed sub-truncation
-        scan_family = family.restrict(lambda _p, _lo, hi: hi <= SCAN_DISTORTION_CAP)
-        scan = property_x_scan(scan_family, lattice, family.metric, scan_radius, M)
-        counting_verdict = scan.verdict
-        constant = scan.constant
-        if scan.verdict == "holds":
-            for i in sorted({0, grid.shape[0] // 2, grid.shape[0] - 1}):
-                xi0 = float(grid[i])
-                avg, tail = ball_integrals(psihat, family, xi0, epsilon, M)
-                rem = constant * tail / (2.0 * epsilon)
-                ok = lower <= avg + rem + REMAINDER_TOLERANCE
-                remainder_rows.append(RemainderDiagnostic(xi0, epsilon, avg, rem,
-                                                          constant, ok))
-    return FrameReport(grid, values, lower, upper, passes,
-                       int(np.sum(~passes)), float(np.min(values)),
-                       float(np.max(values)), counting_verdict, constant,
-                       tuple(remainder_rows))
-
 
 def frame_bound_probe(psihat: FrequencyProfile, family: AutomorphismFamily,
                       lattice: Lattice, ensemble) -> tuple[float, float]:

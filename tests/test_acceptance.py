@@ -13,9 +13,11 @@ import pytest
 
 from affineframes import automorphisms as am
 from affineframes import calderon as cd
+from affineframes import config as cfg
 from affineframes import counting as ct
 from affineframes import frame_functional as ff
 from affineframes import metric_lattice as ml
+from affineframes import runner
 from affineframes.profiles import (PiecewiseConstantProfile, indicator_interval,
                                    triangle_bump)
 from unimodular import random_unimodular
@@ -225,7 +227,7 @@ def test_criterion_8_unfolding_identity_residuals():
             "profiles on random lattices", time.perf_counter() - start, 10.0)
 
 
-def test_criterion_9_structural_property_suites():
+def test_criterion_9_structural_property_suites(tmp_path):
     start = time.perf_counter()
     rng = np.random.default_rng(ACCEPT_SEED)
 
@@ -279,10 +281,18 @@ def test_criterion_9_structural_property_suites():
     assert split_i == pytest.approx(full_i, rel=1e-13)
 
     # averaged remainder inequality at probed points
-    scan_grid = np.concatenate([np.linspace(-2.0, -0.05, 50), np.linspace(0.05, 2.0, 50)])
-    report = ff.calderon_inequality_report(SHANNON, fam, Z1, scan_grid, 1.0, 1.0, M=4.0)
-    assert report.counting_verdict == "holds"
-    assert report.remainder and all(row.satisfied for row in report.remainder)
+    _, run = runner.run_scenario(cfg.resolve_defaults({
+        "group": {"kind": "euclidean", "dim": 1},
+        "family": {"kind": "matrix_power", "base": [[2.0]], "j_min": -40, "j_max": 40},
+        "profile": {"kind": "piecewise_constant",
+                    "pieces": [{"box": [[-1.0, -0.5]], "value": 1.0},
+                               {"box": [[0.5, 1.0]], "value": 1.0}]},
+        "analyses": [{"kind": "frame_report", "segments": [[-2.0, -0.05], [0.05, 2.0]],
+                      "points_per_segment": 50, "lower": 1.0, "upper": 1.0, "M": 4.0}]}),
+        tmp_path)
+    [report] = run["analyses"]
+    assert report["counting_verdict"] == "holds"
+    assert report["remainder"] and all(row["satisfied"] for row in report["remainder"])
 
     # bases expanding on a subspace with no contraction stay consistent with
     # the family classifier

@@ -205,11 +205,17 @@ def _bounded_family(family):
     return True
 
 
+def _report_on_atomic_family(scenario):
+    """A frame_report needs an atomic family."""
+    return (scenario["family"]["kind"] != "continuous_dilation"
+            or all(a["kind"] != "frame_report" for a in scenario["analyses"]))
+
+
 _scenarios = st.fixed_dictionaries({
     "family": _draw_value(FAMILIES).filter(_bounded_family),
     "profile": _draw_value(PROFILES).map(_one_row_boxes),
     "analyses": _draw_value([ANALYSES]),
-}).map(_on_its_group)
+}).filter(_report_on_atomic_family).map(_on_its_group)
 
 
 def _kinded_sections(scenario):
@@ -489,6 +495,8 @@ def test_cli_wide_continuous_dilation_domain_runs(tmp_path, capsys):
     # geomspace collapses neighbouring cell edges to one float
     ("semicontinuous_wavelet", ["family.lo=1", "family.hi=1.0000000000000002",
                                 "family.cells=100000"], "strictly increasing"),
+    # the remainder ball [0.01 +- 1e300] reached the orbit and overflowed there
+    ("shannon_onb", ["analyses.1.epsilons=[1e300]"], "overflows"),
 ])
 def test_cli_out_of_float_range_inputs_end_in_one_error_line(tmp_path, capsys, name,
                                                              overrides, word):
@@ -501,6 +509,19 @@ def test_cli_out_of_float_range_inputs_end_in_one_error_line(tmp_path, capsys, n
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and word in err
+
+
+def test_cli_frame_report_on_a_continuous_family_is_a_scenario_error(tmp_path, capsys):
+    # run computed the grid report first and then failed on the functional
+    scenario = runner.load_bundled_scenario("semicontinuous_wavelet")
+    scenario["analyses"].append({"kind": "frame_report", "lower": 0.69, "upper": 0.7})
+    path = tmp_path / "continuous_report.json"
+    path.write_text(json.dumps(scenario))
+    for argv in (["describe", str(path)], ["run", str(path), "--out", str(tmp_path / "o")]):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error:") and "atomic family" in captured.err
 
 
 @pytest.mark.parametrize("name,override", [

@@ -53,12 +53,14 @@ def _reference_enumerate(lattice: ml.Lattice, auto: am.Automorphism, r: float,
 
 def _counts(lattice, auto, r, metric) -> set[tuple[int, int]]:
     """(count, boundary_hits) of enumerate_points on its default path, with
-    every box sent down the line path, and with its band tested 3 points at a time."""
+    every box sent down the line path, and with its lines built 2 at a time and
+    their band tested 3 points at a time."""
     default = ENUMERATE(lattice, auto, r, metric)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ct, "WHOLE_BOX", 0)
         lines = ENUMERATE(lattice, auto, r, metric)
         mp.setattr(ct, "BAND_CHUNK", 3)
+        mp.setattr(ct, "LINE_CHUNK", 2)
         chunked = ENUMERATE(lattice, auto, r, metric)
     return {(default.count, default.boundary_hits), (lines.count, lines.boundary_hits),
             (chunked.count, chunked.boundary_hits)}
@@ -169,8 +171,8 @@ def test_enumerate_counts_the_old_capped_box_in_closed_form():
 
 def test_enumeration_tests_the_band_in_chunks():
     # the case above has 2,399,998 band points, which the exact test held at
-    # once (a 146 MB peak); in chunks of BAND_CHUNK the peak is the 400,001
-    # lines' interval arrays, about 80 MB
+    # once (a 146 MB peak), on 400,001 lines, whose interval arrays built at
+    # once peaked at 79 MB; in chunks of BAND_CHUNK points and LINE_CHUNK lines
     auto = am.matrix_automorphism(np.diag([1e5, 1e5]))
     tracemalloc.start()
     try:
@@ -179,7 +181,7 @@ def test_enumeration_tests_the_band_in_chunks():
     finally:
         tracemalloc.stop()
     assert (result.count, result.boundary_hits) == (399_999 ** 2, 400_001 ** 2 - 399_999 ** 2)
-    assert peak < 100 << 20
+    assert peak < 20 << 20
 
 
 def test_enumerate_counts_far_past_the_old_cap_in_closed_form():

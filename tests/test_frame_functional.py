@@ -10,7 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affineframes import automorphisms as am
+from affineframes import calderon as cd
 from affineframes import config as cfg
+from affineframes import counting as ct
 from affineframes import frame_functional as ff
 from affineframes import metric_lattice as ml
 from affineframes import quadrature, runner
@@ -459,28 +461,182 @@ def test_probe_zero_window_returns_zero_pair():
     assert (a, b) == (0.0, 0.0)
 
 
-def test_report_upper_bound_failures_for_scaled_window():
-    fam = dyadic_family(-40, 40)
-    grid = np.concatenate([np.linspace(-2, -0.01, 50), np.linspace(0.01, 2, 50)])
-    report = ff.calderon_inequality_report(SHANNON.scaled(math.sqrt(2.0)), fam, Z1,
-                                           grid, 1.0, 1.0, M=4.0)
-    assert report.n_failures == grid.size
-    assert report.max_value == pytest.approx(2.0, abs=1e-12)
+def _frame_report(tmp_path, j_lo, j_hi, segments, value=1.0) -> dict:
+    """The frame_report entry of report.json for SHANNON (times `value`) under
+    the dyadic powers j_lo..j_hi on Z, 50 grid points a segment, bounds 1, M = 4."""
+    _, report = runner.run_scenario(cfg.resolve_defaults({
+        "group": {"kind": "euclidean", "dim": 1},
+        "family": {"kind": "matrix_power", "base": [[2.0]], "j_min": j_lo, "j_max": j_hi},
+        "profile": {"kind": "piecewise_constant",
+                    "pieces": [{"box": [[-1.0, -0.5]], "value": value},
+                               {"box": [[0.5, 1.0]], "value": value}]},
+        "analyses": [{"kind": "frame_report", "segments": segments, "points_per_segment": 50,
+                      "lower": 1.0, "upper": 1.0, "M": 4.0}]}), tmp_path)
+    [entry] = report["analyses"]
+    return entry
 
 
-def test_report_rejects_grid_touching_exclusion_zone():
-    fam = dyadic_family(-10, 10)
+def test_report_upper_bound_failures_for_scaled_window(tmp_path):
+    report = _frame_report(tmp_path, -40, 40, [[-2, -0.01], [0.01, 2]], value=math.sqrt(2.0))
+    assert report["n_failures"] == 100
+    assert report["max"] == pytest.approx(2.0, abs=1e-12)
+
+
+def test_report_rejects_grid_touching_exclusion_zone(tmp_path):
     with pytest.raises(RejectedInputError):
-        ff.calderon_inequality_report(SHANNON, fam, Z1, np.array([1e-5, 0.5]),
-                                      1.0, 1.0, M=4.0)
+        _frame_report(tmp_path, -10, 10, [[1e-5, 0.5]])
 
 
-def test_report_remainder_inequality_at_probe_points():
-    fam = dyadic_family(-40, 40)
-    grid = np.concatenate([np.linspace(-2, -0.05, 50), np.linspace(0.05, 2, 50)])
-    report = ff.calderon_inequality_report(SHANNON, fam, Z1, grid, 1.0, 1.0, M=4.0)
-    assert report.counting_verdict == "holds"
-    assert len(report.remainder) == 3
-    for row in report.remainder:
-        assert row.satisfied
-        assert 1.0 <= row.ball_average + row.remainder + 5e-6
+def test_report_remainder_inequality_at_probe_points(tmp_path):
+    report = _frame_report(tmp_path, -40, 40, [[-2, -0.05], [0.05, 2]])
+    assert report["counting_verdict"] == "holds"
+    assert len(report["remainder"]) == 3
+    for row in report["remainder"]:
+        assert row["satisfied"]
+        assert 1.0 <= row["ball_average"] + row["remainder"] + 5e-6
+
+
+def test_report_integrates_its_remainder_probes_in_one_call(tmp_path, monkeypatch):
+    calls = []
+    integrate = quadrature.integrate_with_breakpoints
+    monkeypatch.setattr(quadrature, "integrate_with_breakpoints",
+                        lambda f, intervals: calls.append(len(intervals))
+                        or integrate(f, intervals))
+    report = _frame_report(tmp_path, -40, 40, [[-2, -0.05], [0.05, 2]])
+    assert len(report["remainder"]) == 3
+    # a ball and its tail per probe point, then the functional's own call
+    assert len(calls) == 2 and calls[0] == 6
+
+
+# ---------------------------------------------------------------------------
+# The frame report against the two-layer report it replaced
+# ---------------------------------------------------------------------------
+
+def _ref_ball_integrals(psihat, family, xi0, epsilon, M):
+    """Reference: one ball's average and tail integral, one quadrature call."""
+    lo, hi = xi0 - epsilon, xi0 + epsilon
+    breaks = psihat.breakpoints_1d()
+    scale, offset = np.array([m.auto.line_action() for m in family.members]).reshape(-1, 2).T
+    cuts = (breaks[None, :] - offset[:, None]) / scale[:, None]
+    tail = ~(np.array([m.upper for m in family.members]) <= M)
+
+    def integrand(x, owner):
+        out = np.empty_like(x)
+        out[owner == 0] = cd.calderon_values(psihat, family, x[owner == 0, None])
+        out[owner == 1] = cd.calderon_values(psihat, family, x[owner == 1, None],
+                                             weighted=True, lower_cutoff=M)
+        return out
+
+    total, tail_total = quadrature.integrate_with_breakpoints(
+        integrand, [(lo, hi, cuts), (lo, hi, cuts[tail])])
+    return total / (2.0 * epsilon), tail_total
+
+
+def _ref_calderon_inequality_report(psihat, family, lattice, xi_grid, lower, upper, M,
+                                    epsilon, scan_radius):
+    """Reference: the atomic-family bound report as the library layer built it,
+    its fields in a dict and its remainder rows as dicts."""
+    grid = np.asarray(xi_grid, dtype=float).ravel()
+    gabor = family.metric.kind == ml.GABOR_PRODUCT
+    if not gabor and np.any(np.abs(grid) < 1e-3):
+        raise RejectedInputError("grid touches the exclusion radius 0.001 around the identity")
+    values = cd.calderon_values(psihat, family, grid[:, None])
+    passes = (values >= lower - 1e-9) & (values <= upper + 1e-9)
+    scan_family = family.restrict(lambda _p, _lo, hi: hi <= 4096.0)
+    scan = ct.property_x_scan(scan_family, lattice, family.metric, scan_radius, M)
+    remainder_rows = []
+    if scan.verdict == "holds":
+        for i in sorted({0, grid.shape[0] // 2, grid.shape[0] - 1}):
+            xi0 = float(grid[i])
+            avg, tail = _ref_ball_integrals(psihat, family, xi0, epsilon, M)
+            rem = scan.constant * tail / (2.0 * epsilon)
+            ok = lower <= avg + rem + 5e-6
+            remainder_rows.append({"xi0": xi0, "epsilon": epsilon, "ball_average": avg,
+                                   "remainder": rem, "constant": scan.constant,
+                                   "satisfied": ok})
+    return {"xi_grid": grid, "values": values, "passes": passes,
+            "n_failures": int(np.sum(~passes)), "min": float(np.min(values)),
+            "max": float(np.max(values)), "counting_verdict": scan.verdict,
+            "counting_constant": scan.constant, "remainder": remainder_rows}
+
+
+@st.composite
+def _report_scenarios(draw):
+    """A resolved scenario with one frame_report: 1-d powers of dyadic, non-dyadic
+    and negative bases, or Gabor shifts; lattices [[b]]; psi-hat of 1 to 3
+    pieces with holes; drawn grid, bounds, M, epsilon and scan radius."""
+    if draw(st.booleans()):
+        j_lo = draw(st.integers(-25, 5))
+        group = {"kind": "euclidean", "dim": 1}
+        family = {"kind": "matrix_power",
+                  "base": [[draw(st.sampled_from([1.5, 2.0, -2.0, 2.5, 3.0, -1.7]))]],
+                  "j_min": j_lo, "j_max": j_lo + draw(st.integers(0, 40))}
+        M = draw(st.floats(0.5, 40.0))
+    else:
+        group = {"kind": "gabor", "dim": 1}
+        family = {"kind": "gabor_shifts", "p_values": draw(
+            st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=12, unique=True))}
+        M = draw(st.floats(0.5, 0.99))  # every shift has L = 1
+    family["weight"] = draw(st.sampled_from([{"kind": "constant", "value": 0.7},
+                                             {"kind": "geometric", "base": 1.1},
+                                             {"kind": "constant"}]))
+    cursor, pieces = draw(st.floats(-2.0, 0.5)), []
+    for _ in range(draw(st.integers(1, 3))):
+        cursor += draw(st.floats(0.0, 0.5))  # a hole, or none
+        width = draw(st.floats(0.05, 1.5))
+        pieces.append({"box": [[cursor, cursor + width]],
+                       "value": draw(st.floats(0.25, 2.0) | st.floats(-2.0, -0.25))})
+        cursor += width
+    ends = sorted(draw(st.lists(st.sampled_from([-2.5, -1.0, -0.3, -1e-4, 0.0, 0.2, 0.7,
+                                                 1.3, 2.0, 3.0]),
+                                min_size=2, max_size=4, unique=True)))
+    lower = draw(st.floats(0.1, 1.5))
+    return cfg.resolve_defaults({
+        "group": group, "family": family, "lattice": {"basis": [[draw(
+            st.sampled_from([0.3, 0.5, 1.0, 2.0, -1.0]))]]},
+        "profile": {"kind": "piecewise_constant", "pieces": pieces},
+        "analyses": [{"kind": "frame_report", "segments": list(zip(ends[::2], ends[1::2])),
+                      "points_per_segment": draw(st.integers(2, 12)),
+                      "lower": lower, "upper": lower + draw(st.floats(0.0, 1.0)),
+                      "M": M,
+                      "epsilons": [draw(st.floats(1e-3, 0.3))],
+                      "scan_radius": draw(st.floats(0.1, 1.0))}]})
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario=_report_scenarios())
+@example(scenario=cfg.resolve_defaults({
+    "group": {"kind": "gabor", "dim": 1},
+    "family": {"kind": "gabor_shifts", "p_min": -6, "p_max": 6, "p_step": 0.5},
+    "profile": {"kind": "piecewise_constant", "pieces": [{"box": [[0.0, 0.5]], "value": 1.3},
+                                                         {"box": [[0.75, 1.0]], "value": -0.4}]},
+    "analyses": [{"kind": "frame_report", "segments": [[-1.5, 2.0]], "points_per_segment": 9,
+                  "lower": 0.2, "upper": 2.0, "M": 0.5, "epsilons": [0.05]}]}))
+@example(scenario=cfg.resolve_defaults({
+    "group": {"kind": "euclidean", "dim": 1},
+    "family": {"kind": "matrix_power", "base": [[-1.7]], "j_min": -15, "j_max": 15},
+    "lattice": {"basis": [[-1.0]]},
+    "profile": {"kind": "piecewise_constant", "pieces": [{"box": [[-1.2, -0.3]], "value": 0.8},
+                                                         {"box": [[0.4, 1.1]], "value": 1.0}]},
+    "analyses": [{"kind": "frame_report", "points_per_segment": 7, "lower": 0.1,
+                  "upper": 3.0, "M": 3.0, "epsilons": [0.02]}]}))
+def test_frame_report_matches_the_two_layer_reference(scenario):
+    [analysis] = scenario["analyses"]
+    ctx = {"scenario": scenario, "lattice": cfg.build_lattice(scenario),
+           "family": cfg.build_family(scenario), "profile": cfg.build_profile(scenario)}
+    grid = cfg.scan_grid(analysis["segments"], analysis["points_per_segment"])
+    try:
+        ref = _ref_calderon_inequality_report(
+            ctx["profile"], ctx["family"], ctx["lattice"], grid, analysis["lower"],
+            analysis["upper"], analysis["M"], analysis["epsilons"][0], analysis["scan_radius"])
+    except Exception as exc:  # the same error, with the same message
+        with pytest.raises(type(exc)) as raised:
+            runner._run_frame_report(analysis, ctx)
+        assert str(raised.value) == str(exc)
+        return
+    result, _, (_, rows) = runner._run_frame_report(analysis, ctx)
+    assert rows == [[float(x), float(v), int(p)]
+                    for x, v, p in zip(ref["xi_grid"], ref["values"], ref["passes"])]
+    for key in ("n_failures", "min", "max", "counting_verdict", "counting_constant",
+                "remainder"):
+        assert result[key] == ref[key], key
