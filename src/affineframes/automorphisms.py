@@ -221,10 +221,14 @@ def _power_iteration_directions(autos: Sequence[Automorphism],
     each stacked item to the BLAS and LAPACK calls of a per-member loop, bit for bit."""
     grams = np.stack([auto.matrix.T @ auto.matrix for auto in autos])
     v = rng.normal(size=(2, grams.shape[-1]))  # the grow and shrink starts
-    for _ in range(60):
-        v = np.stack([np.matmul(grams, v[..., 0, :, None]),
-                      np.linalg.solve(grams, v[..., 1, :, None])], axis=1)[..., 0]
-        v /= np.sqrt(np.matmul(v[..., None, :], v[..., None]))[..., 0]
+    try:
+        for _ in range(60):
+            v = np.stack([np.matmul(grams, v[..., 0, :, None]),
+                          np.linalg.solve(grams, v[..., 1, :, None])], axis=1)[..., 0]
+            v /= np.sqrt(np.matmul(v[..., None, :], v[..., None]))[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise RejectedInputError("direction oracle: a member's Gram matrix is singular "
+                                 "in floating point") from exc
     return v
 
 

@@ -32,7 +32,6 @@ class CalderonEvaluation:
     truncation: dict = field(default_factory=dict)
     tail_estimate: float = 0.0
     certified_exact: bool = False
-    diverging: bool = False
 
 
 @dataclass(frozen=True)
@@ -150,8 +149,7 @@ def calderon_sum(psihat: FrequencyProfile, family: AutomorphismFamily,
     pts = _frequencies(psihat, points)
     _check_not_identity(family, pts)
     if family.is_continuous:
-        return _continuous_orbit_integrals(psihat, family, pts, weighted=False,
-                                           lower_cutoff=None)
+        return _continuous_orbit_integrals(psihat, family, pts)
     values = calderon_values(psihat, family, pts)
     certified, truncation = _atomic_certificate(psihat, family, pts)
     ends = (family.members[0], family.members[-1])  # their terms estimate the tail
@@ -160,59 +158,25 @@ def calderon_sum(psihat: FrequencyProfile, family: AutomorphismFamily,
             zip(pts, values.tolist(), tails.tolist(), certified.tolist())]
 
 
-def calderon_tail(psihat: FrequencyProfile, family: AutomorphismFamily, xi,
-                  M: float) -> CalderonEvaluation:
-    """Jacobian-weighted orbit sum at one frequency, restricted to parameters
-    with L(h) > M.
-
-    Unlike the plain orbit sum, each term carries the jacobian factor.  A
-    partial-sum monitor reports divergence evidence when the distortion-
-    ordered sums keep growing geometrically or exceed the cap.
-    """
-    if M <= 0:
-        raise RejectedInputError("distortion cutoff must be positive")
-    pts = _frequencies(psihat, xi)
-    if pts.shape[0] != 1:
-        raise RejectedInputError("calderon_tail evaluates one frequency")
-    _check_not_identity(family, pts)
-    if family.is_continuous:
-        return _continuous_orbit_integrals(psihat, family, pts, weighted=True,
-                                           lower_cutoff=M)[0]
-    rows = family.above(M)
-    if not rows:
-        return CalderonEvaluation(xi, 0.0, {"kind": "atoms", "terms": 0},
-                                  certified_exact=True)
-    # float ** 2 goes through libm pow, which rounds some squares unlike numpy's v * v
-    diverging, partial, sizes = _distortion_tail(psihat, family, rows, pts,
-                                                 lambda v: float(v[0]) ** 2)
-    certified, truncation = _atomic_certificate(psihat, family, pts)
-    certified = bool(certified[0])
-    truncation = dict(truncation)
-    truncation.update({"partial_sums": partial, "truncation_sizes": sizes,
-                       "distortion_cutoff": M})
-    tail = 0.0 if certified else float(
-        _orbit_sum(psihat, (family.members[0], family.members[-1]), pts, True)[0])
-    return CalderonEvaluation(xi, partial[-1], truncation, tail, certified and not diverging,
-                              diverging)
-
-
 def _distortion_tail(psihat, family, rows, pts: np.ndarray,
-                     term) -> tuple[bool, tuple[float, ...], tuple[int, ...]]:
+                     weights: np.ndarray) -> tuple[bool, tuple[float, ...], tuple[int, ...]]:
     """Divergence flag, partial sums and truncation sizes of the jacobian-
     weighted terms of the distortion-ordered `rows`, the last sum taking every
-    term; `term` reduces one member's profile values at `pts`."""
+    term; a term is the quadrature with `weights` of its squared profile
+    values at the nodes `pts`."""
     _check_profile_dim(family, pts)
-    contributions = np.array([m.weight * m.jacobian
-                              * term(psihat.evaluate(_mapped_points(m.auto, pts)))
-                              for m in rows])
+    contributions = np.array([
+        m.weight * m.jacobian
+        * float(np.dot(weights, psihat.evaluate(_mapped_points(m.auto, pts)) ** 2))
+        for m in rows])
     n = len(rows)
     sizes = sorted({max(1, n // 4), max(1, n // 2), n})
     sums = tuple(float(np.sum(contributions[:k])) for k in sizes)
-    diverging = sums[-1] > DIVERGENCE_CAP
+    divergent = sums[-1] > DIVERGENCE_CAP
     if len(sums) == 3 and sums[0] > 0:
         g = DIVERGENCE_GROWTH
-        diverging = diverging or (sums[2] >= g * sums[1] >= g ** 2 * sums[0])
-    return diverging, sums, tuple(sizes)
+        divergent = divergent or (sums[2] >= g * sums[1] >= g ** 2 * sums[0])
+    return divergent, sums, tuple(sizes)
 
 
 def _atomic_certificate(psihat, family, pts: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -232,8 +196,7 @@ def _atomic_certificate(psihat, family, pts: np.ndarray) -> tuple[np.ndarray, di
 # Continuous one-parameter dilation families
 # ---------------------------------------------------------------------------
 
-def _continuous_orbit_integrals(psihat, family, pts: np.ndarray, weighted: bool,
-                                lower_cutoff: float | None) -> list[CalderonEvaluation]:
+def _continuous_orbit_integrals(psihat, family, pts: np.ndarray) -> list[CalderonEvaluation]:
     """Orbit integrals at every frequency from one quadrature call.
 
     The members are dilations [[a]] with L(a) = jacobian(a) = a.  A frequency
@@ -241,7 +204,7 @@ def _continuous_orbit_integrals(psihat, family, pts: np.ndarray, weighted: bool,
     profile piece}, clipped to the domain; the same windows on the whole
     positive axis decide coverage and price the uncovered mass at the domain
     boundary.  Each frequency adds its window integrals left to right, in
-    profile-piece order (sorted windows under a cutoff)."""
+    profile-piece order."""
     if family.members[0].auto.dim != 1:
         raise RejectedInputError(
             "continuous orbit integrals support one-dimensional dilation families")
@@ -259,14 +222,11 @@ def _continuous_orbit_integrals(psihat, family, pts: np.ndarray, weighted: bool,
     w0, w1 = np.maximum(a0, lo_d), np.minimum(a1, hi_d)
     windows = [list(zip(r0[k].tolist(), r1[k].tolist()))
                for r0, r1, k in zip(w0, w1, w1 > w0)]
-    if lower_cutoff is not None:
-        level = family.level_set_intervals(lower_cutoff, np.inf)
-        windows = [_intersect_interval_lists(w, level) for w in windows]
     freq_of = np.repeat(np.arange(xi.shape[0]), [len(w) for w in windows])
 
     def density(a: np.ndarray, x: np.ndarray) -> np.ndarray:
         w = np.array([family.weight_of(float(v)) for v in a])
-        return (w * a if weighted else w) * psihat.evaluate((a * x)[:, None]) ** 2
+        return w * psihat.evaluate((a * x)[:, None]) ** 2
 
     totals = quadrature.integrate_with_breakpoints(
         lambda a, owner: density(a, xi[freq_of[owner]]),
@@ -294,17 +254,6 @@ def _continuous_orbit_integrals(psihat, family, pts: np.ndarray, weighted: bool,
     return out
 
 
-def _intersect_interval_lists(a: list[tuple[float, float]],
-                              b: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    out = []
-    for a0, a1 in a:
-        for b0, b1 in b:
-            lo, hi = max(a0, b0), min(a1, b1)
-            if hi > lo:
-                out.append((lo, hi))
-    return sorted(out)
-
-
 # ---------------------------------------------------------------------------
 # Local integrability of the tail over a compact frequency box
 # ---------------------------------------------------------------------------
@@ -328,7 +277,6 @@ def local_integrability_check(psihat: FrequencyProfile, family: AutomorphismFami
         return IntegrabilityReport("finite", 0.0, (0.0,), (0,), M)
 
     pts, weights = quadrature.tensor_nodes_weights(lo, hi, cells_per_axis=2 ** level)
-    diverging, partial, sizes = _distortion_tail(psihat, family, rows, pts,
-                                                 lambda v: float(np.dot(weights, v ** 2)))
-    return IntegrabilityReport("divergent" if diverging else "finite", partial[-1], partial,
+    divergent, partial, sizes = _distortion_tail(psihat, family, rows, pts, weights)
+    return IntegrabilityReport("divergent" if divergent else "finite", partial[-1], partial,
                                sizes, M)

@@ -73,9 +73,12 @@ def _line_band(lattice: Lattice, auto: Automorphism, r: float, metric: MetricSpa
                 half = np.fmax(np.sqrt((rad * rad - (perp * perp).sum(axis=1)) / (q @ q)),
                                -np.inf)
                 lo, hi = t0 - half, t0 + half
-            else:  # d slabs; q_i = 0 gives an infinite pair, or inf and NaN when |p_i| = rad
-                t1, t2 = (-rad[..., None] - p) / q, (rad[..., None] - p) / q
-                lo, hi = np.fmin(t1, t2).max(axis=-1), np.fmax(t1, t2).min(axis=-1)
+            else:  # d slabs; one with q_i = 0 holds every t when |p_i| < rad, else none
+                free, q1 = q == 0.0, np.where(q == 0.0, 1.0, q)
+                t1, t2 = (-rad[..., None] - p) / q1, (rad[..., None] - p) / q1
+                every = np.where(np.abs(p) < rad[..., None], np.inf, -np.inf)
+                lo = np.where(free, -every, np.minimum(t1, t2)).max(axis=-1)
+                hi = np.where(free, every, np.maximum(t1, t2)).min(axis=-1)
         # outer ends widen by one and clip to the box; inner ends shrink by one and
         # clip into the outer range, so every range reads [a, b] with b >= a - 1
         lo, hi = np.ceil(lo) - [[1.0], [-1.0]], np.floor(hi) + [[1.0], [-1.0]]
@@ -83,7 +86,11 @@ def _line_band(lattice: Lattice, auto: Automorphism, r: float, metric: MetricSpa
         o_hi = np.clip(hi[0], o_lo - 1, m_hi[k])
         i_lo = np.clip(lo[1], o_lo, o_hi + 1)
         i_hi = np.clip(hi[1], i_lo - 1, o_hi)
-        o_lo, o_hi, i_lo, i_hi = np.array([o_lo, o_hi, i_lo, i_hi], dtype=np.int64)
+        bounds = np.array([o_lo, o_hi, i_lo, i_hi])
+        if np.isnan(bounds).any():  # the clips leave no other non-finite value
+            line = starts[np.isnan(bounds).any(axis=0)][0].tolist()
+            raise RejectedInputError(f"lattice line through {line} has no finite interval")
+        o_lo, o_hi, i_lo, i_hi = bounds.astype(np.int64)
         # per line, the left band [o_lo, i_lo - 1], then the right band [i_hi + 1, o_hi];
         # band point n sits in the band `seg` with ends[seg - 1] <= n < ends[seg]
         ends = np.array([i_lo - o_lo, o_hi - i_hi]).T.ravel().cumsum()

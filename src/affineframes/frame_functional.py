@@ -95,7 +95,10 @@ def frame_functional(psihat: FrequencyProfile, family: AutomorphismFamily,
     n_f, n_m = len(fhats), len(members)
     scale, offset = np.array([m.auto.line_action() for m in members]).reshape(-1, 2).T
     weight, jacobian = np.array([(m.weight, m.jacobian) for m in members]).reshape(-1, 2).T
-    img_a, img_b = scale * f_lo + offset, scale * f_hi + offset
+    with np.errstate(over="ignore", invalid="ignore"):
+        img_a, img_b = scale * f_lo + offset, scale * f_hi + offset
+    if not (np.isfinite(img_a).all() and np.isfinite(img_b).all()):
+        raise RejectedInputError("orbit image of a test function overflows a float")
     cap_lo = np.maximum(psi_parts[0, 0], np.minimum(img_a, img_b))
     cap_hi = np.minimum(psi_parts[1, -1], np.maximum(img_a, img_b))
     live = (cap_hi > cap_lo) & (weight != 0.0)
@@ -160,15 +163,6 @@ def frame_functional(psihat: FrequencyProfile, family: AutomorphismFamily,
     for g, i, integral in zip(owner_f.tolist(), owner_m.tolist(), integrals):
         values[g] += weight[i] * (integral / jacobian[i])
     return np.array(values)
-
-
-def single_term_threshold(family: AutomorphismFamily, lattice: Lattice, param,
-                          xi0: float) -> float:
-    """Largest test-function radius for which only one shift can contribute:
-    boundary distance of the orbit point over its upper distortion constant."""
-    m = family.member(param)
-    scale, offset = m.auto.line_action()
-    return lattice.boundary_distance_1d(scale * xi0 + offset) / m.upper
 
 
 # ---------------------------------------------------------------------------

@@ -97,9 +97,6 @@ class MetricSpace:
             return np.array([-r, -float(kmax)]), np.array([r, float(kmax)])
         return np.full(self.dim, -r), np.full(self.dim, r)
 
-    def doubling_ratio(self, r: float) -> float:
-        return self.ball_measure(2.0 * r) / self.ball_measure(r)
-
 
 def euclidean_l2(dim: int) -> MetricSpace:
     return MetricSpace(EUCLIDEAN_L2, dim)
@@ -140,17 +137,6 @@ class Lattice:
     def covolume(self) -> float:
         return abs(float(np.linalg.det(self.basis)))
 
-    def reduce(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """Split xi = lambda + omega with omega in the fundamental domain.
-
-        Returns (integer coordinates of lambda, omega).
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        coords = pts @ self.inv_basis.T
-        m = np.floor(coords)
-        rem = (coords - m) @ self.basis.T
-        return m.astype(np.int64), rem
-
     def fundamental_box(self) -> tuple[np.ndarray, np.ndarray]:
         """Axis-aligned bounding box of the fundamental parallelepiped."""
         unit_half = np.full(self.dim, 0.5)
@@ -159,14 +145,6 @@ class Lattice:
 
     def sample_fundamental(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.random((n, self.dim)) @ self.basis.T
-
-    def boundary_distance_1d(self, xi: float) -> float:
-        """Distance from the reduced representative of xi to the domain boundary."""
-        if self.dim != 1:
-            raise RejectedInputError("boundary_distance_1d requires a 1-d lattice")
-        b = abs(float(self.basis[0, 0]))
-        off = float(xi) % b
-        return min(off, b - off)
 
     def integer_box(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
         """Integer-coordinate bounding box of {m : basis.m in [lo, hi]}."""

@@ -160,14 +160,6 @@ def indicator_interval(lo: float, hi: float, value: float = 1.0) -> PiecewiseCon
     return PiecewiseConstantProfile(np.array([[lo]]), np.array([[hi]]), np.array([value]))
 
 
-def triangle_bump(center: float, halfwidth: float, height: float = 1.0,
-                  n_nodes: int = 3) -> SampledGridProfile:
-    """Symmetric piecewise-linear hat supported on [center-hw, center+hw)."""
-    nodes = np.linspace(center - halfwidth, center + halfwidth, max(3, n_nodes))
-    vals = height * np.clip(1.0 - np.abs(nodes - center) / halfwidth, 0.0, None)
-    return SampledGridProfile(center - halfwidth, center + halfwidth, vals)
-
-
 def support_radii(profile: FrequencyProfile, metric) -> tuple[float, float]:
     """(inradius, circumradius) of the support relative to the identity.
 

@@ -180,11 +180,10 @@ def test_tail_restriction_matches_weighted_restricted_sum():
     fam = dyadic_family(-20, 20)
     xi = 0.3
     M = 4.5
-    tail = cd.calderon_tail(SHANNON, fam, xi, M)
+    tail = cd.calderon_values(SHANNON, fam, [[xi]], weighted=True, lower_cutoff=M)[0]
     high = fam.restrict(lambda _p, _lo, hi: hi > M)
     direct = cd.calderon_values(SHANNON, high, np.array([[xi]]), weighted=True)[0]
-    assert tail.value == pytest.approx(direct, abs=1e-14)
-    assert not tail.diverging
+    assert tail == direct
 
 
 def test_gabor_tail_never_exceeds_orbit_sum():
@@ -193,36 +192,17 @@ def test_gabor_tail_never_exceeds_orbit_sum():
     for xi in (-1.7, 0.2, 2.4):
         total = cd.calderon_sum(g, fam, xi)[0].value
         for M in (1.0, 2.0, 5.0, 20.0):
-            tail = cd.calderon_tail(g, fam, xi, M)
-            assert tail.value <= total + 1e-14
+            tail = cd.calderon_values(g, fam, [[xi]], weighted=True, lower_cutoff=M)[0]
+            assert tail <= total + 1e-14
 
 
 def test_tail_vanishes_as_cutoff_grows_when_integrable():
     fam = dyadic_family(-20, 20)
     xi = 0.3
-    values = [cd.calderon_tail(SHANNON, fam, xi, M).value
+    values = [cd.calderon_values(SHANNON, fam, [[xi]], weighted=True, lower_cutoff=M)[0]
               for M in (1.0, 4.0, 16.0, 64.0)]
     assert all(b <= a + 1e-14 for a, b in zip(values, values[1:]))
     assert values[-1] == 0.0
-
-
-def test_continuous_reciprocal_square_weight_tail_is_log_two():
-    # density a^-2 against the jacobian weight a leaves 1/a over the active
-    # window [5/3, 10/3]; the integral is log 2
-    fam = am.continuous_dilation_family(0.05, 200.0, 64, L2_1,
-                                        weight=lambda a: a ** -2)
-    ev = cd.calderon_tail(SHANNON, fam, 0.3, 1.0)
-    assert ev.value == pytest.approx(math.log(2.0), abs=1e-6)
-    assert ev.certified_exact
-
-
-def test_continuous_tail_clipped_by_distortion_cutoff():
-    # cutoff inside the active window [5/3, 10/3]: the weighted integrand is
-    # identically one there, so the tail is the clipped window length
-    fam = am.continuous_dilation_family(0.05, 200.0, 64, L2_1,
-                                        weight=lambda a: 1.0 / a)
-    ev = cd.calderon_tail(SHANNON, fam, 0.3, 2.0)
-    assert ev.value == pytest.approx(10.0 / 3.0 - 2.0, abs=1e-9)
 
 
 def test_continuous_orbit_sum_reciprocal_weight_constant_log_two():
@@ -239,19 +219,6 @@ def test_continuous_uncovered_window_reports_tail():
     ev = cd.calderon_sum(SHANNON, fam, 0.3)[0]
     assert not ev.certified_exact
     assert ev.tail_estimate > 0.0
-
-
-def test_divergence_flag_on_fixed_line_of_shear_powers():
-    # frequency-side shears fix the horizontal axis pointwise, so geometric
-    # weights pile up along distortion-ordered truncations
-    fam = am.matrix_power_family([[1.0, 1.0], [0.0, 1.0]], 1, 24, L2_2,
-                                 weight=lambda j: 2.0 ** j)
-    box = PiecewiseConstantProfile(np.array([[-1.0, -1.0]]), np.array([[1.0, 1.0]]),
-                                   np.array([1.0]))
-    ev = cd.calderon_tail(box, fam, np.array([0.5, 0.0]), 1.0)
-    assert ev.diverging
-    sums = ev.truncation["partial_sums"]
-    assert sums[-1] > 1.5 * sums[-2] > 2.25 * sums[-3]
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +260,24 @@ def test_local_integrability_divergent_evidence_for_geometric_weights():
     assert report.partial_sums[-1] > report.partial_sums[0]
 
 
+def test_divergence_flag_on_fixed_line_of_shear_powers():
+    # frequency-side shears fix the horizontal axis pointwise, so geometric
+    # weights pile up along distortion-ordered truncations of a box around it
+    fam = am.matrix_power_family([[1.0, 1.0], [0.0, 1.0]], 1, 24, L2_2,
+                                 weight=lambda j: 2.0 ** j)
+    box = PiecewiseConstantProfile(np.array([[-1.0, -1.0]]), np.array([[1.0, 1.0]]),
+                                   np.array([1.0]))
+    report = cd.local_integrability_check(box, fam, [0.45, -0.05], [0.55, 0.05],
+                                          M=1.0, level=3)
+    assert report.verdict == "divergent"
+    sums = report.partial_sums
+    assert sums[-1] > 1.5 * sums[-2] > 2.25 * sums[-3]
+
+
 def test_local_integrability_box_containing_identity_rejected():
     fam = dyadic_family(-5, 5)
     with pytest.raises(RejectedInputError):
         cd.local_integrability_check(SHANNON, fam, [-0.5], [0.5], M=2.0)
-
-
-def test_tail_cutoff_must_be_positive():
-    with pytest.raises(RejectedInputError):
-        cd.calderon_tail(SHANNON, dyadic_family(-5, 5), 0.3, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -350,33 +326,6 @@ def _ref_divergence_monitor(contributions):
     return diverging, sums, tuple(sizes)
 
 
-def _ref_calderon_tail(psihat, family, xi, M):
-    if M <= 0:
-        raise RejectedInputError("distortion cutoff must be positive")
-    pts = cd._frequencies(psihat, xi)
-    if pts.shape[0] != 1:
-        raise RejectedInputError("calderon_tail evaluates one frequency")
-    cd._check_not_identity(family, pts)
-    rows = family.above(M)
-    if not rows:
-        return cd.CalderonEvaluation(xi, 0.0, {"kind": "atoms", "terms": 0},
-                                     certified_exact=True)
-    contributions = np.empty(len(rows))
-    for i, m in enumerate(rows):
-        term = float(psihat.evaluate(_ref_mapped_points(family, m, pts))[0]) ** 2
-        contributions[i] = m.weight * m.jacobian * term
-    diverging, partial, sizes = _ref_divergence_monitor(contributions)
-    certified, truncation = cd._atomic_certificate(psihat, family, pts)
-    certified = bool(certified[0])
-    truncation = dict(truncation)
-    truncation.update({"partial_sums": partial, "truncation_sizes": sizes,
-                       "distortion_cutoff": M})
-    tail = 0.0 if certified else float(
-        _ref_edge_tail_estimate(psihat, family, pts, weighted=True)[0])
-    return cd.CalderonEvaluation(xi, float(np.sum(contributions)), truncation, tail,
-                                 certified and not diverging, diverging)
-
-
 def _ref_local_integrability_check(psihat, family, box_lo, box_hi, M, level=3):
     lo = np.atleast_1d(np.asarray(box_lo, dtype=float))
     hi = np.atleast_1d(np.asarray(box_hi, dtype=float))
@@ -408,7 +357,7 @@ def _outcome(call):
 def _evaluation_fields(ev):
     if isinstance(ev, type):
         return ev
-    return ev.value, ev.truncation, ev.tail_estimate, ev.certified_exact, ev.diverging
+    return ev.value, ev.truncation, ev.tail_estimate, ev.certified_exact
 
 
 def _same_array(a, b):
@@ -492,9 +441,6 @@ def test_orbit_routines_match_reference_bodies(case):
         assert _same_array(_outcome(lambda: cd._orbit_sum(psihat, ends, pts, weighted)),
                            _outcome(lambda: _ref_edge_tail_estimate(psihat, fam, pts,
                                                                     weighted)))
-    for x in pts:
-        assert (_evaluation_fields(_outcome(lambda: cd.calderon_tail(psihat, fam, x, M)))
-                == _evaluation_fields(_outcome(lambda: _ref_calderon_tail(psihat, fam, x, M))))
     assert (_outcome(lambda: cd.local_integrability_check(psihat, fam, box_lo, box_hi, M,
                                                           level=1))
             == _outcome(lambda: _ref_local_integrability_check(psihat, fam, box_lo, box_hi,
@@ -508,7 +454,7 @@ def test_profile_of_another_dimension_needs_a_gabor_family():
         fam = am.matrix_power_family(base, 1, 4, L2_2)
         for call in (lambda: cd.calderon_values(SHANNON, fam, [[0.3]]),
                      lambda: cd.calderon_sum(SHANNON, fam, 0.3),
-                     lambda: cd.calderon_tail(SHANNON, fam, 0.3, 0.5),
+                     lambda: cd.calderon_values(SHANNON, fam, [[0.3]], True, 0.5),
                      lambda: cd.local_integrability_check(SHANNON, fam, [0.1], [0.4], 0.5)):
             with pytest.raises(RejectedInputError, match="profile dimension"):
                 call()
@@ -524,16 +470,6 @@ def test_certificate_step_constants_built_once_per_family(monkeypatch):
     monkeypatch.setattr(am.Automorphism, "__post_init__",
                         lambda self: built.append(1) or post_init(self))
     again = cd.calderon_sum(RING_2D, fam, [[0.6, 0.2]])
-    cd.calderon_tail(RING_2D, fam, [0.6, 0.2], 1.0)
+    cd.calderon_values(RING_2D, fam, [[0.6, 0.2]], weighted=True, lower_cutoff=1.0)
     assert built == []
     assert _evaluation_fields(again[0]) == _evaluation_fields(first[0])
-
-
-def test_tail_squares_its_terms_like_the_reference_body():
-    # glibc's pow rounds 1.9007093261133585 ** 2 one ulp away from numpy's v * v,
-    # so a tail term squared by the quadrature's box rule would move a bit
-    v = 1.9007093261133585
-    psihat = PiecewiseConstantProfile(np.array([[0.5]]), np.array([[1.0]]), np.array([v]))
-    fam = dyadic_family(-3, 3)
-    assert (_evaluation_fields(cd.calderon_tail(psihat, fam, 0.75, 0.5))
-            == _evaluation_fields(_ref_calderon_tail(psihat, fam, 0.75, 0.5)))

@@ -497,6 +497,11 @@ def test_cli_wide_continuous_dilation_domain_runs(tmp_path, capsys):
                                 "family.cells=100000"], "strictly increasing"),
     # the remainder ball [0.01 +- 1e300] reached the orbit and overflowed there
     ("shannon_onb", ["analyses.1.epsilons=[1e300]"], "overflows"),
+    # the probe takes the first radius; the functional overflowed on the second
+    ("shannon_onb", ["analyses.1.epsilons=[0.01,1e300]"], "test function overflows"),
+    # at s = 1e8 a shearlet's Gram matrix is singular in floating point, and the
+    # oracle's power iteration ended in numpy's LinAlgError
+    ("shearlet_property_x", ["family.s_values.0=1e8"], "Gram matrix is singular"),
 ])
 def test_cli_out_of_float_range_inputs_end_in_one_error_line(tmp_path, capsys, name,
                                                              overrides, word):

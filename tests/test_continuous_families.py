@@ -82,19 +82,13 @@ def ref_active_windows(psihat, xi, domain):
     return windows
 
 
-def ref_orbit_integral(psihat, family, xi, weighted, lower_cutoff):
+def ref_orbit_integral(psihat, family, xi):
     domain = family.continuous_domain()
     windows = ref_active_windows(psihat, xi, domain)
-    if lower_cutoff is not None:
-        level = ref_level_set_intervals(family, lower_cutoff, np.inf)
-        windows = cd._intersect_interval_lists(windows, level)
 
     def integrand(a, _owner=None):
         vals = psihat.evaluate((a * xi)[:, None]) ** 2
-        w = np.array([family.weight_of(float(v)) for v in a])
-        if weighted:
-            w = w * np.array([family.generator(float(v)).jacobian for v in a])
-        return w * vals
+        return np.array([family.weight_of(float(v)) for v in a]) * vals
 
     total = 0.0
     for value in quadrature.integrate_with_breakpoints(
@@ -204,14 +198,9 @@ def test_batched_orbit_integrals_match_per_frequency_reference(seed, metric, sam
     xis = _frequencies(rng, psihat, fam)
     evs = cd.calderon_sum(psihat, fam, xis)
     assert [(ev.xi, ev.value, ev.tail_estimate, ev.certified_exact) for ev in evs] == [
-        ref_orbit_integral(psihat, fam, float(x), False, None) for x in xis]
+        ref_orbit_integral(psihat, fam, float(x)) for x in xis]
     assert all(ev.truncation == {"kind": "continuous", "domain": fam.continuous_domain()}
-               and not ev.diverging for ev in evs)
-    for x in xis[:3]:
-        M = _probe_value(rng, fam)
-        ev = cd.calderon_tail(psihat, fam, float(x), M)
-        assert (ev.xi, ev.value, ev.tail_estimate, ev.certified_exact) == \
-            ref_orbit_integral(psihat, fam, float(x), True, M)
+               for ev in evs)
 
 
 SHANNON = PiecewiseConstantProfile(np.array([[-1.0], [0.5]]), np.array([[-0.5], [1.0]]),
@@ -237,6 +226,5 @@ def test_continuous_family_materialises_each_member_once(monkeypatch):
                         lambda self: built.append(1) or post_init(self))
     fam = am.continuous_dilation_family(0.05, 200.0, 64, METRICS[0], weight=lambda a: 1.0 / a)
     cd.calderon_sum(SHANNON, fam, np.linspace(0.05, 2.0, 50))
-    cd.calderon_tail(SHANNON, fam, 0.3, 2.0)
     am.band_mass_profile(fam, lambda x: x, 2.0, np.geomspace(1.0, 64.0, 13), 1.0)
     assert len(built) == 64

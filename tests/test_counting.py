@@ -1,10 +1,12 @@
 import math
 import time
 import tracemalloc
+import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from affineframes import automorphisms as am
@@ -483,3 +485,43 @@ def test_line_counts_scale_with_the_lattice_and_radius(case):
     assume(not np.any((gap > 1e-14) & (gap <= 2e-12)))
     assert (_line_counts(ml.Lattice(2.0 * lattice.basis), auto, 2.0 * r, metric)
             == _line_counts(*case))
+
+
+def test_a_line_with_no_finite_interval_is_refused_not_cast():
+    # G = A^-1 B = 1e200 everywhere: on a line m2 != 0 both p.q and q.q overflow,
+    # so the L2 root midpoint reads inf / -inf = NaN
+    auto = types.SimpleNamespace(inv_matrix=np.full((2, 2), 1e200))
+    with np.errstate(over="ignore"), pytest.raises(RejectedInputError,
+                                                   match=r"line through \[0.0, -3.0\]"):
+        next(ct._line_band(Z2, auto, 1.0, ml.euclidean_l2(2), np.array([-3, -3]),
+                           np.array([3, 3])))
+
+
+def _hyperbolic_closed_form(j: int, r: Fraction, metric: ml.MetricSpace) -> int:
+    """Exact count of m in Z^2 with |diag(2, 1/2)^-j m| < r: the inverse
+    stretches one axis by a = 2^|j| and shrinks the other by 1/a, so each
+    stretched coordinate s with |s| a < r leaves the u with u^2 < q on the
+    shrunk axis, q = (r^2 - (s a)^2) a^2 in L2 and r^2 a^2 in L∞."""
+    a = Fraction(2) ** abs(j)
+    total = 0
+    for s in range(1 - math.ceil(r / a), math.ceil(r / a)):
+        q = (r * r - (s * a) ** 2 if metric.kind == ml.EUCLIDEAN_L2 else r * r) * a * a
+        total += 2 * math.isqrt(math.ceil(q) - 1) + 1
+    return total
+
+
+@settings(max_examples=30, deadline=None)
+@given(j=st.integers(-20, 20), tenths=st.integers(1, 10),
+       kind=st.sampled_from([ml.EUCLIDEAN_L2, ml.EUCLIDEAN_LINF]),
+       basis=st.integers(0, 2 ** 32 - 1).map(
+           lambda seed: _random_unimodular_integers(np.random.default_rng(seed), 2).tolist()))
+# example_bad re-based: at j = -17 an L∞ slab with q_i = 0 read (0 - 0) / 0, and the
+# NaN cast to int64 lost 207 points of another line
+@example(j=-17, tenths=4, kind=ml.EUCLIDEAN_LINF, basis=[[1.0, -1.0], [0.0, 1.0]])
+def test_hyperbolic_counts_on_any_basis_of_z2_match_the_closed_form(j, tenths, kind, basis):
+    # r = tenths / 10 keeps every lattice point at least 1e-7 from the sphere
+    # or on it, so the boundary guard never takes a point the closed form counts
+    metric = ml.MetricSpace(kind, 2)
+    result = ct.enumerate_points(ml.Lattice(basis), am.matrix_power([[2.0, 0.0], [0.0, 0.5]], j),
+                                 tenths / 10, metric)
+    assert result.count == _hyperbolic_closed_form(j, Fraction(tenths, 10), metric)

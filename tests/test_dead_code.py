@@ -1,0 +1,30 @@
+"""No function in the package goes uncalled.
+
+A function or method of `src/affineframes` whose name is never read as a
+name or an attribute anywhere in the package or in `bench/` has no caller
+outside the tests, so it is dead code: delete it, or move it into the tests
+that still build inputs with it.
+"""
+
+import ast
+import collections
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_every_package_function_has_a_caller_outside_the_tests():
+    package = sorted((ROOT / "src" / "affineframes").glob("*.py"))
+    reads, defined = collections.Counter(), {}
+    for path in package + sorted((ROOT / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                reads[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                reads[node.attr] += 1
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and path in package:
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+    assert package
+    uncalled = {name: where for name, where in defined.items()
+                if not (name.startswith("__") and name.endswith("__")) and reads[name] == 0}
+    assert uncalled == {}

@@ -18,7 +18,8 @@ from affineframes import metric_lattice as ml
 from affineframes import quadrature, runner
 from affineframes.errors import RejectedInputError
 from affineframes.profiles import (PiecewiseConstantProfile, SampledGridProfile,
-                                   indicator_interval, triangle_bump)
+                                   indicator_interval)
+from sample_profiles import triangle_bump
 
 L2_1 = ml.euclidean_l2(1)
 GABOR = ml.gabor_product()
@@ -122,12 +123,24 @@ def _single_shift_term(psihat, m, fhat) -> float:
     return m.weight * float(fhat.values[0]) ** 2 * integral
 
 
+def _single_term_threshold(family, lattice, param, xi0: float) -> float:
+    """Largest test-function radius for which only one shift can contribute:
+    the distance from the orbit point, reduced into the 1-d lattice's
+    fundamental domain, to the domain boundary, over the upper distortion
+    constant."""
+    m = family.member(param)
+    scale, offset = m.auto.line_action()
+    b = abs(float(lattice.basis[0, 0]))
+    off = (scale * xi0 + offset) % b
+    return min(off, b - off) / m.upper
+
+
 def test_single_shift_term_matches_frame_functional():
     fam = dyadic_family(-30, 30)
     for eps in (0.01, 0.003):
         tf = ff.make_test_function([0.3], eps, L2_1)
         below = [m for m in fam.members
-                 if eps < ff.single_term_threshold(fam, Z1, m.param, 0.3)]
+                 if eps < _single_term_threshold(fam, Z1, m.param, 0.3)]
         assert below
         for m in below:
             single = fam.restrict(lambda p, _lo, _hi, keep=m.param: p == keep)
@@ -139,9 +152,9 @@ def test_single_shift_term_matches_frame_functional():
 def test_single_term_threshold_formula():
     fam = dyadic_family(-5, 5)
     # orbit point 0.3 reduces to boundary distance 0.3 at unit distortion
-    assert ff.single_term_threshold(fam, Z1, 0, 0.3) == pytest.approx(0.3)
+    assert _single_term_threshold(fam, Z1, 0, 0.3) == pytest.approx(0.3)
     # one dyadic step: orbit point 0.6, boundary distance 0.4, distortion 2
-    assert ff.single_term_threshold(fam, Z1, 1, 0.3) == pytest.approx(0.2)
+    assert _single_term_threshold(fam, Z1, 1, 0.3) == pytest.approx(0.2)
 
 
 def test_partition_additivity_of_the_functional():
