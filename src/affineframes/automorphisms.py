@@ -19,8 +19,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import RejectedInputError
-from .metric_lattice import (EUCLIDEAN_L2, EUCLIDEAN_LINF, GABOR_PRODUCT,
-                             MetricSpace, gabor_product, linear_box)
+from .metric_lattice import EUCLIDEAN_L2, GABOR_PRODUCT, MetricSpace, gabor_product, linear_box
 
 ORACLE_DIRECTIONS = 100_000
 ORACLE_SEED = 7151
@@ -30,13 +29,15 @@ TIE_RTOL = 0.05        # lower constants this close form one tie group
 EXPLOSION = 10.0       # growth factor that counts as collapse or blow-up evidence
 
 
-def singular_values(M: np.ndarray) -> np.ndarray:
-    """Singular values (ascending): |m| for 1x1 (m*m may overflow), else from the
-    eigenvalues of the Gram matrix."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.shape == (1, 1):
-        return np.abs(M[0])
-    return np.sqrt(np.clip(np.linalg.eigvalsh(M.T @ M), 0.0, None))
+def _largest_singular_values(matrices: np.ndarray) -> np.ndarray:
+    grams = np.matmul(matrices.transpose(0, 2, 1), matrices)
+    return np.sqrt(np.clip(np.linalg.eigvalsh(grams)[:, -1], 0.0, None))
+
+
+def _all_shifts(matrices: np.ndarray) -> bool:
+    """Whether every matrix of an (n, d, d) stack is a Gabor shift [[1, x], [0, 1]]."""
+    return matrices.shape[1:] == (2, 2) and bool(
+        np.all(matrices[:, [0, 1, 1], [0, 0, 1]] == [1.0, 0.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -71,14 +72,6 @@ class Automorphism:
             object.__setattr__(self, "jacobian", abs(float(m[0, 0])) if m.shape == (1, 1)
                                else abs(det))
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        return pts @ self.matrix.T
-
     def inverse_apply(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         return pts @ self.inv_matrix.T
@@ -90,29 +83,16 @@ class Automorphism:
         center, half = linear_box(self.matrix, 0.5 * (lo + hi), 0.5 * (hi - lo))
         return center - half, center + half
 
-    def line_action(self) -> tuple[float, float]:
-        """Action on a one-dimensional frequency line as x -> scale*x + offset.
 
-        A Gabor shift [[1, x], [0, 1]] translates the modulation line k = 1
-        by x; a 1-d matrix is plain scaling.
-        """
-        if self.dim == 1:
-            return float(self.matrix[0, 0]), 0.0
-        offset = _shift_offset(self.matrix)
-        if offset is None:
-            raise RejectedInputError("no one-dimensional line action for this automorphism")
-        return 1.0, offset
-
-
-def _shift_offset(m: np.ndarray) -> float | None:
-    """x of a Gabor shift matrix [[1, x], [0, 1]]; None for any other matrix."""
-    if m.shape == (2, 2) and m[0, 0] == 1.0 and m[1, 0] == 0.0 and m[1, 1] == 1.0:
-        return float(m[0, 1])
-    return None
-
-
-def matrix_automorphism(M) -> Automorphism:
-    return Automorphism(M)
+def line_action(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per matrix of an (n, d, d) stack, its action x -> scale*x + offset on a
+    one-dimensional frequency line: a 1-d matrix is plain scaling, and a Gabor
+    shift [[1, x], [0, 1]] translates the modulation line k = 1 by x."""
+    if matrices.shape[1:] == (1, 1):
+        return matrices[:, 0, 0], np.zeros(matrices.shape[0])
+    if not _all_shifts(matrices):
+        raise RejectedInputError("no one-dimensional line action for this automorphism")
+    return np.ones(matrices.shape[0]), matrices[:, 0, 1]
 
 
 def matrix_power(base, exponent: int) -> Automorphism:
@@ -150,48 +130,48 @@ def gabor_shift(p: float) -> Automorphism:
 # Metric distortion constants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LipschitzConstants:
-    lower: float
-    upper: float
-
-
-def lipschitz_constants(auto: Automorphism, metric: MetricSpace) -> LipschitzConstants:
-    """Optimal (lower, upper) metric distortion of the automorphism."""
-    if metric.kind == GABOR_PRODUCT:
-        shift = _shift_offset(auto.matrix)
-        if shift is None:
-            raise RejectedInputError("gabor_product distorts Gabor shifts [[1, x], [0, 1]] only")
-        p = abs(shift)
-        return LipschitzConstants(1.0 / (1.0 + p), 1.0 + p)
-    if auto.dim != metric.dim:
+def _check_closed_form(matrices: np.ndarray, metric: MetricSpace) -> None:
+    """Refuse an (n, d, d) stack whose distortion has no closed form in `metric`."""
+    if metric.kind == GABOR_PRODUCT and not _all_shifts(matrices):
+        raise RejectedInputError("gabor_product distorts Gabor shifts [[1, x], [0, 1]] only")
+    if matrices.shape[-1] != metric.dim:
         raise RejectedInputError("automorphism and metric dimensions disagree")
-    if metric.kind == EUCLIDEAN_L2:
+
+
+def lipschitz_constants(matrices: np.ndarray, inverses: np.ndarray,
+                        metric: MetricSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal (lower, upper) metric distortion of every map of the (n, d, d)
+    stack `matrices`, whose inverses are `inverses`."""
+    _check_closed_form(matrices, metric)
+    if metric.kind == GABOR_PRODUCT:
+        p = np.abs(matrices[:, 0, 1])
+        return 1.0 / (1.0 + p), 1.0 + p
+    if metric.kind == EUCLIDEAN_L2 and metric.dim == 1:
+        lower = upper = np.abs(matrices[:, 0, 0])
+    elif metric.kind == EUCLIDEAN_L2:
         # the smallest Gram eigenvalue is noise once cond(M)**2 nears 1/eps, so in
         # dim >= 2 the lower constant is 1 / sigma_max of the inverse
-        sv = singular_values(auto.matrix)
-        lower = sv[0] if auto.dim == 1 else 1.0 / singular_values(auto.inv_matrix)[-1]
-        upper = float(sv[-1])
-    elif metric.kind == EUCLIDEAN_LINF:
-        upper = float(np.max(np.sum(np.abs(auto.matrix), axis=1)))
-        lower = 1.0 / float(np.max(np.sum(np.abs(auto.inv_matrix), axis=1)))
-    else:
-        raise RejectedInputError(f"unsupported metric kind {metric.kind!r}")
+        upper = _largest_singular_values(matrices)
+        lower = 1.0 / _largest_singular_values(inverses)
+    else:  # L-infinity, as MetricSpace admits no other kind
+        upper = np.abs(matrices).sum(axis=2).max(axis=1)
+        lower = 1.0 / np.abs(inverses).sum(axis=2).max(axis=1)
     # exactly lower <= upper; through the inverse, c * I can round one ulp above
-    return LipschitzConstants(min(float(lower), upper), upper)
+    return np.minimum(lower, upper), upper
 
 
-def lipschitz_oracle(autos: Sequence[Automorphism], metric: MetricSpace,
-                     n_directions: int = ORACLE_DIRECTIONS) -> list[tuple[float, float]]:
-    """Inner approximation of each member's distortion constants by direction sampling.
+def lipschitz_oracle(matrices: np.ndarray, inverses: np.ndarray, metric: MetricSpace,
+                     n_directions: int = ORACLE_DIRECTIONS) -> tuple[np.ndarray, np.ndarray]:
+    """Inner approximation of each map's distortion constants by direction sampling.
 
-    Returns one (max of observed lower ratios, min of observed upper ratios)
-    pair per automorphism, as (oracle_lower, oracle_upper); the true constants
-    satisfy lower <= oracle_lower and upper >= oracle_upper."""
+    Returns (max of observed lower ratios, min of observed upper ratios) as
+    arrays (oracle_lower, oracle_upper) over the (n, d, d) stacks; the true
+    constants satisfy lower <= oracle_lower and upper >= oracle_upper."""
     if metric.kind == GABOR_PRODUCT:
-        return [_lipschitz_oracle_gabor(auto, n_directions) for auto in autos]
+        bounds = [_lipschitz_oracle_gabor(-float(x), n_directions) for x in matrices[:, 0, 1]]
+        return tuple(np.array(bounds).T)
     rng = np.random.default_rng(ORACLE_SEED)  # every member reads the same draws
-    dim = autos[0].dim
+    dim = matrices.shape[-1]
     sampled = _unit_rows(rng.normal(size=(n_directions, dim)), metric)
     # deterministic extremal candidates: axes, sign corners, their preimages
     # (max-norm extremizers sit at such points), and power-iteration refiners
@@ -201,12 +181,12 @@ def lipschitz_oracle(autos: Sequence[Automorphism], metric: MetricSpace,
                        axis=-1).reshape(-1, dim)
     special = np.concatenate([np.eye(dim), corners])
     bounds = []
-    for auto, refiners in zip(autos, _power_iteration_directions(autos, rng)):
-        extra = np.concatenate([special, auto.inverse_apply(special), refiners])
+    for m, inv, refiners in zip(matrices, inverses, _power_iteration_directions(matrices, rng)):
+        extra = np.concatenate([special, special @ inv.T, refiners])
         # one product per member: BLAS bits depend on the batch shape
-        ratios = metric.norm(auto.apply(np.concatenate([sampled, _unit_rows(extra, metric)])))
+        ratios = metric.norm(np.concatenate([sampled, _unit_rows(extra, metric)]) @ m.T)
         bounds.append((float(np.min(ratios)), float(np.max(ratios))))
-    return bounds
+    return tuple(np.array(bounds).T)
 
 
 def _unit_rows(dirs: np.ndarray, metric: MetricSpace) -> np.ndarray:
@@ -215,11 +195,10 @@ def _unit_rows(dirs: np.ndarray, metric: MetricSpace) -> np.ndarray:
     return dirs[keep] / norms[keep][:, None]
 
 
-def _power_iteration_directions(autos: Sequence[Automorphism],
-                                rng: np.random.Generator) -> np.ndarray:
-    """Unit (grow, shrink) directions of every member, shape (n, 2, dim); numpy hands
-    each stacked item to the BLAS and LAPACK calls of a per-member loop, bit for bit."""
-    grams = np.stack([auto.matrix.T @ auto.matrix for auto in autos])
+def _power_iteration_directions(matrices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Unit (grow, shrink) directions, shape (n, 2, d), of an (n, d, d) stack; numpy
+    hands each item to the BLAS and LAPACK calls of a per-member loop, bit for bit."""
+    grams = np.matmul(matrices.transpose(0, 2, 1), matrices)
     v = rng.normal(size=(2, grams.shape[-1]))  # the grow and shrink starts
     try:
         for _ in range(60):
@@ -232,10 +211,9 @@ def _power_iteration_directions(autos: Sequence[Automorphism],
     return v
 
 
-def _lipschitz_oracle_gabor(auto: Automorphism, n_points: int) -> tuple[float, float]:
+def _lipschitz_oracle_gabor(p: float, n_points: int) -> tuple[float, float]:
     # Ratios on the k = 0 slice are 1; it suffices to scan the k = 1 slice
     # scaled by |k|, plus the slice anchors.
-    p = -float(auto.matrix[0, 1])
     rng = np.random.default_rng(ORACLE_SEED)
     span = 2.0 * (1.0 + abs(p)) + 1.0
     xs = np.concatenate([rng.uniform(-span, span, n_points), [0.0, p, -p]])
@@ -248,15 +226,16 @@ def _lipschitz_oracle_gabor(auto: Automorphism, n_points: int) -> tuple[float, f
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FamilyMember:
-    """One parameter of a family with everything consumers read from it."""
+class MemberTable:
+    """Every member of a family, one row per parameter in `params` order."""
 
-    param: object
-    auto: Automorphism
-    lower: float
-    upper: float
-    jacobian: float
-    weight: float
+    autos: tuple             # the generator's maps, for consumers that need one map
+    matrices: np.ndarray     # (n, d, d)
+    inverses: np.ndarray     # (n, d, d)
+    jacobians: np.ndarray
+    lower: np.ndarray        # distortion constants
+    upper: np.ndarray
+    weights: np.ndarray      # checked weights
 
 
 @dataclass(frozen=True)
@@ -294,51 +273,62 @@ class AutomorphismFamily:
         return float(w)
 
     @cached_property
-    def members(self) -> tuple[FamilyMember, ...]:
-        """Automorphism, distortion constants, jacobian and checked weight of
-        every parameter, in `params` order."""
-        rows = []
+    def members(self) -> MemberTable:
+        """The member table.  Each parameter goes through the generator and the
+        weight in turn, so the first member at fault raises first."""
+        autos, weights = [], []
         for param in self.params:
             auto = self.generator(*param) if isinstance(param, tuple) else self.generator(param)
-            c = lipschitz_constants(auto, self.metric)
-            rows.append(FamilyMember(param, auto, c.lower, c.upper,
-                                     auto.jacobian, self.weight_of(param)))
-        return tuple(rows)
+            _check_closed_form(auto.matrix[None], self.metric)
+            autos.append(auto)
+            weights.append(self.weight_of(param))
+        matrices = np.stack([auto.matrix for auto in autos])
+        inverses = np.stack([auto.inv_matrix for auto in autos])
+        return MemberTable(tuple(autos), matrices, inverses,
+                           np.array([auto.jacobian for auto in autos]),
+                           *lipschitz_constants(matrices, inverses, self.metric),
+                           np.array(weights))
 
     @cached_property
-    def base_constants(self) -> LipschitzConstants:
-        """Distortion constants of one power step `base` (power ranges only)."""
-        return lipschitz_constants(matrix_automorphism(self.base), self.metric)
+    def base_constants(self) -> tuple[float, float]:
+        """Distortion constants (lower, upper) of one power step `base`."""
+        step = Automorphism(self.base)
+        lower, upper = lipschitz_constants(step.matrix[None], step.inv_matrix[None], self.metric)
+        return float(lower[0]), float(upper[0])
 
-    def member(self, param) -> FamilyMember:
-        for m in self.members:
-            if m.param == param:
-                return m
-        raise RejectedInputError(f"parameter {param!r} is not in the family")
+    def member(self, param) -> Automorphism:
+        """The generator's map of one parameter."""
+        if param not in self.params:
+            raise RejectedInputError(f"parameter {param!r} is not in the family")
+        return self.members.autos[self.params.index(param)]
 
-    def above(self, M: float) -> list[FamilyMember]:
-        """Members with L(h) > M in distortion order: by upper constant, ties
+    def above(self, M: float) -> np.ndarray:
+        """Rows with L(h) > M in distortion order: by upper constant, ties
         broken by the parameter's string form."""
-        return sorted((m for m in self.members if m.upper > M),
-                      key=lambda m: (m.upper, str(m.param)))
+        upper = self.members.upper
+        return np.array(sorted(np.flatnonzero(upper > M).tolist(),
+                               key=lambda i: (upper[i], str(self.params[i]))), dtype=np.intp)
 
     def continuous_domain(self) -> tuple[float, float]:
         if not self.is_continuous:
             raise RejectedInputError("family has no continuous parameter domain")
         return float(self.edges[0]), float(self.edges[-1])
 
-    def restrict(self, keep: Callable[..., bool]) -> "AutomorphismFamily":
-        """Atomic subfamily of the parameters passing the predicate
-        keep(param, lower, upper)."""
+    def restrict(self, keep: np.ndarray) -> "AutomorphismFamily":
+        """Atomic subfamily of the rows where the boolean mask `keep` holds; it
+        shares the sliced member table."""
         if self.is_continuous:
             raise RejectedInputError("restrict applies to atomic families; "
                                      "continuous families split by level sets")
-        kept = tuple(m for m in self.members if keep(m.param, m.lower, m.upper))
-        if not kept:
+        rows = np.flatnonzero(keep)
+        if not rows.size:
             raise RejectedInputError("restriction removed every parameter")
-        sub = AutomorphismFamily(tuple(m.param for m in kept), self.generator,
+        t = self.members
+        sub = AutomorphismFamily(tuple(self.params[i] for i in rows), self.generator,
                                  self.weight, self.metric)
-        sub.__dict__["members"] = kept  # the subfamily shares the built rows
+        sub.__dict__["members"] = MemberTable(
+            tuple(t.autos[i] for i in rows), t.matrices[rows], t.inverses[rows],
+            t.jacobians[rows], t.lower[rows], t.upper[rows], t.weights[rows])
         return sub
 
     def level_set_intervals(self, lower: float, upper: float) -> list[tuple[float, float]]:
@@ -445,7 +435,7 @@ def continuous_dilation_family(lo: float, hi: float, n_cells: int,
         raise RejectedInputError("edges must be strictly increasing")
     points = np.sqrt(edges[:-1]) * np.sqrt(edges[1:])  # the product over/underflows first
     return AutomorphismFamily(tuple(float(p) for p in points),
-                              lambda a: matrix_automorphism([[a]]), weight, metric, edges=edges)
+                              lambda a: Automorphism([[a]]), weight, metric, edges=edges)
 
 
 # ---------------------------------------------------------------------------
@@ -505,23 +495,21 @@ def classify_expansiveness(family: AutomorphismFamily,
     the lower constant carrying an upper-constant spread above `EXPLOSION`
     demote the verdict from uniformly_expanding to expanding.
     """
-    members = family.members
-    for t in members:
-        if not (0 < t.lower <= t.upper):
-            raise RejectedInputError("invalid distortion constants in family")
+    t = family.members
+    if not np.all((0 < t.lower) & (t.lower <= t.upper)):
+        raise RejectedInputError("invalid distortion constants in family")
 
     # default tail starts at the lower quartile: collapse evidence often sits
     # at moderate distortion, and verdicts are truncation-scoped anyway
-    m = (float(np.quantile([t.upper for t in members], 0.25)) if probe_m is None
-         else float(probe_m))
-    tail = [t for t in members if t.upper > m] or list(members)
-    lows = np.array([t.lower for t in tail])
-    his = np.array([t.upper for t in tail])
+    m = float(np.quantile(t.upper, 0.25)) if probe_m is None else float(probe_m)
+    ordered = family.above(m if np.any(t.upper > m) else -np.inf)
+    tail = np.sort(ordered)  # member order
+    lows, his = t.lower[tail], t.upper[tail]
 
     # (A) lower-constant collapse at non-decreasing upper constant: against the
     # largest lower constant up to it in distortion order (EXPLOSION > 1, so no
     # member collapses against its own)
-    by_upper = lows[sorted(range(len(tail)), key=lambda i: (his[i], str(tail[i].param)))]
+    by_upper = t.lower[ordered]
     collapsed = by_upper[by_upper * EXPLOSION <= np.maximum.accumulate(by_upper)]
     witness_lo = float(collapsed.min()) if collapsed.size else None
     if witness_lo is None and lows.size >= 4:
@@ -532,7 +520,7 @@ def classify_expansiveness(family: AutomorphismFamily,
             witness_lo = float(lows[argmin])
 
     # (B) log-log decay of the lower constant along the tail
-    if witness_lo is None and len(tail) >= 3:
+    if witness_lo is None and tail.size >= 3:
         logs_u, logs_l = np.log(his), np.log(lows)
         if logs_u.max() - logs_u.min() > math.log(1.5):
             if float(np.polyfit(logs_u, logs_l, 1)[0]) <= SLOPE_THRESHOLD:
@@ -540,22 +528,22 @@ def classify_expansiveness(family: AutomorphismFamily,
 
     if witness_lo is not None:
         # deterministic tie-break: smallest lower constant, then last parameter
-        chosen = max((t for t in tail if t.lower <= witness_lo * (1 + 1e-12)),
-                     key=lambda t: str(t.param))
-        return ExpansivenessVerdict("non_expanding", m, chosen.param,
-                                    (chosen.lower, chosen.upper))
+        chosen = max(tail[lows <= witness_lo * (1 + 1e-12)].tolist(),
+                     key=lambda i: str(family.params[i]))
+        return ExpansivenessVerdict("non_expanding", m, family.params[chosen],
+                                    (float(t.lower[chosen]), float(t.upper[chosen])))
 
     # distinguish an envelope-compatible tail from one with lower-constant ties:
     # a group runs from its smallest lower constant lo to every one <= lo * (1 + TIE_RTOL)
     order = np.argsort(lows, kind="stable")
     lows, his = lows[order], his[order]
     i = 0
-    while i < len(tail):
+    while i < tail.size:
         end = int(np.searchsorted(lows, lows[i] * (1 + TIE_RTOL), side="right"))
         if his[i:end].max() >= EXPLOSION * his[i:end].min():
             return ExpansivenessVerdict("expanding", m)
         i = end
-    envelope = _monotone_concave_majorant([(t.lower, t.upper) for t in tail])
+    envelope = _monotone_concave_majorant(list(zip(lows.tolist(), his.tolist())))
     return ExpansivenessVerdict("uniformly_expanding", m, envelope=envelope)
 
 
@@ -603,8 +591,7 @@ def band_mass_profile(family: AutomorphismFamily, envelope: Callable[[float], fl
                     [a0], [a1], cells_per_axis=4)
             values[i] = total
     else:
-        uppers = np.array([m.upper for m in family.members])
-        masses = np.array([m.weight for m in family.members])
+        uppers, masses = family.members.upper, family.members.weights
         for i, t in enumerate(ts):
             hi = float(envelope(float(c * t)))
             mask = (uppers >= t) & (uppers <= hi)

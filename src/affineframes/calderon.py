@@ -16,13 +16,14 @@ import numpy as np
 
 from . import quadrature
 # bench/tracer.py wraps lipschitz_constants in this namespace as well
-from .automorphisms import AutomorphismFamily, lipschitz_constants  # noqa: F401
+from .automorphisms import AutomorphismFamily, line_action, lipschitz_constants  # noqa: F401
 from .errors import RejectedInputError, SingularPointError
 from .metric_lattice import GABOR_PRODUCT
 from .profiles import FrequencyProfile, support_radii
 
 DIVERGENCE_CAP = 1e12
 DIVERGENCE_GROWTH = 1.5
+_ORBIT_BLOCK = 1 << 14  # (member, frequency) orbit images built at once
 
 
 @dataclass(frozen=True)
@@ -59,23 +60,23 @@ def _check_profile_dim(family: AutomorphismFamily, pts: np.ndarray) -> None:
         raise RejectedInputError("profile dimension does not match the automorphism")
 
 
-def _mapped_points(auto, pts: np.ndarray) -> np.ndarray:
-    """Orbit image of profile-side points under one automorphism, which must
-    stay within float range."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if pts.shape[1] < auto.dim:
-            scale, offset = auto.line_action()
-            out = pts * scale + offset
-        else:
-            out = auto.apply(pts)
-    if not np.isfinite(out).all():
-        raise RejectedInputError("orbit image of a frequency overflows a float")
-    return out
-
-
-def _check_not_identity(family: AutomorphismFamily, pts: np.ndarray) -> None:
-    if family.metric.kind != GABOR_PRODUCT and np.any(family.metric.norm(pts) == 0.0):
-        raise SingularPointError("orbit sum requested at the identity frequency")
+def _orbit_squares(psihat, matrices: np.ndarray, pts: np.ndarray):
+    """(rows, values) blocks of at most _ORBIT_BLOCK values (or one row), in
+    member order: the squared profile values at the orbit images of `pts`
+    under `matrices[rows]`, images which must stay within float range."""
+    step = max(1, _ORBIT_BLOCK // max(pts.shape[0], 1))
+    for i in range(0, matrices.shape[0], step):
+        block = matrices[i:i + step]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if pts.shape[1] < block.shape[-1]:
+                scale, offset = line_action(block)
+                mapped = pts * scale[:, None, None] + offset[:, None, None]
+            else:
+                mapped = np.matmul(pts, block.transpose(0, 2, 1))
+        if not np.isfinite(mapped).all():
+            raise RejectedInputError("orbit image of a frequency overflows a float")
+        values = psihat.evaluate(mapped.reshape(-1, mapped.shape[-1]))
+        yield slice(i, i + step), values.reshape(mapped.shape[:2]) ** 2
 
 
 def calderon_values(psihat: FrequencyProfile, family: AutomorphismFamily, points,
@@ -88,41 +89,43 @@ def calderon_values(psihat: FrequencyProfile, family: AutomorphismFamily, points
     if family.is_continuous:
         raise RejectedInputError("use calderon_sum for continuous families")
     pts = _frequencies(psihat, points)
-    members = [m for m in family.members if lower_cutoff is None or m.upper > lower_cutoff]
+    rows = (slice(None) if lower_cutoff is None
+            else np.flatnonzero(family.members.upper > lower_cutoff))
     _check_profile_dim(family, pts)
-    return _orbit_sum(psihat, members, pts, weighted)
+    return _orbit_sum(psihat, family, rows, pts, weighted)
 
 
-def _orbit_sum(psihat, members, pts: np.ndarray, weighted: bool) -> np.ndarray:
-    """Per frequency: the weighted squared profile values along the orbit of
-    `members`, each term times its jacobian when `weighted`."""
-    out = np.zeros(pts.shape[0])
-    for m in members:
-        w = m.weight * m.jacobian if weighted else m.weight
-        out += w * psihat.evaluate(_mapped_points(m.auto, pts)) ** 2
-    return out
+def _orbit_sum(psihat, family, rows, pts: np.ndarray, weighted: bool) -> np.ndarray:
+    """Per frequency: the weighted squared profile values along the orbit of the
+    member `rows`, added in row order, each times its jacobian when `weighted`."""
+    t = family.members
+    w = t.weights[rows] * t.jacobians[rows] if weighted else t.weights[rows]
+    out = np.zeros((1, pts.shape[0]))
+    for block, squares in _orbit_squares(psihat, t.matrices[rows], pts):
+        # a running sum down the rows from +0.0, term by term: never pairwise
+        out = np.add.accumulate(np.concatenate([out, w[block, None] * squares]))[-1:]
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
 # Truncation certificates
 # ---------------------------------------------------------------------------
 
-def _integer_family_certificate(psihat, family, pts: np.ndarray) -> np.ndarray:
-    """Per frequency: True when terms beyond both declared ends provably vanish.
+def _integer_family_certificate(psihat, family, norms: np.ndarray) -> np.ndarray:
+    """Per frequency norm: True when terms beyond both declared ends provably vanish.
 
     For a power range base ** j the one-step distortion constants bound how
     the orbit distance evolves past each end: once the orbit provably stays
     outside the support circumradius (or inside its inradius) forever, the
     remaining terms are zero.
     """
-    first, last = family.members[0], family.members[-1]
-    cb = family.base_constants
+    t = family.members
+    b_lower, b_upper = family.base_constants
     rho_min, rho_max = support_radii(psihat, family.metric)
-    d = family.metric.norm(pts)
-    up_ok = (((cb.lower > 1.0) & (last.lower * d > rho_max))
-             | ((cb.upper < 1.0) & (last.upper * d < rho_min)))
-    down_ok = (((cb.upper < 1.0) & (first.lower * d > rho_max))
-               | ((cb.lower > 1.0) & (first.upper * d < rho_min)))
+    up_ok = (((b_lower > 1.0) & (t.lower[-1] * norms > rho_max))
+             | ((b_upper < 1.0) & (t.upper[-1] * norms < rho_min)))
+    down_ok = (((b_upper < 1.0) & (t.lower[0] * norms > rho_max))
+               | ((b_lower > 1.0) & (t.upper[0] * norms < rho_min)))
     return up_ok & down_ok
 
 
@@ -147,13 +150,20 @@ def calderon_sum(psihat: FrequencyProfile, family: AutomorphismFamily,
     integrate every frequency's parameter windows in one quadrature call.
     """
     pts = _frequencies(psihat, points)
-    _check_not_identity(family, pts)
+    norms = None  # the Gabor line has no identity to avoid
+    if family.metric.kind != GABOR_PRODUCT:
+        with np.errstate(over="ignore"):
+            norms = family.metric.norm(pts)
+        if not np.isfinite(norms).all():
+            raise RejectedInputError("metric norm of a frequency overflows a float")
+        if np.any(norms == 0.0):
+            raise SingularPointError("orbit sum requested at the identity frequency")
     if family.is_continuous:
         return _continuous_orbit_integrals(psihat, family, pts)
     values = calderon_values(psihat, family, pts)
-    certified, truncation = _atomic_certificate(psihat, family, pts)
-    ends = (family.members[0], family.members[-1])  # their terms estimate the tail
-    tails = np.where(certified, 0.0, _orbit_sum(psihat, ends, pts, False))
+    certified, truncation = _atomic_certificate(psihat, family, pts, norms)
+    ends = np.array([0, -1])  # the end members' terms estimate the tail
+    tails = np.where(certified, 0.0, _orbit_sum(psihat, family, ends, pts, False))
     return [CalderonEvaluation(x, v, truncation, t, c) for x, v, t, c in
             zip(pts, values.tolist(), tails.tolist(), certified.tolist())]
 
@@ -165,10 +175,10 @@ def _distortion_tail(psihat, family, rows, pts: np.ndarray,
     term; a term is the quadrature with `weights` of its squared profile
     values at the nodes `pts`."""
     _check_profile_dim(family, pts)
-    contributions = np.array([
-        m.weight * m.jacobian
-        * float(np.dot(weights, psihat.evaluate(_mapped_points(m.auto, pts)) ** 2))
-        for m in rows])
+    t = family.members
+    dots = np.concatenate([np.vecdot(weights, squares)
+                           for _, squares in _orbit_squares(psihat, t.matrices[rows], pts)])
+    contributions = t.weights[rows] * t.jacobians[rows] * dots
     n = len(rows)
     sizes = sorted({max(1, n // 4), max(1, n // 2), n})
     sums = tuple(float(np.sum(contributions[:k])) for k in sizes)
@@ -179,12 +189,13 @@ def _distortion_tail(psihat, family, rows, pts: np.ndarray,
     return divergent, sums, tuple(sizes)
 
 
-def _atomic_certificate(psihat, family, pts: np.ndarray) -> tuple[np.ndarray, dict]:
+def _atomic_certificate(psihat, family, pts: np.ndarray,
+                        norms: np.ndarray | None) -> tuple[np.ndarray, dict]:
     if family.base is not None:
-        ok = _integer_family_certificate(psihat, family, pts)
+        ok = _integer_family_certificate(psihat, family, norms)
         return ok, {"kind": "integer_range", "j_min": family.params[0],
                     "j_max": family.params[-1]}
-    terms = len(family.members)
+    terms = len(family.params)
     if family.metric.kind == GABOR_PRODUCT:
         return (_gabor_window_covered(psihat, family, pts),
                 {"kind": "shift_atoms", "terms": terms})
@@ -205,7 +216,7 @@ def _continuous_orbit_integrals(psihat, family, pts: np.ndarray) -> list[Caldero
     positive axis decide coverage and price the uncovered mass at the domain
     boundary.  Each frequency adds its window integrals left to right, in
     profile-piece order."""
-    if family.members[0].auto.dim != 1:
+    if family.members.matrices.shape[-1] != 1:
         raise RejectedInputError(
             "continuous orbit integrals support one-dimensional dilation families")
     if psihat.dim != 1:
@@ -216,7 +227,7 @@ def _continuous_orbit_integrals(psihat, family, pts: np.ndarray) -> list[Caldero
     u0, u1 = edges[:-1], edges[1:]
     probes = np.stack([u0, 0.5 * (u0 + u1), u1 - 1e-12 * (u1 - u0)], axis=1)
     live = np.any(psihat.evaluate(probes.reshape(-1, 1)).reshape(-1, 3) != 0.0, axis=1)
-    # (n_xi, n_pieces) parameter windows; xi != 0 after _check_not_identity
+    # (n_xi, n_pieces) parameter windows; xi != 0 after calderon_sum's norm check
     q0, q1 = u0[live] / xi[:, None], u1[live] / xi[:, None]
     a0, a1 = np.where(xi[:, None] > 0, q0, q1), np.where(xi[:, None] > 0, q1, q0)
     w0, w1 = np.maximum(a0, lo_d), np.minimum(a1, hi_d)
@@ -273,7 +284,7 @@ def local_integrability_check(psihat: FrequencyProfile, family: AutomorphismFami
         raise RejectedInputError("local integrability check runs on atomic families")
 
     rows = family.above(M)
-    if not rows:
+    if not rows.size:
         return IntegrabilityReport("finite", 0.0, (0.0,), (0,), M)
 
     pts, weights = quadrature.tensor_nodes_weights(lo, hi, cells_per_axis=2 ** level)

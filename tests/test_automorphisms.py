@@ -11,6 +11,7 @@ from affineframes import config as cfg
 from affineframes import metric_lattice as ml
 from affineframes import runner
 from affineframes.errors import RejectedInputError
+from reference_members import _ref_above, _ref_line_action, _ref_members, constants, oracle_pairs
 
 SEED = 24680
 L2_1 = ml.euclidean_l2(1)
@@ -23,20 +24,20 @@ def test_jacobian_of_one_by_one_powers_is_exact():
     # det goes through exp(sum log|u_ii|) and comes out one ulp off 2 ** j
     for j in range(-60, 61):
         assert am.matrix_power([[2.0]], j).jacobian == 2.0 ** j
-    assert am.matrix_automorphism([[-3.0]]).jacobian == 3.0
+    assert am.Automorphism([[-3.0]]).jacobian == 3.0
 
 
 def test_jacobian_closed_forms():
     # the shearlet and Gabor-shift constructors fix their closed forms
     assert am.shearlet(4.0, 1.0).jacobian == 8.0
     assert am.shearlet(3.0, -2.0).jacobian == 3.0 ** 1.5
-    assert am.matrix_automorphism([[2.0, 0.0], [0.0, 0.5]]).jacobian == pytest.approx(1.0)
+    assert am.Automorphism([[2.0, 0.0], [0.0, 0.5]]).jacobian == pytest.approx(1.0)
     assert am.gabor_shift(0.7).jacobian == 1.0
 
 
 def test_singular_matrix_rejected_at_construction():
     with pytest.raises(RejectedInputError):
-        am.matrix_automorphism([[1.0, 1.0], [1.0, 1.0]])
+        am.Automorphism([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(RejectedInputError):  # negative powers invert the base
         am.matrix_power([[0.0]], -1)
 
@@ -44,21 +45,22 @@ def test_singular_matrix_rejected_at_construction():
 def test_apply_inverse_roundtrip():
     rng = np.random.default_rng(SEED)
     autos = [am.shearlet(4.0, 1.5), am.matrix_power([[2.0, 0.0], [0.0, 0.5]], 5),
-             am.gabor_shift(0.8), am.matrix_automorphism(rng.normal(size=(3, 3)))]
+             am.gabor_shift(0.8), am.Automorphism(rng.normal(size=(3, 3)))]
     for auto in autos:
-        pts = rng.normal(size=(1000, auto.dim))
-        back = auto.inverse_apply(auto.apply(pts))
+        pts = rng.normal(size=(1000, auto.matrix.shape[0]))
+        back = auto.inverse_apply(pts @ auto.matrix.T)
         assert np.max(np.abs(back - pts)) < 1e-12 * max(1.0, np.max(np.abs(pts)))
 
 
 def test_singular_values_match_svd_reference():
+    # the L2 constants of a stack are its smallest and largest singular values
     rng = np.random.default_rng(SEED)
     for dim in (2, 3, 4, 6, 8):
-        for _ in range(10):
-            m = rng.normal(size=(dim, dim))
-            mine = am.singular_values(m)
-            ref = np.sort(np.linalg.svd(m, compute_uv=False))
-            assert np.allclose(mine, ref, rtol=1e-10, atol=1e-12)
+        m = rng.normal(size=(10, dim, dim))
+        lower, upper = am.lipschitz_constants(m, np.linalg.inv(m), ml.euclidean_l2(dim))
+        ref = np.linalg.svd(m, compute_uv=False)
+        assert np.allclose(upper, ref[:, 0], rtol=1e-10, atol=1e-12)
+        assert np.allclose(lower, ref[:, -1], rtol=1e-10, atol=1e-12)
 
 
 def test_one_by_one_constants_are_the_entry_beyond_the_squared_range():
@@ -66,17 +68,17 @@ def test_one_by_one_constants_are_the_entry_beyond_the_squared_range():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fam = am.matrix_power_family([[2.0]], 500, 520, L2_1)
-        m = fam.member(512)
-        assert (m.lower, m.upper) == (2.0 ** 512, 2.0 ** 512)
-        assert all(np.isfinite([m.lower, m.upper]).all() for m in fam.members)
+        t, i = fam.members, fam.params.index(512)
+        assert (t.lower[i], t.upper[i]) == (2.0 ** 512, 2.0 ** 512)
+        assert np.isfinite(t.lower).all() and np.isfinite(t.upper).all()
 
 
 def test_lipschitz_closed_forms():
-    c = am.lipschitz_constants(am.matrix_automorphism([[2.0, 0.0], [0.0, 3.0]]), L2_2)
+    c = constants(am.Automorphism([[2.0, 0.0], [0.0, 3.0]]), L2_2)
     assert (c.lower, c.upper) == pytest.approx((2.0, 3.0))
-    c = am.lipschitz_constants(am.gabor_shift(0.5), GABOR)
+    c = constants(am.gabor_shift(0.5), GABOR)
     assert (c.lower, c.upper) == pytest.approx((2.0 / 3.0, 1.5))
-    c = am.lipschitz_constants(am.shearlet(4.0, 0.0), L2_2)
+    c = constants(am.shearlet(4.0, 0.0), L2_2)
     assert (c.lower, c.upper) == pytest.approx((2.0, 4.0))
 
 
@@ -95,7 +97,7 @@ def test_constants_of_scaled_isometries_are_never_inverted(c, dim, linf, seed):
     else:
         q = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
     metric = (ml.euclidean_linf if linf else ml.euclidean_l2)(dim)
-    k = am.lipschitz_constants(am.matrix_automorphism(c * q), metric)
+    k = constants(am.Automorphism(c * q), metric)
     assert 0 < k.lower <= k.upper
 
 
@@ -114,7 +116,7 @@ def test_l2_constants_of_ill_conditioned_powers_match_svd(a, b, sign_a, sign_d, 
     # powers of a triangular base with a unit eigenvalue reach cond ~ 1e16, where
     # the smallest Gram eigenvalue of the matrix is rounding noise
     auto = am.matrix_power([[sign_a * a, b], [0.0, sign_d]], j)
-    c = am.lipschitz_constants(auto, L2_2)
+    c = constants(auto, L2_2)
     sv = np.linalg.svd(auto.matrix, compute_uv=False)
     assert c.lower == pytest.approx(sv[-1], rel=1e-12, abs=0.0)
     assert c.upper == pytest.approx(sv[0], rel=1e-12, abs=0.0)
@@ -129,20 +131,20 @@ def test_shearlet_l2_bounds_match_exact_singular_values(a, s):
     t = a + s * s + 1.0
     disc = math.sqrt((a - 1.0) ** 2 + s * s * (s * s + 2.0 * (a + 1.0)))
     upper = math.sqrt(0.5 * a * (t + disc))
-    c = am.lipschitz_constants(am.shearlet(a, s), L2_2)
+    c = constants(am.shearlet(a, s), L2_2)
     assert c.upper == pytest.approx(upper, rel=1e-12, abs=0.0)
     assert c.lower == pytest.approx(a ** 1.5 / upper, rel=1e-12, abs=0.0)
 
 
 def test_gabor_product_rejects_other_automorphisms():
     # only the shift form [[1, x], [0, 1]] is a Gabor shift
-    for auto in (am.matrix_automorphism([[2.0]]), am.shearlet(2.0, 1.0),
+    for auto in (am.Automorphism([[2.0]]), am.shearlet(2.0, 1.0),
                  am.matrix_power([[2.0, 0.0], [0.0, 3.0]], 2),
-                 am.matrix_automorphism([[1.0, 0.5], [0.25, 1.0]]),
-                 am.matrix_automorphism([[1.0, 0.5], [0.0, 2.0]]),
-                 am.matrix_automorphism([[-1.0, 0.5], [0.0, 1.0]])):
+                 am.Automorphism([[1.0, 0.5], [0.25, 1.0]]),
+                 am.Automorphism([[1.0, 0.5], [0.0, 2.0]]),
+                 am.Automorphism([[-1.0, 0.5], [0.0, 1.0]])):
         with pytest.raises(RejectedInputError):
-            am.lipschitz_constants(auto, GABOR)
+            constants(auto, GABOR)
 
 
 def test_linf_closed_form_vs_oracle_exact_at_corners():
@@ -152,18 +154,18 @@ def test_linf_closed_form_vs_oracle_exact_at_corners():
         m = rng.normal(size=(2, 2))
         if abs(np.linalg.det(m)) < 0.05:
             continue
-        autos.append(am.matrix_automorphism(m))
-    oracle = am.lipschitz_oracle(autos, LINF_2, n_directions=2000)
+        autos.append(am.Automorphism(m))
+    oracle = oracle_pairs(autos, LINF_2, n_directions=2000)
     for auto, (o_lo, o_hi) in zip(autos, oracle):
-        c = am.lipschitz_constants(auto, LINF_2)
+        c = constants(auto, LINF_2)
         assert c.upper == pytest.approx(o_hi, rel=1e-12)
         assert c.lower == pytest.approx(o_lo, rel=1e-12)
 
 
 def test_gabor_oracle_brackets_closed_form():
     auto = am.gabor_shift(0.8)
-    [(o_lo, o_hi)] = am.lipschitz_oracle([auto], GABOR)
-    c = am.lipschitz_constants(auto, GABOR)
+    [(o_lo, o_hi)] = oracle_pairs([auto], GABOR)
+    c = constants(auto, GABOR)
     assert c.lower <= o_lo + 1e-12 and o_hi <= c.upper + 1e-12
     assert o_hi == pytest.approx(c.upper, rel=1e-9)
     assert o_lo == pytest.approx(c.lower, rel=1e-9)
@@ -173,13 +175,13 @@ def test_distortion_sandwich_on_samples():
     # lower * d <= d(image) <= upper * d over many sampled frequencies
     rng = np.random.default_rng(SEED)
     cases = [(am.shearlet(4.0, 1.0), L2_2), (am.matrix_power([[2.0, 0.0], [0.0, 0.5]], 3), LINF_2),
-             (am.matrix_automorphism([[1.0, 0.4], [-0.2, 0.7]]), L2_2)]
+             (am.Automorphism([[1.0, 0.4], [-0.2, 0.7]]), L2_2)]
     for auto, metric in cases:
-        c = am.lipschitz_constants(auto, metric)
+        c = constants(auto, metric)
         lo, hi = c.lower, c.upper
         pts = rng.normal(size=(10000, metric.dim))
         d0 = metric.norm(pts)
-        d1 = metric.norm(auto.apply(pts))
+        d1 = metric.norm(pts @ auto.matrix.T)
         assert np.all(d1 <= hi * d0 * (1 + 1e-9))
         assert np.all(d1 >= lo * d0 * (1 - 1e-9))
 
@@ -187,7 +189,7 @@ def test_distortion_sandwich_on_samples():
 def test_gabor_distortion_sandwich_on_integer_slices():
     rng = np.random.default_rng(SEED)
     auto = am.gabor_shift(0.6)
-    c = am.lipschitz_constants(auto, GABOR)
+    c = constants(auto, GABOR)
     lo, hi = c.lower, c.upper
     xs = rng.uniform(-5, 5, size=10000)
     ks = rng.integers(-4, 5, size=10000).astype(float)
@@ -195,7 +197,7 @@ def test_gabor_distortion_sandwich_on_integer_slices():
     keep = GABOR.norm(pts) > 0
     pts = pts[keep]
     d0 = GABOR.norm(pts)
-    d1 = GABOR.norm(auto.apply(pts))
+    d1 = GABOR.norm(pts @ auto.matrix.T)
     assert np.all(d1 <= hi * d0 * (1 + 1e-9))
     assert np.all(d1 >= lo * d0 * (1 - 1e-9))
 
@@ -206,10 +208,10 @@ def test_inverse_constants_inequality():
         m = rng.normal(size=(2, 2))
         if abs(np.linalg.det(m)) < 0.05:
             continue
-        auto = am.matrix_automorphism(m)
+        auto = am.Automorphism(m)
         for metric in (L2_2, LINF_2):
-            c = am.lipschitz_constants(auto, metric)
-            ci = am.lipschitz_constants(am.matrix_automorphism(auto.inv_matrix), metric)
+            c = constants(auto, metric)
+            ci = constants(am.Automorphism(auto.inv_matrix), metric)
             assert ci.lower >= 1.0 / c.upper - 1e-9
             assert ci.upper <= 1.0 / c.lower + 1e-9
 
@@ -220,12 +222,12 @@ def test_ball_inclusion_sandwich():
     metric = L2_2
     for _ in range(30):
         auto = am.shearlet(float(rng.uniform(0.5, 6.0)), float(rng.uniform(-3, 3)))
-        c = am.lipschitz_constants(auto, metric)
+        c = constants(auto, metric)
         lo, hi = c.lower, c.upper
         for _ in range(33):
             center = rng.normal(size=2)
             r = float(rng.uniform(0.1, 2.0))
-            image_center = auto.apply(center)
+            image_center = center @ auto.matrix.T
             dirs = rng.normal(size=(1000, 2))
             dirs /= metric.norm(dirs)[:, None]
             radii = rng.uniform(0, 1, size=(1000, 1))
@@ -233,7 +235,7 @@ def test_ball_inclusion_sandwich():
             pre = auto.inverse_apply(inner_pts)
             assert np.all(metric.norm(pre - center) < r * (1 + 1e-9))
             ball_pts = center + dirs * radii * r
-            image_pts = auto.apply(ball_pts)
+            image_pts = ball_pts @ auto.matrix.T
             assert np.all(metric.norm(image_pts - image_center)
                           <= hi * r * (1 + 1e-9))
 
@@ -261,19 +263,21 @@ def test_measure_scaling_of_deformed_balls():
 
 def test_family_constants_positive_and_ordered():
     fam = am.shearlet_grid_family([1, 2, 4], range(-3, 4), L2_2)
-    for m in fam.members:
-        assert 0 < m.lower <= m.upper
+    assert np.all((0 < fam.members.lower) & (fam.members.lower <= fam.members.upper))
 
 
 def _assert_table_matches_recomputation(fam):
-    assert [m.param for m in fam.members] == list(fam.params)
-    for m in fam.members:
-        auto = fam.generator(*m.param) if isinstance(m.param, tuple) else fam.generator(m.param)
-        c = am.lipschitz_constants(auto, fam.metric)
-        assert np.array_equal(m.auto.matrix, auto.matrix)
-        assert (m.lower, m.upper) == (c.lower, c.upper)
-        assert m.jacobian == auto.jacobian
-        assert m.weight == fam.weight_of(m.param)
+    """Every array of the member table == the member records built one by one."""
+    t, ref = fam.members, _ref_members(fam)
+    assert len(t.autos) == len(fam.params) == len(ref)
+    for auto, m in zip(t.autos, ref):
+        assert np.array_equal(auto.matrix, m.auto.matrix)
+    assert np.array_equal(t.matrices, np.stack([m.auto.matrix for m in ref]))
+    assert np.array_equal(t.inverses, np.stack([m.auto.inv_matrix for m in ref]))
+    assert t.jacobians.tolist() == [m.jacobian for m in ref]
+    assert t.lower.tolist() == [m.lower for m in ref]
+    assert t.upper.tolist() == [m.upper for m in ref]
+    assert t.weights.tolist() == [m.weight for m in ref]
 
 
 def test_family_table_matches_per_parameter_recomputation_on_bundled_families():
@@ -287,14 +291,21 @@ def test_family_table_matches_per_parameter_recomputation_on_bundled_families():
     assert checked >= 5
 
 
-def test_family_table_built_once_and_shared_by_restrictions():
+def test_family_table_built_once_and_shared_by_restrictions(monkeypatch):
     fam = am.matrix_power_family([[2.0]], -10, 10, L2_1)
     assert fam.members is fam.members
-    sub = fam.restrict(lambda _p, _lo, hi: hi > 4.0)
+    built = []
+    post_init = am.Automorphism.__post_init__
+    monkeypatch.setattr(am.Automorphism, "__post_init__",
+                        lambda self: built.append(1) or post_init(self))
+    sub = fam.restrict(fam.members.upper > 4.0)
+    assert built == []
     assert list(sub.params) == list(range(3, 11))
-    assert all(a is b for a, b in zip(sub.members, fam.members[13:]))
-    assert fam.member(3) is fam.members[13]
-    with pytest.raises(RejectedInputError):
+    assert all(a is b for a, b in zip(sub.members.autos, fam.members.autos[13:]))
+    for name in ("matrices", "inverses", "jacobians", "lower", "upper", "weights"):
+        assert np.array_equal(getattr(sub.members, name), getattr(fam.members, name)[13:])
+    assert fam.member(3) is fam.members.autos[13]
+    with pytest.raises(RejectedInputError, match="parameter 11 is not in the family"):
         fam.member(11)
 
 
@@ -317,15 +328,119 @@ def test_matrix_power_table_property(dim, j_min, span, entries, metric_kind):
     _assert_table_matches_recomputation(fam)
 
 
+def _raised(call):
+    """What a call returns, or the type and message of the input error it raises."""
+    try:
+        return call()
+    except RejectedInputError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def member_families(draw):
+    """A power, shearlet, Gabor or matrix-atom family, in L2 or L-infinity (Gabor
+    shifts in their product metric), with weights that vary by member.  One
+    draw in four is faulty: a member overflows, turns singular, changes
+    dimension or is refused a weight, to pin which member raises first."""
+    kind = draw(st.sampled_from(["power", "shearlet", "gabor", "atoms"]))
+    faulty = draw(st.integers(0, 3)) == 0
+    dim = 2 if kind == "shearlet" else draw(st.integers(1, 3))
+    metric = (ml.gabor_product() if kind == "gabor" else
+              ml.MetricSpace(draw(st.sampled_from([ml.EUCLIDEAN_L2, ml.EUCLIDEAN_LINF])), dim))
+    entries = st.floats(-3.0, 3.0)
+    if kind == "power":
+        base = (np.array(draw(st.lists(entries, min_size=dim * dim, max_size=dim * dim)))
+                .reshape(dim, dim) + 1.5 * np.eye(dim))
+        if faulty and dim == 1:  # a power that overflows or underflows names its exponent
+            base *= draw(st.sampled_from([1e120, 1e-120]))
+        j_min = draw(st.integers(-4, 2))
+        fam = am.matrix_power_family(base, j_min, j_min + draw(st.integers(0, 6)), metric)
+    elif kind == "shearlet":  # s and -s tie on their constants, in either member order
+        a_values = draw(st.lists(st.floats(0.25, 8.0), min_size=1, max_size=4))
+        if faulty:
+            a_values.insert(draw(st.integers(0, len(a_values))), -1.0)
+        s_values = draw(st.lists(entries, min_size=1, max_size=3))
+        fam = am.shearlet_grid_family(a_values, s_values + [-s for s in s_values], metric)
+    elif kind == "gabor":
+        p_min, step = draw(st.floats(-6.0, 0.0)), draw(st.sampled_from([0.25, 0.5, 1.0]))
+        fam = am.gabor_shift_family(p_min + step * np.arange(draw(st.integers(1, 12))))
+    else:
+        mats = [np.array(draw(st.lists(entries, min_size=dim * dim, max_size=dim * dim)))
+                .reshape(dim, dim) for _ in range(draw(st.integers(1, 8)))]
+        for _ in range(draw(st.integers(1, 2)) if faulty else 0):  # singular or larger
+            mats[draw(st.integers(0, len(mats) - 1))] = draw(st.sampled_from(
+                [np.zeros((dim, dim)), np.eye(dim + 1)]))
+        fam = am.AutomorphismFamily(tuple(range(len(mats))), lambda i: am.Automorphism(mats[i]),
+                                    lambda i: 1.0, metric)
+    refused = {draw(st.sampled_from(fam.params))} if faulty and draw(st.booleans()) else set()
+    c = draw(st.floats(0.25, 2.0))
+
+    def weight(*param):
+        key = param if len(param) > 1 else param[0]
+        if key in refused:
+            raise RejectedInputError(f"no weight at {key!r}")
+        return 1.0 + c * abs(float(np.sum(key)))
+
+    return am.AutomorphismFamily(fam.params, fam.generator, weight, fam.metric, base=fam.base)
+
+
+def _ref_band_mass_values(family, envelope, c, ts):
+    """The atomic band masses as they stood, from the member records."""
+    rows = _ref_members(family)
+    uppers = np.array([m.upper for m in rows])
+    masses = np.array([m.weight for m in rows])
+    values = np.empty(len(ts))
+    for i, t in enumerate(ts):
+        hi = float(envelope(float(c * t)))
+        values[i] = float(np.sum(masses[(uppers >= t) & (uppers <= hi)]))
+    return values.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(fam=member_families(), data=st.data())
+def test_member_table_matches_per_member_reference(fam, data):
+    ref, table = _raised(lambda: _ref_members(fam)), _raised(lambda: fam.members)
+    if isinstance(ref, tuple):  # the same member raises first, with the same error
+        assert table == ref
+        return
+    _assert_table_matches_recomputation(fam)
+    t = fam.members
+    if fam.metric.kind == ml.GABOR_PRODUCT or fam.metric.dim == 1:
+        scale, offset = am.line_action(t.matrices)
+        assert (list(zip(scale.tolist(), offset.tolist()))
+                == [_ref_line_action(m.auto) for m in ref])
+    # the distortion order, at a constant or between two of them
+    uppers = sorted({m.upper for m in ref})
+    M = data.draw(st.sampled_from(uppers + [0.5 * uppers[0]]
+                                  + [0.5 * (a + b) for a, b in zip(uppers, uppers[1:])]))
+    assert ([(fam.params[i], t.upper[i]) for i in fam.above(M).tolist()]
+            == [(m.param, m.upper) for m in _ref_above(fam, M)])
+    keep = data.draw(st.lists(st.booleans(), min_size=len(ref), max_size=len(ref)))
+    kept = [m for m, k in zip(ref, keep) if k]
+    sub = _raised(lambda: fam.restrict(np.array(keep)))
+    if not kept:
+        assert sub == (RejectedInputError, "restriction removed every parameter")
+    else:
+        assert sub.params == tuple(m.param for m in kept)
+        assert sub.members.upper.tolist() == [m.upper for m in kept]
+        assert sub.members.weights.tolist() == [m.weight for m in kept]
+        assert np.array_equal(sub.members.matrices, np.stack([m.auto.matrix for m in kept]))
+    assert (_verdict_fields(am.classify_expansiveness, fam, None)
+            == _verdict_fields(_reference_classify, fam, None))
+    ts = np.array(uppers[:4])
+    assert (am.band_mass_profile(fam, lambda x: x, 2.0, ts, ts[0]).values.tolist()
+            == _ref_band_mass_values(fam, lambda x: x, 2.0, ts))
+
+
 @settings(max_examples=40, deadline=None)
 @given(dim=st.integers(1, 3), entries=st.lists(st.floats(-3.0, 3.0), min_size=9, max_size=9),
        metric_kind=st.sampled_from([ml.EUCLIDEAN_L2, ml.EUCLIDEAN_LINF]))
 def test_closed_form_constants_bracket_oracle_property(dim, entries, metric_kind):
     m = np.array(entries[:dim * dim]).reshape(dim, dim)
     assume(abs(np.linalg.det(m)) > 1e-3 and np.linalg.cond(m) < 100.0)
-    auto, metric = am.matrix_automorphism(m), ml.MetricSpace(metric_kind, dim)
-    closed = am.lipschitz_constants(auto, metric)
-    [(o_lo, o_hi)] = am.lipschitz_oracle([auto], metric, n_directions=2000)
+    auto, metric = am.Automorphism(m), ml.MetricSpace(metric_kind, dim)
+    closed = constants(auto, metric)
+    [(o_lo, o_hi)] = oracle_pairs([auto], metric, n_directions=2000)
     # the oracle only reports attained ratios, so the optimal constants enclose it
     assert closed.lower <= o_lo * (1 + 1e-12)
     assert closed.upper >= o_hi * (1 - 1e-12)
@@ -336,7 +451,7 @@ def _member_oracle(auto, metric, n_directions):
     if metric.kind == ml.GABOR_PRODUCT:
         return _member_oracle_gabor(auto, n_directions)
     rng = np.random.default_rng(am.ORACLE_SEED)
-    dim = auto.dim
+    dim = auto.matrix.shape[0]
     dirs = rng.normal(size=(n_directions, dim))
     corners = np.stack(np.meshgrid(*[(-1.0, 1.0)] * dim, indexing="ij"),
                        axis=-1).reshape(-1, dim)
@@ -346,7 +461,7 @@ def _member_oracle(auto, metric, n_directions):
     norms = metric.norm(dirs)
     keep = norms > 1e-12
     dirs = dirs[keep] / norms[keep][:, None]
-    ratios = metric.norm(auto.apply(dirs))
+    ratios = metric.norm(dirs @ auto.matrix.T)
     return float(np.min(ratios)), float(np.max(ratios))
 
 
@@ -362,8 +477,8 @@ def _member_oracle_gabor(auto, n_points):
 
 def _member_power_iteration(auto, rng):
     gram = auto.matrix.T @ auto.matrix
-    grow = rng.normal(size=auto.dim)
-    shrink = rng.normal(size=auto.dim)
+    grow = rng.normal(size=auto.matrix.shape[0])
+    shrink = rng.normal(size=auto.matrix.shape[0])
     for _ in range(60):
         grow = gram @ grow
         grow /= np.linalg.norm(grow)
@@ -392,15 +507,15 @@ def test_family_oracle_matches_member_by_member_reference(seed, dim, n_members, 
         v, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
         log_sigma = (np.linspace(-0.5, 0.5, dim) * rng.uniform(0.0, log_cond)
                      + rng.uniform(-3.0, 3.0))
-        autos.append(am.matrix_automorphism(u @ np.diag(np.exp(log_sigma)) @ v))
+        autos.append(am.Automorphism(u @ np.diag(np.exp(log_sigma)) @ v))
     metric = ml.MetricSpace(metric_kind, dim)
-    assert am.lipschitz_oracle(autos, metric, n_directions=n_directions) == [
+    assert oracle_pairs(autos, metric, n_directions=n_directions) == [
         _member_oracle(auto, metric, n_directions) for auto in autos]
 
 
 def test_family_oracle_matches_member_by_member_reference_on_gabor_shifts():
     autos = [am.gabor_shift(p) for p in np.linspace(-3.0, 3.0, 13)]
-    assert am.lipschitz_oracle(autos, GABOR, n_directions=5000) == [
+    assert oracle_pairs(autos, GABOR, n_directions=5000) == [
         _member_oracle(auto, GABOR, 5000) for auto in autos]
 
 
@@ -520,7 +635,7 @@ def test_band_mass_rejects_bad_inputs():
 
 def _reference_classify(family, probe_m=None):
     """classify_expansiveness as it stood, with a per-candidate loop for rule (A)."""
-    table = [(m.param, m.lower, m.upper) for m in family.members]
+    table = [(m.param, m.lower, m.upper) for m in _ref_members(family)]
     if not table:
         raise RejectedInputError("empty truncation")
     for _param, lo, hi in table:
@@ -599,17 +714,17 @@ def test_classify_matches_reference_property(seed, dim, metric_kind, n_members, 
     for i, j in rng.integers(n_members, size=(n_ties, 2)):
         mats[i] = -mats[j]
     fam = am.AutomorphismFamily(tuple(range(n_members)),
-                                lambda i: am.matrix_automorphism(mats[i]),
+                                lambda i: am.Automorphism(mats[i]),
                                 lambda i: 1.0, ml.MetricSpace(metric_kind, dim))
-    uppers = [m.upper for m in fam.members]
-    probe_m = None if probe_q is None else float(np.quantile(uppers, probe_q))
+    probe_m = None if probe_q is None else float(np.quantile(fam.members.upper, probe_q))
     assert (_verdict_fields(am.classify_expansiveness, fam, probe_m)
             == _verdict_fields(_reference_classify, fam, probe_m))
 
 
 def test_gabor_product_reads_any_shift_form_matrix_as_a_gabor_shift():
     for p in (0.0, 0.7, -2.5, 1e6):
-        shift, matrix = am.gabor_shift(p), am.matrix_automorphism([[1.0, -p], [0.0, 1.0]])
-        assert am.lipschitz_constants(matrix, GABOR) == am.lipschitz_constants(shift, GABOR)
+        shift, matrix = am.gabor_shift(p), am.Automorphism([[1.0, -p], [0.0, 1.0]])
+        assert constants(matrix, GABOR) == constants(shift, GABOR)
         assert matrix.jacobian == shift.jacobian == 1.0
-        assert matrix.line_action() == shift.line_action() == (1.0, -p)
+        scale, offset = am.line_action(np.stack([matrix.matrix, shift.matrix]))
+        assert scale.tolist() == [1.0, 1.0] and offset.tolist() == [-p, -p]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from affineframes import automorphisms as am
 from affineframes import calderon as cd
+from affineframes import cli
 from affineframes import quadrature
 from affineframes import config as cfg
 from affineframes import metric_lattice as ml
@@ -14,6 +16,7 @@ from affineframes import runner
 from affineframes.errors import RejectedInputError, SingularPointError
 from affineframes.profiles import (PiecewiseConstantProfile, SampledGridProfile,
                                    indicator_interval)
+from reference_members import _ref_above, _ref_members, constants
 
 L2_1 = ml.euclidean_l2(1)
 L2_2 = ml.euclidean_l2(2)
@@ -167,8 +170,8 @@ def test_partition_additivity_under_shared_truncation():
     fam = am.matrix_power_family([[2.0, 0.0], [0.0, 0.5]], -10, 10, ml.euclidean_linf(2))
     xi = np.array([0.6, 0.35])
     M = 4.5  # avoids ties with the attained distortion values
-    low = fam.restrict(lambda _p, _lo, hi: hi < M)
-    high = fam.restrict(lambda _p, _lo, hi: hi >= M)
+    low = fam.restrict(fam.members.upper < M)
+    high = fam.restrict(fam.members.upper >= M)
     for weighted in (False, True):
         full_v = cd.calderon_values(RING_2D, fam, xi[None, :], weighted=weighted)[0]
         parts = (cd.calderon_values(RING_2D, low, xi[None, :], weighted=weighted)[0]
@@ -181,7 +184,7 @@ def test_tail_restriction_matches_weighted_restricted_sum():
     xi = 0.3
     M = 4.5
     tail = cd.calderon_values(SHANNON, fam, [[xi]], weighted=True, lower_cutoff=M)[0]
-    high = fam.restrict(lambda _p, _lo, hi: hi > M)
+    high = fam.restrict(fam.members.upper > M)
     direct = cd.calderon_values(SHANNON, high, np.array([[xi]]), weighted=True)[0]
     assert tail == direct
 
@@ -288,8 +291,8 @@ def test_local_integrability_box_containing_identity_rejected():
 def _ref_mapped_points(family, m, pts):
     if family.metric.kind == ml.GABOR_PRODUCT:  # every member is the shift by its parameter
         return pts * 1.0 + -float(m.param)
-    if pts.shape[1] == m.auto.dim:
-        return m.auto.apply(pts)
+    if pts.shape[1] == m.auto.matrix.shape[0]:
+        return pts @ m.auto.matrix.T
     raise RejectedInputError("profile dimension does not match the automorphism")
 
 
@@ -298,7 +301,7 @@ def _ref_calderon_values(psihat, family, points, weighted=False, lower_cutoff=No
         raise RejectedInputError("use calderon_sum for continuous families")
     pts = cd._frequencies(psihat, points)
     out = np.zeros(pts.shape[0])
-    for m in family.members:
+    for m in _ref_members(family):
         if lower_cutoff is not None and m.upper <= lower_cutoff:
             continue
         term = psihat.evaluate(_ref_mapped_points(family, m, pts)) ** 2
@@ -309,7 +312,8 @@ def _ref_calderon_values(psihat, family, points, weighted=False, lower_cutoff=No
 
 def _ref_edge_tail_estimate(psihat, family, pts, weighted=False):
     est = np.zeros(pts.shape[0])
-    for m in (family.members[0], family.members[-1]):
+    rows = _ref_members(family)
+    for m in (rows[0], rows[-1]):
         w = m.weight * m.jacobian if weighted else m.weight
         est += w * psihat.evaluate(_ref_mapped_points(family, m, pts)) ** 2
     return est
@@ -333,7 +337,7 @@ def _ref_local_integrability_check(psihat, family, box_lo, box_hi, M, level=3):
         raise RejectedInputError("empty integration box")
     if np.all(lo <= 0.0) and np.all(hi >= 0.0):
         raise RejectedInputError("integration box must exclude the identity")
-    rows = family.above(M)
+    rows = _ref_above(family, M)
     if not rows:
         return cd.IntegrabilityReport("finite", 0.0, (0.0,), (0,), M)
     pts, weights = quadrature.tensor_nodes_weights(lo, hi, cells_per_axis=2 ** level)
@@ -408,7 +412,7 @@ def orbit_cases(draw):
         psihat = PiecewiseConstantProfile(np.stack([lo, right_lo]),
                                           np.stack([left_hi, lo + width]),
                                           np.array(values[:2]))
-    members = _outcome(lambda: fam.members)
+    members = _outcome(lambda: _ref_members(fam))
     if isinstance(members, type):
         members = ()
 
@@ -436,15 +440,29 @@ def test_orbit_routines_match_reference_bodies(case):
     assert _same_array(
         _outcome(lambda: cd.calderon_values(psihat, fam, pts, weighted, cutoff)),
         _outcome(lambda: _ref_calderon_values(psihat, fam, pts, weighted, cutoff)))
-    ends = _outcome(lambda: (fam.members[0], fam.members[-1]))
-    if not isinstance(ends, type):
-        assert _same_array(_outcome(lambda: cd._orbit_sum(psihat, ends, pts, weighted)),
+    if not isinstance(_outcome(lambda: fam.members), type):
+        ends = np.array([0, -1])
+        assert _same_array(_outcome(lambda: cd._orbit_sum(psihat, fam, ends, pts, weighted)),
                            _outcome(lambda: _ref_edge_tail_estimate(psihat, fam, pts,
                                                                     weighted)))
     assert (_outcome(lambda: cd.local_integrability_check(psihat, fam, box_lo, box_hi, M,
                                                           level=1))
             == _outcome(lambda: _ref_local_integrability_check(psihat, fam, box_lo, box_hi,
                                                                M, level=1)))
+
+
+def test_orbit_sum_adds_many_live_terms_in_member_order():
+    # powers of 1.05 keep all 41 members inside a wide sampled profile, so every
+    # frequency sums 41 terms of mixed size: a pairwise sum moves their last bits
+    fam = am.matrix_power_family([[1.05]], -20, 20, L2_1, weight=lambda j: 1.1 ** j)
+    psihat = SampledGridProfile(-40.0, 40.0, np.random.default_rng(5).uniform(0.1, 2.0, 81))
+    pts = np.linspace(0.3, 3.0, 400)[:, None]
+    for weighted in (False, True):
+        assert np.array_equal(cd.calderon_values(psihat, fam, pts, weighted),
+                              _ref_calderon_values(psihat, fam, pts, weighted))
+        for x in pts[::20]:  # one frequency at a time too
+            assert np.array_equal(cd.calderon_values(psihat, fam, x, weighted),
+                                  _ref_calderon_values(psihat, fam, x, weighted))
 
 
 def test_profile_of_another_dimension_needs_a_gabor_family():
@@ -463,8 +481,7 @@ def test_profile_of_another_dimension_needs_a_gabor_family():
 def test_certificate_step_constants_built_once_per_family(monkeypatch):
     fam = am.matrix_power_family([[2.0, 1.0], [0.0, 3.0]], -3, 3, L2_2)
     first = cd.calderon_sum(RING_2D, fam, [[0.6, 0.2]])
-    assert fam.base_constants == am.lipschitz_constants(am.matrix_power(fam.base, 1),
-                                                        fam.metric)
+    assert fam.base_constants == constants(am.matrix_power(fam.base, 1), fam.metric)
     built = []
     post_init = am.Automorphism.__post_init__
     monkeypatch.setattr(am.Automorphism, "__post_init__",
@@ -473,3 +490,31 @@ def test_certificate_step_constants_built_once_per_family(monkeypatch):
     cd.calderon_values(RING_2D, fam, [[0.6, 0.2]], weighted=True, lower_cutoff=1.0)
     assert built == []
     assert _evaluation_fields(again[0]) == _evaluation_fields(first[0])
+
+
+def test_frequency_norm_overflow_is_refused_without_a_warning(tmp_path, capsys):
+    # the L2 square of 1e300 overflows; the run used to warn and go on
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fam in (dyadic_family(), am.continuous_dilation_family(0.05, 200.0, 8, L2_1)):
+            with pytest.raises(RejectedInputError, match="norm of a frequency overflows"):
+                cd.calderon_sum(SHANNON, fam, [1e300, 2e300])
+            with pytest.raises(SingularPointError):  # the square underflows to 0
+                cd.calderon_sum(SHANNON, fam, 1e-200)
+        code = cli.main(["run", "shannon_onb", "--out", str(tmp_path),
+                         "--set", "analyses.0.segments=[[1e300,2e300]]"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: metric norm of a frequency overflows a float\n"
+
+
+def test_dyadic_orbit_sums_shift_with_the_power_range():
+    # 2 ** j * (2 xi) == 2 ** (j + 1) * xi exactly, so the range [-20, 20] at 2 xi
+    # adds the terms of [-19, 21] at xi in the same order; with jacobian
+    # weights every term of the shifted range carries one factor 2 more
+    u = np.linspace(-22.0, 22.0, 200)
+    xi = np.concatenate([-(2.0 ** u), 2.0 ** u])[:, None]
+    here, shifted = dyadic_family(-20, 20), dyadic_family(-19, 21)
+    assert np.array_equal(cd.calderon_values(SHANNON, here, 2.0 * xi),
+                          cd.calderon_values(SHANNON, shifted, xi))
+    assert np.array_equal(2.0 * cd.calderon_values(SHANNON, here, 2.0 * xi, weighted=True),
+                          cd.calderon_values(SHANNON, shifted, xi, weighted=True))

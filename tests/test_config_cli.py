@@ -314,7 +314,7 @@ def test_matrix_atoms_family_from_row_major_config(tmp_path):
     resolved = cfg.resolve_defaults(scenario)
     family = cfg.build_family(resolved)
     assert len(family.params) == 2
-    assert family.member(0).auto.matrix[1, 1] == 3.0
+    assert family.member(0).matrix[1, 1] == 3.0
     code, _report = runner.run_scenario(resolved, tmp_path)
     assert code == 0
 

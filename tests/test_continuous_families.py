@@ -18,6 +18,7 @@ from affineframes import calderon as cd
 from affineframes import metric_lattice as ml
 from affineframes import quadrature
 from affineframes.profiles import PiecewiseConstantProfile, SampledGridProfile
+from reference_members import constants
 
 METRICS = [ml.euclidean_l2(1), ml.euclidean_linf(1)]
 
@@ -28,7 +29,7 @@ METRICS = [ml.euclidean_l2(1), ml.euclidean_linf(1)]
 
 def ref_level_set_intervals(family, lower, upper):
     def L(a):
-        return am.lipschitz_constants(family.generator(a), family.metric).upper
+        return constants(family.generator(a), family.metric).upper
 
     def inside(a):
         return lower <= L(a) <= upper

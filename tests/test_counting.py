@@ -14,6 +14,7 @@ from affineframes import counting as ct
 from affineframes import metric_lattice as ml
 from affineframes import runner
 from affineframes.errors import RejectedInputError, ResourceLimitError
+from reference_members import _ref_above, _ref_members
 from unimodular import random_unimodular
 
 SEED = 97531
@@ -21,7 +22,7 @@ L2_1 = ml.euclidean_l2(1)
 LINF_2 = ml.euclidean_linf(2)
 Z1 = ml.integer_lattice(1)
 Z2 = ml.integer_lattice(2)
-IDENTITY_2 = am.matrix_automorphism(np.eye(2))
+IDENTITY_2 = am.Automorphism(np.eye(2))
 ENUMERATE = ct.enumerate_points  # the function under test, whatever a test patches
 
 
@@ -111,14 +112,14 @@ def test_enumerate_counts_match_bruteforce_random_matrices():
         m = rng.normal(size=(2, 2))
         if abs(np.linalg.det(m)) < 0.2:
             continue
-        auto = am.matrix_automorphism(m)
+        auto = am.Automorphism(m)
         r = float(rng.uniform(0.2, 1.5))
         mine = ct.enumerate_points(Z2, auto, r, LINF_2).count
         assert mine == brute_count(np.eye(2), auto, r, LINF_2, 12)
 
 
 def test_enumerate_boundary_points_excluded_and_logged():
-    result = ct.enumerate_points(Z1, am.matrix_automorphism([[1.0]]), 1.0, L2_1)
+    result = ct.enumerate_points(Z1, am.Automorphism([[1.0]]), 1.0, L2_1)
     assert result.count == 1
     assert result.boundary_hits == 2
 
@@ -139,7 +140,7 @@ def test_enumerate_point_set_symmetric_under_negation():
     # -A deforms the ball into the same set, and -B spans the same lattice
     counts = _counts(Z2, auto, 0.6, LINF_2)
     assert counts == {(count, hits)}
-    assert _counts(Z2, am.matrix_automorphism(-auto.matrix), 0.6, LINF_2) == counts
+    assert _counts(Z2, am.Automorphism(-auto.matrix), 0.6, LINF_2) == counts
     assert _counts(ml.Lattice(-np.eye(2)), auto, 0.6, LINF_2) == counts
 
 
@@ -152,7 +153,7 @@ def test_enumerate_monotone_in_radius():
 
 def test_enumerate_resource_cap():
     # 400,001^2 lattice lines: the cap counts lines and fires before any exists
-    auto = am.matrix_automorphism(np.diag([1e5, 1e5, 1e5]))
+    auto = am.Automorphism(np.diag([1e5, 1e5, 1e5]))
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match="lattice lines"):
@@ -166,7 +167,7 @@ def test_enumerate_resource_cap():
 def test_enumerate_counts_the_old_capped_box_in_closed_form():
     # 400,001^2 box points, past the old 1e8-point cap: |m_i| <= 199,999 are
     # inside, and the square ring max |m_i| = 200,000 sits on the sphere
-    auto = am.matrix_automorphism(np.diag([1e5, 1e5]))
+    auto = am.Automorphism(np.diag([1e5, 1e5]))
     result = ct.enumerate_points(Z2, auto, 2.0, LINF_2)
     assert (result.count, result.boundary_hits) == (399_999 ** 2, 400_001 ** 2 - 399_999 ** 2)
 
@@ -175,7 +176,7 @@ def test_enumeration_tests_the_band_in_chunks():
     # the case above has 2,399,998 band points, which the exact test held at
     # once (a 146 MB peak), on 400,001 lines, whose interval arrays built at
     # once peaked at 79 MB; in chunks of BAND_CHUNK points and LINE_CHUNK lines
-    auto = am.matrix_automorphism(np.diag([1e5, 1e5]))
+    auto = am.Automorphism(np.diag([1e5, 1e5]))
     tracemalloc.start()
     try:
         result = ct.enumerate_points(Z2, auto, 2.0, LINF_2)
@@ -208,12 +209,12 @@ def test_enumerate_gabor_counts_base_slice():
 
 
 def test_counting_bounds_interval_example():
-    bounds = ct.counting_bounds(Z1, am.matrix_automorphism([[1.0]]), 0.25, L2_1,
+    bounds = ct.counting_bounds(Z1, am.Automorphism([[1.0]]), 0.25, L2_1,
                                 n_samples=200000)
     assert bounds.count == 1
     assert bounds.upper_bound == pytest.approx(2.0, rel=0.02)
     assert bounds.lower_bound_at_2r == pytest.approx(1.0, rel=0.02)
-    count_2r = ct.enumerate_points(Z1, am.matrix_automorphism([[1.0]]), 0.5, L2_1).count
+    count_2r = ct.enumerate_points(Z1, am.Automorphism([[1.0]]), 0.5, L2_1).count
     assert bounds.count <= bounds.upper_bound + 3 * bounds.upper_bound_stderr
     assert count_2r >= bounds.lower_bound_at_2r - 3 * bounds.lower_bound_stderr
     assert set(bounds.bound_inputs) == {"deformed_ball_r", "deformed_ball_2r",
@@ -223,7 +224,7 @@ def test_counting_bounds_interval_example():
 def test_counting_bounds_degenerate_overlap_rejected():
     from affineframes.errors import DegenerateDomainError
     with pytest.raises(DegenerateDomainError):
-        ct.counting_bounds(Z1, am.matrix_automorphism([[1.0]]), 1e-4, L2_1,
+        ct.counting_bounds(Z1, am.Automorphism([[1.0]]), 1e-4, L2_1,
                            n_samples=1000, seed=3)
 
 
@@ -292,17 +293,10 @@ def test_property_x_empty_tail_rejected():
         ct.property_x_scan(fam, Z2, LINF_2, 0.4, 1e9)
 
 
-def _filter_and_sort(family, M):
-    """Reference copy of the distortion order: members with L(h) > M, sorted by
-    upper constant, then by the parameter's string form."""
-    return sorted((m for m in family.members if m.upper > M),
-                  key=lambda m: (m.upper, str(m.param)))
-
-
 def _scan_rows_reference(family, r, M):
     """Reference copy of the scan rows: enumerate in member order, sort after."""
     rows = []
-    for m in family.members:
+    for m in _ref_members(family):
         if m.upper <= M:
             continue
         count = ct.enumerate_points(Z2, m.auto, r, family.metric).count
@@ -329,11 +323,12 @@ _power_ranges = st.builds(
 def test_distortion_order_matches_filter_and_sort(family, data):
     # upper constants tie across s -> -s and j -> -j; M sits on a constant or
     # between two of them
-    uppers = sorted({m.upper for m in family.members})
+    uppers = sorted(set(family.members.upper.tolist()))
     cuts = uppers + [0.5 * (a + b) for a, b in zip(uppers, uppers[1:])] + [0.5 * uppers[0]]
     M = data.draw(st.sampled_from(cuts))
-    expected = _filter_and_sort(family, M)
-    assert family.above(M) == expected
+    expected = _ref_above(family, M)
+    assert ([(family.params[i], family.members.upper[i]) for i in family.above(M).tolist()]
+            == [(m.param, m.upper) for m in expected])
     reference = _scan_rows_reference(family, 0.4, M)
     if not expected:
         with pytest.raises(RejectedInputError):
@@ -352,7 +347,7 @@ def test_random_instance_sandwich_small():
         basis = random_unimodular(rng, dim)
         deform = random_unimodular(rng, dim)
         lattice = ml.Lattice(basis)
-        auto = am.matrix_automorphism(deform)
+        auto = am.Automorphism(deform)
         r = float(rng.uniform(0.05, 2.0))
         bounds = ct.counting_bounds(lattice, auto, r, metric, n_samples=50000,
                                     seed=SEED + case)
@@ -365,7 +360,7 @@ def test_random_instance_sandwich_small():
 def test_guard_band_spans_many_points_of_a_fine_line(metric):
     # lattice spacing 1e-13 in y: the 1e-12 guard band inside the sphere holds
     # about 10 lattice points at each end of the box line t in [-1e10, 1e10]
-    auto, r = am.matrix_automorphism([[1e13]]), 1e-3
+    auto, r = am.Automorphism([[1e13]]), 1e-3
     _, box_hi = Z1.integer_box(*auto.box_image(*metric.ball_box(r)))
     window = np.arange(box_hi[0] - 100, box_hi[0] + 1, dtype=float)[:, None]
     gap = metric.norm(auto.inverse_apply(window @ Z1.basis.T)) - r
@@ -392,7 +387,7 @@ def _random_counts(draw):
     dim = int(rng.integers(1, 4))
     metric = ml.MetricSpace((ml.EUCLIDEAN_L2, ml.EUCLIDEAN_LINF)[rng.integers(2)], dim)
     lattice = ml.Lattice(random_unimodular(rng, dim, max_cond=10.0))
-    auto = am.matrix_automorphism(random_unimodular(rng, dim, max_cond=10.0)
+    auto = am.Automorphism(random_unimodular(rng, dim, max_cond=10.0)
                                   * math.exp(rng.uniform(-1.0, 2.0)))
     if rng.random() < 0.5:
         m = rng.integers(-3, 4, size=dim)
@@ -458,7 +453,7 @@ def _metamorphic_counts(draw):
     dim = int(rng.integers(1, 4))
     metric = ml.MetricSpace((ml.EUCLIDEAN_L2, ml.EUCLIDEAN_LINF)[rng.integers(2)], dim)
     lattice = ml.Lattice(np.diag(np.exp(rng.uniform(-0.5, 0.5, dim))))
-    auto = am.matrix_automorphism(np.diag(np.exp(rng.uniform(-1.0, 2.5, dim))))
+    auto = am.Automorphism(np.diag(np.exp(rng.uniform(-1.0, 2.5, dim))))
     return lattice, auto, float(rng.uniform(0.3, 2.0)), metric
 
 

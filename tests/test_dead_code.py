@@ -1,9 +1,9 @@
-"""No function in the package goes uncalled.
+"""No function or class in the package goes unused.
 
-A function or method of `src/affineframes` whose name is never read as a
-name or an attribute anywhere in the package or in `bench/` has no caller
-outside the tests, so it is dead code: delete it, or move it into the tests
-that still build inputs with it.
+A function, method or class of `src/affineframes` whose name is never read
+as a name or an attribute anywhere in the package or in `bench/` has no
+caller outside the tests, so it is dead code: delete it, or move it into the
+tests that still build inputs with it.
 """
 
 import ast
@@ -11,6 +11,7 @@ import collections
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def test_every_package_function_has_a_caller_outside_the_tests():
@@ -22,9 +23,10 @@ def test_every_package_function_has_a_caller_outside_the_tests():
                 reads[node.id] += 1
             elif isinstance(node, ast.Attribute):
                 reads[node.attr] += 1
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and path in package:
+            elif isinstance(node, DEFINITIONS) and path in package:
                 defined.setdefault(node.name, f"{path.name}:{node.lineno}")
     assert package
+    assert any(name[0].isupper() for name in defined)  # classes are checked too
     uncalled = {name: where for name, where in defined.items()
                 if not (name.startswith("__") and name.endswith("__")) and reads[name] == 0}
     assert uncalled == {}

@@ -19,6 +19,7 @@ from affineframes import quadrature, runner
 from affineframes.errors import RejectedInputError
 from affineframes.profiles import (PiecewiseConstantProfile, SampledGridProfile,
                                    indicator_interval)
+from reference_members import _ref_line_action, _ref_members
 from sample_profiles import triangle_bump
 
 L2_1 = ml.euclidean_l2(1)
@@ -115,7 +116,7 @@ def _single_shift_term(psihat, m, fhat) -> float:
     the zero shift meets the domain, so the functional reduces to
     weight * value**2 * integral over the ball of psihat(scale*u + offset)**2."""
     lo, hi = float(fhat.boxes_lo[0, 0]), float(fhat.boxes_hi[0, 0])
-    scale, offset = m.auto.line_action()
+    scale, offset = _ref_line_action(m.auto)
     cuts = [(float(b) - offset) / scale for b in psihat.breakpoints_1d()]
     [integral] = quadrature.integrate_with_breakpoints(
         lambda u, _owner: psihat.evaluate((scale * u + offset)[:, None]) ** 2,
@@ -128,22 +129,22 @@ def _single_term_threshold(family, lattice, param, xi0: float) -> float:
     the distance from the orbit point, reduced into the 1-d lattice's
     fundamental domain, to the domain boundary, over the upper distortion
     constant."""
-    m = family.member(param)
-    scale, offset = m.auto.line_action()
+    i = family.params.index(param)
+    scale, offset = _ref_line_action(family.members.autos[i])
     b = abs(float(lattice.basis[0, 0]))
     off = (scale * xi0 + offset) % b
-    return min(off, b - off) / m.upper
+    return min(off, b - off) / family.members.upper[i]
 
 
 def test_single_shift_term_matches_frame_functional():
     fam = dyadic_family(-30, 30)
     for eps in (0.01, 0.003):
         tf = ff.make_test_function([0.3], eps, L2_1)
-        below = [m for m in fam.members
+        below = [m for m in _ref_members(fam)
                  if eps < _single_term_threshold(fam, Z1, m.param, 0.3)]
         assert below
         for m in below:
-            single = fam.restrict(lambda p, _lo, _hi, keep=m.param: p == keep)
+            single = fam.restrict(np.array(fam.params) == m.param)
             [general] = ff.frame_functional(SHANNON, single, Z1, [tf])
             reduced = _single_shift_term(SHANNON, m, tf)
             assert reduced == pytest.approx(general, rel=1e-12, abs=1e-14)
@@ -160,8 +161,8 @@ def test_single_term_threshold_formula():
 def test_partition_additivity_of_the_functional():
     fam = dyadic_family(-12, 12)
     M = 4.5
-    low = fam.restrict(lambda _p, _lo, hi: hi < M)
-    high = fam.restrict(lambda _p, _lo, hi: hi >= M)
+    low = fam.restrict(fam.members.upper < M)
+    high = fam.restrict(fam.members.upper >= M)
     tf = ff.make_test_function([0.3], 0.02, L2_1)
     [full] = ff.frame_functional(SHANNON, fam, Z1, [tf])
     split = (ff.frame_functional(SHANNON, low, Z1, [tf])[0]
@@ -197,8 +198,8 @@ def _per_member_functional(psihat, family, lattice, fhat) -> float:
     psi_lo, psi_hi = float(psihat.support_lo[0]), float(psihat.support_hi[0])
     f_lo, f_hi = float(fhat.support_lo[0]), float(fhat.support_hi[0])
     total = 0.0
-    for m in family.members:
-        scale, offset = m.auto.line_action()
+    for m in _ref_members(family):
+        scale, offset = _ref_line_action(m.auto)
         if m.weight == 0.0:
             continue
         img = sorted((scale * f_lo + offset, scale * f_hi + offset))
@@ -278,8 +279,8 @@ def _unbatched_functional(psihat, family, lattice, fhat) -> float:
                                   psihat.breakpoints_1d())
     f_lo, f_hi, f_breaks = (float(fhat.support_lo[0]), float(fhat.support_hi[0]),
                             fhat.breakpoints_1d())
-    members = family.members
-    scale, offset = np.array([m.auto.line_action() for m in members]).reshape(-1, 2).T
+    members = _ref_members(family)
+    scale, offset = np.array([_ref_line_action(m.auto) for m in members]).reshape(-1, 2).T
     img_a, img_b = scale * f_lo + offset, scale * f_hi + offset
     cap_lo = np.maximum(psi_lo, np.minimum(img_a, img_b))
     cap_hi = np.minimum(psi_hi, np.maximum(img_a, img_b))
@@ -400,8 +401,8 @@ def test_functional_is_one_quadrature_call_without_box_queries(monkeypatch):
     assert ff.frame_functional(SHANNON, fam, Z1, [tf])[0] == pytest.approx(1.0)
     [integrals] = calls
     monkeypatch.undo()
-    nonzero = [_unbatched_functional(SHANNON, fam.restrict(lambda p, _lo, _hi, q=m.param: p == q),
-                                     Z1, tf) != 0.0 for m in fam.members]
+    nonzero = [_unbatched_functional(SHANNON, fam.restrict(np.array(fam.params) == p), Z1, tf)
+               != 0.0 for p in fam.params]
     assert len(integrals) == sum(nonzero) > 0
     assert all(v > 0.0 for v in integrals)
 
@@ -529,9 +530,10 @@ def _ref_ball_integrals(psihat, family, xi0, epsilon, M):
     """Reference: one ball's average and tail integral, one quadrature call."""
     lo, hi = xi0 - epsilon, xi0 + epsilon
     breaks = psihat.breakpoints_1d()
-    scale, offset = np.array([m.auto.line_action() for m in family.members]).reshape(-1, 2).T
+    members = _ref_members(family)
+    scale, offset = np.array([_ref_line_action(m.auto) for m in members]).reshape(-1, 2).T
     cuts = (breaks[None, :] - offset[:, None]) / scale[:, None]
-    tail = ~(np.array([m.upper for m in family.members]) <= M)
+    tail = ~(np.array([m.upper for m in members]) <= M)
 
     def integrand(x, owner):
         out = np.empty_like(x)
@@ -555,7 +557,7 @@ def _ref_calderon_inequality_report(psihat, family, lattice, xi_grid, lower, upp
         raise RejectedInputError("grid touches the exclusion radius 0.001 around the identity")
     values = cd.calderon_values(psihat, family, grid[:, None])
     passes = (values >= lower - 1e-9) & (values <= upper + 1e-9)
-    scan_family = family.restrict(lambda _p, _lo, hi: hi <= 4096.0)
+    scan_family = family.restrict(family.members.upper <= 4096.0)
     scan = ct.property_x_scan(scan_family, lattice, family.metric, scan_radius, M)
     remainder_rows = []
     if scan.verdict == "holds":

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from affineframes import metric_lattice as ml
-from affineframes.automorphisms import matrix_automorphism, shearlet
+from affineframes.automorphisms import Automorphism, shearlet
 from affineframes.errors import RejectedInputError, ResourceLimitError
 from affineframes.profiles import (PiecewiseConstantProfile, SampledGridProfile,
                                    indicator_interval, support_radii)
@@ -266,7 +266,7 @@ def test_overlap_1d_against_exact_measure(seed, kind, b, a, flip_b, flip_a, cove
     b, a = (-b if flip_b else b), (-a if flip_a else a)
     r = coverage * abs(b) / (2.0 * abs(a))  # most draws cover only part of the domain
     lattice = ml.Lattice([[b]])
-    est = ml.overlap_measure(lattice, ml.MetricSpace(kind, 1), matrix_automorphism([[a]]),
+    est = ml.overlap_measure(lattice, ml.MetricSpace(kind, 1), Automorphism([[a]]),
                              r, n_samples=20_000, seed=seed)
     exact = min(abs(b), 2.0 * r * abs(a))
     if exact < abs(b):
@@ -340,7 +340,7 @@ def test_linear_box_contains_every_corner_image(seed, dim, r):
 def test_box_image_and_integer_box_match_matrix_vector_form(seed, dim, kind, r):
     rng = np.random.default_rng(seed)
     lattice = ml.Lattice(random_unimodular(rng, dim))
-    auto = matrix_automorphism(random_unimodular(rng, dim))
+    auto = Automorphism(random_unimodular(rng, dim))
     ball_lo, ball_hi = ml.MetricSpace(kind, dim).ball_box(r)
     center, half = 0.5 * (ball_lo + ball_hi), 0.5 * (ball_hi - ball_lo)
     img_lo, img_hi = auto.box_image(ball_lo, ball_hi)
@@ -375,7 +375,7 @@ def test_batched_pruning_keeps_every_shift_the_corner_bound_keeps(seed, dim, kin
     rng = np.random.default_rng(seed)
     metric = ml.MetricSpace(kind, dim)
     lattice = ml.Lattice(random_unimodular(rng, dim))
-    auto = matrix_automorphism(random_unimodular(rng, dim))
+    auto = Automorphism(random_unimodular(rng, dim))
     img_lo, img_hi = auto.box_image(*metric.ball_box(r))
     omega_lo, omega_hi = lattice.fundamental_box()
     shifts = lattice.points_in_box(omega_lo - img_hi, omega_hi - img_lo)
@@ -463,7 +463,7 @@ def test_overlap_measure_equals_per_shift_loop(seed, dim, kind, r, n_samples):
     rng = np.random.default_rng(seed)
     metric = ml.MetricSpace(kind, dim)
     lattice = ml.Lattice(random_unimodular(rng, dim))
-    auto = matrix_automorphism(random_unimodular(rng, dim))
+    auto = Automorphism(random_unimodular(rng, dim))
     est = ml.overlap_measure(lattice, metric, auto, r, n_samples=n_samples, seed=seed)
     assert (est.value, est.stderr) == _per_shift_overlap(lattice, metric, auto, r,
                                                          n_samples, seed)
