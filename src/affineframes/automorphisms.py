@@ -57,7 +57,8 @@ class Automorphism:
         m = np.atleast_2d(np.asarray(self.matrix, dtype=float))
         if m.shape[0] != m.shape[1]:
             raise RejectedInputError("automorphism matrix must be square")
-        det = float(np.linalg.det(m)) if np.all(np.isfinite(m)) else 0.0
+        with np.errstate(over="ignore"):  # an overflowing det is refused as a jacobian below
+            det = float(np.linalg.det(m)) if np.all(np.isfinite(m)) else 0.0
         if det == 0.0:
             raise RejectedInputError("automorphism matrix is singular")
         try:
@@ -71,6 +72,8 @@ class Automorphism:
         if self.jacobian is None:  # 1-d: det goes through exp(log|m|), which rounds
             object.__setattr__(self, "jacobian", abs(float(m[0, 0])) if m.shape == (1, 1)
                                else abs(det))
+        if not math.isfinite(self.jacobian):
+            raise RejectedInputError(f"automorphism jacobian {self.jacobian} overflows a float")
 
     def inverse_apply(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -103,7 +106,9 @@ def matrix_power(base, exponent: int) -> Automorphism:
     except np.linalg.LinAlgError as exc:
         raise RejectedInputError("matrix power base is singular or not square") from exc
     finite = np.all(np.isfinite(m))
-    if not finite or (np.linalg.det(m) == 0.0 and np.linalg.det(b) != 0.0):
+    with np.errstate(over="ignore"):
+        vanishes = finite and np.linalg.det(m) == 0.0 and np.linalg.det(b) != 0.0
+    if not finite or vanishes:
         raise RejectedInputError(f"matrix power {b.tolist()} ** {int(exponent)} "
                                  f"{'underflows' if finite else 'overflows'} a float")
     return Automorphism(m)
@@ -313,23 +318,6 @@ class AutomorphismFamily:
         if not self.is_continuous:
             raise RejectedInputError("family has no continuous parameter domain")
         return float(self.edges[0]), float(self.edges[-1])
-
-    def restrict(self, keep: np.ndarray) -> "AutomorphismFamily":
-        """Atomic subfamily of the rows where the boolean mask `keep` holds; it
-        shares the sliced member table."""
-        if self.is_continuous:
-            raise RejectedInputError("restrict applies to atomic families; "
-                                     "continuous families split by level sets")
-        rows = np.flatnonzero(keep)
-        if not rows.size:
-            raise RejectedInputError("restriction removed every parameter")
-        t = self.members
-        sub = AutomorphismFamily(tuple(self.params[i] for i in rows), self.generator,
-                                 self.weight, self.metric)
-        sub.__dict__["members"] = MemberTable(
-            tuple(t.autos[i] for i in rows), t.matrices[rows], t.inverses[rows],
-            t.jacobians[rows], t.lower[rows], t.upper[rows], t.weights[rows])
-        return sub
 
     def level_set_intervals(self, lower: float, upper: float) -> list[tuple[float, float]]:
         """Parameter intervals where lower <= L(a) <= upper (continuous families).

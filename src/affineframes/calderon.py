@@ -10,7 +10,7 @@ reported as partial-sum evidence, never asserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,21 +27,11 @@ _ORBIT_BLOCK = 1 << 14  # (member, frequency) orbit images built at once
 
 
 @dataclass(frozen=True)
-class CalderonEvaluation:
-    xi: object
-    value: float
-    truncation: dict = field(default_factory=dict)
-    tail_estimate: float = 0.0
-    certified_exact: bool = False
-
-
-@dataclass(frozen=True)
 class IntegrabilityReport:
     verdict: str  # "finite" | "divergent"
     value: float
     partial_sums: tuple[float, ...]
     truncation_sizes: tuple[int, ...]
-    M: float
 
 
 def _frequencies(psihat: FrequencyProfile, points) -> np.ndarray:
@@ -140,10 +130,11 @@ def _gabor_window_covered(psihat, family, pts: np.ndarray) -> np.ndarray:
 # Evaluations with truncation certificates
 # ---------------------------------------------------------------------------
 
-def calderon_sum(psihat: FrequencyProfile, family: AutomorphismFamily,
-                 points) -> list[CalderonEvaluation]:
-    """The orbit sum of squared profile values with the family weights, one
-    evaluation per frequency (a scalar, one point, or an (n, dim) array).
+def calderon_sum(psihat: FrequencyProfile, family: AutomorphismFamily, points
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
+    """The orbit sum of squared profile values with the family weights at
+    every frequency (a scalar, one point, or an (n, dim) array), as columns:
+    (values, tail estimates, certified flags, truncation label).
 
     Atomic families take every value from one `calderon_values` call and
     their certificates and edge tails as arrays; continuous families
@@ -164,8 +155,7 @@ def calderon_sum(psihat: FrequencyProfile, family: AutomorphismFamily,
     certified, truncation = _atomic_certificate(psihat, family, pts, norms)
     ends = np.array([0, -1])  # the end members' terms estimate the tail
     tails = np.where(certified, 0.0, _orbit_sum(psihat, family, ends, pts, False))
-    return [CalderonEvaluation(x, v, truncation, t, c) for x, v, t, c in
-            zip(pts, values.tolist(), tails.tolist(), certified.tolist())]
+    return values, tails, certified, truncation
 
 
 def _distortion_tail(psihat, family, rows, pts: np.ndarray,
@@ -190,24 +180,24 @@ def _distortion_tail(psihat, family, rows, pts: np.ndarray,
 
 
 def _atomic_certificate(psihat, family, pts: np.ndarray,
-                        norms: np.ndarray | None) -> tuple[np.ndarray, dict]:
+                        norms: np.ndarray | None) -> tuple[np.ndarray, str]:
+    """Per frequency, whether the truncation is certified exact; and its label."""
     if family.base is not None:
         ok = _integer_family_certificate(psihat, family, norms)
-        return ok, {"kind": "integer_range", "j_min": family.params[0],
-                    "j_max": family.params[-1]}
+        return ok, f"integer_range[{family.params[0]},{family.params[-1]}]"
     terms = len(family.params)
     if family.metric.kind == GABOR_PRODUCT:
-        return (_gabor_window_covered(psihat, family, pts),
-                {"kind": "shift_atoms", "terms": terms})
+        return _gabor_window_covered(psihat, family, pts), f"shift_atoms[{terms}]"
     # an explicit atom list is its own complete truncation
-    return np.ones(pts.shape[0], dtype=bool), {"kind": "atoms", "terms": terms}
+    return np.ones(pts.shape[0], dtype=bool), f"atoms[{terms}]"
 
 
 # ---------------------------------------------------------------------------
 # Continuous one-parameter dilation families
 # ---------------------------------------------------------------------------
 
-def _continuous_orbit_integrals(psihat, family, pts: np.ndarray) -> list[CalderonEvaluation]:
+def _continuous_orbit_integrals(psihat, family, pts: np.ndarray
+                                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
     """Orbit integrals at every frequency from one quadrature call.
 
     The members are dilations [[a]] with L(a) = jacobian(a) = a.  A frequency
@@ -242,27 +232,21 @@ def _continuous_orbit_integrals(psihat, family, pts: np.ndarray) -> list[Caldero
     totals = quadrature.integrate_with_breakpoints(
         lambda a, owner: density(a, xi[freq_of[owner]]),
         [(b0, b1, ()) for w in windows for b0, b1 in w])
-    values = [0.0] * xi.shape[0]
-    for i, value in zip(freq_of.tolist(), totals):
-        values[i] += value
+    values = np.bincount(freq_of, weights=totals, minlength=xi.shape[0])
     # exactness: every support window on the positive parameter axis must lie
     # inside the declared domain truncation
     f0 = np.maximum(a0, 0.0)
     covered = np.all((a1 <= f0) | ((lo_d <= f0) & (a1 <= hi_d)), axis=1)
     left = np.minimum(a1, lo_d) - f0
     right = a1 - np.maximum(f0, hi_d)
-    out = []
-    for i, x in enumerate(xi.tolist()):
-        tail = 0.0
-        if not covered[i]:
-            # uncovered window mass, priced at the boundary integrand value
-            for gaps in zip(left[i].tolist(), right[i].tolist()):
-                for gap, edge in zip(gaps, domain):
-                    if gap > 0:
-                        tail += gap * float(density(np.array([edge]), xi[i:i + 1])[0])
-        out.append(CalderonEvaluation(x, values[i], {"kind": "continuous", "domain": domain},
-                                      tail, bool(covered[i])))
-    return out
+    tails = np.zeros(xi.shape[0])
+    for i in np.flatnonzero(~covered).tolist():
+        # uncovered window mass, priced at the boundary integrand value
+        for gaps in zip(left[i].tolist(), right[i].tolist()):
+            for gap, edge in zip(gaps, domain):
+                if gap > 0:
+                    tails[i] += gap * float(density(np.array([edge]), xi[i:i + 1])[0])
+    return values, tails, covered, f"domain[{lo_d:g},{hi_d:g}]"
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +269,9 @@ def local_integrability_check(psihat: FrequencyProfile, family: AutomorphismFami
 
     rows = family.above(M)
     if not rows.size:
-        return IntegrabilityReport("finite", 0.0, (0.0,), (0,), M)
+        return IntegrabilityReport("finite", 0.0, (0.0,), (0,))
 
     pts, weights = quadrature.tensor_nodes_weights(lo, hi, cells_per_axis=2 ** level)
     divergent, partial, sizes = _distortion_tail(psihat, family, rows, pts, weights)
     return IntegrabilityReport("divergent" if divergent else "finite", partial[-1], partial,
-                               sizes, M)
+                               sizes)

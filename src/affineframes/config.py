@@ -207,7 +207,7 @@ def resolve_defaults(raw: dict, base_dir: Path | None = None) -> dict:
     Checked by hand, as they span keys: the basis and the profile boxes against
     group.dim, the test centers (on the gabor line k = 1), the metric and the
     family kind against the group, the p-range of gabor_shifts, a frame_report
-    against a continuous family, and the rows of a sampled-grid CSV."""
+    or property_x against a continuous family, and the rows of a sampled-grid CSV."""
     out = _resolve(raw, SCHEMA, "scenario")
     gabor = out["group"]["kind"] == "gabor"
     metric = out["metric"].setdefault("kind", "gabor_product" if gabor else "euclidean_l2")
@@ -227,9 +227,10 @@ def resolve_defaults(raw: dict, base_dir: Path | None = None) -> dict:
     fam = out["family"]
     _require(fam["kind"] != "gabor_shifts" or "p_values" in fam or {"p_min", "p_max"} <= set(fam),
              "gabor_shifts family needs p_values or p_min/p_max")
-    _require(fam["kind"] != "continuous_dilation"
-             or all(a["kind"] != "frame_report" for a in out["analyses"]),
-             "frame_report needs an atomic family, not a continuous_dilation one")
+    for kind in ("frame_report", "property_x"):
+        _require(fam["kind"] != "continuous_dilation"
+                 or all(a["kind"] != kind for a in out["analyses"]),
+                 f"{kind} needs an atomic family, not a continuous_dilation one")
     if fam["kind"] == "matrix_power":
         _require(fam["j_max"] - fam["j_min"] < MAX_FAMILY_SIZE,
                  f"family j_min..j_max spans more than {MAX_FAMILY_SIZE} powers")
@@ -309,9 +310,14 @@ def build_lattice(scenario: dict) -> ml.Lattice:
 
 def _power(x, expo) -> float:
     try:
-        return float(x) ** float(expo)
+        value = float(x) ** float(expo)
     except OverflowError:
         raise RejectedInputError(f"{x} ** {expo} overflows a float") from None
+    except ZeroDivisionError:
+        raise RejectedInputError(f"{x} ** {expo} divides by zero") from None
+    if isinstance(value, complex):
+        raise RejectedInputError(f"{x} ** {expo} is not real: the base is negative")
+    return value
 
 
 def build_weight(spec: dict):

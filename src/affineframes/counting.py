@@ -11,7 +11,7 @@ the strongly distorting part of a family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,12 +32,10 @@ _LINE_IDENTITY = Automorphism([[1.0]])  # the Gabor count's map on its k = 0 lin
 class CountResult:
     count: int
     boundary_hits: int
-    r: float
     upper_bound: float | None = None
     upper_bound_stderr: float | None = None
     lower_bound_at_2r: float | None = None
     lower_bound_stderr: float | None = None
-    bound_inputs: dict = field(default_factory=dict)
 
 
 def _line_band(lattice: Lattice, auto: Automorphism, r: float, metric: MetricSpace,
@@ -137,7 +135,7 @@ def enumerate_points(lattice: Lattice, auto: Automorphism, r: float,
         gap = metric.norm(auto.inverse_apply(m @ lattice.basis.T)) - r
         inside += inner + int(np.count_nonzero(gap < -BOUNDARY_GUARD))
         hits += int(np.count_nonzero(np.abs(gap) <= BOUNDARY_GUARD))
-    return CountResult(inside, hits, r)
+    return CountResult(inside, hits)
 
 
 def counting_bounds(lattice: Lattice, auto: Automorphism, r: float,
@@ -163,13 +161,7 @@ def counting_bounds(lattice: Lattice, auto: Automorphism, r: float,
     upper_err = vol_2r * omega_r.stderr / omega_r.value ** 2
     lower = vol_r / omega_r.value
     lower_err = vol_r * omega_r.stderr / omega_r.value ** 2
-    inputs = {
-        "deformed_ball_r": vol_r,
-        "deformed_ball_2r": vol_2r,
-        "omega_overlap_r": (omega_r.value, omega_r.stderr),
-    }
-    return CountResult(base.count, base.boundary_hits,
-                       r, upper, upper_err, lower, lower_err, inputs)
+    return CountResult(base.count, base.boundary_hits, upper, upper_err, lower, lower_err)
 
 
 # ---------------------------------------------------------------------------
@@ -177,60 +169,53 @@ def counting_bounds(lattice: Lattice, auto: Automorphism, r: float,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ScanRow:
-    param: object
-    upper_constant: float
-    jacobian: float
-    count: int
-    ratio: float
-
-
-@dataclass(frozen=True)
 class PropertyXReport:
+    """Scan verdict and its columns: the scanned member rows in distortion
+    order, their counts and their ratios (count - 1) / jacobian."""
+
     verdict: str  # "holds" | "violated"
-    r: float
-    M: float
+    rows: np.ndarray
+    counts: np.ndarray
+    ratios: np.ndarray
     constant: float | None = None
     witness: object | None = None
     witness_count: int | None = None
     attempted_bound: float | None = None
-    rows: tuple[ScanRow, ...] = ()
     note: str = "scan verdict certifies the probed truncation only"
 
 
-def property_x_scan(family: AutomorphismFamily, lattice: Lattice,
-                    metric: MetricSpace, r: float, M: float) -> PropertyXReport:
-    """Scan counts over {h : L(h) > M} and test count <= 1 + C * jacobian.
+def property_x_scan(family: AutomorphismFamily, lattice: Lattice, r: float, M: float,
+                    cap: float) -> PropertyXReport:
+    """Scan counts over {h : M < L(h) <= cap} and test count <= 1 + C * jacobian.
 
-    C is estimated as the largest observed (count - 1) / jacobian.  The
-    verdict flips to violated when the ratio trace keeps growing through the
-    last quartile of the distortion-ordered scan and gains at least the
-    `EXPLOSION` factor there; a finite scan can only report such evidence,
-    never refute the bound.
+    Members above `cap` stay out of the scan, which certifies that probed
+    sub-truncation only.  C is estimated as the largest observed
+    (count - 1) / jacobian.  The verdict flips to violated when the ratio
+    trace keeps growing through the last quartile of the distortion-ordered
+    scan and gains at least the `EXPLOSION` factor there; a finite scan can
+    only report such evidence, never refute the bound.
     """
+    t = family.members
+    if not np.any(t.upper <= cap):
+        raise RejectedInputError("restriction removed every parameter")
     if r <= 0 or M <= 0:
         raise RejectedInputError("radius and distortion cutoff must be positive")
-    t, rows = family.members, []
-    for i in family.above(M).tolist():
-        count = enumerate_points(lattice, t.autos[i], r, metric).count
-        rows.append(ScanRow(family.params[i], t.upper[i], t.jacobians[i], count,
-                            (count - 1) / t.jacobians[i]))
-    if not rows:
+    rows = family.above(M)
+    rows = rows[t.upper[rows] <= cap]
+    if not rows.size:
         raise RejectedInputError("no family parameters exceed the distortion cutoff")
-
-    ratios = np.array([row.ratio for row in rows])
+    counts = np.array([enumerate_points(lattice, t.autos[i], r, family.metric).count
+                       for i in rows.tolist()])
+    ratios = (counts - 1) / t.jacobians[rows]
     constant = float(np.max(ratios))
 
-    q_start = max(0, len(rows) - max(2, len(rows) // 4))
+    q_start = max(0, rows.size - max(2, rows.size // 4))
     quart = ratios[q_start:]
     growing = bool(np.all(np.diff(quart) >= 0)) and quart[-1] > quart[0]
     exploding = quart[-1] >= EXPLOSION * max(quart[0], 1e-300)
     if growing and exploding:
-        witness = rows[-1]
-        attempted = 1.0 + float(quart[0]) * witness.jacobian
-        return PropertyXReport("violated", r, M, constant=None,
-                               witness=witness.param, witness_count=witness.count,
-                               attempted_bound=attempted, rows=tuple(rows))
-    return PropertyXReport("holds", r, M, constant=constant, rows=tuple(rows))
-
-
+        attempted = 1.0 + float(quart[0]) * t.jacobians[rows[-1]]
+        return PropertyXReport("violated", rows, counts, ratios,
+                               witness=family.params[rows[-1]], witness_count=int(counts[-1]),
+                               attempted_bound=attempted)
+    return PropertyXReport("holds", rows, counts, ratios, constant=constant)

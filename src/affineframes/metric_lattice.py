@@ -326,7 +326,6 @@ def weil_residual(profile: FrequencyProfile, lattice: Lattice, level: int = 5) -
 class OverlapEstimate:
     value: float
     stderr: float
-    n_samples: int
     seed: int
 
 
@@ -362,7 +361,7 @@ def overlap_measure(lattice: Lattice, metric: MetricSpace, auto=None, r: float =
                                   n_samples=n_samples, seed=seed + k)
             value += est.value
             var += est.stderr ** 2
-        return OverlapEstimate(value, math.sqrt(var), n_samples, seed)
+        return OverlapEstimate(value, math.sqrt(var), seed)
 
     matrix, inv = ((np.eye(metric.dim),) * 2 if auto is None
                    else (auto.matrix, auto.inv_matrix))
@@ -400,7 +399,7 @@ def overlap_measure(lattice: Lattice, metric: MetricSpace, auto=None, r: float =
     p = hits / total
     value = lattice.covolume * p
     stderr = lattice.covolume * math.sqrt(max(p * (1.0 - p), 0.0) / total)
-    return OverlapEstimate(value, stderr, total, seed)
+    return OverlapEstimate(value, stderr, seed)
 
 
 def _prune_shifts(shifts: np.ndarray, inv: np.ndarray, metric: MetricSpace, r: float,

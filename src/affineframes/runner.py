@@ -79,8 +79,7 @@ def _run_calderon_scan(analysis, ctx):
     if ctx["profile"].dim != 1:
         raise RejectedInputError("calderon_scan scans a one-dimensional frequency line")
     grid = cfg.scan_grid(analysis["segments"], analysis["points_per_segment"])
-    evals = cd.calderon_sum(ctx["profile"], ctx["family"], grid)
-    values = np.array([ev.value for ev in evals])
+    values, tails, certified, truncation = cd.calderon_sum(ctx["profile"], ctx["family"], grid)
     result = {"n_points": int(grid.size), "min": float(values.min()),
               "max": float(values.max())}
     passed = True
@@ -91,43 +90,31 @@ def _run_calderon_scan(analysis, ctx):
         ok = (values >= lo - tol) & (values <= hi + tol)
         result["n_failures"] = int(np.sum(~ok))
         passed = bool(np.all(ok))
-    rows = [[float(x), ev.value, ev.tail_estimate, int(ev.certified_exact),
-             _truncation_label(ev.truncation)] for x, ev in zip(grid, evals)]
+    rows = [[x, v, t, int(c), truncation] for x, v, t, c in
+            zip(grid.tolist(), values.tolist(), tails.tolist(), certified.tolist())]
     return result, passed, (["xi", "value", "tail_estimate", "certified_exact",
                              "truncation"], rows)
 
 
-def _truncation_label(truncation: dict) -> str:
-    kind = truncation.get("kind", "")
-    if kind == "integer_range":
-        return f"integer_range[{truncation['j_min']},{truncation['j_max']}]"
-    if kind == "continuous":
-        lo, hi = truncation["domain"]
-        return f"domain[{lo:g},{hi:g}]"
-    if "terms" in truncation:
-        return f"{kind}[{truncation['terms']}]"
-    return kind
-
-
 def _run_property_x(analysis, ctx):
     family = ctx["family"]
-    cap = float(analysis["distortion_cap"])
-    scan_family = family.restrict(family.members.upper <= cap)
-    report = ct.property_x_scan(scan_family, ctx["lattice"], family.metric,
-                                float(analysis["r"]), float(analysis["M"]))
+    r, M = float(analysis["r"]), float(analysis["M"])
+    report = ct.property_x_scan(family, ctx["lattice"], r, M, float(analysis["distortion_cap"]))
     result = {"verdict": report.verdict, "constant": report.constant,
               "witness": report.witness, "witness_count": report.witness_count,
               "attempted_bound": report.attempted_bound,
-              "r": report.r, "M": report.M, "note": report.note}
+              "r": r, "M": M, "note": report.note}
     passed = report.verdict == "holds"
     if passed and analysis["constant_cap"] is not None:
         passed = report.constant <= float(analysis["constant_cap"])
         result["constant_cap"] = float(analysis["constant_cap"])
-    header = _param_header(report.rows[0].param) + ["upper_constant", "jacobian",
-                                                    "count", "ratio"]
-    rows = [[*_param_columns(row.param), row.upper_constant, row.jacobian, row.count,
-             row.ratio] for row in report.rows]
-    return result, passed, (header, rows)
+    t, rows = family.members, report.rows.tolist()
+    header = _param_header(family.params[rows[0]]) + ["upper_constant", "jacobian",
+                                                      "count", "ratio"]
+    table = [[*_param_columns(family.params[i]), u, j, n, q] for i, u, j, n, q in
+             zip(rows, t.upper[rows].tolist(), t.jacobians[rows].tolist(),
+                 report.counts.tolist(), report.ratios.tolist())]
+    return result, passed, (header, table)
 
 
 def _run_counting(analysis, ctx):
@@ -230,8 +217,8 @@ def _run_frame_report(analysis, ctx):
     n_failures = int(np.sum(~passes))
     # enumeration stays desk-scale below the distortion cap; the scan
     # certifies that probed sub-truncation
-    scan = ct.property_x_scan(family.restrict(family.members.upper <= SCAN_DISTORTION_CAP),
-                              lattice, family.metric, float(analysis["scan_radius"]), M)
+    scan = ct.property_x_scan(family, lattice, float(analysis["scan_radius"]), M,
+                              SCAN_DISTORTION_CAP)
     # the averaged remainder inequality at the grid's ends and middle, its
     # constant from the counting scan
     remainder = []

@@ -1,9 +1,15 @@
-"""Per-member references for the stacked member table.
+"""Per-member references for the stacked member table and its columns.
 
 A family used to be a tuple of member records, each built from its own
 automorphism and its own distortion constants; `_ref_members` rebuilds that
 tuple, and `_ref_above` the distortion order read from it.  `constants` and
 `oracle_pairs` read the package's stacked constants and oracle on single maps.
+
+Orbit sums and the jacobian-domination scan used to return one record per
+frequency and per scanned member, and the scan ran on a subfamily re-wrapped
+around a slice of the member table: `_ref_calderon_sum`,
+`_ref_property_x_scan` and `_ref_restrict` keep those bodies, and
+`_ref_truncation_label` the CSV label read from a truncation record.
 """
 
 from collections import namedtuple
@@ -11,11 +17,26 @@ from collections import namedtuple
 import numpy as np
 
 from affineframes import automorphisms as am
+from affineframes import calderon as cd
+from affineframes import counting as ct
 from affineframes import metric_lattice as ml
-from affineframes.errors import RejectedInputError
+from affineframes import quadrature
+from affineframes.errors import RejectedInputError, SingularPointError
 
 Member = namedtuple("Member", "param auto lower upper jacobian weight")
 Constants = namedtuple("Constants", "lower upper")
+Evaluation = namedtuple("Evaluation", "xi value truncation tail_estimate certified_exact")
+ScanRow = namedtuple("ScanRow", "param upper_constant jacobian count ratio")
+ScanReport = namedtuple("ScanReport",
+                        "verdict r M constant witness witness_count attempted_bound rows")
+
+
+def raised(call):
+    """What a call returns, or the type and message of the input error it raises."""
+    try:
+        return call()
+    except (RejectedInputError, SingularPointError) as exc:
+        return type(exc), str(exc)
 
 
 def constants(auto, metric):
@@ -93,3 +114,138 @@ def _ref_above(family, M):
     parameter's string form."""
     return sorted((m for m in _ref_members(family) if m.upper > M),
                   key=lambda m: (m.upper, str(m.param)))
+
+
+def _ref_restrict(family, keep):
+    """Atomic subfamily of the rows where the boolean mask `keep` holds, built
+    from the same generator and weight (without `base`); it shares the sliced
+    member table."""
+    if family.is_continuous:
+        raise RejectedInputError("restrict applies to atomic families; "
+                                 "continuous families split by level sets")
+    rows = np.flatnonzero(keep)
+    if not rows.size:
+        raise RejectedInputError("restriction removed every parameter")
+    t = family.members
+    sub = am.AutomorphismFamily(tuple(family.params[i] for i in rows), family.generator,
+                                family.weight, family.metric)
+    sub.__dict__["members"] = am.MemberTable(
+        tuple(t.autos[i] for i in rows), t.matrices[rows], t.inverses[rows],
+        t.jacobians[rows], t.lower[rows], t.upper[rows], t.weights[rows])
+    return sub
+
+
+def _ref_property_x_scan(family, lattice, metric, r, M):
+    """The scan over {h : L(h) > M}, one ScanRow per member."""
+    if r <= 0 or M <= 0:
+        raise RejectedInputError("radius and distortion cutoff must be positive")
+    t, rows = family.members, []
+    for i in family.above(M).tolist():
+        count = ct.enumerate_points(lattice, t.autos[i], r, metric).count
+        rows.append(ScanRow(family.params[i], t.upper[i], t.jacobians[i], count,
+                            (count - 1) / t.jacobians[i]))
+    if not rows:
+        raise RejectedInputError("no family parameters exceed the distortion cutoff")
+    ratios = np.array([row.ratio for row in rows])
+    constant = float(np.max(ratios))
+    q_start = max(0, len(rows) - max(2, len(rows) // 4))
+    quart = ratios[q_start:]
+    growing = bool(np.all(np.diff(quart) >= 0)) and quart[-1] > quart[0]
+    exploding = quart[-1] >= am.EXPLOSION * max(quart[0], 1e-300)
+    if growing and exploding:
+        witness = rows[-1]
+        attempted = 1.0 + float(quart[0]) * witness.jacobian
+        return ScanReport("violated", r, M, None, witness.param, witness.count, attempted,
+                          tuple(rows))
+    return ScanReport("holds", r, M, constant, None, None, None, tuple(rows))
+
+
+def _ref_truncation_label(truncation):
+    kind = truncation.get("kind", "")
+    if kind == "integer_range":
+        return f"integer_range[{truncation['j_min']},{truncation['j_max']}]"
+    if kind == "continuous":
+        lo, hi = truncation["domain"]
+        return f"domain[{lo:g},{hi:g}]"
+    if "terms" in truncation:
+        return f"{kind}[{truncation['terms']}]"
+    return kind
+
+
+def _ref_calderon_sum(psihat, family, points):
+    """One Evaluation per frequency."""
+    pts = cd._frequencies(psihat, points)
+    norms = None  # the Gabor line has no identity to avoid
+    if family.metric.kind != ml.GABOR_PRODUCT:
+        with np.errstate(over="ignore"):
+            norms = family.metric.norm(pts)
+        if not np.isfinite(norms).all():
+            raise RejectedInputError("metric norm of a frequency overflows a float")
+        if np.any(norms == 0.0):
+            raise SingularPointError("orbit sum requested at the identity frequency")
+    if family.is_continuous:
+        return _ref_continuous_orbit_integrals(psihat, family, pts)
+    values = cd.calderon_values(psihat, family, pts)
+    certified, truncation = _ref_atomic_certificate(psihat, family, pts, norms)
+    ends = np.array([0, -1])  # the end members' terms estimate the tail
+    tails = np.where(certified, 0.0, cd._orbit_sum(psihat, family, ends, pts, False))
+    return [Evaluation(x, v, truncation, t, c) for x, v, t, c in
+            zip(pts, values.tolist(), tails.tolist(), certified.tolist())]
+
+
+def _ref_atomic_certificate(psihat, family, pts, norms):
+    if family.base is not None:
+        ok = cd._integer_family_certificate(psihat, family, norms)
+        return ok, {"kind": "integer_range", "j_min": family.params[0],
+                    "j_max": family.params[-1]}
+    terms = len(family.params)
+    if family.metric.kind == ml.GABOR_PRODUCT:
+        return (cd._gabor_window_covered(psihat, family, pts),
+                {"kind": "shift_atoms", "terms": terms})
+    return np.ones(pts.shape[0], dtype=bool), {"kind": "atoms", "terms": terms}
+
+
+def _ref_continuous_orbit_integrals(psihat, family, pts):
+    if family.members.matrices.shape[-1] != 1:
+        raise RejectedInputError(
+            "continuous orbit integrals support one-dimensional dilation families")
+    if psihat.dim != 1:
+        raise RejectedInputError("continuous families pair with 1-d profiles")
+    xi = pts[:, 0]
+    lo_d, hi_d = domain = family.continuous_domain()
+    edges = psihat.breakpoints_1d()
+    u0, u1 = edges[:-1], edges[1:]
+    probes = np.stack([u0, 0.5 * (u0 + u1), u1 - 1e-12 * (u1 - u0)], axis=1)
+    live = np.any(psihat.evaluate(probes.reshape(-1, 1)).reshape(-1, 3) != 0.0, axis=1)
+    q0, q1 = u0[live] / xi[:, None], u1[live] / xi[:, None]
+    a0, a1 = np.where(xi[:, None] > 0, q0, q1), np.where(xi[:, None] > 0, q1, q0)
+    w0, w1 = np.maximum(a0, lo_d), np.minimum(a1, hi_d)
+    windows = [list(zip(r0[k].tolist(), r1[k].tolist()))
+               for r0, r1, k in zip(w0, w1, w1 > w0)]
+    freq_of = np.repeat(np.arange(xi.shape[0]), [len(w) for w in windows])
+
+    def density(a, x):
+        w = np.array([family.weight_of(float(v)) for v in a])
+        return w * psihat.evaluate((a * x)[:, None]) ** 2
+
+    totals = quadrature.integrate_with_breakpoints(
+        lambda a, owner: density(a, xi[freq_of[owner]]),
+        [(b0, b1, ()) for w in windows for b0, b1 in w])
+    values = [0.0] * xi.shape[0]
+    for i, value in zip(freq_of.tolist(), totals):
+        values[i] += value
+    f0 = np.maximum(a0, 0.0)
+    covered = np.all((a1 <= f0) | ((lo_d <= f0) & (a1 <= hi_d)), axis=1)
+    left = np.minimum(a1, lo_d) - f0
+    right = a1 - np.maximum(f0, hi_d)
+    out = []
+    for i, x in enumerate(xi.tolist()):
+        tail = 0.0
+        if not covered[i]:
+            for gaps in zip(left[i].tolist(), right[i].tolist()):
+                for gap, edge in zip(gaps, domain):
+                    if gap > 0:
+                        tail += gap * float(density(np.array([edge]), xi[i:i + 1])[0])
+        out.append(Evaluation(x, values[i], {"kind": "continuous", "domain": domain},
+                              tail, bool(covered[i])))
+    return out

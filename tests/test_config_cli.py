@@ -206,9 +206,10 @@ def _bounded_family(family):
 
 
 def _report_on_atomic_family(scenario):
-    """A frame_report needs an atomic family."""
+    """A frame_report or a property_x scan needs an atomic family."""
     return (scenario["family"]["kind"] != "continuous_dilation"
-            or all(a["kind"] != "frame_report" for a in scenario["analyses"]))
+            or all(a["kind"] not in ("frame_report", "property_x")
+                   for a in scenario["analyses"]))
 
 
 _scenarios = st.fixed_dictionaries({
@@ -502,6 +503,22 @@ def test_cli_wide_continuous_dilation_domain_runs(tmp_path, capsys):
     # at s = 1e8 a shearlet's Gram matrix is singular in floating point, and the
     # oracle's power iteration ended in numpy's LinAlgError
     ("shearlet_property_x", ["family.s_values.0=1e8"], "Gram matrix is singular"),
+    # 0 ** -1 raised ZeroDivisionError out of a weight, and a negative base to a
+    # fractional power made a complex weight that the sign check raised TypeError on
+    ("shannon_onb", ['family.weight={"kind":"power","exponent":-1}', "family.j_min=0"],
+     "0 ** -1.0 divides by zero"),
+    ("shannon_onb", ['family.weight={"kind":"geometric","base":0}'],
+     "0.0 ** -60 divides by zero"),
+    ("shannon_onb", ['family.weight={"kind":"power","exponent":0.5}'],
+     "-60 ** 0.5 is not real: the base is negative"),
+    ("gabor_onb", ['family.weight={"kind":"power","exponent":0.5}'],
+     "-25.0 ** 0.5 is not real: the base is negative"),
+    # the determinant of a power base or of an atom overflowed with a warning,
+    # and the atom went on with jacobian inf
+    ("anisotropic_wavelet", ["family.base=[[1e200,0],[0,1e200]]"], "** -12 underflows"),
+    ("anisotropic_wavelet", ['family={"kind":"matrix_atoms","matrices":[[[1e200,0],[0,1e200]]]}',
+                             'analyses=[{"kind":"lipschitz"}]'],
+     "automorphism jacobian inf overflows a float"),
 ])
 def test_cli_out_of_float_range_inputs_end_in_one_error_line(tmp_path, capsys, name,
                                                              overrides, word):
@@ -527,6 +544,16 @@ def test_cli_frame_report_on_a_continuous_family_is_a_scenario_error(tmp_path, c
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error:") and "atomic family" in captured.err
+
+
+def test_cli_property_x_on_a_continuous_family_is_a_scenario_error(tmp_path, capsys):
+    # run built the member table and then failed naming an internal method
+    code = cli.main(["run", "semicontinuous_wavelet", "--out", str(tmp_path / "o"),
+                     "--set", 'analyses.1={"kind":"property_x"}'])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == ("error: property_x needs an atomic family, "
+                            "not a continuous_dilation one\n")
 
 
 @pytest.mark.parametrize("name,override", [

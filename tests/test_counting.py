@@ -14,7 +14,8 @@ from affineframes import counting as ct
 from affineframes import metric_lattice as ml
 from affineframes import runner
 from affineframes.errors import RejectedInputError, ResourceLimitError
-from reference_members import _ref_above, _ref_members
+from reference_members import (ScanRow, _ref_above, _ref_members, _ref_property_x_scan,
+                               _ref_restrict, raised)
 from unimodular import random_unimodular
 
 SEED = 97531
@@ -217,8 +218,6 @@ def test_counting_bounds_interval_example():
     count_2r = ct.enumerate_points(Z1, am.Automorphism([[1.0]]), 0.5, L2_1).count
     assert bounds.count <= bounds.upper_bound + 3 * bounds.upper_bound_stderr
     assert count_2r >= bounds.lower_bound_at_2r - 3 * bounds.lower_bound_stderr
-    assert set(bounds.bound_inputs) == {"deformed_ball_r", "deformed_ball_2r",
-                                        "omega_overlap_r"}
 
 
 def test_counting_bounds_degenerate_overlap_rejected():
@@ -250,17 +249,17 @@ def test_counting_bounds_gabor_slice():
 
 def test_property_x_shearlet_grid_holds_with_paper_constant():
     fam = am.shearlet_grid_family([1, 2, 4, 8, 16, 32, 64], range(-8, 9), LINF_2)
-    report = ct.property_x_scan(fam, Z2, LINF_2, 0.4, 1.0)
+    report = ct.property_x_scan(fam, Z2, 0.4, 1.0, math.inf)
     assert report.verdict == "holds"
     assert report.constant <= 2.24
     # holds means the bound is satisfied row by row with the estimated constant
-    for row in report.rows:
-        assert row.count <= 1 + report.constant * row.jacobian + 1e-9
+    for count, jacobian in zip(report.counts, fam.members.jacobians[report.rows]):
+        assert count <= 1 + report.constant * jacobian + 1e-9
 
 
 def test_property_x_hyperbolic_powers_violated():
     fam = am.matrix_power_family([[2.0, 0.0], [0.0, 0.5]], 0, 20, LINF_2)
-    report = ct.property_x_scan(fam, Z2, LINF_2, 0.4, 1.0)
+    report = ct.property_x_scan(fam, Z2, 0.4, 1.0, math.inf)
     assert report.verdict == "violated"
     assert report.witness == 20
     assert report.witness_count == 2 * math.floor(0.4 * 2 ** 20) + 1
@@ -269,28 +268,28 @@ def test_property_x_hyperbolic_powers_violated():
 
 def test_property_x_gabor_holds_with_unit_jacobian():
     fam = am.gabor_shift_family(np.arange(-10.0, 11.0))
-    report = ct.property_x_scan(fam, Z1, ml.gabor_product(), 0.5, 1.0)
+    report = ct.property_x_scan(fam, Z1, 0.5, 1.0, math.inf)
     assert report.verdict == "holds"
-    counts = {row.count for row in report.rows}
+    counts = set(report.counts.tolist())
     assert counts == {1}
-    assert all(row.jacobian == 1.0 for row in report.rows)
+    assert all(fam.members.jacobians[report.rows] == 1.0)
 
 
 def test_property_x_holds_propagates_to_smaller_radius():
     fam = am.shearlet_grid_family([1, 2, 4, 8], range(-6, 7), LINF_2)
-    base = ct.property_x_scan(fam, Z2, LINF_2, 0.4, 1.0)
+    base = ct.property_x_scan(fam, Z2, 0.4, 1.0, math.inf)
     assert base.verdict == "holds"
     for r in (0.3, 0.2, 0.1):
-        smaller = ct.property_x_scan(fam, Z2, LINF_2, r, 1.0)
+        smaller = ct.property_x_scan(fam, Z2, r, 1.0, math.inf)
         assert smaller.verdict == "holds"
-        for row in smaller.rows:
-            assert row.count <= 1 + base.constant * row.jacobian + 1e-9
+        for count, jacobian in zip(smaller.counts, fam.members.jacobians[smaller.rows]):
+            assert count <= 1 + base.constant * jacobian + 1e-9
 
 
 def test_property_x_empty_tail_rejected():
     fam = am.shearlet_grid_family([1, 2], [-1, 0, 1], LINF_2)
     with pytest.raises(RejectedInputError):
-        ct.property_x_scan(fam, Z2, LINF_2, 0.4, 1e9)
+        ct.property_x_scan(fam, Z2, 0.4, 1e9, math.inf)
 
 
 def _scan_rows_reference(family, r, M):
@@ -300,7 +299,7 @@ def _scan_rows_reference(family, r, M):
         if m.upper <= M:
             continue
         count = ct.enumerate_points(Z2, m.auto, r, family.metric).count
-        rows.append(ct.ScanRow(m.param, m.upper, m.jacobian, count, (count - 1) / m.jacobian))
+        rows.append(ScanRow(m.param, m.upper, m.jacobian, count, (count - 1) / m.jacobian))
     rows.sort(key=lambda row: (row.upper_constant, str(row.param)))
     return rows
 
@@ -332,10 +331,67 @@ def test_distortion_order_matches_filter_and_sort(family, data):
     reference = _scan_rows_reference(family, 0.4, M)
     if not expected:
         with pytest.raises(RejectedInputError):
-            ct.property_x_scan(family, Z2, family.metric, 0.4, M)
+            ct.property_x_scan(family, Z2, 0.4, M, math.inf)
         return
-    report = ct.property_x_scan(family, Z2, family.metric, 0.4, M)
-    assert list(report.rows) == reference
+    report = ct.property_x_scan(family, Z2, 0.4, M, math.inf)
+    t = family.members
+    assert [ScanRow(family.params[i], t.upper[i], t.jacobians[i], n, q) for i, n, q in
+            zip(report.rows.tolist(), report.counts.tolist(), report.ratios.tolist())
+            ] == reference
+
+
+@st.composite
+def scan_cases(draw):
+    """A power, Gabor, shearlet or atom family with its lattice, a radius, and a
+    distortion cutoff and cap on, between or beyond its upper constants."""
+    kind = draw(st.sampled_from(["power", "gabor", "shearlet", "atoms"]))
+    metric = ml.MetricSpace(draw(st.sampled_from([ml.EUCLIDEAN_L2, ml.EUCLIDEAN_LINF])), 2)
+    if kind == "power":
+        base = draw(st.sampled_from([[[2.0]], [[-1.5]], [[0.5]], [[2.0, 0.0], [0.0, 0.5]],
+                                     [[1.5, 0.0], [0.0, 1.0]], [[2.0, 1.0], [0.0, 0.5]]]))
+        j_min = draw(st.integers(-2, 0))
+        metric = ml.MetricSpace(metric.kind, len(base))
+        fam = am.matrix_power_family(base, j_min, j_min + draw(st.integers(0, 8)), metric)
+    elif kind == "gabor":
+        fam = am.gabor_shift_family(draw(st.lists(st.floats(-6.0, 6.0), min_size=1,
+                                                  max_size=8)))
+    elif kind == "shearlet":
+        fam = am.shearlet_grid_family(
+            draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 4.0]), min_size=1, max_size=3)),
+            draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3)), metric)
+    else:
+        scales = draw(st.lists(st.floats(0.2, 6.0), min_size=1, max_size=6))
+        metric = ml.MetricSpace(metric.kind, 1)
+        fam = am.AutomorphismFamily(tuple(range(len(scales))),
+                                    lambda i: am.Automorphism([[scales[i]]]),
+                                    lambda i: 1.0, metric)
+    uppers = sorted(set(fam.members.upper.tolist()))
+    levels = (uppers + [0.5 * (a + b) for a, b in zip(uppers, uppers[1:])]
+              + [0.5 * uppers[0], 2.0 * uppers[-1]])
+    lattice = Z1 if fam.metric.dim == 1 or fam.metric.kind == ml.GABOR_PRODUCT else Z2
+    r = draw(st.sampled_from([0.2, 0.4, 0.9] * 3 + [-0.5]))
+    cap = draw(st.sampled_from(levels))
+    below = [level for level in levels if level < cap]
+    return fam, lattice, r, draw(st.sampled_from(below * 4 + [-1.0, cap])), cap
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=scan_cases())
+def test_property_x_columns_match_scan_rows_of_the_restricted_family(case):
+    fam, lattice, r, M, cap = case
+    report = raised(lambda: ct.property_x_scan(fam, lattice, r, M, cap))
+    ref = raised(lambda: _ref_property_x_scan(_ref_restrict(fam, fam.members.upper <= cap),
+                                              lattice, fam.metric, r, M))
+    if isinstance(ref, tuple) and len(ref) == 2:  # the same input error, in the same order
+        assert report == ref
+        return
+    assert ((report.verdict, report.constant, report.witness, report.witness_count,
+             report.attempted_bound)
+            == (ref.verdict, ref.constant, ref.witness, ref.witness_count, ref.attempted_bound))
+    t = fam.members
+    assert [ScanRow(fam.params[i], t.upper[i], t.jacobians[i], n, q) for i, n, q in
+            zip(report.rows.tolist(), report.counts.tolist(), report.ratios.tolist())
+            ] == list(ref.rows)
 
 
 def test_random_instance_sandwich_small():
