@@ -23,6 +23,7 @@ from .metric_lattice import EUCLIDEAN_L2, GABOR_PRODUCT, MetricSpace, gabor_prod
 
 ORACLE_DIRECTIONS = 100_000
 ORACLE_SEED = 7151
+ORACLE_BLOCK = 1 << 20  # floats in one block of the stacked Gabor oracle
 BISECT_TOL = 1e-12     # relative width at which a level-set crossing is cut
 SLOPE_THRESHOLD = -0.5  # log-log decay of the lower constant that flags non-expansion
 TIE_RTOL = 0.05        # lower constants this close form one tie group
@@ -173,8 +174,19 @@ def lipschitz_oracle(matrices: np.ndarray, inverses: np.ndarray, metric: MetricS
     arrays (oracle_lower, oracle_upper) over the (n, d, d) stacks; the true
     constants satisfy lower <= oracle_lower and upper >= oracle_upper."""
     if metric.kind == GABOR_PRODUCT:
-        bounds = [_lipschitz_oracle_gabor(-float(x), n_directions) for x in matrices[:, 0, 1]]
-        return tuple(np.array(bounds).T)
+        # ratios on the k = 0 slice are 1; it suffices to scan the k = 1 slice
+        # scaled by |k|, plus the slice anchors 0, p and -p, in blocks of members
+        u = np.random.default_rng(ORACLE_SEED).random(n_directions)
+        p = -matrices[:, 0, 1, None]
+        lower, upper = np.empty(len(p)), np.empty(len(p))
+        rows = max(1, ORACLE_BLOCK // (n_directions + 3))
+        for s in range(0, len(p), rows):
+            q = p[s:s + rows]
+            span = 2.0 * (1.0 + np.abs(q)) + 1.0
+            xs = np.concatenate([-span + (span + span) * u, np.zeros_like(q), q, -q], axis=1)
+            ratios = (np.abs(xs - q) + 1.0) / (np.abs(xs) + 1.0)
+            lower[s:s + rows], upper[s:s + rows] = ratios.min(axis=1), ratios.max(axis=1)
+        return np.minimum(lower, 1.0), np.maximum(upper, 1.0)
     rng = np.random.default_rng(ORACLE_SEED)  # every member reads the same draws
     dim = matrices.shape[-1]
     sampled = _unit_rows(rng.normal(size=(n_directions, dim)), metric)
@@ -214,16 +226,6 @@ def _power_iteration_directions(matrices: np.ndarray, rng: np.random.Generator) 
         raise RejectedInputError("direction oracle: a member's Gram matrix is singular "
                                  "in floating point") from exc
     return v
-
-
-def _lipschitz_oracle_gabor(p: float, n_points: int) -> tuple[float, float]:
-    # Ratios on the k = 0 slice are 1; it suffices to scan the k = 1 slice
-    # scaled by |k|, plus the slice anchors.
-    rng = np.random.default_rng(ORACLE_SEED)
-    span = 2.0 * (1.0 + abs(p)) + 1.0
-    xs = np.concatenate([rng.uniform(-span, span, n_points), [0.0, p, -p]])
-    ratios = (np.abs(xs - p) + 1.0) / (np.abs(xs) + 1.0)
-    return min(float(np.min(ratios)), 1.0), max(float(np.max(ratios)), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -320,44 +322,37 @@ class AutomorphismFamily:
         return float(self.edges[0]), float(self.edges[-1])
 
     def level_set_intervals(self, lower: float, upper: float) -> list[tuple[float, float]]:
-        """Parameter intervals where lower <= L(a) <= upper (continuous families).
+        """The parameter interval where lower <= L(a) <= upper, as a list of at
+        most one (lo, hi) (continuous families).
 
         Continuous families are dilations [[a]] with a > 0 (see
-        `continuous_dilation_family`), so L(a) = a in both metrics.  Cells
-        inside the band are kept whole; the others are bracketed on a 5-point
-        grid with bisection at the crossings.
+        `continuous_dilation_family`), so L(a) = a in both metrics and the
+        level set is one interval.  An end inside the domain is bisected within
+        its step of a 5-point grid on its cell.  That grid, `BISECT_TOL` and
+        `_bisect_flag` stay only to reproduce the pinned band masses of the
+        cell walk this replaced; the exact ends are `lower` and `upper`.
         """
         if not self.is_continuous:
             raise RejectedInputError("level sets need a continuous index set")
-
-        def inside(a: float) -> bool:
-            return lower <= a <= upper
-
         edges = self.edges
-        out: list[tuple[float, float]] = []
-        for a0, a1 in zip(edges[:-1], edges[1:]):
-            if a1 < lower or a0 > upper:
-                continue
-            if lower <= a0 and a1 <= upper:
-                out.append((float(a0), float(a1)))
-                continue
-            grid = np.linspace(a0, a1, 5)
-            flags = [inside(float(g)) for g in grid]
-            cursor = None
-            for g0, g1, f0, f1 in zip(grid[:-1], grid[1:], flags[:-1], flags[1:]):
-                if f0 and cursor is None:
-                    cursor = float(g0)
-                if f0 != f1:
-                    cut = _bisect_flag(inside, float(g0), float(g1), f0)
-                    if f0:
-                        out.append((cursor if cursor is not None else float(g0), cut))
-                        cursor = None
-                    else:
-                        cursor = cut
-            if flags[-1] and cursor is not None:
-                out.append((cursor, float(grid[-1])))
-                cursor = None
-        return _merge_intervals(out)
+        if upper < edges[0] or lower > edges[-1]:
+            return []
+        lo = float(edges[0]) if lower <= edges[0] else _bisect_end(edges, lower, "left")
+        hi = float(edges[-1]) if upper >= edges[-1] else _bisect_end(edges, upper, "right")
+        return [(lo, hi)] if hi > lo else []
+
+
+def _bisect_end(edges: np.ndarray, end: float, side: str) -> float:
+    """Bisect a level-set end inside the domain: side "left" cuts lower <= a at
+    `end` = lower, side "right" cuts a <= upper at `end` = upper.  searchsorted
+    on `side` picks the cell and the step of its grid that hold the cut."""
+    cell = int(np.searchsorted(edges, end, side=side))
+    grid = np.linspace(edges[cell - 1], edges[cell], 5)
+    step = int(np.searchsorted(grid, end, side=side))
+    g0, g1 = float(grid[step - 1]), float(grid[step])
+    if side == "left":
+        return _bisect_flag(lambda a: end <= a, g0, g1, False)
+    return _bisect_flag(lambda a: a <= end, g0, g1, True)
 
 
 def _bisect_flag(flag: Callable[[float], bool], lo: float, hi: float,
@@ -371,20 +366,6 @@ def _bisect_flag(flag: Callable[[float], bool], lo: float, hi: float,
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def _merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    if not intervals:
-        return []
-    intervals = sorted(intervals)
-    merged = [intervals[0]]
-    for lo, hi in intervals[1:]:
-        plo, phi = merged[-1]
-        if lo <= phi + 1e-12:
-            merged[-1] = (plo, max(phi, hi))
-        else:
-            merged.append((lo, hi))
-    return [(lo, hi) for lo, hi in merged if hi > lo]
 
 
 def matrix_power_family(base, j_min: int, j_max: int, metric: MetricSpace,
@@ -436,9 +417,6 @@ class MonotoneEnvelope:
 
     xs: np.ndarray
     ys: np.ndarray
-
-    def __call__(self, x) -> np.ndarray:
-        return np.interp(x, self.xs, self.ys)
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,6 @@ from .errors import RejectedInputError, check_bytes
 from .metric_lattice import GABOR_PRODUCT, Lattice, MetricSpace
 from .profiles import FrequencyProfile, PiecewiseConstantProfile, indicator_interval
 
-PROBE_COUNT = 50
-PROBE_SEED = 424243
 PROBE_MAX_PIECES = 8
 
 
@@ -210,8 +208,8 @@ def frame_bound_probe(psihat: FrequencyProfile, family: AutomorphismFamily,
     return float(np.min(values)), float(np.max(values))
 
 
-def random_probe_ensemble(band_lo: float, band_hi: float, count: int = PROBE_COUNT,
-                          seed: int = PROBE_SEED) -> list[PiecewiseConstantProfile]:
+def random_probe_ensemble(band_lo: float, band_hi: float, count: int,
+                          seed: int) -> list[PiecewiseConstantProfile]:
     """Deterministic ensemble of unit-norm piecewise-constant band profiles."""
     if band_hi <= band_lo:
         raise RejectedInputError("empty probe band")

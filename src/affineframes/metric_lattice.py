@@ -326,7 +326,6 @@ def weil_residual(profile: FrequencyProfile, lattice: Lattice, level: int = 5) -
 class OverlapEstimate:
     value: float
     stderr: float
-    seed: int
 
 
 def _blocked_rngs(seed: int, n_samples: int) -> Iterator[tuple[int, np.random.Generator]]:
@@ -361,7 +360,7 @@ def overlap_measure(lattice: Lattice, metric: MetricSpace, auto=None, r: float =
                                   n_samples=n_samples, seed=seed + k)
             value += est.value
             var += est.stderr ** 2
-        return OverlapEstimate(value, math.sqrt(var), seed)
+        return OverlapEstimate(value, math.sqrt(var))
 
     matrix, inv = ((np.eye(metric.dim),) * 2 if auto is None
                    else (auto.matrix, auto.inv_matrix))
@@ -399,7 +398,7 @@ def overlap_measure(lattice: Lattice, metric: MetricSpace, auto=None, r: float =
     p = hits / total
     value = lattice.covolume * p
     stderr = lattice.covolume * math.sqrt(max(p * (1.0 - p), 0.0) / total)
-    return OverlapEstimate(value, stderr, seed)
+    return OverlapEstimate(value, stderr)
 
 
 def _prune_shifts(shifts: np.ndarray, inv: np.ndarray, metric: MetricSpace, r: float,

@@ -3,7 +3,8 @@
 A family used to be a tuple of member records, each built from its own
 automorphism and its own distortion constants; `_ref_members` rebuilds that
 tuple, and `_ref_above` the distortion order read from it.  `constants` and
-`oracle_pairs` read the package's stacked constants and oracle on single maps.
+`oracle_pairs` read the package's stacked constants and oracle on single maps,
+and `_ref_lipschitz_oracle_gabor` keeps the Gabor oracle's per-member body.
 
 Orbit sums and the jacobian-domination scan used to return one record per
 frequency and per scanned member, and the scan ran on a subfamily re-wrapped
@@ -51,6 +52,17 @@ def oracle_pairs(autos, metric, n_directions=am.ORACLE_DIRECTIONS):
                                        np.stack([a.inv_matrix for a in autos]), metric,
                                        n_directions=n_directions)
     return list(zip(lower.tolist(), upper.tolist()))
+
+
+def _ref_lipschitz_oracle_gabor(p, n_points):
+    """The direction oracle of one Gabor shift by p, redrawing its points."""
+    # Ratios on the k = 0 slice are 1; it suffices to scan the k = 1 slice
+    # scaled by |k|, plus the slice anchors.
+    rng = np.random.default_rng(am.ORACLE_SEED)
+    span = 2.0 * (1.0 + abs(p)) + 1.0
+    xs = np.concatenate([rng.uniform(-span, span, n_points), [0.0, p, -p]])
+    ratios = (np.abs(xs - p) + 1.0) / (np.abs(xs) + 1.0)
+    return min(float(np.min(ratios)), 1.0), max(float(np.max(ratios)), 1.0)
 
 
 def _ref_singular_values(M):

@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import warnings
 
 import numpy as np
@@ -477,7 +479,9 @@ def test_cli_strongly_sheared_shearlets_have_valid_l2_constants(tmp_path, capsys
 
 def test_cli_wide_continuous_dilation_domain_runs(tmp_path, capsys):
     # the cell midpoints sqrt(e0 * e1) over- and underflowed long before the
-    # edges did, and the member [[inf]] or [[0]] failed as a singular matrix
+    # edges did, and the member [[inf]] or [[0]] failed as a singular matrix;
+    # cells span a factor of about 2.4e9 here, and the per-cell level-set walk
+    # missed every band [t, 2t] inside one grid step, writing 0.0 for 12 of 13 rows
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code = cli.main(["run", "semicontinuous_wavelet", "--out", str(tmp_path / "o"),
@@ -485,6 +489,11 @@ def test_cli_wide_continuous_dilation_domain_runs(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0, captured.err
     assert "[PASS] calderon_scan" in captured.out
+    with open(tmp_path / "o" / "01_u_c.csv") as fh:
+        masses = [float(row["band_mass"]) for row in csv.DictReader(fh)]
+    # the weight is 1/a, so each band [t, 2t] has mass log 2
+    assert len(masses) == 13
+    assert all(abs(m - math.log(2.0)) <= 1e-9 for m in masses), masses
 
 
 @pytest.mark.parametrize("name,overrides,word", [

@@ -60,7 +60,21 @@ def ref_level_set_intervals(family, lower, upper):
         if flags[-1] and cursor is not None:
             out.append((cursor, float(grid[-1])))
             cursor = None
-    return am._merge_intervals(out)
+    return _ref_merge_intervals(out)
+
+
+def _ref_merge_intervals(intervals):
+    if not intervals:
+        return []
+    intervals = sorted(intervals)
+    merged = [intervals[0]]
+    for lo, hi in intervals[1:]:
+        plo, phi = merged[-1]
+        if lo <= phi + 1e-12:
+            merged[-1] = (plo, max(phi, hi))
+        else:
+            merged.append((lo, hi))
+    return [(lo, hi) for lo, hi in merged if hi > lo]
 
 
 def ref_active_windows(psihat, xi, domain):
@@ -168,25 +182,54 @@ def _frequencies(rng, psihat, family):
 # Properties
 # ---------------------------------------------------------------------------
 
+def _assert_true_band(got, family, lower, upper):
+    """The generic walk missed bands narrower than one grid step; the level set
+    now bisects their true ends max(lower, lo) and min(upper, hi) to BISECT_TOL.
+    A band narrower than that tolerance may bisect to nothing."""
+    edges = family.edges
+    true_lo, true_hi = max(lower, float(edges[0])), min(upper, float(edges[-1]))
+    if got == []:
+        assert true_hi - true_lo <= am.BISECT_TOL * max(1.0, abs(true_lo))
+        return
+    [(lo, hi)] = got
+    for end, true in ((lo, true_lo), (hi, true_hi)):
+        assert abs(end - true) <= am.BISECT_TOL * max(1.0, abs(true))
+
+
+def _band_mass(family, intervals):
+    return sum(quadrature.integrate_box(
+        lambda x: np.array([family.weight_of(float(v)) for v in x[:, 0]]),
+        [a0], [a1], cells_per_axis=4) for a0, a1 in intervals)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), metric=st.sampled_from(METRICS))
 def test_level_sets_read_the_parameter_bit_for_bit(seed, metric):
     rng = np.random.default_rng(seed)
     fam = _random_family(rng, metric)
-    for _ in range(12):
-        lower = _probe_value(rng, fam)
-        upper = np.inf if rng.random() < 0.2 else _probe_value(rng, fam)
-        assert fam.level_set_intervals(lower, upper) == ref_level_set_intervals(
+    draws = [(_probe_value(rng, fam), np.inf if rng.random() < 0.2 else _probe_value(rng, fam))
+             for _ in range(12)]
+    grid = _grid_points(fam)  # and a band inside one grid step, which the walk missed
+    step = int(rng.choice(np.flatnonzero(np.diff(grid) > 0))) + 1
+    draws.append(np.sort(rng.uniform(grid[step - 1], grid[step], 2)).tolist())
+    for lower, upper in draws:
+        got, ref = fam.level_set_intervals(lower, upper), ref_level_set_intervals(
             fam, lower, upper)
+        if ref:
+            assert got == ref
+        else:
+            _assert_true_band(got, fam, lower, upper)
     # band masses integrate the density over those level sets
     ts = np.sort([_probe_value(rng, fam) for _ in range(4)])
     band = am.band_mass_profile(fam, lambda x: x, 2.0, ts, float(ts[0]), cap=1e6)
-    ref = [sum(quadrature.integrate_box(
-               lambda x: np.array([fam.weight_of(float(v)) for v in x[:, 0]]),
-               [a0], [a1], cells_per_axis=4)
-               for a0, a1 in ref_level_set_intervals(fam, float(t), float(2.0 * t)))
-           for t in ts]
-    assert band.values.tolist() == ref
+    for t, value in zip(ts.tolist(), band.values.tolist()):
+        ref = ref_level_set_intervals(fam, t, 2.0 * t)
+        if ref:
+            assert value == _band_mass(fam, ref)
+        else:
+            got = fam.level_set_intervals(t, 2.0 * t)
+            _assert_true_band(got, fam, t, 2.0 * t)
+            assert value == _band_mass(fam, got)
 
 
 @settings(max_examples=60, deadline=None)
