@@ -31,7 +31,10 @@ EXPLOSION = 10.0       # growth factor that counts as collapse or blow-up eviden
 
 
 def _largest_singular_values(matrices: np.ndarray) -> np.ndarray:
-    grams = np.matmul(matrices.transpose(0, 2, 1), matrices)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
+        grams = np.matmul(matrices.transpose(0, 2, 1), matrices)
+    if not np.all(np.isfinite(grams)):
+        raise RejectedInputError("L2 distortion constants: a Gram matrix M^T M overflows a float")
     return np.sqrt(np.clip(np.linalg.eigvalsh(grams)[:, -1], 0.0, None))
 
 
@@ -41,14 +44,35 @@ def _all_shifts(matrices: np.ndarray) -> bool:
         np.all(matrices[:, [0, 1, 1], [0, 0, 1]] == [1.0, 0.0, 1.0]))
 
 
+def _check_maps(matrices: np.ndarray, jacobians: Sequence[float | None],
+                metric: MetricSpace | None = None) -> tuple:
+    """(inverses, jacobians, lower, upper) of an (n, d, d) stack of maps, refused at any
+    map's fault.  A jacobian None is |m| in 1-d and |det| otherwise; constants need a metric."""
+    if matrices.shape[1] != matrices.shape[2]:
+        raise RejectedInputError("automorphism matrix must be square")
+    with np.errstate(over="ignore"):  # an overflowing det is refused as a jacobian below
+        det = np.linalg.det(matrices) if np.all(np.isfinite(matrices)) else np.zeros(1)
+    if np.any(det == 0.0):
+        raise RejectedInputError("automorphism matrix is singular")
+    inverses = np.linalg.inv(matrices)  # det and inv factor alike: no singular map gets here
+    if not np.all(np.isfinite(inverses)):
+        raise RejectedInputError("automorphism matrix is numerically singular")
+    rule = np.abs(matrices[:, 0, 0] if matrices.shape[1] == 1 else det)  # 1-d: det rounds
+    jacobians = np.array([r if j is None else j for r, j in zip(rule.tolist(), jacobians)])
+    if not np.all(np.isfinite(jacobians)):
+        jacobian = jacobians[~np.isfinite(jacobians)][0]
+        raise RejectedInputError(f"automorphism jacobian {jacobian} overflows a float")
+    constants = (None, None) if metric is None else lipschitz_constants(matrices, inverses, metric)
+    return inverses, jacobians, *constants
+
+
 # ---------------------------------------------------------------------------
 # Automorphisms
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Automorphism:
-    """Invertible linear map on frequency coordinates and its jacobian; without
-    a closed form the jacobian is |m| in 1-d and |det| otherwise."""
+    """Invertible linear map on frequency coordinates and its jacobian, via `_check_maps`."""
 
     matrix: np.ndarray
     jacobian: float | None = None
@@ -56,29 +80,10 @@ class Automorphism:
 
     def __post_init__(self):
         m = np.atleast_2d(np.asarray(self.matrix, dtype=float))
-        if m.shape[0] != m.shape[1]:
-            raise RejectedInputError("automorphism matrix must be square")
-        with np.errstate(over="ignore"):  # an overflowing det is refused as a jacobian below
-            det = float(np.linalg.det(m)) if np.all(np.isfinite(m)) else 0.0
-        if det == 0.0:
-            raise RejectedInputError("automorphism matrix is singular")
-        try:
-            inv = np.linalg.inv(m)
-        except np.linalg.LinAlgError as exc:
-            raise RejectedInputError("automorphism matrix is singular") from exc
-        if not np.all(np.isfinite(inv)):
-            raise RejectedInputError("automorphism matrix is numerically singular")
+        inverses, jacobians, _, _ = _check_maps(m[None], [self.jacobian])
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "inv_matrix", inv)
-        if self.jacobian is None:  # 1-d: det goes through exp(log|m|), which rounds
-            object.__setattr__(self, "jacobian", abs(float(m[0, 0])) if m.shape == (1, 1)
-                               else abs(det))
-        if not math.isfinite(self.jacobian):
-            raise RejectedInputError(f"automorphism jacobian {self.jacobian} overflows a float")
-
-    def inverse_apply(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        return pts @ self.inv_matrix.T
+        object.__setattr__(self, "inv_matrix", inverses[0])
+        object.__setattr__(self, "jacobian", float(jacobians[0]))
 
     def box_image(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
         """Interval-arithmetic bounding box of the image of [lo, hi]."""
@@ -99,7 +104,7 @@ def line_action(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ones(matrices.shape[0]), matrices[:, 0, 1]
 
 
-def matrix_power(base, exponent: int) -> Automorphism:
+def matrix_power(base, exponent: int) -> tuple[np.ndarray, None]:
     b = np.atleast_2d(np.asarray(base, dtype=float))
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -112,10 +117,10 @@ def matrix_power(base, exponent: int) -> Automorphism:
     if not finite or vanishes:
         raise RejectedInputError(f"matrix power {b.tolist()} ** {int(exponent)} "
                                  f"{'underflows' if finite else 'overflows'} a float")
-    return Automorphism(m)
+    return m, None
 
 
-def shearlet(a: float, s: float) -> Automorphism:
+def shearlet(a: float, s: float) -> tuple[np.ndarray, float]:
     """Frequency-side shearlet map (a*x1, s*sqrt(a)*x1 + sqrt(a)*x2), jacobian a ** 1.5."""
     if a <= 0:
         raise RejectedInputError("shearlet scale must be positive")
@@ -124,12 +129,12 @@ def shearlet(a: float, s: float) -> Automorphism:
     except OverflowError:
         raise RejectedInputError(f"shearlet scale {a} overflows its jacobian a ** 1.5") from None
     ra = math.sqrt(a)
-    return Automorphism(np.array([[a, 0.0], [s * ra, ra]]), jacobian)
+    return np.array([[a, 0.0], [s * ra, ra]]), jacobian
 
 
-def gabor_shift(p: float) -> Automorphism:
+def gabor_shift(p: float) -> tuple[np.ndarray, float]:
     """Dual Gabor action (xi, k) -> (xi - k*p, k), jacobian 1."""
-    return Automorphism(np.array([[1.0, -float(p)], [0.0, 1.0]]), 1.0)
+    return np.array([[1.0, -float(p)], [0.0, 1.0]]), 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +241,6 @@ def _power_iteration_directions(matrices: np.ndarray, rng: np.random.Generator) 
 class MemberTable:
     """Every member of a family, one row per parameter in `params` order."""
 
-    autos: tuple             # the generator's maps, for consumers that need one map
     matrices: np.ndarray     # (n, d, d)
     inverses: np.ndarray     # (n, d, d)
     jacobians: np.ndarray
@@ -249,13 +253,13 @@ class MemberTable:
 class AutomorphismFamily:
     """Indexed family of dual automorphisms with weights and a metric.
 
-    `params` lists the parameters in member order.  With cell `edges` the
-    family is continuous and `weight` is a density on the parameter axis;
-    otherwise `weight` is an atom mass.  `base` marks the power range
-    base ** j of `matrix_power_family`, whose ends certify truncations.
-    `members` materialises every parameter once, on first use; only
-    `weight_of` serves parameters outside that table (the quadrature nodes of
-    continuous families).
+    `params` lists the parameters in member order; `generator` makes one's
+    matrix and closed-form jacobian (or None).  With cell `edges` the family
+    is continuous and `weight` is a density on the parameter axis; otherwise
+    `weight` is an atom mass.  `base` marks the power range base ** j of
+    `matrix_power_family`, whose ends certify truncations.  `members`
+    materialises every parameter once, on first use; only `weight_of` serves
+    parameters outside that table (the quadrature nodes of continuous families).
     """
 
     params: tuple
@@ -281,33 +285,35 @@ class AutomorphismFamily:
 
     @cached_property
     def members(self) -> MemberTable:
-        """The member table.  Each parameter goes through the generator and the
-        weight in turn, so the first member at fault raises first."""
-        autos, weights = [], []
-        for param in self.params:
-            auto = self.generator(*param) if isinstance(param, tuple) else self.generator(param)
-            _check_closed_form(auto.matrix[None], self.metric)
-            autos.append(auto)
-            weights.append(self.weight_of(param))
-        matrices = np.stack([auto.matrix for auto in autos])
-        inverses = np.stack([auto.inv_matrix for auto in autos])
-        return MemberTable(tuple(autos), matrices, inverses,
-                           np.array([auto.jacobian for auto in autos]),
-                           *lipschitz_constants(matrices, inverses, self.metric),
-                           np.array(weights))
+        """The member table, the maps of all parameters checked as one stack."""
+        def make(param) -> tuple[np.ndarray, float | None]:
+            matrix, jacobian = self.generator(*(param if isinstance(param, tuple) else (param,)))
+            return np.atleast_2d(np.asarray(matrix, dtype=float)), jacobian
+        try:
+            matrices, jacobians = zip(*map(make, self.params))
+            stack = np.stack(matrices)
+            table = MemberTable(stack, *_check_maps(stack, jacobians, self.metric),
+                                np.array([self.weight_of(param) for param in self.params]))
+        except Exception:  # again one member at a time, so the first at fault raises
+            for param in self.params:
+                matrix, jacobian = make(param)
+                _check_maps(matrix[None], [jacobian], self.metric)
+                self.weight_of(param)
+            raise
+        return table
 
     @cached_property
     def base_constants(self) -> tuple[float, float]:
         """Distortion constants (lower, upper) of one power step `base`."""
-        step = Automorphism(self.base)
-        lower, upper = lipschitz_constants(step.matrix[None], step.inv_matrix[None], self.metric)
+        _, _, lower, upper = _check_maps(self.base[None], [None], self.metric)
         return float(lower[0]), float(upper[0])
 
     def member(self, param) -> Automorphism:
-        """The generator's map of one parameter."""
+        """One parameter's map, built from its row of the member table."""
         if param not in self.params:
             raise RejectedInputError(f"parameter {param!r} is not in the family")
-        return self.members.autos[self.params.index(param)]
+        i = self.params.index(param)
+        return Automorphism(self.members.matrices[i], self.members.jacobians[i])
 
     def above(self, M: float) -> np.ndarray:
         """Rows with L(h) > M in distortion order: by upper constant, ties
@@ -404,7 +410,7 @@ def continuous_dilation_family(lo: float, hi: float, n_cells: int,
         raise RejectedInputError("edges must be strictly increasing")
     points = np.sqrt(edges[:-1]) * np.sqrt(edges[1:])  # the product over/underflows first
     return AutomorphismFamily(tuple(float(p) for p in points),
-                              lambda a: Automorphism([[a]]), weight, metric, edges=edges)
+                              lambda a: ([[a]], None), weight, metric, edges=edges)
 
 
 # ---------------------------------------------------------------------------

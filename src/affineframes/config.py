@@ -355,7 +355,7 @@ def build_family(scenario: dict) -> am.AutomorphismFamily:
     if kind == "matrix_atoms":
         mats = [np.asarray(m, dtype=float) for m in fam["matrices"]]
         return am.AutomorphismFamily(tuple(range(len(mats))),
-                                     lambda i: am.Automorphism(mats[int(i)]),
+                                     lambda i: (mats[int(i)], None),
                                      weight, metric)
     return am.continuous_dilation_family(float(fam["lo"]), float(fam["hi"]),
                                          int(fam["cells"]), metric, weight)

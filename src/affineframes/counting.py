@@ -132,7 +132,7 @@ def enumerate_points(lattice: Lattice, auto: Automorphism, r: float,
     # the exact test: dist < r, with |dist - r| <= BOUNDARY_GUARD a boundary hit
     inside = hits = 0
     for inner, m in band:
-        gap = metric.norm(auto.inverse_apply(m @ lattice.basis.T)) - r
+        gap = metric.norm(m @ lattice.basis.T @ auto.inv_matrix.T) - r
         inside += inner + int(np.count_nonzero(gap < -BOUNDARY_GUARD))
         hits += int(np.count_nonzero(np.abs(gap) <= BOUNDARY_GUARD))
     return CountResult(inside, hits)
@@ -204,8 +204,8 @@ def property_x_scan(family: AutomorphismFamily, lattice: Lattice, r: float, M: f
     rows = rows[t.upper[rows] <= cap]
     if not rows.size:
         raise RejectedInputError("no family parameters exceed the distortion cutoff")
-    counts = np.array([enumerate_points(lattice, t.autos[i], r, family.metric).count
-                       for i in rows.tolist()])
+    counts = np.array([enumerate_points(lattice, Automorphism(t.matrices[i], t.jacobians[i]),
+                                        r, family.metric).count for i in rows.tolist()])
     ratios = (counts - 1) / t.jacobians[rows]
     constant = float(np.max(ratios))
 

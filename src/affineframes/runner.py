@@ -122,7 +122,7 @@ def _run_counting(analysis, ctx):
     seed = int(ctx["scenario"]["seed"])
     params = analysis["params"]
     if params is None:
-        autos = [(None, _identity_auto(metric))]
+        autos = [(None, am.Automorphism(np.eye(metric.dim)))]  # on a Gabor group, the shift by 0
     else:
         keys = [tuple(p) if isinstance(p, list) else p for p in params]
         autos = [(key, family.member(key)) for key in keys]
@@ -145,12 +145,6 @@ def _run_counting(analysis, ctx):
         "r", "count", "upper_bound", "upper_stderr", "count_2r",
         "lower_bound_at_2r", "lower_stderr", "sandwich_ok"]
     return {"n_cases": len(csv_rows), "all_sandwich_ok": passed}, passed, (header, csv_rows)
-
-
-def _identity_auto(metric: ml.MetricSpace) -> am.Automorphism:
-    if metric.kind == ml.GABOR_PRODUCT:
-        return am.gabor_shift(0.0)
-    return am.Automorphism(np.eye(metric.dim))
 
 
 def _run_lipschitz(analysis, ctx):

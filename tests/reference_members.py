@@ -2,7 +2,9 @@
 
 A family used to be a tuple of member records, each built from its own
 automorphism and its own distortion constants; `_ref_members` rebuilds that
-tuple, and `_ref_above` the distortion order read from it.  `constants` and
+tuple, and `_ref_above` the distortion order read from it.  Each member's map
+goes through `_ref_automorphism`, the checks of one map alone as they stood
+before the family checked its maps as one stack.  `constants` and
 `oracle_pairs` read the package's stacked constants and oracle on single maps,
 and `_ref_lipschitz_oracle_gabor` keeps the Gabor oracle's per-member body.
 
@@ -13,6 +15,7 @@ around a slice of the member table: `_ref_calderon_sum`,
 `_ref_truncation_label` the CSV label read from a truncation record.
 """
 
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -25,6 +28,7 @@ from affineframes import quadrature
 from affineframes.errors import RejectedInputError, SingularPointError
 
 Member = namedtuple("Member", "param auto lower upper jacobian weight")
+RefAutomorphism = namedtuple("RefAutomorphism", "matrix inv_matrix jacobian")
 Constants = namedtuple("Constants", "lower upper")
 Evaluation = namedtuple("Evaluation", "xi value truncation tail_estimate certified_exact")
 ScanRow = namedtuple("ScanRow", "param upper_constant jacobian count ratio")
@@ -54,6 +58,29 @@ def oracle_pairs(autos, metric, n_directions=am.ORACLE_DIRECTIONS):
     return list(zip(lower.tolist(), upper.tolist()))
 
 
+def _ref_automorphism(matrix, jacobian=None):
+    """One map and its jacobian, checked alone: |m| in 1-d and |det| otherwise
+    without a closed form."""
+    m = np.atleast_2d(np.asarray(matrix, dtype=float))
+    if m.shape[0] != m.shape[1]:
+        raise RejectedInputError("automorphism matrix must be square")
+    with np.errstate(over="ignore"):  # an overflowing det is refused as a jacobian below
+        det = float(np.linalg.det(m)) if np.all(np.isfinite(m)) else 0.0
+    if det == 0.0:
+        raise RejectedInputError("automorphism matrix is singular")
+    try:
+        inv = np.linalg.inv(m)
+    except np.linalg.LinAlgError as exc:
+        raise RejectedInputError("automorphism matrix is singular") from exc
+    if not np.all(np.isfinite(inv)):
+        raise RejectedInputError("automorphism matrix is numerically singular")
+    if jacobian is None:  # 1-d: det goes through exp(log|m|), which rounds
+        jacobian = abs(float(m[0, 0])) if m.shape == (1, 1) else abs(det)
+    if not math.isfinite(jacobian):
+        raise RejectedInputError(f"automorphism jacobian {jacobian} overflows a float")
+    return RefAutomorphism(m, inv, jacobian)
+
+
 def _ref_lipschitz_oracle_gabor(p, n_points):
     """The direction oracle of one Gabor shift by p, redrawing its points."""
     # Ratios on the k = 0 slice are 1; it suffices to scan the k = 1 slice
@@ -69,7 +96,11 @@ def _ref_singular_values(M):
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.shape == (1, 1):
         return np.abs(M[0])
-    return np.sqrt(np.clip(np.linalg.eigvalsh(M.T @ M), 0.0, None))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = M.T @ M
+    if not np.all(np.isfinite(gram)):
+        raise RejectedInputError("L2 distortion constants: a Gram matrix M^T M overflows a float")
+    return np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))
 
 
 def _ref_shift_offset(m):
@@ -114,8 +145,8 @@ def _ref_members(family):
     """The member records of every parameter, built one at a time."""
     rows = []
     for param in family.params:
-        auto = (family.generator(*param) if isinstance(param, tuple)
-                else family.generator(param))
+        auto = _ref_automorphism(*(family.generator(*param) if isinstance(param, tuple)
+                                   else family.generator(param)))
         lower, upper = _ref_lipschitz_constants(auto, family.metric)
         rows.append(Member(param, auto, lower, upper, auto.jacobian, family.weight_of(param)))
     return rows
@@ -141,9 +172,9 @@ def _ref_restrict(family, keep):
     t = family.members
     sub = am.AutomorphismFamily(tuple(family.params[i] for i in rows), family.generator,
                                 family.weight, family.metric)
-    sub.__dict__["members"] = am.MemberTable(
-        tuple(t.autos[i] for i in rows), t.matrices[rows], t.inverses[rows],
-        t.jacobians[rows], t.lower[rows], t.upper[rows], t.weights[rows])
+    sub.__dict__["members"] = am.MemberTable(t.matrices[rows], t.inverses[rows],
+                                             t.jacobians[rows], t.lower[rows], t.upper[rows],
+                                             t.weights[rows])
     return sub
 
 
@@ -153,7 +184,7 @@ def _ref_property_x_scan(family, lattice, metric, r, M):
         raise RejectedInputError("radius and distortion cutoff must be positive")
     t, rows = family.members, []
     for i in family.above(M).tolist():
-        count = ct.enumerate_points(lattice, t.autos[i], r, metric).count
+        count = ct.enumerate_points(lattice, family.member(family.params[i]), r, metric).count
         rows.append(ScanRow(family.params[i], t.upper[i], t.jacobians[i], count,
                             (count - 1) / t.jacobians[i]))
     if not rows:

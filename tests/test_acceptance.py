@@ -121,7 +121,7 @@ def test_criterion_5_hyperbolic_powers_violation():
     fam = am.matrix_power_family([[2.0, 0.0], [0.0, 0.5]], 0, 20, LINF_2)
     counts = {}
     for j in range(0, 21):
-        auto = am.matrix_power([[2.0, 0.0], [0.0, 0.5]], j)
+        auto = am.Automorphism(*am.matrix_power([[2.0, 0.0], [0.0, 0.5]], j))
         counts[j] = ct.enumerate_points(Z2, auto, 0.4, LINF_2).count
         # independent oracle: exact rational floor of the ball stretch
         expected = 2 * math.floor(Fraction(2, 5) * 2 ** j) + 1
@@ -156,7 +156,7 @@ def test_criterion_6_distortion_constants_vs_sampling_oracle():
     for _ in range(50):
         a = float(np.exp(rng.uniform(math.log(0.5), math.log(16.0))))
         s = float(rng.uniform(-4.0, 4.0))
-        cases.append((am.shearlet(a, s), L2_2))
+        cases.append((am.Automorphism(*am.shearlet(a, s)), L2_2))
 
     # one oracle call per metric (a frozen (kind, dim) pair); each member's
     # bounds are the ones a call of its own would give
@@ -234,7 +234,8 @@ def test_criterion_9_structural_property_suites(tmp_path):
 
     # deformed-ball inclusion sandwich: 1000 random (center, radius, map) triples
     for _ in range(50):
-        auto = am.shearlet(float(rng.uniform(0.5, 6.0)), float(rng.uniform(-3.0, 3.0)))
+        auto = am.Automorphism(*am.shearlet(float(rng.uniform(0.5, 6.0)),
+                                            float(rng.uniform(-3.0, 3.0))))
         lo, hi = constants(auto, L2_2)
         for _ in range(20):
             center = rng.normal(size=2)
@@ -244,18 +245,18 @@ def test_criterion_9_structural_property_suites(tmp_path):
             dirs /= L2_2.norm(dirs)[:, None]
             radii = rng.uniform(0.0, 1.0, size=(1000, 1))
             inner = image_center + dirs * radii * (lo * r) * (1 - 1e-9)
-            assert np.all(L2_2.norm(auto.inverse_apply(inner) - center)
+            assert np.all(L2_2.norm(inner @ auto.inv_matrix.T - center)
                           < r * (1 + 1e-9))
             image = (center + dirs * radii * r) @ auto.matrix.T
             assert np.all(L2_2.norm(image - image_center) <= hi * r * (1 + 1e-9))
 
     # measure scaling of deformed balls within three standard errors
-    for auto, r in ((am.shearlet(3.0, 1.0), 0.7), (am.Automorphism(
+    for auto, r in ((am.Automorphism(*am.shearlet(3.0, 1.0)), 0.7), (am.Automorphism(
             [[1.2, 0.4], [-0.3, 0.9]]), 1.1)):
         lo_box, hi_box = auto.box_image(*L2_2.ball_box(r))
         n = 300_000
         pts = rng.uniform(lo_box, hi_box, size=(n, 2))
-        inside = L2_2.norm(auto.inverse_apply(pts)) < r
+        inside = L2_2.norm(pts @ auto.inv_matrix.T) < r
         box_vol = float(np.prod(hi_box - lo_box))
         est = box_vol * inside.mean()
         stderr = box_vol * math.sqrt(inside.mean() * (1 - inside.mean()) / n)

@@ -24,16 +24,16 @@ GABOR = ml.gabor_product()
 def test_jacobian_of_one_by_one_powers_is_exact():
     # det goes through exp(sum log|u_ii|) and comes out one ulp off 2 ** j
     for j in range(-60, 61):
-        assert am.matrix_power([[2.0]], j).jacobian == 2.0 ** j
+        assert am.Automorphism(*am.matrix_power([[2.0]], j)).jacobian == 2.0 ** j
     assert am.Automorphism([[-3.0]]).jacobian == 3.0
 
 
 def test_jacobian_closed_forms():
-    # the shearlet and Gabor-shift constructors fix their closed forms
-    assert am.shearlet(4.0, 1.0).jacobian == 8.0
-    assert am.shearlet(3.0, -2.0).jacobian == 3.0 ** 1.5
+    # the shearlet and Gabor-shift makers fix their closed forms
+    assert am.Automorphism(*am.shearlet(4.0, 1.0)).jacobian == 8.0
+    assert am.Automorphism(*am.shearlet(3.0, -2.0)).jacobian == 3.0 ** 1.5
     assert am.Automorphism([[2.0, 0.0], [0.0, 0.5]]).jacobian == pytest.approx(1.0)
-    assert am.gabor_shift(0.7).jacobian == 1.0
+    assert am.Automorphism(*am.gabor_shift(0.7)).jacobian == 1.0
 
 
 def test_singular_matrix_rejected_at_construction():
@@ -45,11 +45,12 @@ def test_singular_matrix_rejected_at_construction():
 
 def test_apply_inverse_roundtrip():
     rng = np.random.default_rng(SEED)
-    autos = [am.shearlet(4.0, 1.5), am.matrix_power([[2.0, 0.0], [0.0, 0.5]], 5),
-             am.gabor_shift(0.8), am.Automorphism(rng.normal(size=(3, 3)))]
+    autos = [am.Automorphism(*am.shearlet(4.0, 1.5)),
+             am.Automorphism(*am.matrix_power([[2.0, 0.0], [0.0, 0.5]], 5)),
+             am.Automorphism(*am.gabor_shift(0.8)), am.Automorphism(rng.normal(size=(3, 3)))]
     for auto in autos:
         pts = rng.normal(size=(1000, auto.matrix.shape[0]))
-        back = auto.inverse_apply(pts @ auto.matrix.T)
+        back = (pts @ auto.matrix.T) @ auto.inv_matrix.T
         assert np.max(np.abs(back - pts)) < 1e-12 * max(1.0, np.max(np.abs(pts)))
 
 
@@ -77,9 +78,9 @@ def test_one_by_one_constants_are_the_entry_beyond_the_squared_range():
 def test_lipschitz_closed_forms():
     c = constants(am.Automorphism([[2.0, 0.0], [0.0, 3.0]]), L2_2)
     assert (c.lower, c.upper) == pytest.approx((2.0, 3.0))
-    c = constants(am.gabor_shift(0.5), GABOR)
+    c = constants(am.Automorphism(*am.gabor_shift(0.5)), GABOR)
     assert (c.lower, c.upper) == pytest.approx((2.0 / 3.0, 1.5))
-    c = constants(am.shearlet(4.0, 0.0), L2_2)
+    c = constants(am.Automorphism(*am.shearlet(4.0, 0.0)), L2_2)
     assert (c.lower, c.upper) == pytest.approx((2.0, 4.0))
 
 
@@ -116,7 +117,7 @@ def test_classify_scaled_identity_powers_uniformly_expanding(c):
 def test_l2_constants_of_ill_conditioned_powers_match_svd(a, b, sign_a, sign_d, j):
     # powers of a triangular base with a unit eigenvalue reach cond ~ 1e16, where
     # the smallest Gram eigenvalue of the matrix is rounding noise
-    auto = am.matrix_power([[sign_a * a, b], [0.0, sign_d]], j)
+    auto = am.Automorphism(*am.matrix_power([[sign_a * a, b], [0.0, sign_d]], j))
     c = constants(auto, L2_2)
     sv = np.linalg.svd(auto.matrix, compute_uv=False)
     assert c.lower == pytest.approx(sv[-1], rel=1e-12, abs=0.0)
@@ -132,15 +133,15 @@ def test_shearlet_l2_bounds_match_exact_singular_values(a, s):
     t = a + s * s + 1.0
     disc = math.sqrt((a - 1.0) ** 2 + s * s * (s * s + 2.0 * (a + 1.0)))
     upper = math.sqrt(0.5 * a * (t + disc))
-    c = constants(am.shearlet(a, s), L2_2)
+    c = constants(am.Automorphism(*am.shearlet(a, s)), L2_2)
     assert c.upper == pytest.approx(upper, rel=1e-12, abs=0.0)
     assert c.lower == pytest.approx(a ** 1.5 / upper, rel=1e-12, abs=0.0)
 
 
 def test_gabor_product_rejects_other_automorphisms():
     # only the shift form [[1, x], [0, 1]] is a Gabor shift
-    for auto in (am.Automorphism([[2.0]]), am.shearlet(2.0, 1.0),
-                 am.matrix_power([[2.0, 0.0], [0.0, 3.0]], 2),
+    for auto in (am.Automorphism([[2.0]]), am.Automorphism(*am.shearlet(2.0, 1.0)),
+                 am.Automorphism(*am.matrix_power([[2.0, 0.0], [0.0, 3.0]], 2)),
                  am.Automorphism([[1.0, 0.5], [0.25, 1.0]]),
                  am.Automorphism([[1.0, 0.5], [0.0, 2.0]]),
                  am.Automorphism([[-1.0, 0.5], [0.0, 1.0]])):
@@ -164,7 +165,7 @@ def test_linf_closed_form_vs_oracle_exact_at_corners():
 
 
 def test_gabor_oracle_brackets_closed_form():
-    auto = am.gabor_shift(0.8)
+    auto = am.Automorphism(*am.gabor_shift(0.8))
     [(o_lo, o_hi)] = oracle_pairs([auto], GABOR)
     c = constants(auto, GABOR)
     assert c.lower <= o_lo + 1e-12 and o_hi <= c.upper + 1e-12
@@ -175,7 +176,8 @@ def test_gabor_oracle_brackets_closed_form():
 def test_distortion_sandwich_on_samples():
     # lower * d <= d(image) <= upper * d over many sampled frequencies
     rng = np.random.default_rng(SEED)
-    cases = [(am.shearlet(4.0, 1.0), L2_2), (am.matrix_power([[2.0, 0.0], [0.0, 0.5]], 3), LINF_2),
+    cases = [(am.Automorphism(*am.shearlet(4.0, 1.0)), L2_2),
+             (am.Automorphism(*am.matrix_power([[2.0, 0.0], [0.0, 0.5]], 3)), LINF_2),
              (am.Automorphism([[1.0, 0.4], [-0.2, 0.7]]), L2_2)]
     for auto, metric in cases:
         c = constants(auto, metric)
@@ -189,7 +191,7 @@ def test_distortion_sandwich_on_samples():
 
 def test_gabor_distortion_sandwich_on_integer_slices():
     rng = np.random.default_rng(SEED)
-    auto = am.gabor_shift(0.6)
+    auto = am.Automorphism(*am.gabor_shift(0.6))
     c = constants(auto, GABOR)
     lo, hi = c.lower, c.upper
     xs = rng.uniform(-5, 5, size=10000)
@@ -222,7 +224,8 @@ def test_ball_inclusion_sandwich():
     rng = np.random.default_rng(SEED)
     metric = L2_2
     for _ in range(30):
-        auto = am.shearlet(float(rng.uniform(0.5, 6.0)), float(rng.uniform(-3, 3)))
+        auto = am.Automorphism(*am.shearlet(float(rng.uniform(0.5, 6.0)),
+                                            float(rng.uniform(-3, 3))))
         c = constants(auto, metric)
         lo, hi = c.lower, c.upper
         for _ in range(33):
@@ -233,7 +236,7 @@ def test_ball_inclusion_sandwich():
             dirs /= metric.norm(dirs)[:, None]
             radii = rng.uniform(0, 1, size=(1000, 1))
             inner_pts = image_center + dirs * radii * (lo * r) * (1 - 1e-9)
-            pre = auto.inverse_apply(inner_pts)
+            pre = inner_pts @ auto.inv_matrix.T
             assert np.all(metric.norm(pre - center) < r * (1 + 1e-9))
             ball_pts = center + dirs * radii * r
             image_pts = ball_pts @ auto.matrix.T
@@ -245,12 +248,12 @@ def test_measure_scaling_of_deformed_balls():
     # Monte Carlo volume of the image ball matches jacobian * ball volume
     rng = np.random.default_rng(SEED)
     metric = L2_2
-    auto = am.shearlet(3.0, 1.0)
+    auto = am.Automorphism(*am.shearlet(3.0, 1.0))
     r = 0.7
     lo_box, hi_box = auto.box_image(*metric.ball_box(r))
     n = 400000
     pts = rng.uniform(lo_box, hi_box, size=(n, 2))
-    inside = metric.norm(auto.inverse_apply(pts)) < r
+    inside = metric.norm(pts @ auto.inv_matrix.T) < r
     box_vol = float(np.prod(hi_box - lo_box))
     estimate = box_vol * inside.mean()
     stderr = box_vol * math.sqrt(inside.mean() * (1 - inside.mean()) / n)
@@ -270,9 +273,7 @@ def test_family_constants_positive_and_ordered():
 def _assert_table_matches_recomputation(fam):
     """Every array of the member table == the member records built one by one."""
     t, ref = fam.members, _ref_members(fam)
-    assert len(t.autos) == len(fam.params) == len(ref)
-    for auto, m in zip(t.autos, ref):
-        assert np.array_equal(auto.matrix, m.auto.matrix)
+    assert len(t.matrices) == len(fam.params) == len(ref)
     assert np.array_equal(t.matrices, np.stack([m.auto.matrix for m in ref]))
     assert np.array_equal(t.inverses, np.stack([m.auto.inv_matrix for m in ref]))
     assert t.jacobians.tolist() == [m.jacobian for m in ref]
@@ -295,19 +296,38 @@ def test_family_table_matches_per_parameter_recomputation_on_bundled_families():
 def test_family_table_built_once_and_shared_by_restrictions(monkeypatch):
     fam = am.matrix_power_family([[2.0]], -10, 10, L2_1)
     assert fam.members is fam.members
-    built = []
-    post_init = am.Automorphism.__post_init__
+    built, powers = [], []
+    post_init, matrix_power = am.Automorphism.__post_init__, am.matrix_power
     monkeypatch.setattr(am.Automorphism, "__post_init__",
                         lambda self: built.append(1) or post_init(self))
+    monkeypatch.setattr(am, "matrix_power", lambda *args: powers.append(1) or matrix_power(*args))
     sub = _ref_restrict(fam, fam.members.upper > 4.0)
-    assert built == []
+    assert built == [] and powers == []  # the restriction shares the table's rows
     assert list(sub.params) == list(range(3, 11))
-    assert all(a is b for a, b in zip(sub.members.autos, fam.members.autos[13:]))
     for name in ("matrices", "inverses", "jacobians", "lower", "upper", "weights"):
         assert np.array_equal(getattr(sub.members, name), getattr(fam.members, name)[13:])
-    assert fam.member(3) is fam.members.autos[13]
+    three = fam.member(3)  # one map, built from row 13 of the table
+    assert np.array_equal(three.matrix, fam.members.matrices[13])
+    assert np.array_equal(three.inv_matrix, fam.members.inverses[13])
+    assert three.jacobian == fam.members.jacobians[13]
+    assert powers == []
     with pytest.raises(RejectedInputError, match="parameter 11 is not in the family"):
         fam.member(11)
+
+
+def test_power_family_table_builds_no_automorphism(monkeypatch):
+    # members checks the stacked matrices with the check one map goes through
+    built, checked = [], []
+    post_init, check = am.Automorphism.__post_init__, am._check_maps
+    monkeypatch.setattr(am.Automorphism, "__post_init__",
+                        lambda self: built.append(1) or post_init(self))
+    monkeypatch.setattr(am, "_check_maps", lambda *args: checked.append(args[0].shape)
+                        or check(*args))
+    fam = am.matrix_power_family([[2.0]], -60, 60, L2_1)
+    assert len(fam.members.matrices) == 121
+    assert built == [] and checked == [(121, 1, 1)]
+    am.Automorphism([[2.0]])
+    assert built == [1] and checked == [(121, 1, 1), (1, 1, 1)]
 
 
 def test_family_table_rejects_negative_weights():
@@ -333,8 +353,11 @@ def test_matrix_power_table_property(dim, j_min, span, entries, metric_kind):
 def member_families(draw):
     """A power, shearlet, Gabor or matrix-atom family, in L2 or L-infinity (Gabor
     shifts in their product metric), with weights that vary by member.  One
-    draw in four is faulty: a member overflows, turns singular, changes
-    dimension or is refused a weight, to pin which member raises first."""
+    draw in four is faulty, to pin which member raises first: a power
+    overflows or underflows, a shearlet scale is negative, an atom is
+    singular, numerically singular (a subnormal entry: finite det, infinite
+    inverse), not square, of another dimension, of an overflowing |det| or of
+    an overflowing Gram matrix M^T M, or a member is refused a weight."""
     kind = draw(st.sampled_from(["power", "shearlet", "gabor", "atoms"]))
     faulty = draw(st.integers(0, 3)) == 0
     dim = 2 if kind == "shearlet" else draw(st.integers(1, 3))
@@ -344,7 +367,7 @@ def member_families(draw):
     if kind == "power":
         base = (np.array(draw(st.lists(entries, min_size=dim * dim, max_size=dim * dim)))
                 .reshape(dim, dim) + 1.5 * np.eye(dim))
-        if faulty and dim == 1:  # a power that overflows or underflows names its exponent
+        if faulty:  # a power that overflows or underflows names its exponent
             base *= draw(st.sampled_from([1e120, 1e-120]))
         j_min = draw(st.integers(-4, 2))
         fam = am.matrix_power_family(base, j_min, j_min + draw(st.integers(0, 6)), metric)
@@ -360,10 +383,15 @@ def member_families(draw):
     else:
         mats = [np.array(draw(st.lists(entries, min_size=dim * dim, max_size=dim * dim)))
                 .reshape(dim, dim) for _ in range(draw(st.integers(1, 8)))]
-        for _ in range(draw(st.integers(1, 2)) if faulty else 0):  # singular or larger
-            mats[draw(st.integers(0, len(mats) - 1))] = draw(st.sampled_from(
-                [np.zeros((dim, dim)), np.eye(dim + 1)]))
-        fam = am.AutomorphismFamily(tuple(range(len(mats))), lambda i: am.Automorphism(mats[i]),
+        faults = [np.zeros((dim, dim)), np.diag([5e-324] + [1.0] * (dim - 1)),
+                  np.ones((dim, dim + 1)), np.eye(dim + 1)]
+        if dim > 1:
+            gram = np.diag(np.arange(2.0, dim + 2.0))
+            gram[0, -1] = 1e300  # [[2, 1e300], [0, 3]] in 2-d
+            faults += [1e200 * np.eye(dim), gram]
+        for _ in range(draw(st.integers(1, 2)) if faulty else 0):
+            mats[draw(st.integers(0, len(mats) - 1))] = draw(st.sampled_from(faults))
+        fam = am.AutomorphismFamily(tuple(range(len(mats))), lambda i: (mats[i], None),
                                     lambda i: 1.0, metric)
     refused = {draw(st.sampled_from(fam.params))} if faulty and draw(st.booleans()) else set()
     c = draw(st.floats(0.25, 2.0))
@@ -387,6 +415,37 @@ def _ref_band_mass_values(family, envelope, c, ts):
         hi = float(envelope(float(c * t)))
         values[i] = float(np.sum(masses[(uppers >= t) & (uppers <= hi)]))
     return values.tolist()
+
+
+def _atoms(*mats, refused=None):
+    """Three 2-d atoms in L2; the weight of the row `refused` raises."""
+    def weight(i):
+        if i == refused:
+            raise RejectedInputError(f"no weight at {i!r}")
+        return 1.0
+    return am.AutomorphismFamily((0, 1, 2), lambda i: (mats[i], None), weight, L2_2)
+
+
+_I2, _O2, _GRAM = np.eye(2), np.zeros((2, 2)), np.array([[2.0, 1e300], [0.0, 3.0]])
+_FIRST_FAULTS = [  # (family, message of row 1, the first row at fault)
+    (_atoms(_I2, np.ones((2, 3)), _O2), "automorphism matrix must be square"),
+    (_atoms(_I2, np.diag([5e-324, 1.0]), np.ones((2, 3))),
+     "automorphism matrix is numerically singular"),
+    (_atoms(_I2, 1e200 * _I2, _O2), "automorphism jacobian inf overflows a float"),
+    (_atoms(_I2, _GRAM, _O2), "Gram matrix M^T M overflows a float"),
+    (_atoms(_I2, _O2, _GRAM), "automorphism matrix is singular"),
+    (_atoms(_I2, _GRAM, _I2, refused=1), "Gram matrix M^T M overflows a float"),
+    (_atoms(_I2, _I2, _GRAM, refused=1), "no weight at 1"),
+    (am.matrix_power_family(1e-120 * np.array([[2.0, 1.0], [0.0, 3.0]]), 1, 3, L2_2),
+     "** 2 underflows a float"),
+]
+
+
+@pytest.mark.parametrize("fam,message", _FIRST_FAULTS)
+def test_first_member_at_fault_raises_as_the_per_member_reference(fam, message):
+    error = raised(lambda: fam.members)
+    assert error == raised(lambda: _ref_members(fam))
+    assert error[0] is RejectedInputError and message in error[1]
 
 
 @settings(max_examples=150, deadline=None)
@@ -447,7 +506,7 @@ def _member_oracle(auto, metric, n_directions):
     corners = np.stack(np.meshgrid(*[(-1.0, 1.0)] * dim, indexing="ij"),
                        axis=-1).reshape(-1, dim)
     special = np.concatenate([np.eye(dim), corners])
-    dirs = np.concatenate([dirs, special, auto.inverse_apply(special),
+    dirs = np.concatenate([dirs, special, special @ auto.inv_matrix.T,
                            _member_power_iteration(auto, rng)])
     norms = metric.norm(dirs)
     keep = norms > 1e-12
@@ -504,7 +563,7 @@ def test_family_oracle_matches_member_by_member_reference_on_gabor_shifts(
     rng = np.random.default_rng(seed)
     ps = rng.choice([-1.0, 1.0], n_members) * 10.0 ** rng.uniform(-3.0, 3.0, n_members)
     ps[rng.random(n_members) < 0.2] = 0.0
-    autos = [am.gabor_shift(float(p)) for p in ps]
+    autos = [am.Automorphism(*am.gabor_shift(float(p))) for p in ps]
     assert oracle_pairs(autos, GABOR, n_directions=n_directions) == [
         _ref_lipschitz_oracle_gabor(float(p), n_directions) for p in ps]
 
@@ -704,7 +763,7 @@ def test_classify_matches_reference_property(seed, dim, metric_kind, n_members, 
     for i, j in rng.integers(n_members, size=(n_ties, 2)):
         mats[i] = -mats[j]
     fam = am.AutomorphismFamily(tuple(range(n_members)),
-                                lambda i: am.Automorphism(mats[i]),
+                                lambda i: (mats[i], None),
                                 lambda i: 1.0, ml.MetricSpace(metric_kind, dim))
     probe_m = None if probe_q is None else float(np.quantile(fam.members.upper, probe_q))
     assert (_verdict_fields(am.classify_expansiveness, fam, probe_m)
@@ -713,7 +772,8 @@ def test_classify_matches_reference_property(seed, dim, metric_kind, n_members, 
 
 def test_gabor_product_reads_any_shift_form_matrix_as_a_gabor_shift():
     for p in (0.0, 0.7, -2.5, 1e6):
-        shift, matrix = am.gabor_shift(p), am.Automorphism([[1.0, -p], [0.0, 1.0]])
+        shift = am.Automorphism(*am.gabor_shift(p))
+        matrix = am.Automorphism([[1.0, -p], [0.0, 1.0]])
         assert constants(matrix, GABOR) == constants(shift, GABOR)
         assert matrix.jacobian == shift.jacobian == 1.0
         scale, offset = am.line_action(np.stack([matrix.matrix, shift.matrix]))

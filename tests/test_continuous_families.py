@@ -29,7 +29,7 @@ METRICS = [ml.euclidean_l2(1), ml.euclidean_linf(1)]
 
 def ref_level_set_intervals(family, lower, upper):
     def L(a):
-        return constants(family.generator(a), family.metric).upper
+        return constants(am.Automorphism(*family.generator(a)), family.metric).upper
 
     def inside(a):
         return lower <= L(a) <= upper
@@ -264,11 +264,15 @@ def test_continuous_scan_is_one_quadrature_call(monkeypatch):
 
 
 def test_continuous_family_materialises_each_member_once(monkeypatch):
-    built = []
+    built, made = [], []
     post_init = am.Automorphism.__post_init__
     monkeypatch.setattr(am.Automorphism, "__post_init__",
                         lambda self: built.append(1) or post_init(self))
-    fam = am.continuous_dilation_family(0.05, 200.0, 64, METRICS[0], weight=lambda a: 1.0 / a)
+    dilations = am.continuous_dilation_family(0.05, 200.0, 64, METRICS[0],
+                                              weight=lambda a: 1.0 / a)
+    fam = am.AutomorphismFamily(dilations.params,
+                                lambda a: made.append(a) or dilations.generator(a),
+                                dilations.weight, dilations.metric, edges=dilations.edges)
     cd.calderon_sum(SHANNON, fam, np.linspace(0.05, 2.0, 50))
     am.band_mass_profile(fam, lambda x: x, 2.0, np.geomspace(1.0, 64.0, 13), 1.0)
-    assert len(built) == 64
+    assert made == list(fam.params) and built == []  # one generator call per member

@@ -34,7 +34,7 @@ def brute_count(basis: np.ndarray, auto: am.Automorphism, r: float,
     mesh = np.meshgrid(*axes, indexing="ij")
     m = np.stack([g.ravel() for g in mesh], axis=-1).astype(float)
     pts = m @ basis.T
-    dist = metric.norm(auto.inverse_apply(pts))
+    dist = metric.norm(pts @ auto.inv_matrix.T)
     return int(np.sum(dist < r))
 
 
@@ -49,7 +49,7 @@ def _reference_enumerate(lattice: ml.Lattice, auto: am.Automorphism, r: float,
         candidates = np.concatenate([base, np.zeros((base.shape[0], 1))], axis=1)
     else:
         candidates = lattice.points_in_box(*auto.box_image(ball_lo, ball_hi))
-    dist = metric.norm(auto.inverse_apply(candidates))
+    dist = metric.norm(candidates @ auto.inv_matrix.T)
     boundary = np.abs(dist - r) <= ct.BOUNDARY_GUARD
     inside = (dist < r) & ~boundary
     return int(inside.sum()), int(boundary.sum()), candidates[inside]
@@ -77,7 +77,7 @@ def test_enumerate_identity_small_radius():
 
 
 def test_enumerate_hyperbolic_power_seven_points():
-    auto = am.matrix_power([[2.0, 0.0], [0.0, 0.5]], 3)
+    auto = am.Automorphism(*am.matrix_power([[2.0, 0.0], [0.0, 0.5]], 3))
     count, hits, points = _reference_enumerate(Z2, auto, 0.4, LINF_2)
     assert np.array_equal(np.sort(points[:, 0]), np.arange(-3.0, 4.0))
     assert np.array_equal(points[:, 1], np.zeros(7)) and (count, hits) == (7, 0)
@@ -87,7 +87,7 @@ def test_enumerate_hyperbolic_power_seven_points():
 def test_enumeration_memory_stays_with_the_band():
     # example_bad's member j = 20: 838,861 points on one lattice line, which
     # the box enumeration held as a 13 MB array of inside points
-    auto = am.matrix_power([[2.0, 0.0], [0.0, 0.5]], 20)
+    auto = am.Automorphism(*am.matrix_power([[2.0, 0.0], [0.0, 0.5]], 20))
     tracemalloc.start()
     try:
         result = ct.enumerate_points(Z2, auto, 0.4, LINF_2)
@@ -100,7 +100,7 @@ def test_enumeration_memory_stays_with_the_band():
 
 
 def test_enumerate_shearlet_within_box_bound():
-    auto = am.shearlet(4.0, 1.0)
+    auto = am.Automorphism(*am.shearlet(4.0, 1.0))
     result = ct.enumerate_points(Z2, auto, 0.45, LINF_2)
     bound = (math.floor(2 * 0.45 * 4) + 1) * (math.floor(2 * 0.45 * 2) + 1)
     assert result.count == brute_count(np.eye(2), auto, 0.45, LINF_2, 8)
@@ -128,13 +128,13 @@ def test_enumerate_boundary_points_excluded_and_logged():
 def test_enumerate_origin_always_counted():
     rng = np.random.default_rng(SEED)
     for _ in range(20):
-        auto = am.shearlet(float(rng.uniform(0.5, 8)), float(rng.uniform(-4, 4)))
+        auto = am.Automorphism(*am.shearlet(float(rng.uniform(0.5, 8)), float(rng.uniform(-4, 4))))
         r = float(rng.uniform(0.05, 1.0))
         assert ct.enumerate_points(Z2, auto, r, LINF_2).count >= 1
 
 
 def test_enumerate_point_set_symmetric_under_negation():
-    auto = am.shearlet(6.0, 2.0)
+    auto = am.Automorphism(*am.shearlet(6.0, 2.0))
     count, hits, points = _reference_enumerate(Z2, auto, 0.6, LINF_2)
     pts = {tuple(p) for p in points}
     assert pts == {tuple(-np.asarray(p)) for p in pts} and len(pts) == count
@@ -146,7 +146,7 @@ def test_enumerate_point_set_symmetric_under_negation():
 
 
 def test_enumerate_monotone_in_radius():
-    auto = am.shearlet(3.0, -1.0)
+    auto = am.Automorphism(*am.shearlet(3.0, -1.0))
     counts = [ct.enumerate_points(Z2, auto, r, LINF_2).count
               for r in (0.1, 0.3, 0.5, 0.8, 1.2)]
     assert all(b >= a for a, b in zip(counts, counts[1:]))
@@ -192,7 +192,7 @@ def test_enumerate_counts_far_past_the_old_cap_in_closed_form():
     # example_bad's base at j = 40: lattice line spacing 2**-40 < BOUNDARY_GUARD,
     # so the box ends t = +-floor(0.4 * 2**40), at 0.4 * 2**-40 inside the
     # sphere, are boundary hits and the count is 2 * floor(0.4 * 2**40) - 1
-    auto = am.matrix_power([[2.0, 0.0], [0.0, 0.5]], 40)
+    auto = am.Automorphism(*am.matrix_power([[2.0, 0.0], [0.0, 0.5]], 40))
     start = time.perf_counter()
     result = ct.enumerate_points(Z2, auto, 0.4, LINF_2)
     assert time.perf_counter() - start < 0.5
@@ -201,7 +201,7 @@ def test_enumerate_counts_far_past_the_old_cap_in_closed_form():
 
 
 def test_enumerate_gabor_counts_base_slice():
-    gfam = am.gabor_shift(0.7)
+    gfam = am.Automorphism(*am.gabor_shift(0.7))
     metric = ml.gabor_product()
     # integer base lattice on the k = 0 slice; shifts never move it
     for r, expected in ((0.5, 1), (1.2, 3), (2.5, 5)):
@@ -228,7 +228,7 @@ def test_counting_bounds_degenerate_overlap_rejected():
 
 
 def test_counting_bounds_shearlet_sandwich():
-    auto = am.shearlet(2.0, 3.0)
+    auto = am.Automorphism(*am.shearlet(2.0, 3.0))
     bounds = ct.counting_bounds(Z2, auto, 0.3, LINF_2, n_samples=150000)
     count_2r = ct.enumerate_points(Z2, auto, 0.6, LINF_2).count
     assert bounds.count <= bounds.upper_bound + 3 * bounds.upper_bound_stderr
@@ -238,7 +238,7 @@ def test_counting_bounds_shearlet_sandwich():
 def test_counting_bounds_gabor_slice():
     # base-line lattice on the zero-modulation slice; the ball at 2r = 1
     # spans a single slice, so the bound inputs are exact small numbers
-    auto = am.gabor_shift(0.7)
+    auto = am.Automorphism(*am.gabor_shift(0.7))
     metric = ml.gabor_product()
     bounds = ct.counting_bounds(Z1, auto, 0.5, metric, n_samples=100000)
     assert bounds.count == 1
@@ -298,7 +298,8 @@ def _scan_rows_reference(family, r, M):
     for m in _ref_members(family):
         if m.upper <= M:
             continue
-        count = ct.enumerate_points(Z2, m.auto, r, family.metric).count
+        auto = am.Automorphism(m.auto.matrix, m.jacobian)
+        count = ct.enumerate_points(Z2, auto, r, family.metric).count
         rows.append(ScanRow(m.param, m.upper, m.jacobian, count, (count - 1) / m.jacobian))
     rows.sort(key=lambda row: (row.upper_constant, str(row.param)))
     return rows
@@ -363,7 +364,7 @@ def scan_cases(draw):
         scales = draw(st.lists(st.floats(0.2, 6.0), min_size=1, max_size=6))
         metric = ml.MetricSpace(metric.kind, 1)
         fam = am.AutomorphismFamily(tuple(range(len(scales))),
-                                    lambda i: am.Automorphism([[scales[i]]]),
+                                    lambda i: ([[scales[i]]], None),
                                     lambda i: 1.0, metric)
     uppers = sorted(set(fam.members.upper.tolist()))
     levels = (uppers + [0.5 * (a + b) for a, b in zip(uppers, uppers[1:])]
@@ -419,7 +420,7 @@ def test_guard_band_spans_many_points_of_a_fine_line(metric):
     auto, r = am.Automorphism([[1e13]]), 1e-3
     _, box_hi = Z1.integer_box(*auto.box_image(*metric.ball_box(r)))
     window = np.arange(box_hi[0] - 100, box_hi[0] + 1, dtype=float)[:, None]
-    gap = metric.norm(auto.inverse_apply(window @ Z1.basis.T)) - r
+    gap = metric.norm((window @ Z1.basis.T) @ auto.inv_matrix.T) - r
     assert gap[0] < -ct.BOUNDARY_GUARD  # |dist| grows with |t|: every t below is inside
     last_inside = int(window[gap < -ct.BOUNDARY_GUARD, 0].max())
     hits = int(np.count_nonzero(np.abs(gap) <= ct.BOUNDARY_GUARD))
@@ -448,7 +449,7 @@ def _random_counts(draw):
     if rng.random() < 0.5:
         m = rng.integers(-3, 4, size=dim)
         m[0] = m[0] or 1
-        r = float(metric.norm(auto.inverse_apply(m.astype(float) @ lattice.basis.T)))
+        r = float(metric.norm((m.astype(float) @ lattice.basis.T) @ auto.inv_matrix.T))
     else:
         r = float(rng.uniform(0.05, 2.0))
     box_lo, box_hi = lattice.integer_box(*auto.box_image(*metric.ball_box(r)))
@@ -532,7 +533,7 @@ def test_line_counts_scale_with_the_lattice_and_radius(case):
     # more than 2e-12 from it; the assumption discards the rest
     lattice, auto, r, metric = case
     candidates = lattice.points_in_box(*auto.box_image(*metric.ball_box(r)))
-    gap = np.abs(metric.norm(auto.inverse_apply(candidates)) - r)
+    gap = np.abs(metric.norm(candidates @ auto.inv_matrix.T) - r)
     assume(not np.any((gap > 1e-14) & (gap <= 2e-12)))
     assert (_line_counts(ml.Lattice(2.0 * lattice.basis), auto, 2.0 * r, metric)
             == _line_counts(*case))
@@ -573,6 +574,6 @@ def test_hyperbolic_counts_on_any_basis_of_z2_match_the_closed_form(j, tenths, k
     # r = tenths / 10 keeps every lattice point at least 1e-7 from the sphere
     # or on it, so the boundary guard never takes a point the closed form counts
     metric = ml.MetricSpace(kind, 2)
-    result = ct.enumerate_points(ml.Lattice(basis), am.matrix_power([[2.0, 0.0], [0.0, 0.5]], j),
-                                 tenths / 10, metric)
+    auto = am.Automorphism(*am.matrix_power([[2.0, 0.0], [0.0, 0.5]], j))
+    result = ct.enumerate_points(ml.Lattice(basis), auto, tenths / 10, metric)
     assert result.count == _hyperbolic_closed_form(j, Fraction(tenths, 10), metric)

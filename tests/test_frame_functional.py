@@ -131,7 +131,7 @@ def _single_term_threshold(family, lattice, param, xi0: float) -> float:
     fundamental domain, to the domain boundary, over the upper distortion
     constant."""
     i = family.params.index(param)
-    scale, offset = _ref_line_action(family.members.autos[i])
+    scale, offset = _ref_line_action(family.member(param))
     b = abs(float(lattice.basis[0, 0]))
     off = (scale * xi0 + offset) % b
     return min(off, b - off) / family.members.upper[i]

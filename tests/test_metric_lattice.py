@@ -234,7 +234,7 @@ def test_overlap_gabor_reduces_to_base():
 def test_overlap_shear_against_independent_grid_oracle():
     lattice = ml.integer_lattice(2)
     metric = ml.euclidean_linf(2)
-    auto = shearlet(2.0, 1.0)
+    auto = Automorphism(*shearlet(2.0, 1.0))
     est = ml.overlap_measure(lattice, metric, auto, 0.3, n_samples=200000)
 
     # independent oracle: midpoint grid, explicit shift loop, no shared helpers;
