@@ -165,8 +165,12 @@ def lipschitz_constants(matrices: np.ndarray, inverses: np.ndarray,
         upper = _largest_singular_values(matrices)
         lower = 1.0 / _largest_singular_values(inverses)
     else:  # L-infinity, as MetricSpace admits no other kind
-        upper = np.abs(matrices).sum(axis=2).max(axis=1)
-        lower = 1.0 / np.abs(inverses).sum(axis=2).max(axis=1)
+        with np.errstate(over="ignore"):  # an overflow is refused just below
+            sums = np.abs(np.stack([matrices, inverses])).sum(axis=3).max(axis=2)
+        if not np.all(np.isfinite(sums)):
+            raise RejectedInputError(
+                "L-infinity distortion constants: a row sum of |M| or |M^-1| overflows a float")
+        upper, lower = sums[0], 1.0 / sums[1]
     # exactly lower <= upper; through the inverse, c * I can round one ulp above
     return np.minimum(lower, upper), upper
 
@@ -180,7 +184,7 @@ def lipschitz_oracle(matrices: np.ndarray, inverses: np.ndarray, metric: MetricS
     constants satisfy lower <= oracle_lower and upper >= oracle_upper."""
     if metric.kind == GABOR_PRODUCT:
         # ratios on the k = 0 slice are 1; it suffices to scan the k = 1 slice
-        # scaled by |k|, plus the slice anchors 0, p and -p, in blocks of members
+        # times |k|, plus the slice anchors 0, p and -p, in blocks of members
         u = np.random.default_rng(ORACLE_SEED).random(n_directions)
         p = -matrices[:, 0, 1, None]
         lower, upper = np.empty(len(p)), np.empty(len(p))

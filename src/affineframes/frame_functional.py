@@ -1,5 +1,5 @@
 """Fourier-domain frame functional, ball-indicator test functions, the ball
-integrals of the orbit sums and the empirical frame-bound probe: the library
+integrals of the orbit sums and the unit-norm probe ensemble: the library
 parts that `runner` composes into the frame report.
 
 The functional is evaluated exactly on one-dimensional frequency lines (the
@@ -34,6 +34,7 @@ from .metric_lattice import GABOR_PRODUCT, Lattice, MetricSpace
 from .profiles import FrequencyProfile, PiecewiseConstantProfile, indicator_interval
 
 PROBE_MAX_PIECES = 8
+PROBE_MAX_REJECTIONS = 1000  # draws in a row a probe may reject before its band is refused
 
 
 def make_test_function(center, epsilon: float,
@@ -193,37 +194,36 @@ def ball_integrals(psihat, family, centers, epsilon: float,
 
 
 # ---------------------------------------------------------------------------
-# Frame-bound probes
+# The probe ensemble
 # ---------------------------------------------------------------------------
-
-def frame_bound_probe(psihat: FrequencyProfile, family: AutomorphismFamily,
-                      lattice: Lattice, ensemble) -> tuple[float, float]:
-    """Empirical inner frame-bound estimates: extremes of the functional over
-    a unit-norm ensemble.  The spread can only shrink the true interval."""
-    if not ensemble:
-        raise RejectedInputError("probe ensemble must be nonempty")
-    if any(abs(fhat.squared_norm() - 1.0) > 1e-9 for fhat in ensemble):
-        raise RejectedInputError("ensemble profiles must be unit-norm")
-    values = frame_functional(psihat, family, lattice, ensemble)
-    return float(np.min(values)), float(np.max(values))
-
 
 def random_probe_ensemble(band_lo: float, band_hi: float, count: int,
                           seed: int) -> list[PiecewiseConstantProfile]:
-    """Deterministic ensemble of unit-norm piecewise-constant band profiles."""
-    if band_hi <= band_lo:
-        raise RejectedInputError("empty probe band")
-    rng = np.random.default_rng(seed)
-    out: list[PiecewiseConstantProfile] = []
-    span = band_hi - band_lo
+    """Deterministic ensemble of piecewise-constant band profiles, built at unit norm."""
+    span = band_hi - band_lo  # positive exactly when band_hi > band_lo
+    if not 0.0 < span < math.inf:
+        raise RejectedInputError("empty probe band" if span <= 0 else
+                                 f"probe band [{band_lo}, {band_hi}] is wider than a float")
+    if count < 1:
+        raise RejectedInputError("probe ensemble must be nonempty")
+    rng, out = np.random.default_rng(seed), []
     while len(out) < count:
-        k = int(rng.integers(3, PROBE_MAX_PIECES + 1))
-        edges = np.sort(rng.uniform(band_lo, band_hi, size=k + 1))
-        if np.min(np.diff(edges)) < 1e-6 * span:
-            continue
-        vals = rng.normal(size=k)
-        if np.max(np.abs(vals)) < 1e-12:
-            continue
-        profile = PiecewiseConstantProfile(edges[:-1, None], edges[1:, None], vals)
-        out.append(profile.normalized())
+        for _ in range(PROBE_MAX_REJECTIONS):
+            k = int(rng.integers(3, PROBE_MAX_PIECES + 1))
+            edges = np.sort(rng.uniform(band_lo, band_hi, size=k + 1))
+            if np.min(np.diff(edges)) < 1e-6 * span:
+                continue
+            vals = rng.normal(size=k)
+            if np.max(np.abs(vals)) >= 1e-12:
+                break
+        else:
+            raise RejectedInputError(f"probe band [{band_lo}, {band_hi}] is too narrow: "
+                                     f"{PROBE_MAX_REJECTIONS} draws in a row had edges too close")
+        with np.errstate(over="ignore"):  # an overflowing norm is refused just below
+            n2 = float(np.dot(vals ** 2, edges[1:] - edges[:-1]))
+        if not 0.0 < n2 < math.inf:
+            raise RejectedInputError("cannot normalize a null profile" if n2 <= 0 else
+                                     f"a probe's squared norm on [{band_lo}, {band_hi}] overflows")
+        out.append(PiecewiseConstantProfile(edges[:-1, None], edges[1:, None],
+                                            vals * (1.0 / np.sqrt(n2))))
     return out

@@ -31,7 +31,7 @@ def _as_points(points, dim: int) -> np.ndarray:
 
 class _PieceTable:
     """What follows from a profile's `pieces`, the (lo, hi) arrays of shape
-    (k, dim) of its half-open pieces, and from its `squared_norm` and `scaled`."""
+    (k, dim) of its half-open pieces."""
 
     @property
     def support_lo(self) -> np.ndarray:
@@ -46,12 +46,6 @@ class _PieceTable:
             raise RejectedInputError("breakpoints_1d requires a 1-d profile")
         lo, hi = self.pieces
         return np.unique(np.concatenate([lo[:, 0], hi[:, 0]]))
-
-    def normalized(self):
-        n2 = self.squared_norm()
-        if n2 <= 0:
-            raise RejectedInputError("cannot normalize a null profile")
-        return self.scaled(1.0 / np.sqrt(n2))
 
 
 @dataclass(frozen=True)
@@ -97,13 +91,6 @@ class PiecewiseConstantProfile(_PieceTable):
             out[inside] = v
         return out
 
-    def squared_norm(self) -> float:
-        vols = np.prod(self.boxes_hi - self.boxes_lo, axis=1)
-        return float(np.dot(self.values ** 2, vols))
-
-    def scaled(self, c: float) -> "PiecewiseConstantProfile":
-        return PiecewiseConstantProfile(self.boxes_lo, self.boxes_hi, self.values * c)
-
 
 @dataclass(frozen=True)
 class SampledGridProfile(_PieceTable):
@@ -141,16 +128,6 @@ class SampledGridProfile(_PieceTable):
         out = np.interp(pts, self.nodes, self.samples, left=0.0, right=0.0)
         out[(pts < self.lo) | (pts >= self.hi)] = 0.0
         return out
-
-    def squared_norm(self) -> float:
-        # exact integral of the squared piecewise-linear interpolant
-        a = self.samples[:-1]
-        b = self.samples[1:]
-        h = (self.hi - self.lo) / (self.samples.shape[0] - 1)
-        return float(np.sum((a * a + a * b + b * b) / 3.0 * h))
-
-    def scaled(self, c: float) -> "SampledGridProfile":
-        return SampledGridProfile(self.lo, self.hi, self.samples * c)
 
 
 FrequencyProfile = PiecewiseConstantProfile | SampledGridProfile

@@ -13,6 +13,10 @@ frequency and per scanned member, and the scan ran on a subfamily re-wrapped
 around a slice of the member table: `_ref_calderon_sum`,
 `_ref_property_x_scan` and `_ref_restrict` keep those bodies, and
 `_ref_truncation_label` the CSV label read from a truncation record.
+
+The frame report's probe ensemble used to build each probe, then measure its
+squared norm and build it again scaled to unit norm; `_ref_random_probe_ensemble`
+keeps that body, with the norm and the scaling written out.
 """
 
 import math
@@ -291,4 +295,27 @@ def _ref_continuous_orbit_integrals(psihat, family, pts):
                         tail += gap * float(density(np.array([edge]), xi[i:i + 1])[0])
         out.append(Evaluation(x, values[i], {"kind": "continuous", "domain": domain},
                               tail, bool(covered[i])))
+    return out
+
+
+def _ref_random_probe_ensemble(band_lo, band_hi, count, seed, max_pieces=8):
+    """The probe ensemble as it was drawn, as (lo, hi, values) arrays per probe:
+    each probe's squared norm from its boxes' volumes, then its values times
+    1 / sqrt of that norm."""
+    rng = np.random.default_rng(seed)
+    out = []
+    span = band_hi - band_lo
+    while len(out) < count:
+        k = int(rng.integers(3, max_pieces + 1))
+        edges = np.sort(rng.uniform(band_lo, band_hi, size=k + 1))
+        if np.min(np.diff(edges)) < 1e-6 * span:
+            continue
+        vals = rng.normal(size=k)
+        if np.max(np.abs(vals)) < 1e-12:
+            continue
+        lo, hi = edges[:-1, None], edges[1:, None]
+        n2 = float(np.dot(vals ** 2, np.prod(hi - lo, axis=1)))
+        if n2 <= 0:
+            raise RejectedInputError("cannot normalize a null profile")
+        out.append((lo, hi, vals * (1.0 / np.sqrt(n2))))
     return out

@@ -20,7 +20,7 @@ from affineframes import metric_lattice as ml
 from affineframes import runner
 from affineframes.profiles import PiecewiseConstantProfile, indicator_interval
 from reference_members import _ref_restrict, constants, oracle_pairs
-from sample_profiles import triangle_bump
+from sample_profiles import scaled, triangle_bump
 from unimodular import random_unimodular
 
 L2_1 = ml.euclidean_l2(1)
@@ -266,7 +266,7 @@ def test_criterion_9_structural_property_suites(tmp_path):
     fam = am.matrix_power_family([[2.0]], -40, 40, L2_1)
     grid = np.linspace(0.05, 1.9, 40)[:, None]
     base = cd.calderon_values(SHANNON, fam, grid)
-    assert np.array_equal(cd.calderon_values(SHANNON.scaled(3.0), fam, grid), 9.0 * base)
+    assert np.array_equal(cd.calderon_values(scaled(SHANNON, 3.0), fam, grid), 9.0 * base)
 
     # partition additivity under a shared truncation, exactly
     M = 4.5

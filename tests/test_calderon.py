@@ -18,6 +18,7 @@ from affineframes.profiles import (PiecewiseConstantProfile, SampledGridProfile,
                                    indicator_interval)
 from reference_members import (_ref_above, _ref_calderon_sum, _ref_members, _ref_restrict,
                                _ref_truncation_label, constants, raised)
+from sample_profiles import scaled, squared_norm
 
 L2_1 = ml.euclidean_l2(1)
 L2_2 = ml.euclidean_l2(2)
@@ -115,7 +116,7 @@ def test_batched_orbit_sums_property_on_dilation_powers(base, j_min, span, xs):
 
 
 def test_zero_profile_gives_zero_everywhere():
-    zero = SHANNON.scaled(0.0)
+    zero = scaled(SHANNON, 0.0)
     fam = dyadic_family()
     vals = cd.calderon_values(zero, fam, np.linspace(0.1, 2.0, 50)[:, None])
     assert np.all(vals == 0.0)
@@ -133,8 +134,8 @@ def test_quadratic_scaling_exact():
     xi = np.linspace(0.05, 1.5, 40)[:, None]
     base = cd.calderon_values(SHANNON, fam, xi)
     for c in (2.0, -3.0, 0.25):
-        scaled = cd.calderon_values(SHANNON.scaled(c), fam, xi)
-        assert np.array_equal(scaled, c * c * base)
+        times_c = cd.calderon_values(scaled(SHANNON, c), fam, xi)
+        assert np.array_equal(times_c, c * c * base)
 
 
 def test_singular_point_rejected_for_dilation_families():
@@ -251,7 +252,7 @@ def test_local_integrability_anisotropic_superposition_bound():
     d = math.hypot(0.25, 0.25)
     D = math.hypot(2.0, 2.0)
     superpositions = math.ceil(math.log(D / d) / math.log(3.0))
-    bound = 1.0 * superpositions * RING_2D.squared_norm()
+    bound = 1.0 * superpositions * squared_norm(RING_2D)
     assert report.value <= bound + 1e-9
 
 

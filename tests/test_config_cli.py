@@ -531,6 +531,15 @@ def test_cli_wide_continuous_dilation_domain_runs(tmp_path, capsys):
     # the Gram matrix M^T M of finite matrices overflowed with a warning, every
     # constant came out nan, and classify refused them as invalid
     ("anisotropic_wavelet", ["family.base=[[2,1e300],[0,3]]"], "M^T M overflows a float"),
+    # an L-infinity row sum overflowed with a warning, and the upper constant inf
+    # still passed the lipschitz analysis
+    ("anisotropic_wavelet", ["metric.kind=euclidean_linf",
+                             'family={"kind":"matrix_atoms","matrices":[[[1e308,1e308],[0,1]]]}',
+                             'analyses=[{"kind":"lipschitz"}]'], "row sum of |M|"),
+    # a probe's squared norm overflowed with a warning, and a band wider than a
+    # float ended in numpy's OverflowError
+    ("shannon_onb", ["analyses.1.probe_band=[0,1.7e308]"], "squared norm on [0.0, 1.7e+308]"),
+    ("shannon_onb", ["analyses.1.probe_band=[-1e308,1e308]"], "wider than a float"),
 ])
 def test_cli_out_of_float_range_inputs_end_in_one_error_line(tmp_path, capsys, name,
                                                              overrides, word):

@@ -20,8 +20,8 @@ from affineframes.errors import RejectedInputError
 from affineframes.profiles import (PiecewiseConstantProfile, SampledGridProfile,
                                    indicator_interval)
 from reference_members import (_ref_line_action, _ref_members, _ref_property_x_scan,
-                               _ref_restrict)
-from sample_profiles import triangle_bump
+                               _ref_random_probe_ensemble, _ref_restrict)
+from sample_profiles import scaled, squared_norm, triangle_bump
 
 L2_1 = ml.euclidean_l2(1)
 GABOR = ml.gabor_product()
@@ -46,7 +46,7 @@ def gabor_family():
 def test_make_test_function_euclidean_interval():
     tf = ff.make_test_function([0.3], 0.01, L2_1)
     assert tf.values[0] == pytest.approx(1.0 / math.sqrt(0.02))
-    assert tf.squared_norm() == pytest.approx(1.0, abs=1e-12)
+    assert squared_norm(tf) == pytest.approx(1.0, abs=1e-12)
     inside = tf.evaluate(np.array([[0.295], [0.305]]))
     outside = tf.evaluate(np.array([[0.289], [0.311]]))
     assert np.all(inside == tf.values[0])
@@ -56,7 +56,7 @@ def test_make_test_function_euclidean_interval():
 def test_make_test_function_gabor_line_reduction():
     tf = ff.make_test_function([0.3, 1], 0.25, GABOR)
     assert tf.dim == 1
-    assert tf.squared_norm() == pytest.approx(1.0, abs=1e-15)
+    assert squared_norm(tf) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_make_test_function_gabor_radius_cap():
@@ -94,7 +94,7 @@ def test_functional_is_quiet_with_members_far_outside_the_support():
 def test_zero_window_gives_zero():
     fam = dyadic_family(-10, 10)
     tf = ff.make_test_function([0.3], 0.01, L2_1)
-    assert ff.frame_functional(SHANNON.scaled(0.0), fam, Z1, [tf]).tolist() == [0.0]
+    assert ff.frame_functional(scaled(SHANNON, 0.0), fam, Z1, [tf]).tolist() == [0.0]
 
 
 def test_gabor_unit_window_functional_is_one():
@@ -108,7 +108,7 @@ def test_functional_quadratic_in_the_window():
     fam = dyadic_family(-20, 20)
     tf = ff.make_test_function([0.3], 0.01, L2_1)
     [base] = ff.frame_functional(SHANNON, fam, Z1, [tf])
-    [doubled] = ff.frame_functional(SHANNON.scaled(2.0), fam, Z1, [tf])
+    [doubled] = ff.frame_functional(scaled(SHANNON, 2.0), fam, Z1, [tf])
     assert doubled == pytest.approx(4.0 * base, rel=1e-12)
 
 
@@ -379,8 +379,8 @@ def test_trimmed_functional_integrates_few_cells_it_finds_zero(monkeypatch):
         return rule(g, intervals)
 
     monkeypatch.setattr(quadrature, "integrate_with_breakpoints", recorded)
-    ff.frame_bound_probe(cfg.build_profile(scenario), cfg.build_family(scenario),
-                         cfg.build_lattice(scenario), ensemble)
+    ff.frame_functional(cfg.build_profile(scenario), cfg.build_family(scenario),
+                        cfg.build_lattice(scenario), ensemble)
     [values] = cells
     live = int(np.count_nonzero((values != 0.0).any(axis=1)))
     assert 0 < values.shape[0] <= 3 * live
@@ -452,28 +452,95 @@ def test_functional_rejects_continuous_families():
 # Probe and report
 # ---------------------------------------------------------------------------
 
+def _probe(psihat, family, ensemble) -> tuple[float, float]:
+    """The frame report's inner frame-bound estimates: the functional's extremes."""
+    values = ff.frame_functional(psihat, family, Z1, ensemble)
+    return float(np.min(values)), float(np.max(values))
+
+
 def test_probe_sandwich_and_monotonicity():
     fam = dyadic_family(-30, 30)
     ensemble = ff.random_probe_ensemble(0.1, 4.0, count=12, seed=7)
-    a1, b1 = ff.frame_bound_probe(SHANNON, fam, Z1, ensemble[:6])
-    a2, b2 = ff.frame_bound_probe(SHANNON, fam, Z1, ensemble)
+    a1, b1 = _probe(SHANNON, fam, ensemble[:6])
+    a2, b2 = _probe(SHANNON, fam, ensemble)
     assert a1 <= b1 and a2 <= b2
     assert a2 <= a1 + 1e-15
     assert b2 >= b1 - 1e-15
 
 
-def test_probe_requires_unit_norm():
-    fam = dyadic_family(-5, 5)
-    bad = indicator_interval(0.0, 1.0, value=2.0)
-    with pytest.raises(RejectedInputError):
-        ff.frame_bound_probe(SHANNON, fam, Z1, [bad])
-
-
 def test_probe_zero_window_returns_zero_pair():
     fam = dyadic_family(-10, 10)
     ensemble = ff.random_probe_ensemble(0.1, 4.0, count=5, seed=3)
-    a, b = ff.frame_bound_probe(SHANNON.scaled(0.0), fam, Z1, ensemble)
+    a, b = _probe(scaled(SHANNON, 0.0), fam, ensemble)
     assert (a, b) == (0.0, 0.0)
+
+
+@st.composite
+def _probe_bands(draw):
+    """(lo, hi) bands: negative, straddling and positive, from 1e-300 to 1e300
+    wide, and never so narrow beside lo that the band holds few floats."""
+    lo = draw(st.floats(-1e6, 1e6, allow_subnormal=False) | st.sampled_from([0.0, 1e-300]))
+    width = max(draw(st.floats(1e-300, 1e300)), 1e-9 * abs(lo))
+    return lo, lo + width
+
+
+@settings(max_examples=120, deadline=None)
+@given(band=_probe_bands(), seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 60))
+@example(band=(0.1, 4.0), seed=20260401, count=50)
+@example(band=(-3.0, -2.999), seed=0, count=60)
+@example(band=(1e-300, 3e-300), seed=5, count=7)
+@example(band=(-1e300, 1e300), seed=11, count=30)
+def test_probe_ensemble_is_the_normalised_reference_at_unit_norm(band, seed, count):
+    ensemble = ff.random_probe_ensemble(*band, count=count, seed=seed)
+    reference = _ref_random_probe_ensemble(*band, count=count, seed=seed)
+    assert len(ensemble) == len(reference) == count
+    for probe, (lo, hi, values) in zip(ensemble, reference):
+        assert probe.boxes_lo.tolist() == lo.tolist()
+        assert probe.boxes_hi.tolist() == hi.tolist()
+        assert probe.values.tolist() == values.tolist()
+        # the norm taken here, not by the package
+        assert abs(sum(v * v * (b - a) for a, b, v in zip(
+            probe.boxes_lo[:, 0].tolist(), probe.boxes_hi[:, 0].tolist(),
+            probe.values.tolist())) - 1.0) <= 1e-12
+
+
+def test_probe_ensemble_builds_one_profile_per_probe(tmp_path, monkeypatch):
+    # each probe used to be built, then built again scaled to unit norm
+    built, counts = [0], []
+    post_init = PiecewiseConstantProfile.__post_init__
+
+    def counted(self):
+        built[0] += 1
+        post_init(self)
+
+    def ensemble(*args, **kwargs):
+        before = built[0]
+        probes = draw(*args, **kwargs)
+        counts.append((len(probes), built[0] - before))
+        return probes
+
+    draw = ff.random_probe_ensemble
+    monkeypatch.setattr(PiecewiseConstantProfile, "__post_init__", counted)
+    monkeypatch.setattr(ff, "random_probe_ensemble", ensemble)
+    runner.run_scenario(runner.load_bundled_scenario("shannon_onb"), tmp_path)
+    assert counts == [(50, 50)]
+
+
+def test_probe_ensemble_must_be_nonempty():
+    with pytest.raises(RejectedInputError, match="probe ensemble must be nonempty"):
+        ff.random_probe_ensemble(0.1, 4.0, count=0, seed=0)
+
+
+def test_cli_narrow_probe_band_ends_in_one_error_line(tmp_path):
+    # the band holds two floats, so every draw of four or more sorted edges has
+    # a zero gap; the draw loop used to reject forever
+    done = subprocess.run(
+        [sys.executable, "-m", "affineframes", "run", "shannon_onb", "--out", str(tmp_path / "o"),
+         "--set", "analyses.1.probe_band=[1.0,1.0000000000000002]"],
+        capture_output=True, text=True, timeout=60, env={"PYTHONPATH": ":".join(sys.path)})
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: probe band [1.0, 1.0000000000000002] is too narrow")
+    assert done.stderr.count("\n") == 1 and "Warning" not in done.stderr
 
 
 def _frame_report(tmp_path, j_lo, j_hi, segments, value=1.0) -> dict:

@@ -475,16 +475,6 @@ def test_profile_rejects_unbounded_support():
                                  np.array([1.0]))
 
 
-def test_profile_squared_norms_exact():
-    boxes = PiecewiseConstantProfile(np.array([[0.0], [1.0]]), np.array([[0.5], [3.0]]),
-                                     np.array([2.0, -1.0]))
-    assert boxes.squared_norm() == pytest.approx(4.0 * 0.5 + 1.0 * 2.0)
-    hat = triangle_bump(0.0, 1.0, height=1.0, n_nodes=3)
-    # integral of the squared unit hat over [-1, 1]
-    assert hat.squared_norm() == pytest.approx(2.0 / 3.0)
-    assert hat.normalized().squared_norm() == pytest.approx(1.0)
-
-
 def _first_overlap_by_loop(lo, hi):
     """The pairwise loop the broadcast overlap check replaced, kept as its oracle."""
     for i in range(lo.shape[0]):
