@@ -8,15 +8,16 @@ polynomial between computable breakpoints.  Values for unit-norm inputs of a
 tight system come out at the frame constant to machine precision, which is
 what the acceptance checks lean on.
 
-Each member integrates only over the hull of where its integrand can be
-nonzero: the shifted overlaps of psi-hat's connected components with the
-member's images of f-hat's.  Rounding can carry a node just outside that hull
+Each (f-hat, member) pair integrates only over the hull of where its integrand
+can be nonzero: the shifted overlaps of psi-hat's connected components with
+the member's images of f-hat's.  Rounding can carry a node just outside that hull
 across a breakpoint, so the hull is widened by 16 eps times the magnitudes that
 enter a shifted node and its preimage (domain ends, shift, offset, breakpoints)
 and then snapped outward to one of the member's cuts or a domain end.  Every
 cell kept is then a cell of the whole-domain rule, and every cell left out
 integrates to +0.0 there, so the values are those of the whole-domain rule bit
-for bit.
+for bit.  The intervals of every pair come from one stacked pass over the
+whole f-hat ensemble, and the integrand evaluates each f-hat once per call.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ def frame_functional(psihat: FrequencyProfile, family: AutomorphismFamily,
     """The weighted double integral of the squared periodized product
     f-hat(orbit-preimage) * psi-hat over the fundamental domain, one value per
     f-hat in `fhats`: one quadrature interval per (f-hat, member) whose
-    integrand can be nonzero, trimmed to where it can, and one quadrature call."""
+    integrand can be nonzero, trimmed to where it can and built in one stacked
+    pass, and one quadrature call whose integrand evaluates each f-hat once."""
     fhats = list(fhats)
     if family.is_continuous:
         raise RejectedInputError("the functional is evaluated on atomic families")
@@ -86,11 +88,16 @@ def frame_functional(psihat: FrequencyProfile, family: AutomorphismFamily,
 
     omega_lo, omega_hi = (float(v[0]) for v in lattice.fundamental_box())
     psi_parts, psi_breaks = _components(psihat), psihat.breakpoints_1d()
-    f_parts, f_breaks = [_components(f) for f in fhats], [f.breakpoints_1d() for f in fhats]
-    f_lo = np.array([p[0, 0] for p in f_parts])[:, None]
-    f_hi = np.array([p[1, -1] for p in f_parts])[:, None]
+    # every f-hat's components and breakpoints padded to one width with their last
+    # entry: a repeat moves no max or min below, and the quadrature drops repeated cuts
+    parts, breaks = [_components(f) for f in fhats], [f.breakpoints_1d() for f in fhats]
+    n_c = max((a.shape[1] for a in parts), default=1)
+    n_b = max((b.size for b in breaks), default=1)
+    n_f, n_m, n_meet = len(fhats), len(family.params), psi_parts.shape[1] * n_c
+    f_parts = np.reshape([a.take(range(n_c), axis=1, mode="clip") for a in parts], (n_f, 2, n_c))
+    f_breaks = np.reshape([b.take(range(n_b), mode="clip") for b in breaks], (n_f, n_b))
+    f_lo, f_hi = f_parts[:, 0, :1], f_parts[:, 1, -1:]
 
-    n_f, n_m = len(fhats), len(family.params)
     scale, offset = line_action(family.members.matrices)
     weight, jacobian = family.members.weights, family.members.jacobians
     with np.errstate(over="ignore", invalid="ignore"):
@@ -104,62 +111,63 @@ def frame_functional(psihat: FrequencyProfile, family: AutomorphismFamily,
                                      np.where(live, cap_hi - omega_lo, 0.0).reshape(-1, 1))
     count = np.where(live, np.maximum(k_hi - k_lo + 1, 0).reshape(n_f, n_m), 0)
     width = int(count.max(initial=0))
-    n_breaks = psi_breaks.size + max((b.size for b in f_breaks), default=0)
-    # the integer table, the shifts and the cuts of every shift
-    check_bytes(n_f * n_m * width, 8 * (2 + n_breaks), f"{n_f * n_m} members' lattice shifts")
+    # the integer table, the shifts and the largest array per shift: its cuts or the
+    # meets of psi-hat's components with f-hat's
+    check_bytes(n_f * n_m * width, 8 * (2 + max(psi_breaks.size + n_b, n_meet)),
+                f"{n_f * n_m} members' lattice shifts")
     shifts = (k_lo.reshape(n_f, n_m, 1) + np.arange(width)).astype(float) * lattice.basis[0, 0]
 
-    owners, intervals = [], []
-    for g, rows in enumerate(map(np.flatnonzero, count)):
-        if not rows.size:
-            continue
-        n = count[g, rows]
-        s, on = shifts[g, rows, :n.max(), None], (np.arange(n.max()) < n[:, None])[..., None]
-        sc, off = scale[rows, None, None], offset[rows, None, None]
-        cuts = np.concatenate([np.broadcast_to(psi_breaks, (rows.size, 1, psi_breaks.size)),
-                               sc * f_breaks[g] + off], axis=2) - s
-        # where psi-hat's components meet the member's images of f-hat's, shifted and
-        # widened past the rounding of the integrand's shifted nodes and preimages
-        img = np.sort(sc * f_parts[g] + off, axis=1)
-        margin = 16.0 * np.finfo(float).eps * (
-            abs(omega_lo) + abs(omega_hi) + np.abs(s).max(axis=1, where=on, initial=0.0,
-                                                          keepdims=True)
-            + np.abs(off) + np.abs(psi_breaks).max() + np.abs(sc) * np.abs(f_breaks[g]).max())
-        lo = np.maximum(psi_parts[0, :, None], img[:, None, 0]).reshape(rows.size, 1, -1)
-        hi = np.minimum(psi_parts[1, :, None], img[:, None, 1]).reshape(rows.size, 1, -1)
-        lo, hi = lo - s - margin, hi - s + margin
-        meet = on & (hi > lo)
-        hull_lo = np.maximum(omega_lo, lo.min(axis=(1, 2), where=meet, initial=np.inf))
-        hull_hi = np.minimum(omega_hi, hi.max(axis=(1, 2), where=meet, initial=-np.inf))
-        # snapped outward to a cut, so every kept cell is one of the untrimmed cells
-        t_lo = cuts.max(axis=(1, 2), where=on & (cuts <= hull_lo[:, None, None]),
-                        initial=omega_lo)
-        t_hi = cuts.min(axis=(1, 2), where=on & (cuts >= hull_hi[:, None, None]),
-                        initial=omega_hi)
-        for j in np.flatnonzero(hull_hi > hull_lo).tolist():
-            owners.append((g, rows[j]))
-            intervals.append((t_lo[j], t_hi[j], cuts[j, :n[j]].ravel()))
-    owner_f, owner_m = np.array(owners, dtype=np.intp).reshape(-1, 2).T
+    # one row per (f-hat, member) pair with a shift, f-hat-major and member-ascending
+    g, m = np.nonzero(count)
+    n, s = count[g, m], shifts[g, m, :, None]
+    on = (np.arange(width) < n[:, None])[..., None]
+    sc, off = scale[m, None, None], offset[m, None, None]
+    # where psi-hat's components meet the member's images of f-hat's, shifted and
+    # widened past the rounding of the integrand's shifted nodes and preimages
+    img = np.sort(sc * f_parts[g] + off, axis=1)
+    margin = 16.0 * np.finfo(float).eps * (
+        abs(omega_lo) + abs(omega_hi)
+        + np.abs(s).max(axis=1, where=on, initial=0.0, keepdims=True) + np.abs(off)
+        + np.abs(psi_breaks).max() + np.abs(sc) * np.abs(f_breaks).max(axis=1)[g, None, None])
+    lo = np.maximum(psi_parts[0, :, None], img[:, None, 0]).reshape(g.size, 1, n_meet)
+    hi = np.minimum(psi_parts[1, :, None], img[:, None, 1]).reshape(g.size, 1, n_meet)
+    lo, hi = lo - s - margin, hi - s + margin
+    meet = on & (hi > lo)
+    hull_lo = np.maximum(omega_lo, lo.min(axis=(1, 2), where=meet, initial=np.inf))
+    hull_hi = np.minimum(omega_hi, hi.max(axis=(1, 2), where=meet, initial=-np.inf))
+    # the pairs with a nonempty hull, snapped outward to one of their cuts, so
+    # every kept cell is one of the untrimmed cells
+    keep = hull_hi > hull_lo
+    g, m, n, s, on, sc, off = (a[keep] for a in (g, m, n, s, on, sc, off))
+    hull_lo, hull_hi = hull_lo[keep, None, None], hull_hi[keep, None, None]
+    cuts = np.concatenate([np.broadcast_to(psi_breaks, (g.size, 1, psi_breaks.size)),
+                           sc * f_breaks[g, None] + off], axis=2) - s
+    t_lo = cuts.max(axis=(1, 2), where=on & (cuts <= hull_lo), initial=omega_lo)
+    t_hi = cuts.min(axis=(1, 2), where=on & (cuts >= hull_hi), initial=omega_hi)
+    intervals = [(t_lo[j], t_hi[j], cuts[j, :n[j]].ravel()) for j in range(g.size)]
 
     def integrand(xi: np.ndarray, owner: np.ndarray) -> np.ndarray:
         acc = np.zeros_like(xi)
-        group, member = owner_f[owner], owner_m[owner]
-        for g, fhat in enumerate(fhats):
-            at = np.flatnonzero(group == g)
-            for k in range(int(count[g].max(initial=0))):
-                node = at[k < count[g, member[at]]]
-                i = member[node]
-                shifted = xi[node] + shifts[g, i, k]
-                acc[node] += (fhat.evaluate(((shifted - offset[i]) / scale[i])[:, None])
-                              * psihat.evaluate(shifted[:, None]))
+        order = np.argsort(g[owner], kind="stable")
+        ends = np.searchsorted(g[owner[order]], np.arange(1, n_f))
+        for fhat, at in zip(fhats, np.split(order, ends)):
+            if not at.size:
+                continue
+            # every (node, shift index) pair of this f-hat, shift index ascending: a
+            # node comes once per shift index, so its terms add in shift order
+            rows = owner[at]
+            k, j = np.nonzero(np.arange(n[rows].max())[:, None] < n[rows])
+            i, shifted = m[rows[j]], xi[at[j]] + s[rows[j], k, 0]
+            np.add.at(acc, at[j], fhat.evaluate(((shifted - offset[i]) / scale[i])[:, None])
+                      * psihat.evaluate(shifted[:, None]))
         return acc ** 2
 
     # a member left out integrates to +0.0, which adds nothing to a sum of
     # nonnegative terms; the rest are added in member order
     integrals = quadrature.integrate_with_breakpoints(integrand, intervals)
     values = [0.0] * n_f
-    for g, i, integral in zip(owner_f.tolist(), owner_m.tolist(), integrals):
-        values[g] += weight[i] * (integral / jacobian[i])
+    for f, i, integral in zip(g.tolist(), m.tolist(), integrals):
+        values[f] += weight[i] * (integral / jacobian[i])
     return np.array(values)
 
 

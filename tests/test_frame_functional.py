@@ -15,8 +15,8 @@ from affineframes import config as cfg
 from affineframes import counting as ct
 from affineframes import frame_functional as ff
 from affineframes import metric_lattice as ml
-from affineframes import quadrature, runner
-from affineframes.errors import RejectedInputError
+from affineframes import errors, quadrature, runner
+from affineframes.errors import RejectedInputError, ResourceLimitError
 from affineframes.profiles import (PiecewiseConstantProfile, SampledGridProfile,
                                    indicator_interval)
 from reference_members import (_ref_line_action, _ref_members, _ref_property_x_scan,
@@ -361,13 +361,35 @@ def test_trimmed_functional_matches_the_unbatched_reference(family, psihat, fhat
             == [_unbatched_functional(psihat, family, lattice, f) for f in fhats])
 
 
-def test_trimmed_functional_integrates_few_cells_it_finds_zero(monkeypatch):
-    # the bundled shannon_onb probe ensemble: the untrimmed domain handed over
-    # 26,322 cells, of which 517 have a nonzero integrand value
+# supports far past every drawn psi-hat's reach under every drawn member
+_UNREACHED = st.floats(1e4, 1e5).map(lambda c: indicator_interval(c, c + 1.0, 0.7))
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=_families(), psihat=_line_profiles(),
+       fhats=st.lists(_line_profiles() | _UNREACHED, min_size=2, max_size=8),
+       b=st.sampled_from([1.0, -1.0, 0.75, -0.6, 2.5]))
+def test_functional_of_an_ensemble_is_the_functional_of_each_member(family, psihat, fhats, b):
+    # the ensemble is stacked with every f-hat padded to the widest one
+    lattice = ml.Lattice(np.array([[b]]))
+    assert (ff.frame_functional(psihat, family, lattice, fhats).tolist()
+            == [ff.frame_functional(psihat, family, lattice, [f])[0] for f in fhats])
+
+
+def _shannon_probe_inputs():
+    """shannon_onb's profile, family and lattice, and its frame report's probe ensemble."""
     scenario = runner.load_bundled_scenario("shannon_onb")
     [analysis] = [a for a in scenario["analyses"] if a["kind"] == "frame_report"]
     ensemble = ff.random_probe_ensemble(*analysis["probe_band"], count=analysis["probe_count"],
                                         seed=scenario["seed"])
+    return (cfg.build_profile(scenario), cfg.build_family(scenario),
+            cfg.build_lattice(scenario), ensemble)
+
+
+def test_trimmed_functional_integrates_few_cells_it_finds_zero(monkeypatch):
+    # the bundled shannon_onb probe ensemble: the untrimmed domain handed over
+    # 26,322 cells, of which 517 have a nonzero integrand value
+    inputs = _shannon_probe_inputs()
     cells = []
     rule = quadrature.integrate_with_breakpoints
 
@@ -379,11 +401,27 @@ def test_trimmed_functional_integrates_few_cells_it_finds_zero(monkeypatch):
         return rule(g, intervals)
 
     monkeypatch.setattr(quadrature, "integrate_with_breakpoints", recorded)
-    ff.frame_functional(cfg.build_profile(scenario), cfg.build_family(scenario),
-                        cfg.build_lattice(scenario), ensemble)
+    ff.frame_functional(*inputs)
     [values] = cells
     live = int(np.count_nonzero((values != 0.0).any(axis=1)))
     assert 0 < values.shape[0] <= 3 * live
+
+
+def test_functional_evaluates_each_fhat_and_psihat_once_per_fhat(monkeypatch):
+    # the 50 probes used to be evaluated once per (probe, shift index): 200 calls
+    *operands, ensemble = _shannon_probe_inputs()
+    calls = [0]
+
+    def counted(evaluate):
+        def wrapper(self, points):
+            calls[0] += 1
+            return evaluate(self, points)
+        return wrapper
+
+    for kind in (PiecewiseConstantProfile, SampledGridProfile):
+        monkeypatch.setattr(kind, "evaluate", counted(kind.evaluate))
+    ff.frame_functional(*operands, ensemble)
+    assert 0 < calls[0] <= 2 * len(ensemble)
 
 
 def test_functional_is_one_quadrature_call_without_box_queries(monkeypatch):
@@ -439,6 +477,28 @@ def test_functional_checks_shift_table_bytes_before_allocating():
                           timeout=60, env=env)
     assert done.returncode == 0, done.stderr
     assert float(done.stdout) < 1.0
+
+
+def _comb(stride: int) -> PiecewiseConstantProfile:
+    """Value-1 boxes from every `stride`-th of 60 edges 0.015 apart to the next
+    edge: 60 cuts for stride 1 (one component) or 2 (30 components)."""
+    edges = np.arange(60)[:, None] * 0.015
+    return PiecewiseConstantProfile(edges[:-1:stride], edges[1::stride],
+                                    np.ones(len(edges[1::stride])))
+
+
+def test_functional_caps_the_meets_of_components_before_building_them(monkeypatch):
+    # 30 components each in psi-hat and f-hat meet in 900 pairs per shift, while
+    # their cuts number 120: a cap that 120 cuts per shift fit under must refuse
+    # the meets; one component each, with as many cuts, passes this cap and
+    # stops only at the quadrature's own
+    fam = am.matrix_power_family([[2.0]], 0, 0, L2_1)
+    apart, touching = _comb(2), _comb(1)
+    monkeypatch.setattr(errors, "MAX_GRID_BYTES", 4000)
+    with pytest.raises(ResourceLimitError, match="lattice shifts"):
+        ff.frame_functional(apart, fam, Z1, [apart])
+    with pytest.raises(ResourceLimitError, match="quadrature nodes"):
+        ff.frame_functional(touching, fam, Z1, [touching])
 
 
 def test_functional_rejects_continuous_families():
