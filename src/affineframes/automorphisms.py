@@ -224,7 +224,10 @@ def _unit_rows(dirs: np.ndarray, metric: MetricSpace) -> np.ndarray:
 def _power_iteration_directions(matrices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Unit (grow, shrink) directions, shape (n, 2, d), of an (n, d, d) stack; numpy
     hands each item to the BLAS and LAPACK calls of a per-member loop, bit for bit."""
-    grams = np.matmul(matrices.transpose(0, 2, 1), matrices)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
+        grams = np.matmul(matrices.transpose(0, 2, 1), matrices)
+    if not np.all(np.isfinite(grams)):
+        raise RejectedInputError("direction oracle: a Gram matrix M^T M overflows a float")
     v = rng.normal(size=(2, grams.shape[-1]))  # the grow and shrink starts
     try:
         for _ in range(60):

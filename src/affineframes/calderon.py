@@ -89,7 +89,7 @@ def _orbit_sum(psihat, family, rows, pts: np.ndarray, weighted: bool) -> np.ndar
     """Per frequency: the weighted squared profile values along the orbit of the
     member `rows`, added in row order, each times its jacobian when `weighted`."""
     t = family.members
-    w = t.weights[rows] * t.jacobians[rows] if weighted else t.weights[rows]
+    w = _jacobian_weights(t, rows) if weighted else t.weights[rows]
     out = np.zeros((1, pts.shape[0]))
     for block, squares in _orbit_squares(psihat, t.matrices[rows], pts):
         # a running sum down the rows from +0.0, term by term: never pairwise
@@ -158,6 +158,15 @@ def calderon_sum(psihat: FrequencyProfile, family: AutomorphismFamily, points
     return values, tails, certified, truncation
 
 
+def _jacobian_weights(t, rows) -> np.ndarray:
+    """w(h) * J(h) of the member `rows`, refused where the product overflows a float."""
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        w = t.weights[rows] * t.jacobians[rows]
+    if not np.isfinite(w).all():
+        raise RejectedInputError("a member's weight times its jacobian overflows a float")
+    return w
+
+
 def _distortion_tail(psihat, family, rows, pts: np.ndarray,
                      weights: np.ndarray) -> tuple[bool, tuple[float, ...], tuple[int, ...]]:
     """Divergence flag, partial sums and truncation sizes of the jacobian-
@@ -168,7 +177,7 @@ def _distortion_tail(psihat, family, rows, pts: np.ndarray,
     t = family.members
     dots = np.concatenate([np.vecdot(weights, squares)
                            for _, squares in _orbit_squares(psihat, t.matrices[rows], pts)])
-    contributions = t.weights[rows] * t.jacobians[rows] * dots
+    contributions = _jacobian_weights(t, rows) * dots
     n = len(rows)
     sizes = sorted({max(1, n // 4), max(1, n // 2), n})
     sums = tuple(float(np.sum(contributions[:k])) for k in sizes)

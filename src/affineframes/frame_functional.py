@@ -8,16 +8,17 @@ polynomial between computable breakpoints.  Values for unit-norm inputs of a
 tight system come out at the frame constant to machine precision, which is
 what the acceptance checks lean on.
 
-Each (f-hat, member) pair integrates only over the hull of where its integrand
-can be nonzero: the shifted overlaps of psi-hat's connected components with
-the member's images of f-hat's.  Rounding can carry a node just outside that hull
-across a breakpoint, so the hull is widened by 16 eps times the magnitudes that
-enter a shifted node and its preimage (domain ends, shift, offset, breakpoints)
-and then snapped outward to one of the member's cuts or a domain end.  Every
-cell kept is then a cell of the whole-domain rule, and every cell left out
-integrates to +0.0 there, so the values are those of the whole-domain rule bit
-for bit.  The intervals of every pair come from one stacked pass over the
-whole f-hat ensemble, and the integrand evaluates each f-hat once per call.
+Each (f-hat, member) pair integrates only over a hull that holds where its
+integrand can be nonzero: the shifted meets of psi-hat's connected components
+with the member's image of f-hat's support, its first to last breakpoint.
+Rounding can carry a node just outside that hull across a breakpoint, so the
+hull is widened by 16 eps times the magnitudes that enter a shifted node and
+its preimage (domain ends, shift, offset, breakpoints) and then snapped outward
+to one of the member's cuts or a domain end.  Every cell kept is then a cell of
+the whole-domain rule, and every cell left out integrates to +0.0 there, so the
+values are those of the whole-domain rule bit for bit.  The intervals of every
+pair come from one stacked pass over the whole f-hat ensemble, each with only
+its own pair's cuts, and the integrand evaluates each f-hat once per call.
 """
 
 from __future__ import annotations
@@ -88,32 +89,30 @@ def frame_functional(psihat: FrequencyProfile, family: AutomorphismFamily,
 
     omega_lo, omega_hi = (float(v[0]) for v in lattice.fundamental_box())
     psi_parts, psi_breaks = _components(psihat), psihat.breakpoints_1d()
-    # every f-hat's components and breakpoints padded to one width with their last
-    # entry: a repeat moves no max or min below, and the quadrature drops repeated cuts
-    parts, breaks = [_components(f) for f in fhats], [f.breakpoints_1d() for f in fhats]
-    n_c = max((a.shape[1] for a in parts), default=1)
+    # every f-hat's breakpoints padded to one width with their last entry: a repeat
+    # moves no max or min below, and each interval gets only its own f-hat's columns
+    breaks = [f.breakpoints_1d() for f in fhats]
     n_b = max((b.size for b in breaks), default=1)
-    n_f, n_m, n_meet = len(fhats), len(family.params), psi_parts.shape[1] * n_c
-    f_parts = np.reshape([a.take(range(n_c), axis=1, mode="clip") for a in parts], (n_f, 2, n_c))
+    n_f, n_m = len(fhats), len(family.params)
     f_breaks = np.reshape([b.take(range(n_b), mode="clip") for b in breaks], (n_f, n_b))
-    f_lo, f_hi = f_parts[:, 0, :1], f_parts[:, 1, -1:]
 
     scale, offset = line_action(family.members.matrices)
     weight, jacobian = family.members.weights, family.members.jacobians
     with np.errstate(over="ignore", invalid="ignore"):
-        img_a, img_b = scale * f_lo + offset, scale * f_hi + offset
+        img_a, img_b = scale * f_breaks[:, :1] + offset, scale * f_breaks[:, -1:] + offset
     if not (np.isfinite(img_a).all() and np.isfinite(img_b).all()):
         raise RejectedInputError("orbit image of a test function overflows a float")
-    cap_lo = np.maximum(psi_parts[0, 0], np.minimum(img_a, img_b))
-    cap_hi = np.minimum(psi_parts[1, -1], np.maximum(img_a, img_b))
+    # each member's image of each f-hat's support, the first to last breakpoint
+    img_lo, img_hi = np.minimum(img_a, img_b), np.maximum(img_a, img_b)
+    cap_lo, cap_hi = np.maximum(psi_parts[0, 0], img_lo), np.minimum(psi_parts[1, -1], img_hi)
     live = (cap_hi > cap_lo) & (weight != 0.0)
     k_lo, k_hi = lattice.integer_box(np.where(live, cap_lo - omega_hi, 0.0).reshape(-1, 1),
                                      np.where(live, cap_hi - omega_lo, 0.0).reshape(-1, 1))
     count = np.where(live, np.maximum(k_hi - k_lo + 1, 0).reshape(n_f, n_m), 0)
     width = int(count.max(initial=0))
-    # the integer table, the shifts and the largest array per shift: its cuts or the
-    # meets of psi-hat's components with f-hat's
-    check_bytes(n_f * n_m * width, 8 * (2 + max(psi_breaks.size + n_b, n_meet)),
+    # the integer table, the shifts and the cuts per shift, which outnumber the
+    # meets of psi-hat's components with the image of f-hat's support
+    check_bytes(n_f * n_m * width, 8 * (2 + psi_breaks.size + n_b),
                 f"{n_f * n_m} members' lattice shifts")
     shifts = (k_lo.reshape(n_f, n_m, 1) + np.arange(width)).astype(float) * lattice.basis[0, 0]
 
@@ -122,16 +121,14 @@ def frame_functional(psihat: FrequencyProfile, family: AutomorphismFamily,
     n, s = count[g, m], shifts[g, m, :, None]
     on = (np.arange(width) < n[:, None])[..., None]
     sc, off = scale[m, None, None], offset[m, None, None]
-    # where psi-hat's components meet the member's images of f-hat's, shifted and
-    # widened past the rounding of the integrand's shifted nodes and preimages
-    img = np.sort(sc * f_parts[g] + off, axis=1)
+    # where psi-hat's components meet the member's image of f-hat's support, shifted
+    # and widened past the rounding of the integrand's shifted nodes and preimages
     margin = 16.0 * np.finfo(float).eps * (
         abs(omega_lo) + abs(omega_hi)
         + np.abs(s).max(axis=1, where=on, initial=0.0, keepdims=True) + np.abs(off)
         + np.abs(psi_breaks).max() + np.abs(sc) * np.abs(f_breaks).max(axis=1)[g, None, None])
-    lo = np.maximum(psi_parts[0, :, None], img[:, None, 0]).reshape(g.size, 1, n_meet)
-    hi = np.minimum(psi_parts[1, :, None], img[:, None, 1]).reshape(g.size, 1, n_meet)
-    lo, hi = lo - s - margin, hi - s + margin
+    lo = np.maximum(psi_parts[0], img_lo[g, m, None, None]) - s - margin
+    hi = np.minimum(psi_parts[1], img_hi[g, m, None, None]) - s + margin
     meet = on & (hi > lo)
     hull_lo = np.maximum(omega_lo, lo.min(axis=(1, 2), where=meet, initial=np.inf))
     hull_hi = np.minimum(omega_hi, hi.max(axis=(1, 2), where=meet, initial=-np.inf))
@@ -144,23 +141,22 @@ def frame_functional(psihat: FrequencyProfile, family: AutomorphismFamily,
                            sc * f_breaks[g, None] + off], axis=2) - s
     t_lo = cuts.max(axis=(1, 2), where=on & (cuts <= hull_lo), initial=omega_lo)
     t_hi = cuts.min(axis=(1, 2), where=on & (cuts >= hull_hi), initial=omega_hi)
-    intervals = [(t_lo[j], t_hi[j], cuts[j, :n[j]].ravel()) for j in range(g.size)]
+    own = psi_breaks.size + np.array([b.size for b in breaks], dtype=np.intp)[g]
+    intervals = [(t_lo[j], t_hi[j], cuts[j, :n[j], :own[j]].ravel()) for j in range(g.size)]
 
     def integrand(xi: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(xi)
-        order = np.argsort(g[owner], kind="stable")
-        ends = np.searchsorted(g[owner[order]], np.arange(1, n_f))
-        for fhat, at in zip(fhats, np.split(order, ends)):
-            if not at.size:
+        # nodes come interval by interval, f-hat-major: each f-hat's are one slice,
+        # whose (node, shift index) pairs go shift-ascending, added from 0.0 in that order
+        acc, ends = [np.empty(0)], np.searchsorted(g[owner], np.arange(n_f + 1)).tolist()
+        for fhat, a, b in zip(fhats, ends, ends[1:]):
+            if a == b:
                 continue
-            # every (node, shift index) pair of this f-hat, shift index ascending: a
-            # node comes once per shift index, so its terms add in shift order
-            rows = owner[at]
+            rows = owner[a:b]
             k, j = np.nonzero(np.arange(n[rows].max())[:, None] < n[rows])
-            i, shifted = m[rows[j]], xi[at[j]] + s[rows[j], k, 0]
-            np.add.at(acc, at[j], fhat.evaluate(((shifted - offset[i]) / scale[i])[:, None])
-                      * psihat.evaluate(shifted[:, None]))
-        return acc ** 2
+            i, shifted = m[rows[j]], xi[a + j] + s[rows[j], k, 0]
+            acc.append(np.bincount(j, fhat.evaluate(((shifted - offset[i]) / scale[i])[:, None])
+                                   * psihat.evaluate(shifted[:, None]), b - a))
+        return np.concatenate(acc) ** 2
 
     # a member left out integrates to +0.0, which adds nothing to a sum of
     # nonnegative terms; the rest are added in member order

@@ -38,7 +38,8 @@ def integrate_with_breakpoints(f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     """One integral per (lo, hi, breakpoints), 0.0 when hi <= lo, split at the
     interior breakpoints: exact for integrands polynomial (degree < 31) between
     them. f(nodes, owner) is called once, on every cell's nodes and the index of
-    each node's interval; cell sums are ddots, added left to right by bincount."""
+    each node's interval, interval by interval (owner is nondecreasing); cell
+    sums are ddots, added left to right by bincount."""
     n = len(intervals)
     lo, hi, cuts = zip(*intervals) if n else ((), (), ())
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)

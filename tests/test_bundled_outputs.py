@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from affineframes import automorphisms, calderon, counting, frame_functional, metric_lattice
 from affineframes import runner
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
@@ -33,3 +34,22 @@ def test_bundled_scenario_matches_reference_digests(tmp_path, name):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(tmp_path.glob("*.csv"))}
     assert digests == expected["csv"]
+
+
+def test_benchmark_couplings_to_the_package_hold(tmp_path, monkeypatch):
+    """The benchmark's own suite reads these names across modules and counts
+    `Automorphism` constructions on an orbit_scan item (bundled shannon_onb);
+    a package change that would break it fails here first."""
+    assert frame_functional.calderon_sum is calderon.calderon_sum
+    assert counting.overlap_measure is metric_lattice.overlap_measure
+    assert calderon.lipschitz_constants is automorphisms.lipschitz_constants
+    built = []
+    post_init = automorphisms.Automorphism.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(automorphisms.Automorphism, "__post_init__", counted)
+    runner.run_scenario(runner.load_bundled_scenario("shannon_onb"), tmp_path)
+    assert built

@@ -540,6 +540,15 @@ def test_cli_wide_continuous_dilation_domain_runs(tmp_path, capsys):
     # float ended in numpy's OverflowError
     ("shannon_onb", ["analyses.1.probe_band=[0,1.7e308]"], "squared norm on [0.0, 1.7e+308]"),
     ("shannon_onb", ["analyses.1.probe_band=[-1e308,1e308]"], "wider than a float"),
+    # weight times jacobian overflowed to inf: times a zero quadrature dot the
+    # anisotropic tail read NaN and passed as finite; shannon_onb only warned
+    ("anisotropic_wavelet", ["family.weight.value=1e300"], "weight times its jacobian overflows"),
+    ("shannon_onb", ["family.weight.value=1e300"], "weight times its jacobian overflows"),
+    # the oracle's Gram matrix M^T M overflowed: at 1e300 with a warning and a
+    # pass, at 1e200 with a false lipschitz failure
+    ("shearlet_property_x", ["family.s_values=[1,3,1e300]"], "Gram matrix M^T M overflows"),
+    ("shearlet_property_x", ["family.s_values=[1,3,-1e300]"], "Gram matrix M^T M overflows"),
+    ("shearlet_property_x", ["family.s_values=[1,3,1e200]"], "Gram matrix M^T M overflows"),
 ])
 def test_cli_out_of_float_range_inputs_end_in_one_error_line(tmp_path, capsys, name,
                                                              overrides, word):

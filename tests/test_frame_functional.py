@@ -487,18 +487,70 @@ def _comb(stride: int) -> PiecewiseConstantProfile:
                                     np.ones(len(edges[1::stride])))
 
 
-def test_functional_caps_the_meets_of_components_before_building_them(monkeypatch):
-    # 30 components each in psi-hat and f-hat meet in 900 pairs per shift, while
-    # their cuts number 120: a cap that 120 cuts per shift fit under must refuse
-    # the meets; one component each, with as many cuts, passes this cap and
-    # stops only at the quadrature's own
-    fam = am.matrix_power_family([[2.0]], 0, 0, L2_1)
-    apart, touching = _comb(2), _comb(1)
+def test_functional_cap_is_not_sized_by_the_components_of_fhat(monkeypatch):
+    # 30 components and 1 have 120 cuts per shift each: under a cap that 120
+    # cuts per shift fit, both pass the shift table and stop only at the
+    # quadrature's own cap, since the meets per shift number psi-hat's components
+    fam, combs = am.matrix_power_family([[2.0]], 0, 0, L2_1), (_comb(2), _comb(1))
     monkeypatch.setattr(errors, "MAX_GRID_BYTES", 4000)
-    with pytest.raises(ResourceLimitError, match="lattice shifts"):
-        ff.frame_functional(apart, fam, Z1, [apart])
-    with pytest.raises(ResourceLimitError, match="quadrature nodes"):
-        ff.frame_functional(touching, fam, Z1, [touching])
+    for comb in combs:
+        with pytest.raises(ResourceLimitError, match="quadrature nodes"):
+            ff.frame_functional(comb, fam, Z1, [comb])
+
+
+def test_functional_hands_each_interval_only_its_own_cuts(monkeypatch):
+    # the bundled shannon_onb probes: with every f-hat's cuts padded to the
+    # widest one, the quadrature got 3,796 cuts where the intervals' own are 3,165
+    psihat, family, lattice, ensemble = _shannon_probe_inputs()
+    calls = []
+    rule = quadrature.integrate_with_breakpoints
+
+    def recorded(f, intervals):
+        calls.append(intervals)
+        return rule(f, intervals)
+
+    monkeypatch.setattr(quadrature, "integrate_with_breakpoints", recorded)
+    ff.frame_functional(psihat, family, lattice, ensemble)
+    for fhat in ensemble:
+        ff.frame_functional(psihat, family, lattice, [fhat])
+    together, *alone = calls
+    # the intervals come f-hat by f-hat, as many per f-hat as it gets alone
+    owners = [fhat for fhat, own in zip(ensemble, alone) for _ in own]
+    assert len(owners) == len(together)
+    psi_breaks, step = psihat.breakpoints_1d(), float(lattice.basis[0, 0])
+    total = 0
+    for fhat, (_, _, cuts) in zip(owners, together):
+        per_shift = psi_breaks.size + fhat.breakpoints_1d().size
+        assert cuts.size % per_shift == 0
+        # one row per shift: psi-hat's breakpoints less the shift, then the
+        # member's images of this f-hat's, less the same shift
+        rows = np.reshape(cuts, (-1, per_shift))
+        shift = psi_breaks[0] - rows[:, 0]
+        unshifted = rows + shift[:, None]
+        assert np.allclose(unshifted[:, :psi_breaks.size], psi_breaks, rtol=0.0, atol=1e-9)
+        assert np.allclose(unshifted, unshifted[0], rtol=0.0, atol=1e-9)
+        assert np.allclose(np.diff(shift), step, rtol=0.0, atol=1e-9)
+        total += cuts.size
+    assert total == 3165
+
+
+def _frame_report_entry(tmp_path, name: str) -> dict:
+    """The frame report of a bundled scenario, run alone."""
+    scenario = runner.load_bundled_scenario(name)
+    scenario["analyses"] = [a for a in scenario["analyses"] if a["kind"] == "frame_report"]
+    _code, report = runner.run_scenario(scenario, tmp_path)
+    [entry] = report["analyses"]
+    return entry
+
+
+def test_bundled_functional_values_are_pinned(tmp_path):
+    # report.json only: no CSV digest holds these
+    shannon = _frame_report_entry(tmp_path / "s", "shannon_onb")
+    assert [c["value"] for c in shannon["functional_checks"]] == [1.0000000000000009] * 2
+    assert shannon["probe"]["lower_empirical"] == 0.9999999999999994
+    assert shannon["probe"]["upper_empirical"] == 1.0000000000000004
+    gabor = _frame_report_entry(tmp_path / "g", "gabor_onb")
+    assert [c["value"] for c in gabor["functional_checks"]] == [0.9999999999999998]
 
 
 def test_functional_rejects_continuous_families():
