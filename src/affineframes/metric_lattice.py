@@ -9,6 +9,7 @@ which makes every reduction deterministic and reproducible.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -328,6 +329,58 @@ class OverlapEstimate:
     stderr: float
 
 
+_SLAB_BUCKETS = 1 << 15  # int16 bucket indices, so a stable argsort is a radix sort
+_SORT_PASSES = 4.0  # about what one bucket sort and its gather cost, in test passes
+
+
+@dataclass(frozen=True)
+class _Slab:
+    """Bucketed coordinate along one axis, and each shift's bucket range.
+
+    A row xi can pass a shift's test only if xi[axis] lies within `half` of
+    shift[axis] + centre: the test's preimage lies in the ball's box, whose
+    image box has half-width img_half[axis] about img_center[axis].  `half`
+    widens that outward by a bound on the rounding of the test (the subtract,
+    the matmul with the computed inverse, the norm), which grows with the
+    dimension and with |A|_inf |A^-1|_inf; one bucket either side absorbs the
+    rounding of the bucket index itself."""
+
+    axis: int
+    lo: float
+    scale: float
+    centre: float
+    half: float
+
+    @staticmethod
+    def worth_sorting(matrix, inv, img_center, img_half, omega_lo, omega_hi,
+                      n_shifts: int) -> _Slab | None:
+        """The slab along the most selective axis, if the later shifts' slabs
+        would save at least _SORT_PASSES full passes over the block."""
+        span = omega_hi - omega_lo
+        axis = int(np.argmin(img_half / span))
+        # python floats: an out-of-range input gives inf or nan here, not a warning
+        kappa = float(np.abs(matrix).sum(axis=1).max()) * float(np.abs(inv).sum(axis=1).max())
+        reach = float(np.abs(img_center).max()) + float(img_half.max())
+        half = float(img_half[axis]) + 32.0 * (matrix.shape[0] + 2) * 2.0 ** -52 * kappa * reach
+        share = min(2.0 * half / float(span[axis]) + 3.0 / _SLAB_BUCKETS, 1.0)
+        if not (n_shifts - 1) * (1.0 - share) >= _SORT_PASSES:
+            return None
+        return _Slab(axis, float(omega_lo[axis]), _SLAB_BUCKETS / float(span[axis]),
+                     float(img_center[axis]), half)
+
+    def buckets(self, x):
+        return np.clip(np.floor((x - self.lo) * self.scale), 0,
+                       _SLAB_BUCKETS - 1).astype(np.int16)
+
+    def rows(self, keys: np.ndarray, shift: np.ndarray) -> tuple[int, int]:
+        """The slice of the sorted `keys` whose rows the shift's test can hit."""
+        mid = float(shift[self.axis]) + self.centre
+        first = max(int(self.buckets(mid - self.half)) - 1, 0)
+        last = min(int(self.buckets(mid + self.half)) + 1, _SLAB_BUCKETS - 1)
+        return (int(np.searchsorted(keys, first, "left")),
+                int(np.searchsorted(keys, last, "right")))
+
+
 def _blocked_rngs(seed: int, n_samples: int) -> Iterator[tuple[int, np.random.Generator]]:
     for block_index, offset in enumerate(range(0, n_samples, _MC_BLOCK)):
         size = min(_MC_BLOCK, n_samples - offset)
@@ -371,10 +424,11 @@ def overlap_measure(lattice: Lattice, metric: MetricSpace, auto=None, r: float =
     shifts = lattice.points_in_box(omega_lo - (img_center + img_half),
                                    omega_hi - (img_center - img_half), cap=2_000_000)
     shifts = _prune_shifts(shifts, inv, metric, r, omega_lo, omega_hi)
-    if shifts.shape[0]:
-        # central shifts first: coverage saturates sooner, the scan loop exits early
-        order = np.argsort(metric.norm(shifts - 0.5 * (omega_lo + omega_hi)))
-        shifts = shifts[order]
+    # central shifts first: coverage saturates sooner, the scan loop exits
+    # early; the L-inf key has no squares, so it cannot overflow
+    shifts = shifts[np.argsort(np.abs(shifts - 0.5 * (omega_lo + omega_hi)).max(axis=1))]
+    slab = _Slab.worth_sorting(matrix, inv, img_center, img_half, omega_lo, omega_hi,
+                               shifts.shape[0])
 
     hits = 0
     total = 0
@@ -386,14 +440,7 @@ def overlap_measure(lattice: Lattice, metric: MetricSpace, auto=None, r: float =
         # (three buffers re-faulted about 1,200 pages per sandwich item)
         xi, diff, pre = (b.T for b in np.empty((3, lattice.dim, size)))
         xi[...] = lattice.sample_fundamental(rng, size)
-        covered = np.zeros(size, dtype=bool)
-        for shift in shifts:
-            np.subtract(xi, shift, out=diff)
-            np.matmul(diff, inv.T, out=pre)
-            covered |= metric.norm(pre) < r
-            if covered.all():
-                break
-        hits += int(covered.sum())
+        hits += _covered_count(xi, diff, pre, shifts, inv, metric, r, slab)
         total += size
     p = hits / total
     value = lattice.covolume * p
@@ -401,13 +448,71 @@ def overlap_measure(lattice: Lattice, metric: MetricSpace, auto=None, r: float =
     return OverlapEstimate(value, stderr)
 
 
+def _covered_count(xi, diff, pre, shifts, inv, metric: MetricSpace, r: float,
+                   slab: _Slab | None) -> int:
+    """Rows of the block `xi` that some shift covers, by the test
+    `metric.norm((xi - shift) @ inv.T) < r` on each (row, shift) pair that can
+    be a hit; `diff` and `pre` are scratch buffers of the block's shape.
+
+    The test is row by row, so skipping a pair changes no verdict.  Covered
+    rows leave the active prefix of the block once only a quarter of it is
+    uncovered, so the prefix shrinks geometrically.  After the first shift a
+    `slab` sorts the active rows by bucket along its axis, and each later shift
+    tests only the rows of its own bucket range.  A one-row matmul takes
+    numpy's matrix-vector path, whose last bit can differ from the row's in a
+    full block, so a tested slice and the active prefix keep two rows."""
+    active = uncovered = xi.shape[0]
+    covered = np.zeros(active, dtype=bool)
+    keys = None
+    for i, shift in enumerate(shifts):
+        lo, hi = (0, active) if keys is None else slab.rows(keys, shift)
+        if hi - lo == 1 and active > 1:
+            lo, hi = (lo, hi + 1) if hi < active else (lo - 1, hi)
+        if hi > lo:
+            rows = hi - lo
+            np.subtract(xi[lo:hi], shift, out=diff[:rows])
+            np.matmul(diff[:rows], inv.T, out=pre[:rows])
+            tested = covered[lo:hi]
+            before = np.count_nonzero(tested)
+            tested |= metric.norm(pre[:rows]) < r
+            uncovered -= np.count_nonzero(tested) - before
+        if uncovered == 0:
+            break
+        if (i == 0 and slab is not None) or 4 * uncovered <= active:
+            keep = ~covered[:active]
+            if uncovered == 1:
+                keep[np.argmax(covered[:active])] = True
+            kept = np.flatnonzero(keep)
+            if keys is not None:
+                keys = keys[kept]
+            elif slab is not None:
+                keys = slab.buckets(xi[kept, slab.axis])
+                order = np.argsort(keys, kind="stable")
+                kept, keys = kept[order], keys[order]
+            active = kept.size
+            xi[:active] = xi[kept]
+            covered[:active] = covered[kept]
+    return int(xi.shape[0] - uncovered)
+
+
 def _prune_shifts(shifts: np.ndarray, inv: np.ndarray, metric: MetricSpace, r: float,
                   omega_lo: np.ndarray, omega_hi: np.ndarray) -> np.ndarray:
     """Drop shifts whose translated deformed ball provably misses the domain box.
 
     The relative margin on r absorbs the rounding of the batched interval
-    bound, so it can only keep more shifts than exact arithmetic would."""
+    bound, so it can only keep more shifts than exact arithmetic would.  An
+    L2 test whose kept preimages would square past the float range is
+    refused."""
     center = 0.5 * (omega_lo + omega_hi)
     pre_center, pre_half = linear_box(inv, center - shifts, 0.5 * (omega_hi - omega_lo))
     lower = np.maximum(np.abs(pre_center) - pre_half, 0.0)
-    return shifts[metric.norm(lower) < r * (1.0 + 1e-12)]
+    keep = metric.norm(lower) < r * (1.0 + 1e-12)
+    if metric.kind == EUCLIDEAN_L2 and keep.any():
+        # the test squares each preimage coordinate: python floats overflow
+        # to inf here without a warning, and inf is refused
+        reach = float(np.abs(pre_center[keep]).max()) + float(pre_half.max())
+        if not metric.dim * reach * reach < sys.float_info.max:
+            raise RejectedInputError(
+                f"overlap measure: preimages up to {reach:.3g} have squares that "
+                "overflow a float")
+    return shifts[keep]

@@ -549,6 +549,10 @@ def test_cli_wide_continuous_dilation_domain_runs(tmp_path, capsys):
     ("shearlet_property_x", ["family.s_values=[1,3,1e300]"], "Gram matrix M^T M overflows"),
     ("shearlet_property_x", ["family.s_values=[1,3,-1e300]"], "Gram matrix M^T M overflows"),
     ("shearlet_property_x", ["family.s_values=[1,3,1e200]"], "Gram matrix M^T M overflows"),
+    # the central-first shift order squared the shifts' distances, and the L2
+    # test squared preimages past the float range, each with a warning
+    ("weil_counting", ["lattice.basis=[[1e155]]"], "squares that overflow a float"),
+    ("weil_counting", ["lattice.basis=[[1e300]]"], "squares that overflow a float"),
 ])
 def test_cli_out_of_float_range_inputs_end_in_one_error_line(tmp_path, capsys, name,
                                                              overrides, word):

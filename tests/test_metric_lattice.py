@@ -459,6 +459,12 @@ def test_columnwise_norm_equals_numpy_reductions_on_full_blocks(dim):
 @given(seed=_seeds, dim=_dims, kind=_kinds, r=_radii, n_samples=st.integers(1000, 5000))
 # two sample blocks, the second of 5 samples; about 28% of the domain is covered
 @example(seed=SEED, dim=2, kind=ml.EUCLIDEAN_L2, r=0.3, n_samples=(1 << 17) + 5)
+# thin slabs: the rows are sorted after the first shift and 60 shifts test slices
+@example(seed=SEED, dim=3, kind=ml.EUCLIDEAN_L2, r=0.1, n_samples=5000)
+# early compaction: 217 of 5,000 rows are left after the second shift
+@example(seed=2, dim=2, kind=ml.EUCLIDEAN_L2, r=1.5, n_samples=5000)
+# compaction inside the first of two blocks, then a block of 5 rows
+@example(seed=2, dim=2, kind=ml.EUCLIDEAN_LINF, r=1.3, n_samples=(1 << 17) + 5)
 def test_overlap_measure_equals_per_shift_loop(seed, dim, kind, r, n_samples):
     rng = np.random.default_rng(seed)
     metric = ml.MetricSpace(kind, dim)
@@ -467,6 +473,113 @@ def test_overlap_measure_equals_per_shift_loop(seed, dim, kind, r, n_samples):
     est = ml.overlap_measure(lattice, metric, auto, r, n_samples=n_samples, seed=seed)
     assert (est.value, est.stderr) == _per_shift_overlap(lattice, metric, auto, r,
                                                          n_samples, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=_seeds, dim=_dims, kind=_kinds, r=st.floats(0.02, 0.3),
+       log_cond=st.floats(0.0, 6.0), n_samples=st.integers(1000, 5000))
+@example(seed=SEED, dim=3, kind=ml.EUCLIDEAN_L2, r=0.05, log_cond=6.0, n_samples=5000)
+@example(seed=SEED, dim=2, kind=ml.EUCLIDEAN_LINF, r=0.3, log_cond=6.0, n_samples=5000)
+# sorted after the first shift, then compacted with its bucket column
+@example(seed=1, dim=2, kind=ml.EUCLIDEAN_L2, r=1.2, log_cond=2.0, n_samples=5000)
+def test_overlap_measure_equals_per_shift_loop_on_ill_conditioned_deformations(
+        seed, dim, kind, r, log_cond, n_samples):
+    # long thin deformed balls: the slab axis, its rounding margin and the
+    # sorted bucket column carried through each compaction all come into play
+    rng = np.random.default_rng(seed)
+    metric = ml.MetricSpace(kind, dim)
+    lattice = ml.Lattice(random_unimodular(rng, dim))
+    auto = Automorphism(random_unimodular(rng, dim, max_cond=10.0 ** log_cond))
+    try:
+        est = ml.overlap_measure(lattice, metric, auto, r, n_samples=n_samples, seed=seed)
+    except ResourceLimitError:
+        return  # a candidate box past the shift cap; the oracle would refuse it too
+    assert (est.value, est.stderr) == _per_shift_overlap(lattice, metric, auto, r,
+                                                         n_samples, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_seeds, dim=_dims, kind=_kinds, log_cond=st.floats(2.0, 6.0))
+def test_slab_half_width_bounds_every_hit_along_its_axis(seed, dim, kind, log_cond):
+    # rows at the deformed ball's extreme along the slab axis, jittered by a
+    # few rounding units, that still pass the test must lie within the slab
+    rng = np.random.default_rng(seed)
+    metric = ml.MetricSpace(kind, dim)
+    lattice = ml.Lattice(random_unimodular(rng, dim))
+    auto = Automorphism(random_unimodular(rng, dim, max_cond=10.0 ** log_cond))
+    r = 0.1
+    img_center, img_half = ml.linear_box(auto.matrix, np.zeros(dim), np.full(dim, r))
+    omega_lo, omega_hi = lattice.fundamental_box()
+    slab = ml._Slab.worth_sorting(auto.matrix, auto.inv_matrix, img_center, img_half,
+                                  omega_lo, omega_hi, 10 ** 9)
+    k = slab.axis
+    row = auto.matrix[k]
+    extreme = (r * row / np.linalg.norm(row) if kind == ml.EUCLIDEAN_L2
+               else r * np.sign(row))
+    shift = lattice.basis @ rng.integers(-2, 3, size=dim).astype(float)
+    pull = 1.0 - 2.0 ** -rng.uniform(20.0, 52.0, size=(4000, 1))
+    jitter = rng.normal(size=(4000, dim)) * 1e-13 * 10.0 ** log_cond * img_half.max()
+    sign = rng.choice([-1.0, 1.0], size=(4000, 1))
+    xi = shift + (sign * pull * extreme) @ auto.matrix.T + jitter
+    hit = metric.norm((xi - shift) @ auto.inv_matrix.T) < r
+    assert hit.any()
+    assert np.all(np.abs(xi[hit, k] - (shift[k] + slab.centre)) <= slab.half)
+
+
+@pytest.mark.parametrize("r", [0.25, 1.5, 2.7])
+def test_gabor_overlap_equals_the_per_shift_loop_on_each_slice(r):
+    lattice = ml.Lattice([[0.7]])
+    est = ml.overlap_measure(lattice, ml.gabor_product(), None, r, n_samples=20000, seed=SEED)
+    value = var = 0.0
+    for k in range(-(math.ceil(r) - 1), math.ceil(r)):
+        v, e = _per_shift_overlap(lattice, ml.euclidean_l2(1), Automorphism([[1.0]]),
+                                  r - abs(k), 20000, SEED + k)
+        value += v
+        var += e ** 2
+    assert (est.value, est.stderr) == (value, math.sqrt(var))
+
+
+def _norm_rows(monkeypatch) -> list[int]:
+    """Rows each MetricSpace.norm call receives, recorded from now on."""
+    rows: list[int] = []
+    norm = ml.MetricSpace.norm
+
+    def counted(self, vec):
+        rows.append(np.atleast_2d(vec).shape[0])
+        return norm(self, vec)
+
+    monkeypatch.setattr(ml.MetricSpace, "norm", counted)
+    return rows
+
+
+def _kept_shifts(lattice, metric, auto, r) -> int:
+    img_lo, img_hi = auto.box_image(*metric.ball_box(r))
+    omega_lo, omega_hi = lattice.fundamental_box()
+    shifts = lattice.points_in_box(omega_lo - img_hi, omega_hi - img_lo)
+    return ml._prune_shifts(shifts, auto.inv_matrix, metric, r, omega_lo, omega_hi).shape[0]
+
+
+def test_thin_ball_tests_each_shift_on_its_slab_only(monkeypatch):
+    rng = np.random.default_rng(SEED)
+    metric = ml.euclidean_l2(3)
+    lattice = ml.Lattice(random_unimodular(rng, 3))
+    auto = Automorphism(random_unimodular(rng, 3))
+    shifts = _kept_shifts(lattice, metric, auto, 0.05)
+    rows = _norm_rows(monkeypatch)
+    ml.overlap_measure(lattice, metric, auto, 0.05, n_samples=20000, seed=SEED)
+    assert shifts > 20 and sum(rows) <= 0.2 * shifts * 20000
+
+
+def test_covering_ball_makes_fewer_full_passes_than_it_has_shifts(monkeypatch):
+    rng = np.random.default_rng(2)
+    metric = ml.euclidean_linf(2)
+    lattice = ml.Lattice(random_unimodular(rng, 2))
+    auto = Automorphism(random_unimodular(rng, 2))
+    shifts = _kept_shifts(lattice, metric, auto, 1.3)
+    rows = _norm_rows(monkeypatch)
+    est = ml.overlap_measure(lattice, metric, auto, 1.3, n_samples=20000, seed=SEED)
+    assert est.value == lattice.covolume
+    assert rows.count(20000) < shifts
 
 
 def test_profile_rejects_unbounded_support():
