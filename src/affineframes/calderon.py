@@ -50,6 +50,15 @@ def _check_profile_dim(family: AutomorphismFamily, pts: np.ndarray) -> None:
         raise RejectedInputError("profile dimension does not match the automorphism")
 
 
+def checked_squares(values: np.ndarray, what: str) -> np.ndarray:
+    """values ** 2, refused where a square overflows a float."""
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        out = values ** 2
+    if not np.isfinite(out).all():
+        raise RejectedInputError(f"a square of {what} overflows a float")
+    return out
+
+
 def _orbit_squares(psihat, matrices: np.ndarray, pts: np.ndarray):
     """(rows, values) blocks of at most _ORBIT_BLOCK values (or one row), in
     member order: the squared profile values at the orbit images of `pts`
@@ -66,7 +75,8 @@ def _orbit_squares(psihat, matrices: np.ndarray, pts: np.ndarray):
         if not np.isfinite(mapped).all():
             raise RejectedInputError("orbit image of a frequency overflows a float")
         values = psihat.evaluate(mapped.reshape(-1, mapped.shape[-1]))
-        yield slice(i, i + step), values.reshape(mapped.shape[:2]) ** 2
+        yield slice(i, i + step), checked_squares(values.reshape(mapped.shape[:2]),
+                                                  "a profile value")
 
 
 def calderon_values(psihat: FrequencyProfile, family: AutomorphismFamily, points,
@@ -236,7 +246,7 @@ def _continuous_orbit_integrals(psihat, family, pts: np.ndarray
 
     def density(a: np.ndarray, x: np.ndarray) -> np.ndarray:
         w = np.array([family.weight_of(float(v)) for v in a])
-        return w * psihat.evaluate((a * x)[:, None]) ** 2
+        return w * checked_squares(psihat.evaluate((a * x)[:, None]), "a profile value")
 
     totals = quadrature.integrate_with_breakpoints(
         lambda a, owner: density(a, xi[freq_of[owner]]),

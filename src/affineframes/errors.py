@@ -9,10 +9,6 @@ class RejectedInputError(ValueError):
 class ResourceLimitError(RuntimeError):
     """A computation would exceed its declared resource cap."""
 
-    def __init__(self, message: str, size: int | None = None):
-        super().__init__(message)
-        self.size = size
-
 
 class DegenerateDomainError(RuntimeError):
     """A Monte Carlo measure estimate is indistinguishable from zero."""
@@ -29,4 +25,4 @@ def check_bytes(items: int, item_bytes: int, what: str) -> None:
     """Raise before `items` of `item_bytes` bytes each would pass MAX_GRID_BYTES."""
     if items * item_bytes > MAX_GRID_BYTES:
         raise ResourceLimitError(f"{what}: {items} need {items * item_bytes} bytes "
-                                 f"(cap {MAX_GRID_BYTES})", size=items)
+                                 f"(cap {MAX_GRID_BYTES})")

@@ -1,6 +1,6 @@
-"""Fourier-domain frame functional, ball-indicator test functions, the ball
-integrals of the orbit sums and the unit-norm probe ensemble: the library
-parts that `runner` composes into the frame report.
+"""Fourier-domain frame functional, the ball-indicator test functions and
+unit-norm probes it reads as step rows `(edges, values)`, and the ball
+integrals of the orbit sums: the parts that `runner` composes into the frame report.
 
 The functional is evaluated exactly on one-dimensional frequency lines (the
 Euclidean line and the Gabor modulation line k = 1), where every integrand is
@@ -10,7 +10,7 @@ what the acceptance checks lean on.
 
 Each (f-hat, member) pair integrates only over a hull that holds where its
 integrand can be nonzero: the shifted meets of psi-hat's connected components
-with the member's image of f-hat's support, its first to last breakpoint.
+with the member's image of f-hat's support, its first to last edge.
 Rounding can carry a node just outside that hull across a breakpoint, so the
 hull is widened by 16 eps times the magnitudes that enter a shifted node and
 its preimage (domain ends, shift, offset, breakpoints) and then snapped outward
@@ -18,7 +18,7 @@ to one of the member's cuts or a domain end.  Every cell kept is then a cell of
 the whole-domain rule, and every cell left out integrates to +0.0 there, so the
 values are those of the whole-domain rule bit for bit.  The intervals of every
 pair come from one stacked pass over the whole f-hat ensemble, each with only
-its own pair's cuts, and the integrand evaluates each f-hat once per call.
+its own pair's cuts, and the integrand looks each f-hat up once per call.
 """
 
 from __future__ import annotations
@@ -30,18 +30,18 @@ import numpy as np
 from . import quadrature
 from .automorphisms import AutomorphismFamily, line_action
 # bench/tracer.py wraps calderon_sum in this namespace as well
-from .calderon import calderon_sum, calderon_values  # noqa: F401
+from .calderon import calderon_sum, calderon_values, checked_squares  # noqa: F401
 from .errors import RejectedInputError, check_bytes
 from .metric_lattice import GABOR_PRODUCT, Lattice, MetricSpace
-from .profiles import FrequencyProfile, PiecewiseConstantProfile, indicator_interval
+from .profiles import FrequencyProfile
 
 PROBE_MAX_PIECES = 8
 PROBE_MAX_REJECTIONS = 1000  # draws in a row a probe may reject before its band is refused
 
 
 def make_test_function(center, epsilon: float,
-                       metric: MetricSpace) -> PiecewiseConstantProfile:
-    """Unit-norm frequency indicator of the ball at `center` of radius epsilon.
+                       metric: MetricSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-norm frequency indicator of the ball at `center` of radius epsilon, as a step row.
 
     Gabor centers sit on the modulation line k = 1, and balls of radius below
     one meet that line only; euclidean centers sit on a line."""
@@ -55,14 +55,23 @@ def make_test_function(center, epsilon: float,
         raise RejectedInputError("center must sit on the modulation line k = 1")
     if not gabor and metric.dim != 1:
         raise RejectedInputError("ball indicators are box profiles only on one-dimensional lines")
-    base = float(c[0])
+    lo, hi = float(c[0]) - epsilon, float(c[0]) + epsilon
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise RejectedInputError("unbounded declared support")
+    if hi <= lo:  # c - epsilon rounds to c + epsilon
+        raise RejectedInputError("empty or inverted box")
     # the interval measure 2 epsilon on the line (any line metric)
-    return indicator_interval(base - epsilon, base + epsilon, 1.0 / math.sqrt(2.0 * epsilon))
+    return np.array([lo, hi]), np.array([1.0 / math.sqrt(2.0 * epsilon)])
 
 
 # ---------------------------------------------------------------------------
 # The functional
 # ---------------------------------------------------------------------------
+
+def _step_lookup(edges: np.ndarray, values: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """values[i] at points in [edges[i], edges[i + 1]), else (NaN too) the +0.0 padded on."""
+    return np.append(values, 0.0)[np.searchsorted(edges, points, "right") - 1]
+
 
 def _components(p: FrequencyProfile) -> np.ndarray:
     """(lo, hi) rows of the connected components of a 1-d profile's pieces,
@@ -78,23 +87,22 @@ def frame_functional(psihat: FrequencyProfile, family: AutomorphismFamily,
                      lattice: Lattice, fhats) -> np.ndarray:
     """The weighted double integral of the squared periodized product
     f-hat(orbit-preimage) * psi-hat over the fundamental domain, one value per
-    f-hat in `fhats`: one quadrature interval per (f-hat, member) whose
+    step row in `fhats`: one quadrature interval per (f-hat, member) whose
     integrand can be nonzero, trimmed to where it can and built in one stacked
-    pass, and one quadrature call whose integrand evaluates each f-hat once."""
+    pass, and one quadrature call whose integrand looks each f-hat up once."""
     fhats = list(fhats)
     if family.is_continuous:
         raise RejectedInputError("the functional is evaluated on atomic families")
-    if psihat.dim != 1 or lattice.dim != 1 or any(f.dim != 1 for f in fhats):
+    if psihat.dim != 1 or lattice.dim != 1:
         raise RejectedInputError("functional evaluation runs on 1-d frequency lines")
 
     omega_lo, omega_hi = (float(v[0]) for v in lattice.fundamental_box())
     psi_parts, psi_breaks = _components(psihat), psihat.breakpoints_1d()
-    # every f-hat's breakpoints padded to one width with their last entry: a repeat
-    # moves no max or min below, and each interval gets only its own f-hat's columns
-    breaks = [f.breakpoints_1d() for f in fhats]
-    n_b = max((b.size for b in breaks), default=1)
+    # every f-hat's edges padded to one width with their last entry: a repeat moves
+    # no max or min below, and each interval gets only its own f-hat's columns
+    n_b = max((e.size for e, _ in fhats), default=1)
     n_f, n_m = len(fhats), len(family.params)
-    f_breaks = np.reshape([b.take(range(n_b), mode="clip") for b in breaks], (n_f, n_b))
+    f_breaks = np.reshape([e.take(range(n_b), mode="clip") for e, _ in fhats], (n_f, n_b))
 
     scale, offset = line_action(family.members.matrices)
     weight, jacobian = family.members.weights, family.members.jacobians
@@ -141,22 +149,26 @@ def frame_functional(psihat: FrequencyProfile, family: AutomorphismFamily,
                            sc * f_breaks[g, None] + off], axis=2) - s
     t_lo = cuts.max(axis=(1, 2), where=on & (cuts <= hull_lo), initial=omega_lo)
     t_hi = cuts.min(axis=(1, 2), where=on & (cuts >= hull_hi), initial=omega_hi)
-    own = psi_breaks.size + np.array([b.size for b in breaks], dtype=np.intp)[g]
+    own = psi_breaks.size + np.array([e.size for e, _ in fhats], dtype=np.intp)[g]
     intervals = [(t_lo[j], t_hi[j], cuts[j, :n[j], :own[j]].ravel()) for j in range(g.size)]
 
     def integrand(xi: np.ndarray, owner: np.ndarray) -> np.ndarray:
         # nodes come interval by interval, f-hat-major: each f-hat's are one slice,
         # whose (node, shift index) pairs go shift-ascending, added from 0.0 in that order
         acc, ends = [np.empty(0)], np.searchsorted(g[owner], np.arange(n_f + 1)).tolist()
-        for fhat, a, b in zip(fhats, ends, ends[1:]):
+        for (edges, values), a, b in zip(fhats, ends, ends[1:]):
             if a == b:
                 continue
             rows = owner[a:b]
             k, j = np.nonzero(np.arange(n[rows].max())[:, None] < n[rows])
             i, shifted = m[rows[j]], xi[a + j] + s[rows[j], k, 0]
-            acc.append(np.bincount(j, fhat.evaluate(((shifted - offset[i]) / scale[i])[:, None])
+            with np.errstate(over="ignore"):  # an overflowing preimage is refused just below
+                pre = (shifted - offset[i]) / scale[i]
+            if not np.isfinite(pre).all():
+                raise RejectedInputError("a preimage of a shifted node overflows a float")
+            acc.append(np.bincount(j, _step_lookup(edges, values, pre)
                                    * psihat.evaluate(shifted[:, None]), b - a))
-        return np.concatenate(acc) ** 2
+        return checked_squares(np.concatenate(acc), "the functional's integrand")
 
     # a member left out integrates to +0.0, which adds nothing to a sum of
     # nonnegative terms; the rest are added in member order
@@ -202,8 +214,8 @@ def ball_integrals(psihat, family, centers, epsilon: float,
 # ---------------------------------------------------------------------------
 
 def random_probe_ensemble(band_lo: float, band_hi: float, count: int,
-                          seed: int) -> list[PiecewiseConstantProfile]:
-    """Deterministic ensemble of piecewise-constant band profiles, built at unit norm."""
+                          seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Deterministic ensemble of unit-norm step rows on the band."""
     span = band_hi - band_lo  # positive exactly when band_hi > band_lo
     if not 0.0 < span < math.inf:
         raise RejectedInputError("empty probe band" if span <= 0 else
@@ -228,6 +240,5 @@ def random_probe_ensemble(band_lo: float, band_hi: float, count: int,
         if not 0.0 < n2 < math.inf:
             raise RejectedInputError("cannot normalize a null profile" if n2 <= 0 else
                                      f"a probe's squared norm on [{band_lo}, {band_hi}] overflows")
-        out.append(PiecewiseConstantProfile(edges[:-1, None], edges[1:, None],
-                                            vals * (1.0 / np.sqrt(n2))))
+        out.append((edges, vals * (1.0 / np.sqrt(n2))))
     return out

@@ -170,8 +170,7 @@ class Lattice:
         if np.any(counts <= 0):
             return np.empty((0, self.dim))
         if total > cap:
-            raise ResourceLimitError(
-                f"candidate box holds {total} lattice points (cap {cap})", size=total)
+            raise ResourceLimitError(f"candidate box holds {total} lattice points (cap {cap})")
         # the stacked integers, their float copy and the mapped points; the
         # meshgrid is views of the axes
         check_bytes(total, 3 * 8 * self.dim, "candidate box lattice points")

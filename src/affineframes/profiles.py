@@ -133,10 +133,6 @@ class SampledGridProfile(_PieceTable):
 FrequencyProfile = PiecewiseConstantProfile | SampledGridProfile
 
 
-def indicator_interval(lo: float, hi: float, value: float = 1.0) -> PiecewiseConstantProfile:
-    return PiecewiseConstantProfile(np.array([[lo]]), np.array([[hi]]), np.array([value]))
-
-
 def support_radii(profile: FrequencyProfile, metric) -> tuple[float, float]:
     """(inradius, circumradius) of the support relative to the identity.
 

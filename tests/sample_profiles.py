@@ -1,10 +1,22 @@
-"""Profile helpers several suites share: the sampled hat they draw as a test
-input, and the squared norm and scalar multiple of a piecewise-constant
-profile, which the package no longer computes."""
+"""Profile helpers several suites share: the interval indicator and the
+sampled hat they draw as test inputs, the squared norm and scalar multiple of
+a piecewise-constant profile, which the package no longer computes, and the
+step row `(edges, values)` of such a profile, which the frame functional reads."""
 
 import numpy as np
 
 from affineframes.profiles import PiecewiseConstantProfile, SampledGridProfile
+
+
+def indicator_interval(lo: float, hi: float, value: float = 1.0) -> PiecewiseConstantProfile:
+    return PiecewiseConstantProfile(np.array([[lo]]), np.array([[hi]]), np.array([value]))
+
+
+def step_row(profile: PiecewiseConstantProfile) -> tuple[np.ndarray, np.ndarray]:
+    """A 1-d profile as a step row: its breakpoints as edges, and the value of
+    each cell read at its left edge, so a gap between pieces is a zero cell."""
+    edges = profile.breakpoints_1d()
+    return edges, profile.evaluate(edges[:-1, None])
 
 
 def triangle_bump(center: float, halfwidth: float, height: float = 1.0,

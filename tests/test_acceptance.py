@@ -18,9 +18,9 @@ from affineframes import counting as ct
 from affineframes import frame_functional as ff
 from affineframes import metric_lattice as ml
 from affineframes import runner
-from affineframes.profiles import PiecewiseConstantProfile, indicator_interval
+from affineframes.profiles import PiecewiseConstantProfile
 from reference_members import _ref_restrict, constants, oracle_pairs
-from sample_profiles import scaled, triangle_bump
+from sample_profiles import indicator_interval, scaled, triangle_bump
 from unimodular import random_unimodular
 
 L2_1 = ml.euclidean_l2(1)

@@ -3,6 +3,9 @@ that the benchmark's reference file pins, so output drift fails here first."""
 
 import hashlib
 import json
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -34,6 +37,29 @@ def test_bundled_scenario_matches_reference_digests(tmp_path, name):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(tmp_path.glob("*.csv"))}
     assert digests == expected["csv"]
+
+
+def test_bundled_digests_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # OPENBLAS_NUM_THREADS acts only before numpy loads, so the scenarios run in
+    # a fresh interpreter on one BLAS thread against the same pins
+    script = textwrap.dedent("""
+        import hashlib, json, sys
+        from pathlib import Path
+        from affineframes import runner
+        pins = {}
+        for name in runner.bundled_scenario_names():
+            out = Path(sys.argv[1]) / name
+            code, report = runner.run_scenario(runner.load_bundled_scenario(name), out)
+            pins[name] = {"exit": code, "passed": [a["passed"] for a in report["analyses"]],
+                          "csv": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                                  for p in sorted(out.glob("*.csv"))}}
+        print(json.dumps(pins))
+    """)
+    env = {"PYTHONPATH": ":".join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", script,
+                           str(tmp_path)], capture_output=True, text=True, timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == PINNED
 
 
 def test_benchmark_couplings_to_the_package_hold(tmp_path, monkeypatch):

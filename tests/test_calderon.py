@@ -14,11 +14,10 @@ from affineframes import config as cfg
 from affineframes import metric_lattice as ml
 from affineframes import runner
 from affineframes.errors import RejectedInputError, SingularPointError
-from affineframes.profiles import (PiecewiseConstantProfile, SampledGridProfile,
-                                   indicator_interval)
+from affineframes.profiles import PiecewiseConstantProfile, SampledGridProfile
 from reference_members import (_ref_above, _ref_calderon_sum, _ref_members, _ref_restrict,
                                _ref_truncation_label, constants, raised)
-from sample_profiles import scaled, squared_norm
+from sample_profiles import indicator_interval, scaled, squared_norm
 
 L2_1 = ml.euclidean_l2(1)
 L2_2 = ml.euclidean_l2(2)

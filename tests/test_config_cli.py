@@ -553,6 +553,19 @@ def test_cli_wide_continuous_dilation_domain_runs(tmp_path, capsys):
     # test squared preimages past the float range, each with a warning
     ("weil_counting", ["lattice.basis=[[1e155]]"], "squares that overflow a float"),
     ("weil_counting", ["lattice.basis=[[1e300]]"], "squares that overflow a float"),
+    # the frame functional's preimage of a shifted node overflowed with a
+    # warning, and both analyses passed
+    ("shannon_onb", ["lattice.basis=[[1e300]]"], "preimage of a shifted node overflows"),
+    ("shannon_onb", ["lattice.basis=[[-1e300]]"], "preimage of a shifted node overflows"),
+    # a squared profile value overflowed to inf: the verdicts were computed
+    # through inf, and anisotropic_wavelet read a finite integral as divergent
+    *[(name, [f"profile.pieces.0.value={v}"], "square of a profile value overflows")
+      for name in ("shannon_onb", "gabor_onb", "anisotropic_wavelet", "semicontinuous_wavelet")
+      for v in ("1e300", "-1e300")],
+    # c - epsilon rounds to c + epsilon: the interval profile refused the empty
+    # box, and its step row must too
+    ("shannon_onb", ["analyses.1.test_centers=[[1e20]]"], "empty or inverted box"),
+    ("shannon_onb", ["analyses.1.test_centers=[[1.7e308]]"], "empty or inverted box"),
 ])
 def test_cli_out_of_float_range_inputs_end_in_one_error_line(tmp_path, capsys, name,
                                                              overrides, word):

@@ -17,11 +17,10 @@ from affineframes import frame_functional as ff
 from affineframes import metric_lattice as ml
 from affineframes import errors, quadrature, runner
 from affineframes.errors import RejectedInputError, ResourceLimitError
-from affineframes.profiles import (PiecewiseConstantProfile, SampledGridProfile,
-                                   indicator_interval)
+from affineframes.profiles import PiecewiseConstantProfile, SampledGridProfile
 from reference_members import (_ref_line_action, _ref_members, _ref_property_x_scan,
                                _ref_random_probe_ensemble, _ref_restrict)
-from sample_profiles import scaled, squared_norm, triangle_bump
+from sample_profiles import indicator_interval, scaled, step_row, triangle_bump
 
 L2_1 = ml.euclidean_l2(1)
 GABOR = ml.gabor_product()
@@ -43,20 +42,38 @@ def gabor_family():
 # Test functions
 # ---------------------------------------------------------------------------
 
+def _row_squared_norm(row) -> float:
+    """A step row's exact squared L2 norm: each value squared times its cell's width."""
+    edges, values = row
+    return float(np.dot(values ** 2, np.diff(edges)))
+
+
 def test_make_test_function_euclidean_interval():
-    tf = ff.make_test_function([0.3], 0.01, L2_1)
-    assert tf.values[0] == pytest.approx(1.0 / math.sqrt(0.02))
-    assert squared_norm(tf) == pytest.approx(1.0, abs=1e-12)
-    inside = tf.evaluate(np.array([[0.295], [0.305]]))
-    outside = tf.evaluate(np.array([[0.289], [0.311]]))
-    assert np.all(inside == tf.values[0])
+    tf = edges, values = ff.make_test_function([0.3], 0.01, L2_1)
+    assert edges.tolist() == [0.3 - 0.01, 0.3 + 0.01]
+    assert values.tolist() == [1.0 / math.sqrt(2.0 * 0.01)]
+    assert _row_squared_norm(tf) == pytest.approx(1.0, abs=1e-12)
+    inside = ff._step_lookup(edges, values, np.array([0.295, 0.305]))
+    outside = ff._step_lookup(edges, values, np.array([0.289, 0.311]))
+    assert np.all(inside == values[0])
     assert np.all(outside == 0.0)
 
 
 def test_make_test_function_gabor_line_reduction():
-    tf = ff.make_test_function([0.3, 1], 0.25, GABOR)
-    assert tf.dim == 1
-    assert squared_norm(tf) == pytest.approx(1.0, abs=1e-15)
+    tf = edges, values = ff.make_test_function([0.3, 1], 0.25, GABOR)
+    assert edges.shape == (2,) and values.shape == (1,)
+    assert _row_squared_norm(tf) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("center,epsilon,word", [
+    ([1e20], 0.01, "empty or inverted box"),  # c - epsilon rounds to c + epsilon
+    ([1.7e308], 0.01, "empty or inverted box"),
+    ([1.7e308], 1e308, "unbounded declared support"),  # c + epsilon overflows
+    ([-1.7e308], 1e308, "unbounded declared support"),
+])
+def test_make_test_function_refuses_what_the_profile_refused(center, epsilon, word):
+    with pytest.raises(RejectedInputError, match=word):
+        ff.make_test_function(center, epsilon, L2_1)
 
 
 def test_make_test_function_gabor_radius_cap():
@@ -72,6 +89,33 @@ def test_make_test_function_wrong_line_rejected():
 # ---------------------------------------------------------------------------
 # The functional
 # ---------------------------------------------------------------------------
+
+@st.composite
+def _step_rows(draw):
+    """A step row of 1 to 9 cells, zero and signed-zero values among them."""
+    edges = sorted(draw(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=10, unique=True)))
+    values = draw(st.lists(st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0]),
+                           min_size=len(edges) - 1, max_size=len(edges) - 1))
+    return np.array(edges), np.array(values)
+
+
+_EDGE_ROW = (np.array([-1.0, -0.0, 0.5, 2.0]), np.array([3.0, -0.0, -2.5]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=_step_rows(), points=st.lists(st.floats(), max_size=20))
+@example(row=_EDGE_ROW, points=_EDGE_ROW[0].tolist())
+@example(row=_EDGE_ROW, points=np.nextafter(_EDGE_ROW[0], -np.inf).tolist())
+@example(row=_EDGE_ROW, points=[math.nan, math.inf, -math.inf, 0.0, -0.0])
+@example(row=(np.array([1.0, 1.5]), np.array([-0.0])), points=[1.0, 1.25, 1.5, -math.inf])
+def test_step_lookup_is_the_profile_mask_loop(row, points):
+    # sign of zero included: the lookup copies a value or the +0.0 padded on
+    edges, values = row
+    off = [math.nan, math.inf, -math.inf]
+    pts = np.concatenate([points, edges, np.nextafter(edges, -np.inf), off])
+    profile = PiecewiseConstantProfile(edges[:-1, None], edges[1:, None], values)
+    assert ff._step_lookup(edges, values, pts).tobytes() == profile.evaluate(pts[:, None]).tobytes()
+
 
 def test_shannon_functional_is_one_at_small_radii():
     fam = dyadic_family()
@@ -116,13 +160,13 @@ def _single_shift_term(psihat, m, fhat) -> float:
     """Oracle for a member whose ball is below the single-term threshold: only
     the zero shift meets the domain, so the functional reduces to
     weight * value**2 * integral over the ball of psihat(scale*u + offset)**2."""
-    lo, hi = float(fhat.boxes_lo[0, 0]), float(fhat.boxes_hi[0, 0])
+    (lo, hi), (value,) = (a.tolist() for a in fhat)
     scale, offset = _ref_line_action(m.auto)
     cuts = [(float(b) - offset) / scale for b in psihat.breakpoints_1d()]
     [integral] = quadrature.integrate_with_breakpoints(
         lambda u, _owner: psihat.evaluate((scale * u + offset)[:, None]) ** 2,
         [(lo, hi, cuts)])
-    return m.weight * float(fhat.values[0]) ** 2 * integral
+    return m.weight * value ** 2 * integral
 
 
 def _single_term_threshold(family, lattice, param, xi0: float) -> float:
@@ -230,9 +274,9 @@ def _per_member_functional(psihat, family, lattice, fhat) -> float:
 
 
 @st.composite
-def _line_profiles(draw):
-    """A piecewise-constant profile of disjoint pieces or a sampled hat."""
-    if draw(st.booleans()):
+def _line_profiles(draw, hats=True):
+    """A piecewise-constant profile of disjoint pieces or, with `hats`, a sampled hat."""
+    if hats and draw(st.booleans()):
         return triangle_bump(draw(st.floats(-2.0, 2.0)), draw(st.floats(0.05, 1.5)),
                              draw(st.floats(0.5, 2.0)), n_nodes=draw(st.integers(3, 7)))
     cursor, lo, hi = draw(st.floats(-3.0, 0.0)), [], []
@@ -264,11 +308,12 @@ def _families(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(family=_families(), psihat=_line_profiles(), fhat=_line_profiles(),
+@given(family=_families(), psihat=_line_profiles(), fhat=_line_profiles(hats=False),
        b=st.sampled_from([1.0, -1.0, 0.75, -0.6, 2.5, -1.7]))
 def test_functional_matches_per_member_formula(family, psihat, fhat, b):
+    # the functional reads f-hat's step row, the reference evaluates its profile
     lattice = ml.Lattice(np.array([[b]]))
-    assert (ff.frame_functional(psihat, family, lattice, [fhat]).tolist()
+    assert (ff.frame_functional(psihat, family, lattice, [step_row(fhat)]).tolist()
             == [_per_member_functional(psihat, family, lattice, fhat)])
 
 
@@ -338,9 +383,16 @@ _WIDE_PSI = PiecewiseConstantProfile(
     np.array([0.47, -0.328, 0.311, 1.573, -1.815]))
 
 
+def _steps_on(hat: SampledGridProfile) -> PiecewiseConstantProfile:
+    """A step profile on a sampled hat's nodes, each cell at its mean sample:
+    the hat's breakpoints, which f-hat can no longer be as a hat."""
+    lo, hi = hat.pieces
+    return PiecewiseConstantProfile(lo, hi, 0.5 * (hat.samples[:-1] + hat.samples[1:]))
+
+
 @settings(max_examples=150, deadline=None)
 @given(family=_wide_families(), psihat=_line_profiles(),
-       fhats=st.lists(_line_profiles(), min_size=1, max_size=5),
+       fhats=st.lists(_line_profiles(hats=False), min_size=1, max_size=5),
        b=st.sampled_from([0.3, 0.5, 1.0, 2.0, -1.0]))
 @example(family=am.matrix_power_family([[3.0]], -30, 17, L2_1), psihat=_WIDE_PSI,
          fhats=[indicator_interval(-0.657, -0.312, -1.879)], b=0.3)
@@ -352,22 +404,24 @@ _WIDE_PSI = PiecewiseConstantProfile(
                        [6.401456511615517], [9.239582294103986]]),
              np.array([0.5490890466076779, -0.2692048463854227, 0.604539946465831,
                        1.0307742893252194, 0.9540298450703677])),
-         fhats=[SampledGridProfile(0.4638074370776935, 0.8060556469657765, np.array(
+         fhats=[_steps_on(SampledGridProfile(0.4638074370776935, 0.8060556469657765, np.array(
              [0.0, 0.33764731961953626, 0.6752946392390727, 1.0129419588586086,
-              0.6752946392390721, 0.3376473196195356, 0.0]))], b=-1.0)
+              0.6752946392390721, 0.3376473196195356, 0.0])))], b=-1.0)
 def test_trimmed_functional_matches_the_unbatched_reference(family, psihat, fhats, b):
+    # the functional reads each f-hat's step row, the reference evaluates its profile
     lattice = ml.Lattice(np.array([[b]]))
-    assert (ff.frame_functional(psihat, family, lattice, fhats).tolist()
+    assert (ff.frame_functional(psihat, family, lattice, [step_row(f) for f in fhats]).tolist()
             == [_unbatched_functional(psihat, family, lattice, f) for f in fhats])
 
 
 # supports far past every drawn psi-hat's reach under every drawn member
-_UNREACHED = st.floats(1e4, 1e5).map(lambda c: indicator_interval(c, c + 1.0, 0.7))
+_UNREACHED = st.floats(1e4, 1e5).map(lambda c: (np.array([c, c + 1.0]), np.array([0.7])))
 
 
 @settings(max_examples=150, deadline=None)
 @given(family=_families(), psihat=_line_profiles(),
-       fhats=st.lists(_line_profiles() | _UNREACHED, min_size=2, max_size=8),
+       fhats=st.lists(_line_profiles(hats=False).map(step_row) | _UNREACHED,
+                      min_size=2, max_size=8),
        b=st.sampled_from([1.0, -1.0, 0.75, -0.6, 2.5]))
 def test_functional_of_an_ensemble_is_the_functional_of_each_member(family, psihat, fhats, b):
     # the ensemble is stacked with every f-hat padded to the widest one
@@ -407,8 +461,9 @@ def test_trimmed_functional_integrates_few_cells_it_finds_zero(monkeypatch):
     assert 0 < values.shape[0] <= 3 * live
 
 
-def test_functional_evaluates_each_fhat_and_psihat_once_per_fhat(monkeypatch):
-    # the 50 probes used to be evaluated once per (probe, shift index): 200 calls
+def test_functional_evaluates_psihat_once_per_fhat(monkeypatch):
+    # the 50 probes used to be evaluated once per (probe, shift index): 200 calls,
+    # and then once per probe next to psi-hat's once: 100; a step row is looked up
     *operands, ensemble = _shannon_probe_inputs()
     calls = [0]
 
@@ -421,7 +476,7 @@ def test_functional_evaluates_each_fhat_and_psihat_once_per_fhat(monkeypatch):
     for kind in (PiecewiseConstantProfile, SampledGridProfile):
         monkeypatch.setattr(kind, "evaluate", counted(kind.evaluate))
     ff.frame_functional(*operands, ensemble)
-    assert 0 < calls[0] <= 2 * len(ensemble)
+    assert 0 < calls[0] <= len(ensemble)
 
 
 def test_functional_is_one_quadrature_call_without_box_queries(monkeypatch):
@@ -440,8 +495,9 @@ def test_functional_is_one_quadrature_call_without_box_queries(monkeypatch):
     assert ff.frame_functional(SHANNON, fam, Z1, [tf])[0] == pytest.approx(1.0)
     [integrals] = calls
     monkeypatch.undo()
-    nonzero = [_unbatched_functional(SHANNON, _ref_restrict(fam, np.array(fam.params) == p), Z1, tf)
-               != 0.0 for p in fam.params]
+    ball = indicator_interval(*tf[0], *tf[1])
+    nonzero = [_unbatched_functional(SHANNON, _ref_restrict(fam, np.array(fam.params) == p), Z1,
+                                     ball) != 0.0 for p in fam.params]
     assert len(integrals) == sum(nonzero) > 0
     assert all(v > 0.0 for v in integrals)
 
@@ -495,7 +551,7 @@ def test_functional_cap_is_not_sized_by_the_components_of_fhat(monkeypatch):
     monkeypatch.setattr(errors, "MAX_GRID_BYTES", 4000)
     for comb in combs:
         with pytest.raises(ResourceLimitError, match="quadrature nodes"):
-            ff.frame_functional(comb, fam, Z1, [comb])
+            ff.frame_functional(comb, fam, Z1, [step_row(comb)])
 
 
 def test_functional_hands_each_interval_only_its_own_cuts(monkeypatch):
@@ -519,8 +575,8 @@ def test_functional_hands_each_interval_only_its_own_cuts(monkeypatch):
     assert len(owners) == len(together)
     psi_breaks, step = psihat.breakpoints_1d(), float(lattice.basis[0, 0])
     total = 0
-    for fhat, (_, _, cuts) in zip(owners, together):
-        per_shift = psi_breaks.size + fhat.breakpoints_1d().size
+    for (edges, _), (_, _, cuts) in zip(owners, together):
+        per_shift = psi_breaks.size + edges.size
         assert cuts.size % per_shift == 0
         # one row per shift: psi-hat's breakpoints less the shift, then the
         # member's images of this f-hat's, less the same shift
@@ -551,6 +607,14 @@ def test_bundled_functional_values_are_pinned(tmp_path):
     assert shannon["probe"]["upper_empirical"] == 1.0000000000000004
     gabor = _frame_report_entry(tmp_path / "g", "gabor_onb")
     assert [c["value"] for c in gabor["functional_checks"]] == [0.9999999999999998]
+
+
+def test_functional_refuses_a_square_of_its_integrand_that_overflows():
+    # psi-hat at 1e300 times the test function's 7.07: the square passed as inf
+    fam = dyadic_family(-10, 10)
+    tf = ff.make_test_function([0.3], 0.01, L2_1)
+    with pytest.raises(RejectedInputError, match="square of the functional's integrand"):
+        ff.frame_functional(scaled(SHANNON, 1e300), fam, Z1, [tf])
 
 
 def test_functional_rejects_continuous_families():
@@ -606,18 +670,18 @@ def test_probe_ensemble_is_the_normalised_reference_at_unit_norm(band, seed, cou
     ensemble = ff.random_probe_ensemble(*band, count=count, seed=seed)
     reference = _ref_random_probe_ensemble(*band, count=count, seed=seed)
     assert len(ensemble) == len(reference) == count
-    for probe, (lo, hi, values) in zip(ensemble, reference):
-        assert probe.boxes_lo.tolist() == lo.tolist()
-        assert probe.boxes_hi.tolist() == hi.tolist()
-        assert probe.values.tolist() == values.tolist()
+    for (edges, probe_values), (lo, hi, values) in zip(ensemble, reference):
+        assert edges[:-1, None].tolist() == lo.tolist()
+        assert edges[1:, None].tolist() == hi.tolist()
+        assert probe_values.tolist() == values.tolist()
         # the norm taken here, not by the package
         assert abs(sum(v * v * (b - a) for a, b, v in zip(
-            probe.boxes_lo[:, 0].tolist(), probe.boxes_hi[:, 0].tolist(),
-            probe.values.tolist())) - 1.0) <= 1e-12
+            edges[:-1].tolist(), edges[1:].tolist(), probe_values.tolist())) - 1.0) <= 1e-12
 
 
-def test_probe_ensemble_builds_one_profile_per_probe(tmp_path, monkeypatch):
-    # each probe used to be built, then built again scaled to unit norm
+def test_probe_ensemble_builds_no_profile(tmp_path, monkeypatch):
+    # each probe used to be built, then built again scaled to unit norm, and
+    # then built once; a step row is no profile
     built, counts = [0], []
     post_init = PiecewiseConstantProfile.__post_init__
 
@@ -635,7 +699,7 @@ def test_probe_ensemble_builds_one_profile_per_probe(tmp_path, monkeypatch):
     monkeypatch.setattr(PiecewiseConstantProfile, "__post_init__", counted)
     monkeypatch.setattr(ff, "random_probe_ensemble", ensemble)
     runner.run_scenario(runner.load_bundled_scenario("shannon_onb"), tmp_path)
-    assert counts == [(50, 50)]
+    assert counts == [(50, 0)]
 
 
 def test_probe_ensemble_must_be_nonempty():

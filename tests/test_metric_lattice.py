@@ -12,9 +12,8 @@ from hypothesis.extra import numpy as hnp
 from affineframes import metric_lattice as ml
 from affineframes.automorphisms import Automorphism, shearlet
 from affineframes.errors import RejectedInputError, ResourceLimitError
-from affineframes.profiles import (PiecewiseConstantProfile, SampledGridProfile,
-                                   indicator_interval, support_radii)
-from sample_profiles import triangle_bump
+from affineframes.profiles import PiecewiseConstantProfile, SampledGridProfile, support_radii
+from sample_profiles import indicator_interval, triangle_bump
 from unimodular import random_unimodular
 
 SEED = 13579
