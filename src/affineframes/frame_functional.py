@@ -18,7 +18,8 @@ to one of the member's cuts or a domain end.  Every cell kept is then a cell of
 the whole-domain rule, and every cell left out integrates to +0.0 there, so the
 values are those of the whole-domain rule bit for bit.  The intervals of every
 pair come from one stacked pass over the whole f-hat ensemble, each with only
-its own pair's cuts, and the integrand looks each f-hat up once per call.
+its own pair's cuts, and the integrand reads each f-hat's step row once per
+call, through `profiles.grid_lookup` as a one-axis grid, as psi-hat is read.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .automorphisms import AutomorphismFamily, line_action
 from .calderon import calderon_sum, calderon_values, checked_squares  # noqa: F401
 from .errors import RejectedInputError, check_bytes
 from .metric_lattice import GABOR_PRODUCT, Lattice, MetricSpace
-from .profiles import FrequencyProfile
+from .profiles import FrequencyProfile, grid_lookup
 
 PROBE_MAX_PIECES = 8
 PROBE_MAX_REJECTIONS = 1000  # draws in a row a probe may reject before its band is refused
@@ -67,11 +68,6 @@ def make_test_function(center, epsilon: float,
 # ---------------------------------------------------------------------------
 # The functional
 # ---------------------------------------------------------------------------
-
-def _step_lookup(edges: np.ndarray, values: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """values[i] at points in [edges[i], edges[i + 1]), else (NaN too) the +0.0 padded on."""
-    return np.append(values, 0.0)[np.searchsorted(edges, points, "right") - 1]
-
 
 def _components(p: FrequencyProfile) -> np.ndarray:
     """(lo, hi) rows of the connected components of a 1-d profile's pieces,
@@ -131,10 +127,13 @@ def frame_functional(psihat: FrequencyProfile, family: AutomorphismFamily,
     sc, off = scale[m, None, None], offset[m, None, None]
     # where psi-hat's components meet the member's image of f-hat's support, shifted
     # and widened past the rounding of the integrand's shifted nodes and preimages
-    margin = 16.0 * np.finfo(float).eps * (
-        abs(omega_lo) + abs(omega_hi)
-        + np.abs(s).max(axis=1, where=on, initial=0.0, keepdims=True) + np.abs(off)
-        + np.abs(psi_breaks).max() + np.abs(sc) * np.abs(f_breaks).max(axis=1)[g, None, None])
+    with np.errstate(over="ignore"):  # an overflowing margin is refused just below
+        margin = 16.0 * np.finfo(float).eps * (
+            abs(omega_lo) + abs(omega_hi)
+            + np.abs(s).max(axis=1, where=on, initial=0.0, keepdims=True) + np.abs(off)
+            + np.abs(psi_breaks).max() + np.abs(sc) * np.abs(f_breaks).max(axis=1)[g, None, None])
+    if not np.isfinite(margin).all():
+        raise RejectedInputError("the rounding margin of the functional's nodes overflows a float")
     lo = np.maximum(psi_parts[0], img_lo[g, m, None, None]) - s - margin
     hi = np.minimum(psi_parts[1], img_hi[g, m, None, None]) - s + margin
     meet = on & (hi > lo)
@@ -166,7 +165,7 @@ def frame_functional(psihat: FrequencyProfile, family: AutomorphismFamily,
                 pre = (shifted - offset[i]) / scale[i]
             if not np.isfinite(pre).all():
                 raise RejectedInputError("a preimage of a shifted node overflows a float")
-            acc.append(np.bincount(j, _step_lookup(edges, values, pre)
+            acc.append(np.bincount(j, grid_lookup((edges,), np.append(values, 0.0), pre[:, None])
                                    * psihat.evaluate(shifted[:, None]), b - a))
         return checked_squares(np.concatenate(acc), "the functional's integrand")
 
@@ -192,7 +191,10 @@ def ball_integrals(psihat, family, centers, epsilon: float,
     of psi-hat; even intervals are plain sums, odd ones tails."""
     breaks = psihat.breakpoints_1d()
     scale, offset = line_action(family.members.matrices)
-    cuts = (breaks[None, :] - offset[:, None]) / scale[:, None]
+    with np.errstate(over="ignore"):  # an overflowing preimage is refused just below
+        cuts = (breaks[None, :] - offset[:, None]) / scale[:, None]
+    if not np.isfinite(cuts).all():
+        raise RejectedInputError("a member's preimage of a psi-hat breakpoint overflows a float")
     tail = ~(family.members.upper <= M)
 
     def integrand(x: np.ndarray, owner: np.ndarray) -> np.ndarray:

@@ -1,13 +1,14 @@
 """Frequency-side profiles: the mother-wavelet |psi-hat| and Gabor-window data.
 
 Two representations are supported: a finite list of disjoint half-open boxes
-with constant values, and a uniformly sampled one-dimensional grid with linear
-interpolation.  All supports are bounded by construction, and every box is
-half-open ([lo, hi)) so membership at piece boundaries is deterministic.
+[lo, hi) with constant values, read off the grid of their edges by
+`grid_lookup`, which reads the frame functional's f-hat step rows too; and a
+uniformly sampled one-dimensional grid with linear interpolation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,16 +18,17 @@ from .errors import RejectedInputError, check_bytes
 
 def _as_points(points, dim: int) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        if dim == 1:
-            pts = pts[:, None]
-        elif pts.shape[0] == dim:
-            pts = pts[None, :]
-        else:
-            raise RejectedInputError(f"points of dimension {pts.shape} vs profile dim {dim}")
+    if pts.ndim == 1:  # a 1-d profile's points, or one point
+        pts = pts[:, None] if dim == 1 else pts[None, :]
     if pts.shape[-1] != dim:
         raise RejectedInputError(f"points of dimension {pts.shape[-1]} vs profile dim {dim}")
     return pts
+
+
+def grid_lookup(edges, table: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """table[i] at each row of `points` (n, d), i[a] the cell [e[i[a]], e[i[a] + 1]) of
+    edges[a] = e holding the a-th coordinate; off the edges (NaN too), the +0.0 padded on."""
+    return table[tuple(np.searchsorted(e, x, "right") - 1 for e, x in zip(edges, points.T))]
 
 
 class _PieceTable:
@@ -44,8 +46,7 @@ class _PieceTable:
     def breakpoints_1d(self) -> np.ndarray:
         if self.dim != 1:
             raise RejectedInputError("breakpoints_1d requires a 1-d profile")
-        lo, hi = self.pieces
-        return np.unique(np.concatenate([lo[:, 0], hi[:, 0]]))
+        return self.edges[0]
 
 
 @dataclass(frozen=True)
@@ -55,13 +56,15 @@ class PiecewiseConstantProfile(_PieceTable):
     boxes_lo: np.ndarray  # (k, dim)
     boxes_hi: np.ndarray  # (k, dim)
     values: np.ndarray    # (k,)
+    edges: tuple[np.ndarray, ...] = field(init=False, repr=False)  # per axis, the sorted box ends
+    table: np.ndarray = field(init=False, repr=False)  # a value per grid cell, +0.0 padded on
 
     def __post_init__(self):
         lo = np.atleast_2d(np.asarray(self.boxes_lo, dtype=float))
         hi = np.atleast_2d(np.asarray(self.boxes_hi, dtype=float))
         vals = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if lo.shape != hi.shape or lo.shape[0] != vals.shape[0]:
-            raise RejectedInputError("box/value shapes disagree")
+        if lo.shape != hi.shape or lo.shape[0] != vals.shape[0] or not vals.size:
+            raise RejectedInputError("box/value shapes disagree or hold no box")
         if not np.all(np.isfinite(lo)) or not np.all(np.isfinite(hi)):
             raise RejectedInputError("unbounded declared support")
         if np.any(hi <= lo):
@@ -71,9 +74,15 @@ class PiecewiseConstantProfile(_PieceTable):
         i, j = np.nonzero(np.triu(overlap, 1))  # row-major, so (i[0], j[0]) is the first pair
         if i.size:
             raise RejectedInputError(f"boxes {i[0]} and {j[0]} overlap")
-        object.__setattr__(self, "boxes_lo", lo)
-        object.__setattr__(self, "boxes_hi", hi)
-        object.__setattr__(self, "values", vals)
+        # per axis np.unique's sort and first of each run, without the numpy.ma import it makes
+        ends = [np.sort(np.concatenate([a, b])) for a, b in zip(lo.T, hi.T)]
+        edges = tuple(e[np.append(True, e[1:] != e[:-1])] for e in ends)
+        check_bytes(math.prod(e.size for e in edges), 8, "profile grid cells")
+        table = np.zeros([e.size for e in edges])
+        cells = [np.searchsorted(e, (a, b)).T.tolist() for e, a, b in zip(edges, lo.T, hi.T)]
+        for v, *block in zip(vals, *cells):  # each box fills its block of cells
+            table[tuple(slice(*c) for c in block)] = v
+        vars(self).update(boxes_lo=lo, boxes_hi=hi, values=vals, edges=edges, table=table)
 
     @property
     def dim(self) -> int:
@@ -84,12 +93,7 @@ class PiecewiseConstantProfile(_PieceTable):
         return self.boxes_lo, self.boxes_hi
 
     def evaluate(self, points) -> np.ndarray:
-        pts = _as_points(points, self.dim)
-        out = np.zeros(pts.shape[0])
-        for lo, hi, v in zip(self.boxes_lo, self.boxes_hi, self.values):
-            inside = np.all((pts >= lo) & (pts < hi), axis=1)
-            out[inside] = v
-        return out
+        return grid_lookup(self.edges, self.table, _as_points(points, self.dim))
 
 
 @dataclass(frozen=True)
@@ -99,6 +103,7 @@ class SampledGridProfile(_PieceTable):
     lo: float
     hi: float
     samples: np.ndarray = field(repr=False)
+    edges: tuple[np.ndarray] = field(init=False, repr=False)  # the distinct nodes
 
     def __post_init__(self):
         vals = np.asarray(self.samples, dtype=float)
@@ -106,9 +111,8 @@ class SampledGridProfile(_PieceTable):
             raise RejectedInputError("need at least two samples on the grid")
         if not (np.isfinite(self.lo) and np.isfinite(self.hi)) or self.hi <= self.lo:
             raise RejectedInputError("unbounded or empty declared support")
-        object.__setattr__(self, "samples", vals)
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
+        vars(self).update(samples=vals, lo=float(self.lo), hi=float(self.hi))
+        vars(self).update(edges=(np.unique(self.nodes),))
 
     @property
     def dim(self) -> int:
@@ -141,8 +145,13 @@ def support_radii(profile: FrequencyProfile, metric) -> tuple[float, float]:
     A piece's nearest point is the identity clipped into it, and its farthest
     point is the corner of largest coordinate magnitudes, which has the
     largest computed norm too, since rounding keeps a monotone norm's order.
-    Used to certify truncation of orbit sums.
+    Used to certify truncation of orbit sums; a circumradius past the float
+    range is refused, and the inradius is no larger.
     """
     lo, hi = profile.pieces
-    return (float(metric.norm(np.clip(0.0, lo, hi)).min()),
-            float(metric.norm(np.maximum(-lo, hi)).max()))
+    with np.errstate(over="ignore"):  # an overflowing circumradius is refused just below
+        inner = metric.norm(np.clip(0.0, lo, hi)).min()
+        outer = metric.norm(np.maximum(-lo, hi)).max()
+    if not np.isfinite(outer):
+        raise RejectedInputError("the norm of a farthest profile support corner overflows a float")
+    return float(inner), float(outer)

@@ -17,6 +17,11 @@ around a slice of the member table: `_ref_calderon_sum`,
 The frame report's probe ensemble used to build each probe, then measure its
 squared norm and build it again scaled to unit norm; `_ref_random_probe_ensemble`
 keeps that body, with the norm and the scaling written out.
+
+A piecewise-constant profile used to be read with one mask per piece, before
+it was looked up on the grid of its edges: `masked` rebuilds a profile as a
+`MaskLoopProfile`, whose `evaluate` keeps that loop, so the references that
+read profile values through it pit the grid lookup against the loop.
 """
 
 import math
@@ -30,6 +35,7 @@ from affineframes import counting as ct
 from affineframes import metric_lattice as ml
 from affineframes import quadrature
 from affineframes.errors import RejectedInputError, SingularPointError
+from affineframes.profiles import PiecewiseConstantProfile, _as_points
 
 Member = namedtuple("Member", "param auto lower upper jacobian weight")
 RefAutomorphism = namedtuple("RefAutomorphism", "matrix inv_matrix jacobian")
@@ -38,6 +44,26 @@ Evaluation = namedtuple("Evaluation", "xi value truncation tail_estimate certifi
 ScanRow = namedtuple("ScanRow", "param upper_constant jacobian count ratio")
 ScanReport = namedtuple("ScanReport",
                         "verdict r M constant witness witness_count attempted_bound rows")
+
+
+class MaskLoopProfile(PiecewiseConstantProfile):
+    """A piecewise-constant profile read with one mask per piece: each point
+    takes the value of the box holding it, copied, and +0.0 outside them all."""
+
+    def evaluate(self, points) -> np.ndarray:
+        pts = _as_points(points, self.dim)
+        out = np.zeros(pts.shape[0])
+        for lo, hi, v in zip(self.boxes_lo, self.boxes_hi, self.values):
+            inside = np.all((pts >= lo) & (pts < hi), axis=1)
+            out[inside] = v
+        return out
+
+
+def masked(profile):
+    """A piecewise-constant profile as a `MaskLoopProfile`; a sampled grid as it is."""
+    if isinstance(profile, PiecewiseConstantProfile):
+        return MaskLoopProfile(profile.boxes_lo, profile.boxes_hi, profile.values)
+    return profile
 
 
 def raised(call):
@@ -220,7 +246,8 @@ def _ref_truncation_label(truncation):
 
 
 def _ref_calderon_sum(psihat, family, points):
-    """One Evaluation per frequency."""
+    """One Evaluation per frequency, with profile values read by the mask loop."""
+    psihat = masked(psihat)
     pts = cd._frequencies(psihat, points)
     norms = None  # the Gabor line has no identity to avoid
     if family.metric.kind != ml.GABOR_PRODUCT:

@@ -566,6 +566,16 @@ def test_cli_wide_continuous_dilation_domain_runs(tmp_path, capsys):
     # box, and its step row must too
     ("shannon_onb", ["analyses.1.test_centers=[[1e20]]"], "empty or inverted box"),
     ("shannon_onb", ["analyses.1.test_centers=[[1.7e308]]"], "empty or inverted box"),
+    # the functional's rounding margin summed past the float range with a
+    # warning before the preimage was refused
+    ("shannon_onb", ["lattice.basis=[[1.7e308]]"], "rounding margin of the functional's nodes"),
+    # a profile box end of -1e300 squared past the float range in the L2 norm
+    # of the support circumradius, and in the frame report the members' preimages
+    # of psi-hat's breakpoints overflowed; both warned, and no verdict moved
+    ("shannon_onb", ["profile.pieces.0.box=[[-1e300,-0.5]]"], "farthest profile support corner"),
+    ("shannon_onb", ["profile.pieces.0.box=[[-1e300,-0.5]]",
+                     'analyses=[{"kind":"frame_report","lower":1.0,"upper":1.0}]'],
+     "preimage of a psi-hat breakpoint overflows"),
 ])
 def test_cli_out_of_float_range_inputs_end_in_one_error_line(tmp_path, capsys, name,
                                                              overrides, word):

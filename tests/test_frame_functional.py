@@ -17,9 +17,9 @@ from affineframes import frame_functional as ff
 from affineframes import metric_lattice as ml
 from affineframes import errors, quadrature, runner
 from affineframes.errors import RejectedInputError, ResourceLimitError
-from affineframes.profiles import PiecewiseConstantProfile, SampledGridProfile
+from affineframes.profiles import PiecewiseConstantProfile, SampledGridProfile, grid_lookup
 from reference_members import (_ref_line_action, _ref_members, _ref_property_x_scan,
-                               _ref_random_probe_ensemble, _ref_restrict)
+                               _ref_random_probe_ensemble, _ref_restrict, masked)
 from sample_profiles import indicator_interval, scaled, step_row, triangle_bump
 
 L2_1 = ml.euclidean_l2(1)
@@ -53,8 +53,8 @@ def test_make_test_function_euclidean_interval():
     assert edges.tolist() == [0.3 - 0.01, 0.3 + 0.01]
     assert values.tolist() == [1.0 / math.sqrt(2.0 * 0.01)]
     assert _row_squared_norm(tf) == pytest.approx(1.0, abs=1e-12)
-    inside = ff._step_lookup(edges, values, np.array([0.295, 0.305]))
-    outside = ff._step_lookup(edges, values, np.array([0.289, 0.311]))
+    inside = grid_lookup((edges,), np.append(values, 0.0), np.array([[0.295], [0.305]]))
+    outside = grid_lookup((edges,), np.append(values, 0.0), np.array([[0.289], [0.311]]))
     assert np.all(inside == values[0])
     assert np.all(outside == 0.0)
 
@@ -112,9 +112,10 @@ def test_step_lookup_is_the_profile_mask_loop(row, points):
     # sign of zero included: the lookup copies a value or the +0.0 padded on
     edges, values = row
     off = [math.nan, math.inf, -math.inf]
-    pts = np.concatenate([points, edges, np.nextafter(edges, -np.inf), off])
-    profile = PiecewiseConstantProfile(edges[:-1, None], edges[1:, None], values)
-    assert ff._step_lookup(edges, values, pts).tobytes() == profile.evaluate(pts[:, None]).tobytes()
+    pts = np.concatenate([points, edges, np.nextafter(edges, -np.inf), off])[:, None]
+    loop = masked(PiecewiseConstantProfile(edges[:-1, None], edges[1:, None], values))
+    lookup = grid_lookup((edges,), np.append(values, 0.0), pts)
+    assert lookup.tobytes() == loop.evaluate(pts).tobytes()
 
 
 def test_shannon_functional_is_one_at_small_radii():
@@ -160,6 +161,7 @@ def _single_shift_term(psihat, m, fhat) -> float:
     """Oracle for a member whose ball is below the single-term threshold: only
     the zero shift meets the domain, so the functional reduces to
     weight * value**2 * integral over the ball of psihat(scale*u + offset)**2."""
+    psihat = masked(psihat)
     (lo, hi), (value,) = (a.tolist() for a in fhat)
     scale, offset = _ref_line_action(m.auto)
     cuts = [(float(b) - offset) / scale for b in psihat.breakpoints_1d()]
@@ -238,6 +240,7 @@ def test_lebesgue_point_convergence_ratio():
 def _per_member_functional(psihat, family, lattice, fhat) -> float:
     """Oracle: the per-member formula, one lattice-box query, one shift loop
     and one quadrature call per member, summed in member order."""
+    psihat, fhat = masked(psihat), masked(fhat)
     b = float(lattice.basis[0, 0])
     omega_lo, omega_hi = (0.0, b) if b > 0 else (b, 0.0)
     psi_lo, psi_hi = float(psihat.support_lo[0]), float(psihat.support_hi[0])
@@ -320,6 +323,7 @@ def test_functional_matches_per_member_formula(family, psihat, fhat, b):
 def _unbatched_functional(psihat, family, lattice, fhat) -> float:
     """Reference: the functional one f-hat at a time, with every live member
     integrated over the whole fundamental domain."""
+    psihat, fhat = masked(psihat), masked(fhat)
     omega_lo, omega_hi = (float(v[0]) for v in lattice.fundamental_box())
     psi_lo, psi_hi, psi_breaks = (float(psihat.support_lo[0]), float(psihat.support_hi[0]),
                                   psihat.breakpoints_1d())

@@ -13,6 +13,7 @@ from affineframes import metric_lattice as ml
 from affineframes.automorphisms import Automorphism, shearlet
 from affineframes.errors import RejectedInputError, ResourceLimitError
 from affineframes.profiles import PiecewiseConstantProfile, SampledGridProfile, support_radii
+from reference_members import masked
 from sample_profiles import indicator_interval, triangle_bump
 from unimodular import random_unimodular
 
@@ -684,3 +685,72 @@ def test_piece_table_matches_the_per_kind_references(profile, linf):
             profile.breakpoints_1d()
     else:
         assert np.array_equal(profile.breakpoints_1d(), breaks)
+
+
+# ---------------------------------------------------------------------------
+# The edge-grid lookup against the mask loop it replaced
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _disjoint_box_profiles(draw):
+    """1 to 8 disjoint boxes in dims 1 to 3, each a block of a few coordinates per
+    axis, so that many touch along an edge or a face; zero and -0.0 among the
+    values, and a drawn box that overlaps an earlier one is left out."""
+    dim = draw(st.integers(1, 3))
+    axes = [np.sort(draw(hnp.arrays(float, draw(st.integers(2, 6)), unique=True,
+                                    elements=st.floats(-1e3, 1e3))))
+            for _ in range(dim)]
+    blocks = []
+    for _ in range(draw(st.integers(1, 8))):
+        block = [sorted(draw(st.lists(st.integers(0, a.size - 1), min_size=2, max_size=2,
+                                      unique=True))) for a in axes]
+        if not any(all(max(p[0], q[0]) < min(p[1], q[1]) for p, q in zip(block, other))
+                   for other in blocks):
+            blocks.append(block)
+    lo = np.array([[a[i] for a, (i, _) in zip(axes, b)] for b in blocks])
+    hi = np.array([[a[j] for a, (_, j) in zip(axes, b)] for b in blocks])
+    values = draw(st.lists(st.floats() | st.sampled_from([0.0, -0.0]),
+                           min_size=len(blocks), max_size=len(blocks)))
+    return PiecewiseConstantProfile(lo, hi, np.array(values))
+
+
+_RING = PiecewiseConstantProfile(  # anisotropic_wavelet's psi-hat
+    np.array([[-1.0, 0.5], [-1.0, -1.0], [-1.0, -0.5], [0.5, -0.5]]),
+    np.array([[1.0, 1.0], [1.0, -0.5], [-0.5, 0.5], [1.0, 0.5]]), np.ones(4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(profile=_disjoint_box_profiles(), coords=st.lists(st.floats(), max_size=24))
+@example(profile=_RING, coords=[0.0, -0.0, 0.5, 0.4999999999999999, 1.0, -1.0])
+@example(profile=PiecewiseConstantProfile(np.array([[-1.0], [-0.0], [0.5]]),
+                                          np.array([[-0.0], [0.5], [2.0]]),
+                                          np.array([3.0, -0.0, -2.5])), coords=[])
+@example(profile=PiecewiseConstantProfile(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, -0.0]]),
+                                          np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 0.5]]),
+                                          np.array([-0.0, 7.0])), coords=[1.0, 0.5, -0.0])
+def test_grid_lookup_is_the_mask_loop(profile, coords):
+    # every point whose coordinates are each a box end, one ulp below one, a
+    # signed zero, NaN or +-inf, and the drawn ones: the lookup copies a value
+    # or the +0.0 padded on, sign of zero and NaN payload included
+    off = [0.0, -0.0, math.nan, math.inf, -math.inf]
+    ends = [np.unique(e) for e in np.concatenate([profile.boxes_lo, profile.boxes_hi]).T]
+    pools = [np.concatenate([e, np.nextafter(e, -np.inf), off]) for e in ends]
+    grid = np.stack(np.meshgrid(*pools, indexing="ij"), axis=-1).reshape(-1, profile.dim)
+    drawn = np.reshape(coords[:len(coords) // profile.dim * profile.dim], (-1, profile.dim))
+    pts = np.concatenate([grid, drawn])
+    assert profile.evaluate(pts).tobytes() == masked(profile).evaluate(pts).tobytes()
+
+
+def test_over_cap_grid_is_refused_before_its_table_is_built():
+    # 257 boxes on the diagonal of the cube, each at its own coordinates: 514
+    # edges a side make 514^3 cells of 8 bytes, past the 2^30-byte cap, while
+    # the overlap check needs 257^2 pairs only
+    lo = np.repeat(2.0 * np.arange(257.0)[:, None], 3, axis=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="profile grid cells: 135796744 need"):
+            PiecewiseConstantProfile(lo, lo + 1.0, np.ones(257))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 24
