@@ -234,10 +234,16 @@ def _continuous_orbit_integrals(psihat, family, pts: np.ndarray
     lo_d, hi_d = domain = family.continuous_domain()
     edges = psihat.breakpoints_1d()
     u0, u1 = edges[:-1], edges[1:]
-    probes = np.stack([u0, 0.5 * (u0 + u1), u1 - 1e-12 * (u1 - u0)], axis=1)
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        probes = np.stack([u0, 0.5 * (u0 + u1), u1 - 1e-12 * (u1 - u0)], axis=1)
+    if not np.isfinite(probes).all():
+        raise RejectedInputError("a probe point of a profile piece overflows a float")
     live = np.any(psihat.evaluate(probes.reshape(-1, 1)).reshape(-1, 3) != 0.0, axis=1)
     # (n_xi, n_pieces) parameter windows; xi != 0 after calderon_sum's norm check
-    q0, q1 = u0[live] / xi[:, None], u1[live] / xi[:, None]
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        q0, q1 = u0[live] / xi[:, None], u1[live] / xi[:, None]
+    if not (np.isfinite(q0).all() and np.isfinite(q1).all()):
+        raise RejectedInputError("a parameter window of a profile piece overflows a float")
     a0, a1 = np.where(xi[:, None] > 0, q0, q1), np.where(xi[:, None] > 0, q1, q0)
     w0, w1 = np.maximum(a0, lo_d), np.minimum(a1, hi_d)
     windows = [list(zip(r0[k].tolist(), r1[k].tolist()))

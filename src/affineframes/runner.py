@@ -311,16 +311,18 @@ def run_scenario(scenario: dict, out_dir) -> tuple[int, dict]:
         "profile": cfg.build_profile(scenario),
     }
     analyses_out = []
-    timings = {}
+    timings, cpu = {}, {}
     all_passed = True
     for index, analysis in enumerate(scenario["analyses"]):
         tag = f"{index:02d}"
-        start = time.perf_counter()
+        start, cpu_start = time.perf_counter(), time.process_time()
         result, passed, table = _DISPATCH[analysis["kind"]](analysis, ctx)
         if table is not None:
             result["csv"] = f"{tag}_{analysis['kind']}.csv"
             _write_csv(out_dir / result["csv"], *table)
-        timings[f"{tag}_{analysis['kind']}"] = time.perf_counter() - start
+        name = f"{tag}_{analysis['kind']}"
+        timings[name] = time.perf_counter() - start
+        cpu[name] = time.process_time() - cpu_start
         entry = {"kind": analysis["kind"], "passed": bool(passed)}
         entry.update(_jsonable(result))
         analyses_out.append(entry)
@@ -333,6 +335,7 @@ def run_scenario(scenario: dict, out_dir) -> tuple[int, dict]:
         "analyses": analyses_out,
         "all_passed": bool(all_passed),
         "timings_s": _jsonable(timings),
+        "cpu_s": _jsonable(cpu),
     }
     with open(out_dir / "report.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

@@ -1,8 +1,10 @@
 """Every bundled scenario reproduces the exit code, verdicts and CSV digests
-that the benchmark's reference file pins, so output drift fails here first."""
+that the benchmark's reference file pins, so output drift fails here first;
+on one BLAS thread, the package's default, and on two."""
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -39,9 +41,13 @@ def test_bundled_scenario_matches_reference_digests(tmp_path, name):
     assert digests == expected["csv"]
 
 
-def test_bundled_digests_do_not_depend_on_the_blas_thread_count(tmp_path):
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_bundled_digests_do_not_depend_on_the_blas_thread_count(tmp_path, threads):
     # OPENBLAS_NUM_THREADS acts only before numpy loads, so the scenarios run in
-    # a fresh interpreter on one BLAS thread against the same pins
+    # a fresh interpreter on each BLAS thread count against the same pins
     script = textwrap.dedent("""
         import hashlib, json, sys
         from pathlib import Path
@@ -55,11 +61,44 @@ def test_bundled_digests_do_not_depend_on_the_blas_thread_count(tmp_path):
                                   for p in sorted(out.glob("*.csv"))}}
         print(json.dumps(pins))
     """)
-    env = {"PYTHONPATH": ":".join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
+    env = {"PYTHONPATH": ":".join(sys.path), "OPENBLAS_NUM_THREADS": threads}
     done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", script,
                            str(tmp_path)], capture_output=True, text=True, timeout=120, env=env)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == PINNED
+
+
+def _thread_state_after_import(**preset) -> list:
+    """The BLAS thread variables and the thread count of a fresh interpreter
+    after `import affineframes, numpy`, started with no thread variable but
+    `preset`; the count is None where /proc/self/task does not exist."""
+    script = textwrap.dedent(f"""
+        import json, os
+        import affineframes, numpy
+        tasks = "/proc/self/task"
+        print(json.dumps([{{k: os.environ.get(k) for k in {_THREAD_VARS!r}}},
+                          len(os.listdir(tasks)) if os.path.isdir(tasks) else None]))
+    """)
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env.update(PYTHONPATH=":".join(sys.path), **preset)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_package_import_pins_openblas_to_one_thread():
+    variables, threads = _thread_state_after_import()
+    assert variables == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None,
+                         "OMP_NUM_THREADS": None}
+    if sys.platform.startswith("linux"):
+        assert threads == 1
+
+
+@pytest.mark.parametrize("name", _THREAD_VARS)
+def test_package_import_keeps_a_thread_count_the_caller_set(name):
+    variables, _ = _thread_state_after_import(**{name: "2"})
+    assert variables == {k: "2" if k == name else None for k in _THREAD_VARS}
 
 
 def test_benchmark_couplings_to_the_package_hold(tmp_path, monkeypatch):

@@ -267,6 +267,7 @@ def test_scan_grid_concatenates_segments():
 def _strip_timings(report: dict) -> dict:
     out = json.loads(json.dumps(report))
     out.pop("timings_s", None)
+    out.pop("cpu_s", None)
     return out
 
 
@@ -281,6 +282,13 @@ def test_runner_deterministic_byte_identical(tmp_path):
     assert csvs_a == csvs_b and csvs_a
     for name in csvs_a:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_report_times_each_analysis_in_wall_and_cpu_seconds(tmp_path):
+    _, report = runner.run_scenario(runner.load_bundled_scenario("gabor_onb"), tmp_path)
+    names = [f"{i:02d}_{a['kind']}" for i, a in enumerate(report["analyses"])]
+    assert list(report["timings_s"]) == list(report["cpu_s"]) == names
+    assert all(isinstance(v, float) and v >= 0.0 for v in report["cpu_s"].values())
 
 
 def test_cli_run_exit_zero(tmp_path):
@@ -576,6 +584,13 @@ def test_cli_wide_continuous_dilation_domain_runs(tmp_path, capsys):
     ("shannon_onb", ["profile.pieces.0.box=[[-1e300,-0.5]]",
                      'analyses=[{"kind":"frame_report","lower":1.0,"upper":1.0}]'],
      "preimage of a psi-hat breakpoint overflows"),
+    # a continuous family's parameter window, a profile breakpoint over a scan
+    # frequency, overflowed with a warning and left NaN tails in 23 CSV rows;
+    # both verdicts stayed those of a box end of 8e306, which does not overflow
+    ("semicontinuous_wavelet", ["profile.pieces.1.box=[[1e300,1.7e308]]"],
+     "parameter window of a profile piece overflows"),
+    ("semicontinuous_wavelet", ["profile.pieces.1.box=[[1e308,1.7e308]]"],
+     "probe point of a profile piece overflows"),
 ])
 def test_cli_out_of_float_range_inputs_end_in_one_error_line(tmp_path, capsys, name,
                                                              overrides, word):

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import time
 import tracemalloc
@@ -580,6 +582,62 @@ def test_covering_ball_makes_fewer_full_passes_than_it_has_shifts(monkeypatch):
     est = ml.overlap_measure(lattice, metric, auto, 1.3, n_samples=20000, seed=SEED)
     assert est.value == lattice.covolume
     assert rows.count(20000) < shifts
+
+
+def _needle_rows():
+    """Rows the test passes past the image box of a thin 3-d L-inf needle.
+
+    A = [[n, n+1, 0], [n-1, n, 0], [n, n, 1]] has det 1 and an integer
+    inverse with the same large entries, so the test's preimage cancels terms
+    of size n^2 r down to r and rounds by up to about eps n^2 = 1.7e-3 of r.
+    Rows drawn that far around the two far corners of the needles at the
+    corners of the unit cube, other than the origin's (the first shift, which
+    every row meets), that pass the test reach past the image box along the
+    slab axis (1) by several of the 32768 buckets of the domain span."""
+    n = 2_788_313.0
+    auto = Automorphism([[n, n + 1, 0.0], [n - 1, n, 0.0], [n, n, 1.0]])
+    r = 0.1 / (2 * n - 1)
+    rng = np.random.default_rng(SEED)
+    f = 2.0 ** -52 * n * n
+    rows = []
+    for shift in itertools.product((0.0, 1.0), repeat=3):
+        if any(shift):
+            for sign in (-1.0, 1.0):
+                pre = np.column_stack([r * (1.0 + rng.uniform(-f, 2 * f, (2000, 2))),
+                                       rng.uniform(-r, r, 2000)])
+                rows.append(np.asarray(shift) + sign * pre @ auto.matrix.T)
+    rows = np.concatenate(rows)
+    return auto, r, rows[np.all((rows >= 0.0) & (rows < 1.0), axis=1)]
+
+
+def test_slab_guards_keep_the_hits_past_the_image_box(monkeypatch):
+    # both guards of _Slab: the rounding margin of worth_sorting reaches hits
+    # several buckets past the image box, and the one bucket either side of
+    # `rows` reaches a hit that lies less than a bucket past a half-width
+    auto, r, rows = _needle_rows()
+    metric, lattice = ml.euclidean_linf(3), ml.Lattice(np.eye(3))
+    hit = np.zeros(rows.shape[0], dtype=bool)
+    along = np.zeros(rows.shape[0])  # the slab-axis distance to a shift that hits
+    for shift in itertools.product((-1.0, 0.0, 1.0, 2.0), repeat=3):
+        passed = metric.norm((rows - shift) @ auto.inv_matrix.T) < r
+        hit |= passed
+        along = np.where(passed, np.maximum(along, np.abs(rows[:, 1] - shift[1])), along)
+    image_half = r * np.abs(auto.matrix).sum(axis=1)
+    assert along.max() > image_half[1] + 2.0 / ml._SLAB_BUCKETS
+    monkeypatch.setattr(ml.Lattice, "sample_fundamental", lambda self, rng, n: rows)
+
+    def measured() -> float:
+        return ml.overlap_measure(lattice, metric, auto, r, n_samples=rows.shape[0],
+                                  seed=SEED).value
+
+    assert measured() == np.count_nonzero(hit) / rows.shape[0]
+    # a half-width a quarter bucket short of the bucket edge that the farthest
+    # hit lies just past: only the extra bucket of `rows` reaches that hit
+    half = (math.floor(along.max() * ml._SLAB_BUCKETS) - 0.25) / ml._SLAB_BUCKETS
+    built = ml._Slab.worth_sorting
+    monkeypatch.setattr(ml._Slab, "worth_sorting", staticmethod(
+        lambda *args: dataclasses.replace(built(*args), half=half)))
+    assert measured() == np.count_nonzero(hit) / rows.shape[0]
 
 
 def test_profile_rejects_unbounded_support():
